@@ -1,4 +1,4 @@
-"""Engine — resident-pool Lemma 2.1 orientation and batch-parallel flip repair.
+"""Engine — resident-pool Lemma 2.1 orientation and fan-out amortization.
 
 The worker pool's acceptance bars: with 4 process workers, large-λ
 ``orient()`` on a 100k-vertex dense workload must be **≥ 4× faster** than
@@ -7,11 +7,7 @@ byte-identical to ``workers=1``; and the repeated-superstep microbench must
 show the resident shared-memory shards amortise the per-call fan-out cost
 **≥ 10×** against the old re-pickle-every-call path (measured as bytes
 shipped per superstep — deterministic, so it holds on any host; the
-wall-clock ratio is reported alongside).  The same module pins the
-batch-parallel flip-repair path of the streaming service against its serial
-counterpart — identical maintained state (heads, colors, rounds) for any
-worker count, with the wall-clock ratio reported (thread backend: the GIL
-bounds the speedup, so only identity is asserted).
+wall-clock ratio is reported alongside).
 
 Workload: a union of 12 random spanning forests on 100k vertices
 (m ≈ 1.2M, λ ≤ 12) pushed through the Lemma 2.1 branch with an explicit
@@ -45,8 +41,6 @@ from repro.core.partitioning import random_edge_partition
 from repro.engine import PROCESS, ParallelExecutor, WorkerPool
 from repro.engine import shm
 from repro.graph.generators import union_of_random_forests
-from repro.stream.service import StreamingService
-from repro.stream.workloads import uniform_churn_trace
 
 NUM_VERTICES = 100_000
 ARBORICITY = 12
@@ -55,9 +49,6 @@ WORKERS = 4
 ORIENT_SPEEDUP_TARGET = 4.0
 AMORTIZATION_TARGET = 10.0
 AMORTIZATION_SUPERSTEPS = 8
-
-STREAM_BATCHES = 4
-STREAM_BATCH_SIZE = 2_000
 
 
 def _available_cpus() -> int:
@@ -69,7 +60,6 @@ def _available_cpus() -> int:
 
 SMOKE_NUM_VERTICES = 2_000
 SMOKE_K = 64
-SMOKE_STREAM_BATCH_SIZE = 200
 
 
 def _make_graph(num_vertices=NUM_VERTICES):
@@ -180,45 +170,6 @@ def run_amortization_microbench(
     }
 
 
-def _stream_once(trace, workers):
-    service = StreamingService(trace.initial, seed=0, workers=workers)
-    start = time.perf_counter()
-    summary = service.apply_all(trace.batches)
-    elapsed = time.perf_counter() - start
-    service.verify()
-    state = (
-        tuple(tuple(sorted(out)) for out in service.orientation._out),
-        tuple(service.coloring._colors),
-        service.cluster.stats.num_rounds,
-        summary.total_flips,
-    )
-    return elapsed, state, summary
-
-
-def run_repair_benchmark(
-    num_vertices: int = NUM_VERTICES, batch_size: int = STREAM_BATCH_SIZE
-) -> dict[str, float]:
-    trace = uniform_churn_trace(
-        num_vertices,
-        arboricity=4,
-        num_batches=STREAM_BATCHES,
-        batch_size=batch_size,
-        seed=42,
-    )
-    serial_s, serial_state, _ = _stream_once(trace, workers=1)
-    parallel_s, parallel_state, summary = _stream_once(trace, workers=WORKERS)
-    groups = sum(report.conflict_groups for report in summary.reports)
-    parallel_groups = sum(report.parallel_groups for report in summary.reports)
-    return {
-        "serial_s": serial_s,
-        "parallel_s": parallel_s,
-        "speedup": serial_s / parallel_s,
-        "conflict_groups": float(groups),
-        "parallel_groups": float(parallel_groups),
-        "identical": 1.0 if serial_state == parallel_state else 0.0,
-    }
-
-
 def test_parallel_orientation_identical_and_faster():
     results = run_orientation_benchmark()
     write_snapshot("engine_parallel_orient", results, meta=_meta())
@@ -241,13 +192,6 @@ def test_resident_pool_amortizes_fanout_shipping():
     assert results["shipping_amortization"] >= AMORTIZATION_TARGET, results
 
 
-def test_batch_parallel_repair_identical():
-    results = run_repair_benchmark()
-    write_snapshot("engine_parallel_repair", results, meta=_meta())
-    assert results["identical"] == 1.0, results
-    assert results["parallel_groups"] > 0  # the parallel phase actually ran
-
-
 def _meta(smoke: bool = False) -> dict:
     return {
         "num_vertices": SMOKE_NUM_VERTICES if smoke else NUM_VERTICES,
@@ -267,9 +211,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     if args.smoke:
-        n, k, batch_size = SMOKE_NUM_VERTICES, SMOKE_K, SMOKE_STREAM_BATCH_SIZE
+        n, k = SMOKE_NUM_VERTICES, SMOKE_K
     else:
-        n, k, batch_size = NUM_VERTICES, EXPLICIT_K, STREAM_BATCH_SIZE
+        n, k = NUM_VERTICES, EXPLICIT_K
     print(
         f"engine parallel: n={n}, m≈{n * ARBORICITY}, k={k}, "
         f"workers={WORKERS}, cpus={_available_cpus()}"
@@ -287,11 +231,6 @@ def main(argv=None) -> int:
         (
             "repeated-superstep fan-out amortization",
             amortization,
-            None,
-        ),
-        (
-            "batch-parallel flip repair (thread backend)",
-            run_repair_benchmark(n, batch_size),
             None,
         ),
     ):

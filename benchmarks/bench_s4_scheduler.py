@@ -91,7 +91,6 @@ def run_acceptance_checks(
                 _service_fingerprint(engine.tenant_service(trace.name))
                 == _service_fingerprint(standalone)
             )
-            standalone.close()
         return {
             "ticks": float(len(engine.ticks)),
             "deferred": float(engine.summary.total_deferred),
@@ -115,7 +114,6 @@ def run_quota_isolation_check(seed=9):
         probe.cluster.stats.peak_global_memory_words,
         probe.cluster.global_memory_in_use(),
     ) + 4  # room for ≤2 net inserts
-    probe.close()
     inserts = []
     for u in range(hog_initial.num_vertices):
         for v in range(u + 1, hog_initial.num_vertices):
@@ -142,7 +140,6 @@ def run_quota_isolation_check(seed=9):
         sibling_ok = _service_fingerprint(
             engine.tenant_service(good.name)
         ) == _service_fingerprint(standalone)
-        standalone.close()
         return {
             "breached": 1.0 if breached else 0.0,
             "quarantined": 1.0 if set(engine.quarantined()) == {"hog"} else 0.0,

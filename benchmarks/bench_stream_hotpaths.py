@@ -109,7 +109,7 @@ def _build_service(graph) -> StreamingService:
     # under test and is byte-identical across backends by the kernel
     # contract, so it always runs on the fastest backend available.
     with kernels.use_backend(kernels.NUMPY):
-        service = StreamingService(graph, maintain_coloring=True, workers=1)
+        service = StreamingService(graph, maintain_coloring=True)
     # Tighten the compaction threshold so the trace exercises the
     # compact_journal kernel at full base size every tick (the default
     # fraction would never trip at this journal/edge ratio).  Both backends
@@ -133,15 +133,12 @@ def _fingerprint(service: StreamingService) -> tuple:
 
 def _timed_trace(graph, batches, backend: str) -> tuple[float, tuple]:
     service = _build_service(graph)
-    try:
-        with kernels.use_backend(backend):
-            start = time.perf_counter()
-            for batch in batches:
-                service.apply(batch)
-            elapsed = time.perf_counter() - start
-        return elapsed, _fingerprint(service)
-    finally:
-        service.close()
+    with kernels.use_backend(backend):
+        start = time.perf_counter()
+        for batch in batches:
+            service.apply(batch)
+        elapsed = time.perf_counter() - start
+    return elapsed, _fingerprint(service)
 
 
 def snapshot_cache_microbench(

@@ -47,11 +47,13 @@ Commands
     (latest vs. previous value per metric, per benchmark).
 
 Every command accepts ``--seed`` for reproducibility and ``--output`` to write
-the main artifact to a file instead of stdout.  ``orient``, ``color``,
-``stream``, ``stream-multi`` and ``experiment`` also accept ``--workers N`` —
-host-side parallelism for the superstep engine (Lemma 2.1 part orientation,
-Lemma 2.2 part coloring, batch-parallel flip repair, cross-tenant ticks);
-results are identical for any worker count — and ``--trace out.json``, which
+the main artifact to a file instead of stdout.  ``orient``, ``color`` and
+``experiment`` E1–E3 accept ``--workers N`` — host-side process fan-out of
+the Lemma 2.1 orientation parts and Lemma 2.2 coloring parts; results are
+identical for any worker count.  The streaming commands and experiments
+(``stream``, ``stream-multi``, S1–S4) run in-process, and ``experiment``
+rejects ``--workers`` above 1 for them.  ``orient``, ``color``, ``stream``,
+``stream-multi`` and ``experiment`` also accept ``--trace out.json``, which
 records host-side spans for the run and writes a Perfetto-loadable Chrome
 trace (results are identical with tracing on or off).
 
@@ -92,7 +94,8 @@ from repro.stream.workloads import (
     stream_family_names,
 )
 
-RUNNABLE_EXPERIMENTS = ("E1", "E2", "E3", "S1", "S2", "S3", "S4")
+STATIC_EXPERIMENTS = ("E1", "E2", "E3")
+RUNNABLE_EXPERIMENTS = (*STATIC_EXPERIMENTS, "S1", "S2", "S3", "S4")
 
 
 def _emit(content: str, output: str | None) -> None:
@@ -107,8 +110,8 @@ def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="superstep-engine workers (default 1 = serial; results are "
-        "identical for any worker count)",
+        help="process workers for the static part fan-out (default 1 = serial; "
+        "results are identical for any worker count)",
     )
 
 
@@ -221,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     stream_parser.add_argument(
         "--quiet", action="store_true", help="suppress the human-readable summary on stderr"
     )
-    _add_workers_argument(stream_parser)
     _add_kernels_argument(stream_parser)
     _add_trace_argument(stream_parser)
 
@@ -302,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="restore the engine from --checkpoint-dir instead of generating a "
         "fleet, then drain and verify (the snapshot fingerprint is re-verified)",
     )
-    _add_workers_argument(multi_parser)
     _add_kernels_argument(multi_parser)
     _add_trace_argument(multi_parser)
 
@@ -400,7 +401,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         trace = generate_trace(args.family, args.num_vertices, seed=args.seed, **params)
         tracer = _make_tracer(args)
         service = StreamingService(
-            trace.initial, delta=args.delta, seed=args.seed, workers=args.workers, tracer=tracer
+            trace.initial, delta=args.delta, seed=args.seed, tracer=tracer
         )
         header = (
             "batch inserts deletes flips recolors rebuilds compactions "
@@ -416,7 +417,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"{report.max_outdegree} {report.num_colors}"
             )
         service.verify()
-        service.close()
         _export_trace(tracer, args)
         _emit("\n".join(lines), args.output)
         summary = service.summary
@@ -447,9 +447,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         tracer = _make_tracer(args)
         if args.restore:
-            engine = StreamEngine.restore(
-                checkpoint_path, workers=args.workers, tracer=tracer
-            )
+            engine = StreamEngine.restore(checkpoint_path, tracer=tracer)
             traces = []
         else:
             if args.num_vertices is None:
@@ -477,7 +475,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             engine = StreamEngine(
                 delta=args.delta,
                 seed=args.seed,
-                workers=args.workers,
                 planner=planner,
                 round_budget=args.round_budget,
                 tracer=tracer,
@@ -550,14 +547,19 @@ def main(argv: Sequence[str] | None = None) -> int:
         from repro.analysis.reporting import Table
         from repro.experiments.registry import get_experiment, get_runner
 
+        static = args.experiment_id in STATIC_EXPERIMENTS
+        if args.workers > 1 and not static:
+            parser.error(
+                f"experiment {args.experiment_id}: --workers applies to "
+                f"{'/'.join(STATIC_EXPERIMENTS)} only; streaming experiments run in-process"
+            )
         spec = get_experiment(args.experiment_id)
         runner = get_runner(args.experiment_id)
         tracer = _make_tracer(args)
         table = Table(title=f"{spec.experiment_id}: {spec.claim}", columns=list(spec.columns))
+        extra = {"workers": args.workers} if static else {}
         for workload in spec.workloads:
-            row = runner(
-                workload, delta=args.delta, seed=args.seed, workers=args.workers, tracer=tracer
-            )
+            row = runner(workload, delta=args.delta, seed=args.seed, tracer=tracer, **extra)
             table.add_row(row.as_dict())
         _export_trace(tracer, args)
         _emit(table.to_markdown() if args.markdown else table.to_ascii(), args.output)

@@ -83,8 +83,8 @@ def _orient_part_task(
 
     Module-level so the process backend can pickle it by reference.  The part
     itself is *not* in the task tuple: it is read from the published CSR shard
-    segment (:func:`repro.engine.shm.shard_graph`), which in-process backends
-    resolve zero-copy to the owner's part object and process workers attach
+    segment (:func:`repro.engine.shm.shard_graph`), which the serial backend
+    resolves zero-copy to the owner's part object and process workers attach
     (and cache per generation) from shared memory.  Returns the sub-ledger's
     stats rather than the cluster — that is all the parent's fold needs.
     """

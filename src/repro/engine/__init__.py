@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :class:`~repro.engine.executor.ParallelExecutor` — serial / thread /
-  process backends with a determinism contract and serial auto-pick.
+* :class:`~repro.engine.executor.ParallelExecutor` — serial / process
+  backends with a determinism contract and serial auto-pick.
 * :class:`~repro.engine.pool.WorkerPool` — resident workers plus a
   shared-memory shard registry: publish graph shards once, ship only task
   descriptors + deltas per superstep.
@@ -17,10 +17,8 @@ Public surface:
 
 from repro.engine.executor import (
     BACKENDS,
-    IN_PROCESS,
     PROCESS,
     SERIAL,
-    THREAD,
     ParallelExecutor,
     derive_seed,
     seed_stream,
@@ -31,10 +29,8 @@ from repro.engine.shm import ShardHandle, ShardRegistry
 
 __all__ = [
     "BACKENDS",
-    "IN_PROCESS",
     "PROCESS",
     "SERIAL",
-    "THREAD",
     "ParallelExecutor",
     "ShardHandle",
     "ShardRegistry",

@@ -2,28 +2,26 @@
 
 The paper's round bounds rest on work happening *in parallel across
 machines*: the Lemma 2.1 edge-partition parts are oriented simultaneously,
-and a batch of vertex-disjoint flip repairs resolves in one superstep.  The
-simulator previously walked such task lists in a sequential Python loop,
-which both ran one-task-at-a-time on the host and charged each task's rounds
-cumulatively on the shared cluster — overstating round complexity relative
-to the model being simulated.
+and so are the Lemma 2.2 vertex-partition parts of the coloring.  The
+simulated cost of such a superstep is charged on the ledger (max over the
+parts); this module only decides where the host runs the parts.
 
-:class:`ParallelExecutor` is the one execution layer both the static and the
-streaming pipelines now share.  It runs a list of independent tasks through
-one of three backends:
+:class:`ParallelExecutor` runs a list of independent tasks through one of two
+backends:
 
 * ``serial`` — a plain loop in the calling process (the reference semantics);
-* ``thread`` — :class:`concurrent.futures.ThreadPoolExecutor`, for tasks that
-  mutate *disjoint* slices of shared state (batch-parallel flip repair);
 * ``process`` — :class:`concurrent.futures.ProcessPoolExecutor`, for
-  CPU-bound pure-Python tasks on picklable inputs (Lemma 2.1 part
-  orientation).  Task callables must be module-level functions.
+  CPU-bound pure-Python tasks on picklable inputs (the static ``orient()`` /
+  ``color()`` part fan-out).  Task callables must be module-level functions.
+
+The streaming stack does not use it: tenants and conflict groups run
+in-process, one after another (see :mod:`repro.stream.engine`).
 
 **Determinism contract.**  Results are identical for *any* worker count and
-any backend: tasks receive no shared mutable state (or provably disjoint
-state), task results are returned in submission order, and randomness is
-consumed only through per-task seed streams derived with :func:`derive_seed`
-— never through a generator shared across tasks.
+either backend: tasks receive no shared mutable state, task results are
+returned in submission order, and randomness is consumed only through
+per-task seed streams derived with :func:`derive_seed` — never through a
+generator shared across tasks.
 
 **Auto-picking serial.**  Spawning a pool costs more than small inputs are
 worth.  When the backend is left unset (``backend=None``), the executor runs
@@ -37,10 +35,9 @@ determinism tests use to pin each backend down on tiny inputs.
 from __future__ import annotations
 
 import os
-import threading
 import time
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
@@ -48,17 +45,8 @@ from repro.errors import ParameterError, WorkerCrashError
 from repro.obs.tracer import NULL_TRACER
 
 SERIAL = "serial"
-THREAD = "thread"
 PROCESS = "process"
-BACKENDS = (SERIAL, THREAD, PROCESS)
-IN_PROCESS = (SERIAL, THREAD)
-"""Backends that run tasks inside the calling process.
-
-Stages that mutate *shared* state through provably disjoint slices (e.g. the
-batch flip-repair out-table) are only correct on these; stages that ship
-their state explicitly (orientation parts, out-table shards) run on any
-backend.
-"""
+BACKENDS = (SERIAL, PROCESS)
 
 _MASK64 = (1 << 64) - 1
 
@@ -89,14 +77,14 @@ def _timed_task(fn: Callable[..., Any], args: Sequence[Any]) -> tuple:
     This wrapper is what stitches worker-side spans across the pickle
     boundary: it executes inside the worker and returns monotonic
     ``perf_counter_ns`` readings (CLOCK_MONOTONIC on Linux, comparable
-    across processes on one machine) plus the worker identity.  The parent
+    across processes on one machine) plus the worker's pid.  The parent
     unwraps the result in submission order, so tracing cannot reorder or
     alter what callers observe.
     """
     start_ns = time.perf_counter_ns()
     result = fn(*args)
     end_ns = time.perf_counter_ns()
-    return result, os.getpid(), threading.get_ident(), start_ns, end_ns
+    return result, os.getpid(), start_ns, end_ns
 
 
 class ParallelExecutor:
@@ -107,7 +95,7 @@ class ParallelExecutor:
     workers:
         Maximum number of concurrent workers (1 means serial).
     backend:
-        ``"serial"``, ``"thread"``, ``"process"``, or ``None`` to auto-pick:
+        ``"serial"``, ``"process"``, or ``None`` to auto-pick:
         serial for tiny inputs, process otherwise (see module docstring).
     serial_work_threshold:
         Auto-pick cutoff — with ``backend=None``, inputs whose reported
@@ -129,9 +117,8 @@ class ParallelExecutor:
         self.backend = backend
         self.serial_work_threshold = serial_work_threshold
         # Pools are created lazily on first parallel map and then reused —
-        # callers like the streaming service map once per batch, and paying
-        # pool startup/teardown per call would swamp small batches.
-        self._pools: dict[str, ThreadPoolExecutor | ProcessPoolExecutor] = {}
+        # paying pool startup/teardown per call would swamp small inputs.
+        self._pools: dict[str, ProcessPoolExecutor] = {}
         # Health counters, maintained whether or not tracing is attached —
         # `WorkerPool.stats()` reads them when diagnosing failures.
         self.tasks_run = 0
@@ -150,13 +137,8 @@ class ParallelExecutor:
         """
         count = 0
         for pool in self._pools.values():
-            processes = getattr(pool, "_processes", None)
-            if processes is not None:
-                count += sum(1 for process in processes.values() if process.is_alive())
-                continue
-            threads = getattr(pool, "_threads", None)
-            if threads is not None:
-                count += sum(1 for thread in threads if thread.is_alive())
+            processes = getattr(pool, "_processes", None) or {}
+            count += sum(1 for process in processes.values() if process.is_alive())
         return count
 
     def resolve_backend(
@@ -191,9 +173,7 @@ class ParallelExecutor:
 
         ``total_work`` is an optional size hint (e.g. total edges across
         parts) consulted by the auto backend pick.  ``backend`` overrides the
-        executor-level backend for this call only — stages with different
-        safety requirements (in-process state sharing vs. picklable fan-out)
-        can then share one executor and its pools.  On a failing task, the
+        executor-level backend for this call only.  On a failing task, the
         first (in-order) exception propagates — but only after pending
         sibling tasks are cancelled and running ones have finished, so the
         caller observes a quiescent state when it catches (the reused pool
@@ -261,8 +241,7 @@ class ParallelExecutor:
             metrics = tracer.metrics
             results = []
             for outcome, submit_ns in zip(outcomes, submit_marks):
-                result, pid, thread_id, start_ns, end_ns = outcome
-                worker = pid if backend == PROCESS else thread_id
+                result, worker, start_ns, end_ns = outcome
                 tracer.record_span(
                     f"task:{name}",
                     start_ns,
@@ -287,8 +266,7 @@ class ParallelExecutor:
         """Submit every task to the (lazily created) pool for ``backend``."""
         pool = self._pools.get(backend)
         if pool is None:
-            pool_cls = ThreadPoolExecutor if backend == THREAD else ProcessPoolExecutor
-            pool = pool_cls(max_workers=self.workers)
+            pool = ProcessPoolExecutor(max_workers=self.workers)
             self._pools[backend] = pool
         futures = []
         try:

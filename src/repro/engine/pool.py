@@ -7,21 +7,22 @@ the executor's lifetime) with one :class:`~repro.engine.shm.ShardRegistry`
 (whose published shards live in named shared-memory segments for the pool's
 lifetime).  Together they change the parallel stack's shipping model from
 
-    *every superstep re-pickles CSR columns, out-table shards and part
-    payloads into fresh tasks*
+    *every superstep re-pickles CSR columns and part payloads into fresh
+    tasks*
 
 to
 
     *graph shards are published once per generation; every superstep ships
     only task descriptors (a :class:`~repro.engine.shm.ShardHandle` plus a
-    part index) and its deltas (flip lists, result columns).*
+    part index) and its results.*
 
-All three parallel consumers run on this layer: large-λ ``orient()`` part
-fan-out, Theorem 1.2 ``color()`` part fan-out, and process-backend batch
-flip repair.  The determinism contract is untouched — the serial and thread
-backends resolve the same handles to the owner's original objects
-(zero-copy), so there is exactly one code path for shard access and the
-published partition fixes every task's input regardless of backend.
+Both parallel consumers run on this layer: the large-λ ``orient()`` part
+fan-out and the Theorem 1.2 ``color()`` part fan-out.  These static jobs are
+the one place where host parallelism pays; the streaming stack runs
+in-process and never builds a pool.  The determinism contract is untouched —
+the serial backend resolves the same handles to the owner's original
+objects (zero-copy), so there is exactly one code path for shard access and
+the published partition fixes every task's input regardless of backend.
 
 Failure semantics: a worker dying mid-superstep surfaces as a typed
 :class:`~repro.errors.WorkerCrashError` (the executor discards the broken
@@ -53,13 +54,7 @@ class WorkerPool:
         Backend for a pool-owned executor (``None`` = auto-pick).
     executor:
         Optional pre-built executor to share.  The pool then *borrows* it:
-        :meth:`close` releases only the registry, never a borrowed executor
-        (services sharing one engine-owned executor rely on this).
-    registry:
-        Optional pre-built registry to *share* (a derived pool borrowing an
-        engine-owned registry); created fresh — and owned — when omitted.
-        :meth:`close` unlinks a borrowed registry's segments only through
-        its owner, never through a borrower.
+        :meth:`close` releases only the registry, never a borrowed executor.
     """
 
     def __init__(
@@ -67,7 +62,6 @@ class WorkerPool:
         workers: int = 1,
         backend: str | None = None,
         executor: ParallelExecutor | None = None,
-        registry: ShardRegistry | None = None,
     ) -> None:
         self._owns_executor = executor is None
         self.executor = (
@@ -75,8 +69,7 @@ class WorkerPool:
             if executor is not None
             else ParallelExecutor(workers=workers, backend=backend)
         )
-        self._owns_registry = registry is None
-        self.registry = registry if registry is not None else ShardRegistry()
+        self.registry = ShardRegistry()
 
     @property
     def workers(self) -> int:
@@ -85,20 +78,16 @@ class WorkerPool:
     def instrument(self, tracer) -> None:
         """Attach a tracer to the executor and its metrics to the registry.
 
-        Safe to call on borrowed pieces: instrumenting is observation-only,
-        and re-instrumenting with the same tracer is idempotent.  ``None``
+        Safe to call on a borrowed executor: instrumenting is
+        observation-only, and re-instrumenting with the same tracer is
+        idempotent.  ``None``
         restores the no-op defaults.
         """
         self.executor.instrument(tracer)
         self.registry.instrument(None if tracer is None else tracer.metrics)
 
     def stats(self) -> dict:
-        """Health snapshot for diagnostics (cheap, side-effect free).
-
-        Included in :meth:`repro.stream.engine.StreamEngine.verify` error
-        messages so pool-related failures are diagnosable from the exception
-        alone.
-        """
+        """Health snapshot for diagnostics (cheap, side-effect free)."""
         generations = self.registry.generations()
         return {
             "workers": self.workers,
@@ -108,15 +97,7 @@ class WorkerPool:
             "segments": len(self.registry.segment_names()),
             "registry_keys": len(generations),
             "registry_generations": sum(generations.values()),
-            "columns_republished": self.registry.columns_republished,
-            "columns_carried": self.registry.columns_carried,
         }
-
-    def allocate_scope(self, prefix: str) -> str:
-        """A registry-unique key prefix, so co-resident publishers (one
-        registry per engine, one scope per tenant service) can never collide
-        on keys — the counter lives on the shared registry, not the pool."""
-        return self.registry.allocate_scope(prefix)
 
     # ------------------------------------------------------------------ #
     # Publication (delegates to the registry's typed helpers)
@@ -129,18 +110,6 @@ class WorkerPool:
     def publish_vertex_parts(self, key: str, parts) -> ShardHandle:
         """Publish Lemma 2.2 vertex-partition parts under ``key``."""
         return shm.publish_vertex_parts(self.registry, key, parts)
-
-    def publish_out_shards(self, key: str, shards) -> ShardHandle:
-        """Publish per-group out-table shards under ``key``."""
-        return shm.publish_out_shards(self.registry, key, shards)
-
-    def publish_graph_columns(self, key: str, graph) -> dict[str, ShardHandle]:
-        """Publish a compacted snapshot's edge columns, delta-aware."""
-        return shm.publish_graph_columns(self.registry, key, graph)
-
-    def invalidate(self, key: str) -> None:
-        """Retire a key's current generation (e.g. after a graph compaction)."""
-        self.registry.invalidate(key)
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -167,8 +136,8 @@ class WorkerPool:
 
         ``handles`` names the shard publications the tasks read.  Segments
         are materialised only when the resolved backend is ``process`` —
-        serial and thread maps resolve the same handles straight to the
-        owner's objects, so in-process execution stays allocation-free.
+        serial maps resolve the same handles straight to the owner's
+        objects, so in-process execution stays allocation-free.
         """
         task_list = [tuple(args) for args in tasks]
         resolved = self.executor.resolve_backend(
@@ -186,12 +155,9 @@ class WorkerPool:
     def close(self) -> None:
         """Release what the pool owns: its registry's segments, its executor.
 
-        Borrowed pieces (a shared engine executor, a shared engine registry)
-        are left for their owners, so tenant-scoped derived pools can close
-        freely without tearing the engine down.
+        A borrowed executor is left for its owner.
         """
-        if self._owns_registry:
-            self.registry.close()
+        self.registry.close()
         if self._owns_executor:
             self.executor.close()
 

@@ -1,9 +1,9 @@
 """Shared-memory graph shards: publish once, ship descriptors per superstep.
 
 PR 4's bench notes put ~93% of parallel-coloring wall-clock in the fan-out:
-every process-backend ``ParallelExecutor.map`` re-pickled CSR columns,
-out-table shards and part payloads into a fresh task, even though the
-underlying graph barely changes between supersteps.  This module is the fix's
+every process-backend ``ParallelExecutor.map`` re-pickled CSR columns and
+part payloads into a fresh task, even though the underlying graph barely
+changes between supersteps.  This module is the fix's
 data plane: graph shards are *published* into named
 :mod:`multiprocessing.shared_memory` segments exactly once per generation,
 and per-superstep tasks ship only a tiny :class:`ShardHandle` descriptor
@@ -19,9 +19,9 @@ Design:
 * **Lazy materialisation.**  Publishing stores the in-process objects and a
   column *builder*; the actual shared-memory segment is only created when a
   process-backend map needs it (:meth:`ShardRegistry.ensure_shared`).  The
-  serial and thread backends therefore pay nothing: :func:`attach` resolves
-  their handles to the original objects, zero-copy, through the same code
-  path the workers use.
+  serial backend therefore pays nothing: :func:`attach` resolves its handles
+  to the original objects, zero-copy, through the same code path the workers
+  use.
 * **Worker-side attach cache.**  A worker process attaches each segment once
   (cached by segment name, which embeds the generation) and rebuilds its
   shard objects once per ``(key, generation, index)`` — repeated supersteps
@@ -39,13 +39,6 @@ column bytes]`` where the header lists ``(column name, byte offset, item
 count)`` triples plus small picklable metadata.  Columns are flat
 ``array('l')`` buffers — the same representation the CSR core uses — so a
 worker slice is a single ``frombytes`` memcpy, not element-wise pickling.
-
-**Zero-copy numpy views.**  When numpy is present, :func:`numpy_column`
-exposes a column slice as an ``np.frombuffer`` view mapped directly onto the
-segment — no memcpy at all — for the vectorized kernels in
-:mod:`repro.kernels`.  Such views are read-only and must not outlive the
-segment mapping (a republish retires it); see the function docstring for the
-full aliasing/lifetime rules.
 """
 
 from __future__ import annotations
@@ -151,7 +144,7 @@ class ShardView:
     Exactly one of ``objects`` (in-process, zero-copy) and ``columns``
     (worker-side, rebuilt from the segment buffer) is set; ``meta`` is always
     available.  Consumers go through the ``shard_*`` accessors below, which
-    is what keeps one code path across all three backends.
+    is what keeps one code path across both backends.
     """
 
     __slots__ = ("objects", "columns", "meta", "_segment")
@@ -171,18 +164,11 @@ class ShardRegistry:
         self._pid = os.getpid()
         self._entries: dict[str, _Entry] = {}
         self._segment_names: list[str] = []
-        self._scope_counter = 0
         self._finalizer = weakref.finalize(self, _unlink_segments, self._segment_names)
         self.metrics = NULL_METRICS
         # Plain lifetime counters (metrics-independent, surfaced by stats()).
         self.publishes = 0
         self.invalidations = 0
-        self.columns_republished = 0
-        self.columns_carried = 0
-        # Current handle per column subkey, so an unchanged column can be
-        # *carried*: the same generation (and segment) stays live instead of
-        # being retired and republished byte-identically.
-        self._column_handles: dict[str, ShardHandle] = {}
         _REGISTRIES[self.uid] = self
 
     def instrument(self, metrics) -> None:
@@ -195,16 +181,6 @@ class ShardRegistry:
         shipped versus shared in place.
         """
         self.metrics = NULL_METRICS if metrics is None else metrics
-
-    def allocate_scope(self, prefix: str) -> str:
-        """A registry-unique key prefix.
-
-        Co-resident publishers sharing one registry (one pool per engine, one
-        scope per tenant service) draw from the same counter, so their keys
-        can never collide no matter which pool object handed the scope out.
-        """
-        self._scope_counter += 1
-        return f"{prefix}{self._scope_counter}"
 
     # ------------------------------------------------------------------ #
     # Publication
@@ -259,55 +235,6 @@ class ShardRegistry:
         entry.objects = None
         entry.build_columns = None
         entry.shared = False
-        self._column_handles.pop(key, None)
-
-    def publish_columns(
-        self, key: str, columns: dict, meta: dict | None = None
-    ) -> dict[str, ShardHandle]:
-        """Publish named flat columns as **delta-aware** per-column shards.
-
-        Each column lives under its own subkey ``"{key}.{name}"`` with an
-        independent generation.  Republishing compares the new column against
-        the currently published one: an unchanged column is *carried* — its
-        handle, generation and any materialised segment stay live, and only
-        ``columns_carried`` ticks — while a changed column is republished
-        normally (generation bump, old segment retired).  Streaming
-        compaction uses this so a snapshot that only grew its edge columns
-        republishes exactly the changed columns instead of staleing every
-        tenant's handles.
-
-        Published columns are shared zero-copy with in-process readers, so
-        callers must treat them as frozen once handed over (the CSR edge
-        columns already are).  Returns ``{name: handle}`` for the *current*
-        generation of every column, carried or fresh.
-        """
-        handles: dict[str, ShardHandle] = {}
-        for name, column in columns.items():
-            subkey = f"{key}.{name}"
-            entry = self._entries.get(subkey)
-            carried = self._column_handles.get(subkey)
-            if (
-                carried is not None
-                and entry is not None
-                and entry.objects is not None
-                and entry.objects == column
-            ):
-                self.columns_carried += 1
-                self.metrics.inc("shm.columns_carried")
-                handles[name] = carried
-                continue
-            handle = self.publish(
-                subkey,
-                objects=column,
-                build_columns=lambda name=name, column=column: {name: column},
-                meta=meta,
-                kind="column",
-            )
-            self._column_handles[subkey] = handle
-            self.columns_republished += 1
-            self.metrics.inc("shm.columns_republished")
-            handles[name] = handle
-        return handles
 
     def stats(self) -> dict[str, int]:
         """Owner-side lifetime counters plus current table sizes."""
@@ -317,16 +244,13 @@ class ShardRegistry:
             "segments": len(self._segment_names),
             "publishes": self.publishes,
             "invalidations": self.invalidations,
-            "columns_republished": self.columns_republished,
-            "columns_carried": self.columns_carried,
         }
 
     def ensure_shared(self, handle: ShardHandle) -> None:
         """Materialise the segment for ``handle`` (no-op if already shared).
 
-        Called by the pool right before a process-backend map; serial and
-        thread maps never reach it, which is what makes publication free for
-        in-process backends.
+        Called by the pool right before a process-backend map; serial maps
+        never reach it, which is what makes publication free in-process.
         """
         entry = self._current_entry(handle)
         if entry.shared:
@@ -422,7 +346,6 @@ class ShardRegistry:
         """Unlink every materialised segment and drop all entries (idempotent)."""
         _unlink_segments(self._segment_names)
         self._entries.clear()
-        self._column_handles.clear()
 
     def __enter__(self) -> "ShardRegistry":
         return self
@@ -446,7 +369,7 @@ class ShardRegistry:
 # generation they belong to, so a republish evicts exactly the stale entries.
 # ``_LATEST_SEGMENT`` remembers the last segment attached per (registry, key)
 # so the previous generation's mapping is closed instead of accumulating one
-# dead mapping per republish (streaming republishes every batch).
+# dead mapping per republish.
 _ATTACHED_SEGMENTS: dict[str, ShardView] = {}
 _OBJECT_CACHE: dict[tuple[str, str], tuple[int, dict]] = {}
 _LATEST_SEGMENT: dict[tuple[str, str], str] = {}
@@ -496,7 +419,7 @@ def _attach_segment(handle: ShardHandle) -> ShardView:
 def attach(handle: ShardHandle) -> ShardView:
     """Resolve a handle to its shard data — one code path for every backend.
 
-    In the owning process (serial/thread backends, or the parent folding
+    In the owning process (the serial backend, or the parent folding
     results) this returns the registry's original objects zero-copy; in a
     worker process it attaches the named segment (cached) and returns its
     column table.  Raises :class:`~repro.errors.StaleShardError` when the
@@ -525,51 +448,6 @@ def _column_value(view: ShardView, name: str, index: int) -> int:
     if not (0 <= index < count):
         raise GraphError(f"column {name!r} index {index} outside 0..{count - 1}")
     return _column_slice(view, name, index, index + 1)[0]
-
-
-def numpy_column(handle: ShardHandle, name: str, start: int = 0, stop: int | None = None):
-    """Zero-copy read-only numpy view over one shared-memory column slice.
-
-    Where :func:`_column_slice` copies the bytes out into an ``array('l')``,
-    this maps the numpy kernels straight onto the segment: one
-    ``np.frombuffer`` over the mapped buffer, no memcpy.  The rules match the
-    kernel layer's (:mod:`repro.kernels.numpy_backend`):
-
-    * the view is returned **read-only** — shards are published data, and a
-      write would silently corrupt every attached reader;
-    * the view is only valid while the segment mapping is alive — never
-      stash it past the shard's generation (a republish retires the
-      segment); the view keeps the mapping referenced meanwhile, so the
-      owner's ``close`` is deferred (not broken) by a live view.
-
-    The segment must be materialised (:meth:`ShardRegistry.ensure_shared`
-    runs automatically before any process-backend map); raises
-    :class:`~repro.errors.StaleShardError` otherwise, and
-    :class:`~repro.errors.GraphError` without numpy.
-    """
-    from repro.kernels import numpy_available
-
-    if not numpy_available():
-        raise GraphError(
-            "numpy_column needs numpy (install the [numpy] extra); "
-            "use attach()/_column_slice for the pure path"
-        )
-    import numpy as np
-
-    view = _attach_segment(handle)
-    byte_base, count = view.columns[name]
-    if stop is None:
-        stop = count
-    if not (0 <= start <= stop <= count):
-        raise GraphError(f"column {name!r} slice {start}:{stop} outside 0..{count}")
-    arr = np.frombuffer(
-        view._segment.buf,
-        dtype=f"i{_ITEMSIZE}",
-        count=stop - start,
-        offset=byte_base + start * _ITEMSIZE,
-    )
-    arr.flags.writeable = False
-    return arr
 
 
 # ---------------------------------------------------------------------- #
@@ -687,100 +565,3 @@ def shard_graph(handle: ShardHandle, index: int):
         raise GraphError(f"handle kind {handle.kind!r} is not a graph partition")
     generation_objects[1][index] = part
     return part
-
-
-# ---------------------------------------------------------------------- #
-# Graph edge columns (streaming compacted snapshots, delta-aware)
-# ---------------------------------------------------------------------- #
-
-
-def publish_graph_columns(registry: ShardRegistry, key: str, graph) -> dict[str, ShardHandle]:
-    """Publish a CSR graph's canonical edge columns as per-column shards.
-
-    The streaming service calls this after every compaction: columns that
-    the compaction did not change (byte-identical ``array('l')`` content)
-    are carried at their current generation, so readers holding their
-    handles are undisturbed and only the changed columns go stale.
-    """
-    edge_u, edge_v = graph.edge_endpoints
-    return registry.publish_columns(
-        key,
-        {"edge_u": edge_u, "edge_v": edge_v},
-        meta={"num_vertices": graph.num_vertices},
-    )
-
-
-def graph_column(handle: ShardHandle, name: str) -> array:
-    """One published edge column — owner zero-copy, worker one memcpy."""
-    view = attach(handle)
-    if view.objects is not None:
-        return view.objects
-    if handle.kind != "column":
-        raise GraphError(f"handle kind {handle.kind!r} is not a published column")
-    _byte_base, count = view.columns[name]
-    return _column_slice(view, name, 0, count)
-
-
-# ---------------------------------------------------------------------- #
-# Out-table shards (batch-parallel flip repair, process backend)
-# ---------------------------------------------------------------------- #
-
-
-def publish_out_shards(registry: ShardRegistry, key: str, shards) -> ShardHandle:
-    """Publish per-group out-table shards (vertex -> sorted out-heads).
-
-    ``shards`` is a list of dicts, one per cap-safe conflict group.  The
-    segment stores all shards as three flat columns (vertices, CSR-style
-    head offsets, heads) plus per-shard vertex offsets; a worker rebuilds
-    its group's dict from slices and ships back only a *delta*.
-    """
-    shards = list(shards)
-
-    def build_columns() -> dict[str, array]:
-        vertices = array("l")
-        heads = array("l")
-        head_offsets = array("l", [0])
-        shard_offsets = array("l", [0])
-        for shard in shards:
-            for vertex in shard:  # dicts preserve the (sorted) insertion order
-                vertices.append(vertex)
-                heads.extend(shard[vertex])
-                head_offsets.append(len(heads))
-            shard_offsets.append(len(vertices))
-        return {
-            "vertices": vertices,
-            "heads": heads,
-            "head_offsets": head_offsets,
-            "shard_offsets": shard_offsets,
-        }
-
-    return registry.publish(
-        key,
-        objects=shards,
-        build_columns=build_columns,
-        meta={"num_shards": len(shards)},
-        kind="out-shards",
-    )
-
-
-def out_shard(handle: ShardHandle, index: int) -> dict[int, tuple[int, ...]]:
-    """Shard ``index`` of a published out-table — any backend.
-
-    Not object-cached on the worker side: the out-table is republished every
-    batch (a new generation), so a cache could never hit.
-    """
-    view = attach(handle)
-    if view.objects is not None:
-        return view.objects[index]
-    if handle.kind != "out-shards":
-        raise GraphError(f"handle kind {handle.kind!r} is not an out-table shard set")
-    v_start = _column_value(view, "shard_offsets", index)
-    v_stop = _column_value(view, "shard_offsets", index + 1)
-    vertices = _column_slice(view, "vertices", v_start, v_stop)
-    head_offsets = _column_slice(view, "head_offsets", v_start, v_stop + 1)
-    heads = _column_slice(view, "heads", head_offsets[0], head_offsets[-1])
-    base = head_offsets[0]
-    return {
-        vertex: tuple(heads[head_offsets[i] - base : head_offsets[i + 1] - base])
-        for i, vertex in enumerate(vertices)
-    }

@@ -194,8 +194,11 @@ def all_experiments() -> list[ExperimentSpec]:
 def get_runner(experiment_id: str):
     """The harness runner for an experiment id, for CLI-driven sweeps.
 
-    Every returned callable has the uniform signature
-    ``runner(workload, delta=..., seed=..., workers=..., tracer=...) -> ExperimentRow``.
+    Every returned callable has the signature
+    ``runner(workload, delta=..., seed=..., tracer=...) -> ExperimentRow``;
+    only the static runners (E1–E3) also take ``workers=...``, which fans
+    their Lemma 2.1/2.2 parts out to processes.  The streaming runners
+    (S1–S4) run in-process and take no ``workers``.
     Experiments whose tables are produced by bespoke benchmark code rather
     than a harness runner (E4–E7) raise ``KeyError`` — run their
     ``bench_module`` instead.  Imported lazily so importing the registry

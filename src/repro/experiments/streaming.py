@@ -17,10 +17,10 @@ every maintained invariant, and collects one
   ROADMAP item asks for.
 * **S3** (:func:`run_multi_tenant_experiment`) multiplexes a fleet of
   independent tenants on one :class:`~repro.stream.engine.StreamEngine`:
-  every tick serves one batch per tenant as parallel supersteps, so the
-  headline metric is the round *savings* of the max-over-tenants fold over
-  charging the tenants sequentially — the multiplexing analogue of the
-  Lemma 2.1/2.2 part fan-outs.
+  every tick serves one batch per tenant, charged as parallel supersteps,
+  so the headline metric is the round *savings* of the max-over-tenants
+  fold over charging the tenants sequentially — the multiplexing analogue
+  of the Lemma 2.1/2.2 part fan-outs.
 * **S4** (:func:`run_scheduler_experiment`) serves a skewed bursty/steady
   fleet under a scheduling policy and a per-tick round budget: the sweep
   trades tail latency and backlog against the budget, while conservation
@@ -47,7 +47,6 @@ def run_streaming_experiment(
     workload: StreamWorkload,
     delta: float = 0.5,
     seed: int = 0,
-    workers: int = 1,
     tracer=None,
 ) -> ExperimentRow:
     """S1: stream a trace through the service and record cost/quality metrics.
@@ -56,11 +55,9 @@ def run_streaming_experiment(
     spans for the run; results are identical with tracing on or off.
     """
     trace = workload.materialize()
-    with StreamingService(
-        trace.initial, delta=delta, seed=seed, workers=workers, tracer=tracer
-    ) as service:
-        summary = service.apply_all(trace.batches)
-        service.verify()
+    service = StreamingService(trace.initial, delta=delta, seed=seed, tracer=tracer)
+    summary = service.apply_all(trace.batches)
+    service.verify()
 
     snapshot = service.dynamic.snapshot()
     bounds = arboricity_bounds(snapshot, exact_density=False)
@@ -92,7 +89,6 @@ def run_batch_size_experiment(
     workload: StreamWorkload,
     delta: float = 0.5,
     seed: int = 0,
-    workers: int = 1,
     tracer=None,
 ) -> ExperimentRow:
     """S2: amortised rounds/update of one windowed trace at one batch size.
@@ -104,11 +100,9 @@ def run_batch_size_experiment(
     primitives + compaction + rebuilds) over total updates.
     """
     trace = workload.materialize()
-    with StreamingService(
-        trace.initial, delta=delta, seed=seed, workers=workers, tracer=tracer
-    ) as service:
-        summary = service.apply_all(trace.batches)
-        service.verify()
+    service = StreamingService(trace.initial, delta=delta, seed=seed, tracer=tracer)
+    summary = service.apply_all(trace.batches)
+    service.verify()
 
     snapshot = service.dynamic.snapshot()
     bounds = arboricity_bounds(snapshot, exact_density=False)
@@ -146,7 +140,6 @@ def run_multi_tenant_experiment(
     workload: MultiTenantWorkload,
     delta: float = 0.5,
     seed: int = 0,
-    workers: int = 1,
     tracer=None,
 ) -> ExperimentRow:
     """S3: stream a tenant fleet through one engine and record the round fold.
@@ -160,7 +153,7 @@ def run_multi_tenant_experiment(
     end of the run.
     """
     traces = workload.materialize()
-    with StreamEngine(delta=delta, seed=seed, workers=workers, tracer=tracer) as engine:
+    with StreamEngine(delta=delta, seed=seed, tracer=tracer) as engine:
         for trace in traces:
             engine.add_tenant(trace.name, trace.initial)
             engine.submit_all(trace.name, trace.batches)
@@ -241,7 +234,6 @@ def run_scheduler_experiment(
     workload: SchedulerWorkload,
     delta: float = 0.5,
     seed: int = 0,
-    workers: int = 1,
     tracer=None,
 ) -> ExperimentRow:
     """S4: serve a skewed fleet under one scheduling policy + round budget.
@@ -259,7 +251,6 @@ def run_scheduler_experiment(
     with StreamEngine(
         delta=delta,
         seed=seed,
-        workers=workers,
         planner=workload.make_planner(),
         round_budget=workload.round_budget,
         tracer=tracer,

@@ -324,8 +324,8 @@ def _canonical(u, v):
 def flip_repair_group(shard, group_updates, cap, choose_tail):
     """Replay one cap-safe conflict group against its out-table shard.
 
-    The reference body of the process backend's sharded repair task: the
-    updates are applied against the shard alone, and the mutated shard plus
+    The reference body of a cap-safe group replayed outside the maintainer:
+    the updates are applied against the shard alone, and the mutated shard plus
     the freed tails (deletion order) are returned.  ``choose_tail`` is the
     stream module's single tail-selection rule — injected rather than
     duplicated, so the safety precheck and both kernel backends replay the

@@ -76,7 +76,8 @@ tenant owns one **persistent** fork for its whole lifetime — created by
 ``fork(config=MPCConfig.for_graph(tenant_initial))`` so the tenant is
 provisioned for its own input and its per-batch charges are byte-identical
 to a standalone service — and every engine *tick* resolves one batch per
-tenant as parallel tasks.  The shared ledger is charged per tick by folding
+tenant as parallel tasks of the simulated model (the host runs them one
+after another).  The shared ledger is charged per tick by folding
 the tenants' **tick deltas** (:meth:`repro.mpc.metrics.RoundStats.since` of
 the pre-tick round mark) with ``merge_parallel``: aggregate rounds for the
 tick are the *max* over the tenants served in it (the tick is one run of
@@ -117,15 +118,15 @@ controls refine the multi-tenant model without changing the fold arithmetic:
   estimate cannot see (e.g. a rebuild's working set).
 
 **Resident workers and shared-memory shards (PR 6).**  How a parallel task
-physically executes is invisible to this ledger.  The engine's
+physically executes is invisible to this ledger.  The static pipelines'
 :class:`~repro.engine.pool.WorkerPool` keeps process workers resident and
 publishes graph shards into :mod:`multiprocessing.shared_memory` segments
 (:mod:`repro.engine.shm`), so a host superstep ships only a shard-handle
 descriptor + deltas instead of re-pickling its inputs — but that is *host*
 shipping cost, not simulated MPC communication.  Charging is unchanged: a
 task records into its fork exactly what the algorithm's rounds move between
-simulated machines, whether the task ran serial, threaded, or in a resident
-worker reading shared memory, and ``merge_parallel`` folds the forks with
+simulated machines, whether the task ran serially or in a resident worker
+reading shared memory, and ``merge_parallel`` folds the forks with
 the same max/sum semantics above.  The determinism contract (same seed ⇒
 identical rounds for any worker count or backend) is what keeps the fold's
 inputs — and therefore every number in this module — reproducible.

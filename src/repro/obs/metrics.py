@@ -1,7 +1,8 @@
 """Process-local metrics: counters, gauges, and summary histograms.
 
 The registry is deliberately tiny — a flat name -> value store guarded by a
-lock so thread-backend tasks can bump counters concurrently.  Nothing here
+lock so the engine's ticker thread and concurrent callers can bump counters
+safely.  Nothing here
 reads simulated state: metrics describe the *host-side* execution (queue
 waits, bytes shipped, respawns), never the MPC ledger, so enabling them
 cannot perturb the determinism contract.

@@ -17,9 +17,10 @@ Design points:
 - **Bounded ring buffer.**  Completed spans land in a ``deque(maxlen=...)``;
   long runs keep the most recent window instead of growing without bound.
 - **Thread-aware nesting.**  Span stacks are thread-local, so spans opened
-  on executor threads nest correctly without cross-thread interference.
-  Callers that fan work out to other threads or processes pass ``parent=``
-  explicitly (e.g. the engine parents tenant spans under the tick span).
+  on other threads (the engine's resident ticker, callers submitting
+  concurrently) nest correctly without cross-thread interference.  A caller
+  whose logical parent lives on another thread can pass ``parent=``
+  explicitly.
 - **Cross-process stitching.**  Worker processes cannot reach this object;
   instead the executor times each task inside the worker (``perf_counter_ns``
   is CLOCK_MONOTONIC on Linux, comparable across processes) and the parent

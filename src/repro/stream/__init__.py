@@ -21,8 +21,9 @@ the bounded-outdegree orientation (and a proper coloring) must be
   applies updates, charges them through :class:`~repro.mpc.cluster.MPCCluster`
   rounds, and reports per-batch metrics.
 * :mod:`repro.stream.engine` — :class:`StreamEngine`, the multi-tenant
-  multiplexer: N independent services on one shared executor + one shared
-  ledger, with ticks charged as parallel supersteps (max-over-tenants).
+  multiplexer: N independent services on one shared ledger, served one
+  after another per tick, with ticks charged as parallel supersteps
+  (max-over-tenants).
   Runs resident (a background ticker drains concurrent submissions) and
   moves tenants through a typed lifecycle
   (provisioning → active → quarantined → lifted → retired).

@@ -1,15 +1,14 @@
 """Journal-based checkpoint/restore for the resident :class:`StreamEngine`.
 
 The byte-identical determinism contract (same seed ⇒ identical heads, colors
-and rounds for any backend/worker-count/kernel) makes *exact* checkpointing
+and rounds for either kernel backend) makes *exact* checkpointing
 both implementable and testable to equality: serialize every
 behavior-affecting column — each tenant's ``DynamicGraph`` base + journal
 columns, orientation heads/λ̂/cap, coloring column, sub-ledger
 ``RoundStats``, queue, lifecycle state, plus the shared ledger, planner
 credits, and tick history — and a restored engine is indistinguishable from
-one that never stopped.  Host-side resources (executors, pools, shard scope
-keys, shared-memory segments) are deliberately **not** state: they are
-re-provisioned on restore and cannot influence simulated outcomes.
+one that never stopped.  The tracer is deliberately **not** state: it is
+re-attached on restore and cannot influence simulated outcomes.
 
 File format (version |VERSION|)::
 
@@ -47,7 +46,6 @@ import json
 import os
 from collections import deque
 
-from repro.engine import ParallelExecutor, WorkerPool
 from repro.errors import CheckpointError, GraphError, QuotaExceededError, ReproError
 from repro.mpc.cluster import MPCCluster
 from repro.stream.engine import StreamEngine, TenantState, TickReport, _Tenant
@@ -308,12 +306,7 @@ def _restore_summary(rows: list) -> StreamSummary:
     return summary
 
 
-def restore_engine(
-    path,
-    workers: int = 1,
-    executor: ParallelExecutor | None = None,
-    tracer=None,
-) -> StreamEngine:
+def restore_engine(path, tracer=None) -> StreamEngine:
     """Rebuild a :class:`StreamEngine` from a snapshot file, byte-identically.
 
     All-or-nothing: any validation or resurrection failure closes whatever
@@ -331,8 +324,6 @@ def restore_engine(
         engine = StreamEngine(
             delta=payload["delta"],
             seed=payload["seed"],
-            workers=workers,
-            executor=executor,
             planner=planner,
             round_budget=payload["round_budget"],
             tracer=tracer,
@@ -354,14 +345,8 @@ def restore_engine(
                     )
                 service = None
             else:
-                tenant_pool = WorkerPool(
-                    workers=1, registry=engine._ensure_pool().registry
-                )
-                if engine.tracer.enabled:
-                    tenant_pool.instrument(engine.tracer)
                 service = StreamingService.from_state(
                     state["service"],
-                    pool=tenant_pool,
                     tracer=engine.tracer if engine.tracer.enabled else None,
                 )
             tenant = _Tenant(

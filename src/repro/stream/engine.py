@@ -2,8 +2,7 @@
 
 A production deployment rarely serves one dynamic graph.  :class:`StreamEngine`
 hosts N independent :class:`~repro.stream.service.StreamingService` *tenants*
-on one shared :class:`~repro.engine.ParallelExecutor` and one shared
-:class:`~repro.mpc.cluster.MPCCluster` ledger:
+on one shared :class:`~repro.mpc.cluster.MPCCluster` ledger:
 
 * **Isolation.**  Every tenant owns its full maintained state (dynamic
   graph, orientation, coloring), a *persistent* sub-ledger — forked from the
@@ -15,11 +14,10 @@ on one shared :class:`~repro.engine.ParallelExecutor` and one shared
   and colors (pinned by ``tests/stream/test_stream_engine.py``).
 
 * **Ticks.**  Batches are queued per tenant with :meth:`StreamEngine.submit`;
-  :meth:`StreamEngine.tick` serves the head batch of each *scheduled* tenant
-  as parallel tasks on the shared executor (tenant states are disjoint, so
-  any in-process backend is safe; tenants repair their own batches serially
-  to keep the engine's pool the only one).  The shared ledger charges each
-  tick by folding the tenants' tick-delta sub-ledgers with
+  :meth:`StreamEngine.tick` serves the head batch of each *scheduled* tenant,
+  one tenant after another on the calling thread.  The tick is one parallel
+  superstep in the simulated model, not on the host: the shared ledger
+  charges it by folding the tenants' tick-delta sub-ledgers with
   ``merge_parallel`` — **aggregate rounds = max over the tenants served in
   the tick**, volume = sum, memory = sum of tenant peaks — while tenant
   registration (the initial orientation build) folds sequentially, since
@@ -107,7 +105,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.engine import IN_PROCESS, THREAD, ParallelExecutor, WorkerPool, derive_seed
+from repro.engine import derive_seed
 from repro.errors import GraphError, LifecycleError, QuotaExceededError, ReproError
 from repro.obs.tracer import NULL_TRACER
 from repro.graph.graph import Graph
@@ -122,25 +120,6 @@ from repro.stream.scheduler import (
 )
 from repro.stream.service import StreamingService, graph_memory_words
 from repro.stream.updates import BatchReport, StreamSummary, UpdateBatch
-
-
-def _apply_tenant_batch(
-    service: StreamingService,
-    batch: UpdateBatch,
-    tracer=None,
-    parent: int | None = None,
-    tenant: str | None = None,
-) -> BatchReport:
-    """One tick task: apply one batch to one tenant (disjoint state).
-
-    With a tracer attached the task wraps itself in a ``tenant`` span
-    parented (explicitly — tick tasks may run on executor threads) under
-    the tick span; the service's own ``batch`` span then nests inside it.
-    """
-    if tracer is None or not tracer.enabled:
-        return service.apply(batch)
-    with tracer.span("tenant", cat="engine", parent=parent, tenant=tenant):
-        return service.apply(batch)
 
 
 class TenantState(Enum):
@@ -241,7 +220,7 @@ class TickReport:
 
 
 class StreamEngine:
-    """Hosts N independent streaming tenants on one executor + one ledger.
+    """Hosts N independent streaming tenants on one shared ledger.
 
     Parameters
     ----------
@@ -251,13 +230,6 @@ class StreamEngine:
     seed:
         Base seed; tenant ``i`` (registration order) receives
         ``derive_seed(seed, i)`` unless :meth:`add_tenant` pins one.
-    workers:
-        Host-side parallelism across tenants within a tick (1 = serial).
-        Results are identical for any worker count.
-    executor:
-        Optional pre-built executor (overrides ``workers``).  Ticks run on
-        in-process backends only — tenant tasks mutate live tenant state —
-        so a process-backend executor degrades to the serial loop.
     cluster:
         Optional shared aggregate ledger; created from the first tenant's
         input when omitted (its provisioning only matters for the fold
@@ -272,10 +244,10 @@ class StreamEngine:
         their estimated per-batch round costs fits it (``None`` = unbounded).
         See :mod:`repro.stream.scheduler` for the admission contract.
     tracer:
-        Optional :class:`repro.obs.Tracer`.  Instruments the executor, the
-        pool registry, the shared ledger and every tenant service, and wraps
-        each tick in a span annotated with the planner's decisions (who was
-        planned, deferred, quarantined, and why the budget said so).
+        Optional :class:`repro.obs.Tracer`.  Instruments the shared ledger
+        and every tenant service, and wraps each tick in a span annotated
+        with the planner's decisions (who was planned, deferred,
+        quarantined, and why the budget said so).
         Observation only: outcomes are byte-identical with tracing on or off.
     """
 
@@ -283,8 +255,6 @@ class StreamEngine:
         self,
         delta: float = 0.5,
         seed: int = 0,
-        workers: int = 1,
-        executor: ParallelExecutor | None = None,
         cluster: MPCCluster | None = None,
         planner: TickPlanner | str | None = None,
         round_budget: int | None = None,
@@ -293,14 +263,6 @@ class StreamEngine:
         self._delta = delta
         self._seed = seed
         self.tracer = NULL_TRACER if tracer is None else tracer
-        self._owns_executor = executor is None
-        self._executor = (
-            executor
-            if executor is not None
-            else ParallelExecutor(workers=workers, backend=THREAD)
-        )
-        if tracer is not None:
-            self._executor.instrument(tracer)
         self.cluster = cluster
         if isinstance(planner, str):
             planner = make_planner(planner)
@@ -308,7 +270,6 @@ class StreamEngine:
         if round_budget is not None and round_budget < 1:
             raise GraphError("round_budget must be at least 1 (or None to disable)")
         self.round_budget = round_budget
-        self._pool: WorkerPool | None = None
         self._tenants: dict[str, _Tenant] = {}
         self.summary = StreamSummary()
         self.ticks: list[TickReport] = []
@@ -324,22 +285,7 @@ class StreamEngine:
         """Errors the background ticker absorbed (most recent 64).  A failed
         batch stays queued (the tick contract), so the same error may repeat
         until the operator intervenes — quarantine, retire, or drop it."""
-
-    @property
-    def pool(self) -> WorkerPool | None:
-        """The engine-owned worker pool (``None`` until the first tenant)."""
-        return self._pool
-
-    def _ensure_pool(self) -> WorkerPool:
-        """Create the engine's pool lazily — no registry, segments or worker
-        processes exist until a tenant needs them; :meth:`close` (and, as
-        backstops, a finalizer and an ``atexit`` sweep in
-        :mod:`repro.engine.shm`) guarantees the segments are unlinked."""
-        if self._pool is None:
-            self._pool = WorkerPool(executor=self._executor)
-            if self.tracer.enabled:
-                self._pool.instrument(self.tracer)
-        return self._pool
+        self._ticker_error: Exception | None = None
 
     # ------------------------------------------------------------------ #
     # Tenant management
@@ -440,15 +386,6 @@ class StreamEngine:
         tenant_seed = (
             seed if seed is not None else derive_seed(self._seed, len(self._tenants))
         )
-        # Each tenant gets a *derived* pool: its own (serial) repair executor
-        # — tick tasks already run on the engine's thread pool, and nesting a
-        # tenant's repair onto that same pool could deadlock it — but the
-        # engine pool's shard registry, borrowed, so every tenant's shard
-        # publications live (scoped, collision-free) in one registry whose
-        # lifetime the engine owns.
-        tenant_pool = WorkerPool(workers=1, registry=self._ensure_pool().registry)
-        if self.tracer.enabled:
-            tenant_pool.instrument(self.tracer)
         service = StreamingService(
             initial,
             delta=self._delta,
@@ -457,7 +394,6 @@ class StreamEngine:
             seed=tenant_seed,
             cluster=ledger,
             maintain_coloring=maintain_coloring,
-            pool=tenant_pool,
             proactive_flips=proactive_flips,
             lambda_seed=lambda_seed,
             tracer=self.tracer if self.tracer.enabled else None,
@@ -524,22 +460,18 @@ class StreamEngine:
         Allowed from every live state (an operator retires quarantined
         tenants too); retiring twice raises
         :class:`~repro.errors.LifecycleError`.  The tenant's queued batches
-        are dropped, its service is closed (shard scopes retired, pool
-        released — the engine's shared registry is only borrowed and
-        survives), and its rounds stay in the shared ledger: the work
-        happened.  Returns the tenant's final per-batch summary.  The name
-        stays registered (and un-reusable) so seed derivation for future
-        tenants is unaffected.
+        are dropped, its service is released, and its rounds stay in the
+        shared ledger: the work happened.  Returns the tenant's final
+        per-batch summary.  The name stays registered (and un-reusable) so
+        seed derivation for future tenants is unaffected.
         """
         with self._lock:
             tenant = self._tenant(name)
             self._transition(tenant, TenantState.RETIRED)
             dropped = len(tenant.queue)
             tenant.queue.clear()
-            service = tenant.service
-            tenant.final_summary = service.summary
+            tenant.final_summary = tenant.service.summary
             tenant.service = None
-            service.close()
             metrics = self.tracer.metrics
             if metrics.enabled:
                 metrics.inc("engine.tenants_retired")
@@ -702,10 +634,10 @@ class StreamEngine:
 
         The planner picks which backlogged tenants the tick serves (under
         ``round_budget``); the rest are deferred with their batches carried
-        over intact.  Served tenants run as parallel tasks on the shared
-        executor; their tick-delta sub-ledgers fold into the shared ledger
-        as parallel supersteps (rounds = max over tenants — zero when the
-        tick served nobody).  Returns the tick report, or ``None`` when no
+        over intact.  Served tenants run one after another on the calling
+        thread; their tick-delta sub-ledgers fold into the shared ledger as
+        parallel supersteps (rounds = max over tenants — zero when the tick
+        served nobody).  Returns the tick report, or ``None`` when no
         schedulable tenant has queued batches.
 
         A tenant whose batch is illegal raises (like a standalone service
@@ -796,30 +728,13 @@ class StreamEngine:
             applied_before = {
                 tenant.name: tenant.service.summary.num_batches for tenant in admitted
             }
-            if tracer.enabled:
-                tick_parent = tick_span.span_id
-                tasks = [
-                    (tenant.service, tenant.queue[0], tracer, tick_parent, tenant.name)
-                    for tenant in admitted
-                ]
-            else:
-                tasks = [(tenant.service, tenant.queue[0]) for tenant in admitted]
             error: BaseException | None = None
-            if tasks:
-                work = sum(len(task[1]) for task in tasks)
-                backend = self._executor.resolve_backend(len(tasks), work)
-                try:
-                    if backend in IN_PROCESS:
-                        self._executor.map(
-                            _apply_tenant_batch, tasks, total_work=work, backend=backend
-                        )
-                    else:
-                        # Tenant tasks mutate live tenant state: never ship them
-                        # to worker processes; degrade to the serial loop.
-                        for task in tasks:
-                            _apply_tenant_batch(*task)
-                except BaseException as exc:  # fold the partial tick, then re-raise
-                    error = exc
+            try:
+                for tenant in admitted:
+                    with tracer.span("tenant", cat="engine", tenant=tenant.name):
+                        tenant.service.apply(tenant.queue[0])
+            except BaseException as exc:  # fold the partial tick, then re-raise
+                error = exc
             applied = [
                 tenant
                 for tenant in admitted
@@ -974,12 +889,15 @@ class StreamEngine:
 
         The ticker wakes every ``tick_interval`` seconds — or immediately on
         :meth:`submit` / :meth:`lift_quarantine` — and drains every
-        schedulable backlog, one locked tick at a time.  Errors a tick raises
-        (a tenant's bad batch, a quota breach) are recorded in
+        schedulable backlog, one locked tick at a time.  Library errors a
+        tick raises (a tenant's bad batch, a quota breach) are recorded in
         :attr:`tick_errors` instead of killing the thread; the failed batch
         stays queued per the tick contract, so the same error can repeat
         every interval until an operator quarantines, retires, or unblocks
-        the tenant.  :meth:`stop` (or :meth:`close`) joins the thread.
+        the tenant.  Any other exception (a planner bug, say) is recorded
+        the same way, and then the ticker exits: :meth:`wait_until_drained`
+        raises a :class:`GraphError` naming it.  :meth:`stop` (or
+        :meth:`close`) joins the thread.
         """
         if tick_interval <= 0:
             raise GraphError("tick_interval must be positive")
@@ -990,6 +908,7 @@ class StreamEngine:
                 raise GraphError("engine ticker is already running")
             self._stop_event = threading.Event()
             self._wake = threading.Event()
+            self._ticker_error = None
             self._ticker = threading.Thread(
                 target=self._ticker_loop,
                 args=(tick_interval,),
@@ -1023,21 +942,33 @@ class StreamEngine:
         Polls under the lock, nudging the ticker awake; raises
         :class:`GraphError` if backlog remains at the deadline — including
         the livelock case where a failing head batch keeps its queue
-        non-empty (inspect :attr:`tick_errors` then).
+        non-empty (inspect :attr:`tick_errors` then) — or as soon as the
+        ticker is found dead, naming the error that stopped it.
         """
-        if not self.running:
-            raise GraphError("engine ticker is not running; call start() first")
+        self._require_ticker()
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             with self._lock:
                 if not self._schedulable_pending():
                     return self.summary
+            self._require_ticker()
             self._wake.set()
             time.sleep(0.005)
         raise GraphError(
             f"{self._schedulable_pending()} batches still queued after "
             f"{timeout:.1f}s (recent tick errors: {len(self.tick_errors)})"
         )
+
+    def _require_ticker(self) -> None:
+        """Raise unless the ticker is alive, naming what stopped it."""
+        if self.running:
+            return
+        error = self._ticker_error
+        if error is not None:
+            raise GraphError(
+                f"engine ticker stopped on an unexpected error: {error!r}"
+            ) from error
+        raise GraphError("engine ticker is not running; call start() first")
 
     def _ticker_loop(self, tick_interval: float) -> None:
         while not self._stop_event.is_set():
@@ -1051,11 +982,16 @@ class StreamEngine:
                         break
                     try:
                         self._tick_locked()
-                    except ReproError as exc:
-                        # The failed batch stays queued; back off to the next
-                        # wake/interval instead of hot-spinning on it.
+                    except Exception as exc:
                         self.tick_errors.append(exc)
                         self.tracer.metrics.inc("engine.ticker_errors")
+                        if not isinstance(exc, ReproError):
+                            # A defect, not a bad batch: stop ticking rather
+                            # than retry on state nobody vouches for.
+                            self._ticker_error = exc
+                            return
+                        # The failed batch stays queued; back off to the next
+                        # wake/interval instead of hot-spinning on it.
                         break
 
     # ------------------------------------------------------------------ #
@@ -1081,13 +1017,7 @@ class StreamEngine:
         return result
 
     @classmethod
-    def restore(
-        cls,
-        path,
-        workers: int = 1,
-        executor: ParallelExecutor | None = None,
-        tracer=None,
-    ) -> "StreamEngine":
+    def restore(cls, path, tracer=None) -> "StreamEngine":
         """Rebuild an engine from a :meth:`checkpoint` snapshot, byte-identically.
 
         The restored engine continues exactly where the checkpointed one
@@ -1095,15 +1025,11 @@ class StreamEngine:
         lifecycle states and tick history — verified against the snapshot's
         recorded fingerprint before this returns (mismatch raises
         :class:`~repro.errors.CheckpointError` and nothing leaks).
-        ``workers`` / ``executor`` / ``tracer`` re-provision the host-side
-        execution resources, which are not state: any combination yields the
-        same simulated outcomes.
+        ``tracer`` is observation only and not state.
         """
         from repro.stream import checkpoint as _checkpoint
 
-        return _checkpoint.restore_engine(
-            path, workers=workers, executor=executor, tracer=tracer
-        )
+        return _checkpoint.restore_engine(path, tracer=tracer)
 
     # ------------------------------------------------------------------ #
     # Invariants / lifecycle
@@ -1112,10 +1038,7 @@ class StreamEngine:
     def verify(self) -> None:
         """Run every tenant's invariant checks (raises on the first drift).
 
-        The re-raised error names the failing tenant and carries the engine
-        pool's health snapshot (:meth:`repro.engine.WorkerPool.stats`), so a
-        pool-related failure — dead workers, respawn churn, stale shard
-        generations — is diagnosable from the exception alone.
+        The re-raised error names the failing tenant.
         """
         for tenant in self._tenants.values():
             if tenant.service is None:
@@ -1123,33 +1046,20 @@ class StreamEngine:
             try:
                 tenant.service.verify()
             except GraphError as exc:
-                pool_stats = self._pool.stats() if self._pool is not None else {}
-                raise GraphError(
-                    f"tenant {tenant.name!r}: {exc} [pool {pool_stats}]"
-                ) from exc
+                raise GraphError(f"tenant {tenant.name!r}: {exc}") from exc
 
     def close(self) -> None:
-        """Release every tenant, the engine pool's segments, the executor.
+        """Stop the ticker and refuse further calls.
 
         Idempotent, and safe with a live ticker: the ticker thread is stopped
-        and joined before anything it could touch is released, so double
-        close (or close-with-live-ticker) leaks neither the pool nor the
-        thread.
+        and joined first, so double close (or close-with-live-ticker) never
+        leaks the thread.
         """
         if self._closed:
             return
         self.stop()
         with self._lock:
-            if self._closed:
-                return
             self._closed = True
-        for tenant in self._tenants.values():
-            if tenant.service is not None:
-                tenant.service.close()
-        if self._pool is not None:
-            self._pool.close()
-        if self._owns_executor:
-            self._executor.close()
 
     def __enter__(self) -> "StreamEngine":
         return self

@@ -30,32 +30,19 @@ times, and after a quality check the cap is at most
 of the current graph, up to the Theorem 1.1 ``log log n`` factor immediately
 after a fallback rebuild.
 
-**Batch-parallel repair.**  :meth:`IncrementalOrientation.apply_batch`
+**Conflict-group repair.**  :meth:`IncrementalOrientation.apply_batch`
 resolves a whole :class:`~repro.stream.updates.UpdateBatch` at once by
 partitioning it into *conflict groups* — connected components of updates
 sharing an endpoint (:func:`plan_conflict_groups`).  Distinct groups touch
-disjoint vertices, so groups whose updates provably never overflow the cap
-(no flip path can start) mutate disjoint out-sets and resolve concurrently
-through the engine; groups that may need a flip path — which can roam
-anywhere along out-edges — fall back to serial execution, one group at a
-time in deterministic group order, *after* the conflict-free phase.  The
-final structure is identical for any worker count: the parallel phase's
-effects are vertex-disjoint (order-free), and everything order-sensitive is
-serial and deterministically ordered.
-
-Cap-safe groups run on **any** backend.  In-process backends (serial,
-thread) mutate the shared out-table directly through its disjoint slices;
-the process backend cannot (workers would mutate pickled copies), so the
-groups' out-table *shards* — the slices of ``out[·]`` covering exactly each
-group's vertices — are published into the worker pool's shared-memory shard
-registry (:mod:`repro.engine.shm`), each task ships only a shard handle, a
-slot index and the group's updates to :func:`_apply_group_shm` (whose pure
-core is :func:`_apply_group_sharded`), and the returned *deltas* are written
-back into the table.  Cap-safety proves the group's pointer work never
-leaves its vertex set, so the shard is closed under every read and write the
-group performs, and the write-back is conflict-free.  The determinism
-contract is unchanged: the sharded function replays the exact same tail
-rule (:func:`_choose_tail`) on the exact same degrees.
+disjoint vertices.  Groups whose updates provably never overflow the cap (no
+flip path can start) mutate only their own out-sets, so in the MPC model
+they resolve in one superstep; groups that may need a flip path — which can
+roam anywhere along out-edges — resolve after them.  On the host every group
+runs in-process, one after another, in a fixed order: cap-safe groups first,
+then flip-prone groups, each in group order, then the proactive-flip sweep.
+That order is part of the determinism contract (a flip path can reach into a
+later group's vertices and change its tail choices), so it is pinned by a
+test.
 """
 
 from __future__ import annotations
@@ -66,9 +53,6 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro import kernels
-from repro.engine import IN_PROCESS, PROCESS, WorkerPool
-from repro.engine import shm
-from repro.engine.shm import ShardHandle
 from repro.errors import GraphError
 from repro.graph.arboricity import arboricity_upper_bound
 from repro.graph.graph import Graph, normalize_edge
@@ -113,84 +97,16 @@ def plan_conflict_groups(updates: Sequence) -> list[list[int]]:
 def _choose_tail(u: int, v: int, outdeg_u: int, outdeg_v: int) -> int:
     """The insertion rule: orient out of the smaller outdegree, ``u`` on ties.
 
-    One definition shared by ``insert``, the cap-safety precheck, and both
-    batch execution paths (in-process and sharded) — the safety proof of the
-    parallel phase requires the precheck and the execution to replay the
-    exact same decisions, so the rule must not be duplicated.  Module-level
-    so the process backend's sharded task can call it without shipping the
-    maintainer object.
+    One definition shared by ``insert``, the cap-safety precheck and the
+    batch path: the precheck proves a group cap-safe by replaying the exact
+    decisions the execution will make, so the rule must not be duplicated.
     """
     return u if outdeg_u <= outdeg_v else v
-
-
-def _apply_group_sharded(
-    shard: dict[int, tuple[int, ...]],
-    group_updates: list,
-    cap: int,
-) -> tuple[dict[int, list[int]], list[int]]:
-    """Apply one cap-safe conflict group to its out-table shard (pure).
-
-    The process-backend twin of ``IncrementalOrientation._apply_group`` with
-    ``allow_repair=False``: ``shard`` maps every vertex the group touches to
-    its current out-heads, the updates are replayed against the shard alone,
-    and the mutated shard plus the freed tails (deletion order) ship back
-    for write-back.  Cap-safety was proved by the precheck, so an overflow —
-    or an insert/delete that does not match the shard — means the precheck
-    or the shard extraction is broken, and the task raises rather than
-    returning a corrupt shard.  Module-level and dependent only on its
-    arguments so ``ProcessPoolExecutor`` can pickle it by reference.
-
-    The replay itself is the :func:`repro.kernels.flip_repair_group` kernel:
-    the per-update decisions are inherently serial (each tail choice depends
-    on the outdegrees the previous updates produced), but the numpy backend
-    vectorizes the data movement around them — shard decode, membership
-    tests, head writes along the flip-free paths — with byte-identical
-    shards and freed lists.  The tail rule is injected so this module keeps
-    its single definition of :func:`_choose_tail`.
-    """
-    return kernels.flip_repair_group(shard, group_updates, cap, _choose_tail)
-
-
-def _apply_group_shm(
-    handle: ShardHandle,
-    slot: int,
-    group_updates: list,
-    cap: int,
-) -> tuple[dict[int, list[int]], list[int]]:
-    """The shared-memory twin of :func:`_apply_group_sharded`.
-
-    The group's out-table shard is *not* in the task tuple: it is read from
-    the published shard segment (:func:`repro.engine.shm.out_shard`) — the
-    owner's dict zero-copy in-process, rebuilt from flat columns in a process
-    worker.  The task ships only the handle, the slot, and the group's
-    updates (the batch delta), and ships back only the shard *delta* — the
-    vertices whose out-sets actually changed — plus the freed tails.
-    """
-    shard = shm.out_shard(handle, slot)
-    new_shard, freed = _apply_group_sharded(shard, group_updates, cap)
-    delta = {
-        vertex: heads
-        for vertex, heads in new_shard.items()
-        if tuple(heads) != shard[vertex]
-    }
-    return delta, freed
-
-
-def _peel_guess_task(graph: Graph, threshold: int) -> tuple[bool, int]:
-    """One coreness-ladder guess: does the ``threshold``-peel clear the graph?
-
-    Module-level so the engine's process backend can pickle it by reference.
-    Returns ``(cleared, rounds_used)`` — ``cleared`` means every vertex got a
-    layer, i.e. the graph's degeneracy is at most ``threshold``.
-    """
-    layers, rounds_used = graph.peel_layers(threshold)
-    return all(layers), rounds_used
 
 
 def seed_lambda_from_coreness(
     snapshot: Graph,
     epsilon: float = 0.5,
-    executor=None,
     cluster=None,
 ) -> int:
     """Seed λ̂ from the coreness guess ladder instead of the static degeneracy.
@@ -198,10 +114,9 @@ def seed_lambda_from_coreness(
     The default estimate (``arboricity_upper_bound``) is one serial O(n + m)
     bucket peel yielding the exact degeneracy ``d``.  This helper instead
     runs the [GLM19] guess ladder ``g = ⌈(1+ε)^i⌉`` — each guess one
-    threshold-``2g`` frontier peel, fanned out through the engine when an
-    ``executor`` is given (the guesses are independent, so rounds charge as
-    the max over guesses plus one combine, exactly like
-    :func:`repro.core.coreness.approximate_coreness`) — and returns
+    threshold-``2g`` frontier peel.  The guesses are independent, so rounds
+    charge as the max over guesses plus one combine, exactly like
+    :func:`repro.core.coreness.approximate_coreness` — and the helper returns
     ``2 · g*`` where ``g*`` is the smallest guess whose peel clears the
     graph.  Since the peel clears iff ``2g ≥ d``, the seed lands in
     ``[d, (1+ε)·d]``: never below the degeneracy, and usually *above* it by
@@ -216,25 +131,27 @@ def seed_lambda_from_coreness(
     if snapshot.num_vertices == 0 or snapshot.num_edges == 0:
         return 1
     guesses = geometric_guesses(max(snapshot.max_degree(), 1), epsilon)
-    tasks = [(snapshot, 2 * guess) for guess in guesses]
-    if executor is not None and len(tasks) > 1:
-        work = len(tasks) * (snapshot.num_vertices + snapshot.num_edges)
-        results = executor.map(_peel_guess_task, tasks, total_work=work)
-    else:
-        results = [_peel_guess_task(*task) for task in tasks]
+    results = []
+    for guess in guesses:
+        layers, rounds_used = snapshot.peel_layers(2 * guess)
+        results.append((all(layers), rounds_used))
     cleared_at = next(
         (guess for guess, (cleared, _rounds) in zip(guesses, results) if cleared),
         guesses[-1],
     )
     if cluster is not None:
-        max_rounds = max((rounds for _cleared, rounds in results), default=0)
+        max_rounds = max(rounds for _cleared, rounds in results)
         cluster.charge_rounds(max_rounds + 1, label="stream:lambda-seed")
     return max(1, 2 * cleared_at)
 
 
 @dataclass(frozen=True)
 class GroupedApplyReport:
-    """What one batch-parallel repair pass did (see ``apply_batch``)."""
+    """What one conflict-group repair pass did (see ``apply_batch``).
+
+    ``parallel_groups`` counts the cap-safe groups — the ones that resolve
+    in one MPC superstep; ``serial_groups`` counts the flip-prone rest.
+    """
 
     num_updates: int
     num_groups: int
@@ -417,39 +334,21 @@ class IncrementalOrientation:
                 return
 
     # ------------------------------------------------------------------ #
-    # Batch-parallel repair (vertex-disjoint conflict groups)
+    # Conflict-group repair (vertex-disjoint groups)
     # ------------------------------------------------------------------ #
 
-    def apply_batch(
-        self,
-        updates: Iterable,
-        executor=None,
-        pool: WorkerPool | None = None,
-        shard_key: str = "repair-shards",
-    ) -> GroupedApplyReport:
-        """Resolve a whole update batch through conflict-group supersteps.
+    def apply_batch(self, updates: Iterable) -> GroupedApplyReport:
+        """Resolve a whole update batch through conflict groups.
 
         The caller must have applied every update of the batch to the
         dynamic graph already (the :class:`~repro.stream.service.StreamingService`
         sequences exactly that); this method only maintains the orientation.
-        The batch is split by :func:`plan_conflict_groups`; groups whose
-        updates provably stay under the outdegree cap run concurrently —
-        in-process backends mutate the shared out-table's disjoint slices
-        directly, the process backend publishes the groups' out-table shards
-        into the worker pool's shared-memory registry and maps
-        :func:`_apply_group_shm` (handle + slot + updates per task), writing
-        the returned deltas back — while groups that may need a flip path
-        run serially afterwards in group order.  Deferred proactive flips
-        are swept serially at the end.  The resulting structure is identical
-        for any worker count and backend.
+        The batch is split by :func:`plan_conflict_groups` and the groups run
+        in-process in a fixed order: groups whose updates provably stay under
+        the outdegree cap first, then groups that may need a flip path, each
+        in group order.  Deferred proactive flips are swept at the end.
 
-        ``pool`` is the resident :class:`~repro.engine.WorkerPool` to run on
-        (its executor doubles as the in-process engine); with only
-        ``executor`` given, a transient borrowed pool wraps it for the call.
-        ``shard_key`` scopes the shard publication so several maintainers
-        (one per tenant) can share one pool without colliding.
-
-        A mid-batch Theorem 1.1 rebuild (saturated flip search in a serial
+        A mid-batch Theorem 1.1 rebuild (saturated flip search in a flip-prone
         group) re-orients the *final* batch state in one stroke — the
         dynamic graph already holds it — after which the remaining updates
         are no-ops (their edges are already oriented or already gone).
@@ -469,67 +368,10 @@ class IncrementalOrientation:
 
         rebuilds_before = self.rebuilds
         freed_by_group: dict[int, list[int]] = {}
-        if safe:
-            work = sum(len(grouped[position]) for position in safe)
-            engine = pool.executor if pool is not None else executor
-            backend = (
-                engine.resolve_backend(len(safe), work)
-                if engine is not None and len(safe) > 1
-                else None
+        for position in safe:
+            freed_by_group[position] = self._apply_group(
+                grouped[position], False, rebuilds_before
             )
-            if backend == PROCESS:
-                # Out-table sharding: publish each group's slice of the table
-                # (cap-safety proves the group reads and writes nothing
-                # outside it) as one shared-memory shard set, ship only
-                # (handle, slot, updates) per task, and write the returned
-                # deltas back — disjoint vertex sets make the write-back
-                # conflict-free.
-                out = self._out
-                cap = self.outdegree_cap
-                owns_pool = pool is None
-                if owns_pool:
-                    pool = WorkerPool(executor=executor)
-                try:
-                    shards = []
-                    for position in safe:
-                        group_updates = grouped[position]
-                        vertices = sorted(
-                            {update.u for update in group_updates}
-                            | {update.v for update in group_updates}
-                        )
-                        shards.append(
-                            {vertex: tuple(sorted(out[vertex])) for vertex in vertices}
-                        )
-                    handle = pool.publish_out_shards(shard_key, shards)
-                    results = pool.map(
-                        _apply_group_shm,
-                        [
-                            (handle, slot, grouped[position], cap)
-                            for slot, position in enumerate(safe)
-                        ],
-                        total_work=work,
-                        backend=PROCESS,
-                        handles=(handle,),
-                    )
-                finally:
-                    if owns_pool:
-                        pool.close()
-                outdeg = self._outdeg
-                for position, (delta, freed) in zip(safe, results):
-                    for vertex, heads in delta.items():
-                        out[vertex] = set(heads)
-                        outdeg[vertex] = len(heads)
-                    freed_by_group[position] = freed
-            else:
-                tasks = [(grouped[position], False, rebuilds_before) for position in safe]
-                if backend in IN_PROCESS:
-                    freed_lists = engine.map(
-                        self._apply_group, tasks, total_work=work, backend=backend
-                    )
-                else:
-                    freed_lists = [self._apply_group(*task) for task in tasks]
-                for position, freed in zip(safe, freed_lists):
-                    freed_by_group[position] = freed
         for position in unsafe:
             freed_by_group[position] = self._apply_group(
                 grouped[position], True, rebuilds_before
@@ -538,7 +380,7 @@ class IncrementalOrientation:
         opportunistic_before = self.opportunistic_flips
         if self.proactive_flips:
             for position in range(len(grouped)):
-                for freed in freed_by_group.get(position, ()):
+                for freed in freed_by_group[position]:
                     self._proactive_flip(freed)
 
         self._updates_since_check += len(updates)
@@ -559,7 +401,8 @@ class IncrementalOrientation:
         out-degrees plus in-group deltas (groups are vertex-disjoint, so no
         other group can move these degrees): if no insertion ever pushes its
         tail past the cap, repair is impossible and the group's pointer work
-        stays inside its own vertex set — eligible for the parallel phase.
+        stays inside its own vertex set — the group runs in the cap-safe
+        phase, before any flip-prone group.
         """
         out = self._out
         cap = self.outdegree_cap
@@ -584,7 +427,7 @@ class IncrementalOrientation:
                     elif edge[0] in out[edge[1]]:
                         tail = edge[1]
                     else:
-                        return False  # inconsistent state: leave to serial path
+                        return False  # inconsistent state: leave to the flip-prone phase
                 delta[tail] = delta.get(tail, 0) - 1
         return True
 
@@ -593,11 +436,11 @@ class IncrementalOrientation:
     ) -> list[int]:
         """Apply one conflict group's updates; returns freed tails in order.
 
-        With ``allow_repair=False`` (parallel phase) the group was proved
-        cap-safe, so an overflow would be an engine bug — it raises rather
-        than racing a flip search against sibling groups.  Proactive flips
-        are deferred to the caller's serial sweep because they touch
-        neighbors outside the group.  Inserts of already-oriented edges and
+        With ``allow_repair=False`` (cap-safe phase) the group was proved
+        cap-safe, so an overflow would mean the precheck is broken — it
+        raises rather than starting a flip search.  Proactive flips are
+        deferred to the caller's final sweep because they touch neighbors
+        outside the group.  Inserts of already-oriented edges and
         deletes of already-unoriented ones are legal only after a mid-batch
         rebuild fast-forwarded the orientation to the batch-final state
         (``self.rebuilds > rebuilds_before``); without one they mean the

@@ -50,7 +50,7 @@ forecast.
 Planners are deterministic: the plan is a pure function of the planner's
 state and the presented loads, and all policy state (deficits, cursors)
 advances only inside :meth:`TickPlanner.plan`.  Same seed + same policy ⇒
-the same tick-by-tick schedule for any worker count or backend, which is
+the same tick-by-tick schedule for either kernel backend, which is
 what lets a served tenant stay byte-identical to its standalone run.
 """
 

@@ -14,13 +14,11 @@ MPC accounting (see :mod:`repro.mpc.cluster` for the model):
   (oversized batches split into ⌈volume/S⌉ rounds as usual);
 * flip-path repair and recoloring are each charged one aggregation round per
   batch in which they occur (the flips/recolors of a batch are independent
-  pointer updates, resolvable by one constant-round primitive);  repair is
-  executed that way too: the batch is split into vertex-disjoint conflict
-  groups (:func:`repro.stream.orientation.plan_conflict_groups`) and the
-  conflict-free groups resolve concurrently through the superstep engine
-  (``workers`` threads, or process workers via out-table sharding), with
-  order-sensitive groups serialised deterministically — results are
-  identical for any worker count and backend;
+  pointer updates, resolvable by one constant-round primitive).  On the host
+  the batch is split into vertex-disjoint conflict groups
+  (:func:`repro.stream.orientation.plan_conflict_groups`) that run
+  in-process, one after another, in a fixed order (cap-safe groups first),
+  so the outcome is a pure function of the input;
 * a quality-fallback rebuild runs the full Theorem 1.1 pipeline *against the
   service's cluster*, so its rounds land in the same ledger (labels
   ``stream:rebuild:*``);
@@ -46,7 +44,6 @@ import time
 from dataclasses import fields
 
 from repro import kernels
-from repro.engine import THREAD, ParallelExecutor, WorkerPool
 from repro.errors import GraphError
 from repro.obs.tracer import NULL_TRACER
 from repro.graph.graph import Graph
@@ -97,35 +94,14 @@ class StreamingService:
     maintain_coloring:
         Disable to maintain only the orientation (benchmarks isolating the
         flip path).
-    workers:
-        Host-side parallelism for batch repair: conflict-free update groups
-        resolve concurrently on this many workers (1 = serial).  Results are
-        identical for any worker count.
-    backend:
-        Engine backend for batch repair (default ``thread``).  In-process
-        backends mutate the shared out-table through disjoint slices; the
-        ``process`` backend routes cap-safe groups through out-table
-        sharding (see :mod:`repro.stream.orientation`) — same results,
-        worth it only when per-group repair work dwarfs the shard shipping.
-    executor:
-        Optional pre-built :class:`~repro.engine.ParallelExecutor`
-        (overrides ``workers`` and ``backend``); any backend works.
-    pool:
-        Optional pre-built :class:`~repro.engine.WorkerPool` (overrides
-        ``workers``, ``backend`` and ``executor``).  The service then runs
-        its batch repair on the pool's resident workers and publishes its
-        out-table shards into the pool's shard registry under a
-        service-scoped key — several services (one per engine tenant) can
-        share one registry without colliding.  When omitted, the service
-        builds and owns a pool around ``executor``/``workers``/``backend``.
     proactive_flips:
         Forwarded to :class:`IncrementalOrientation`.
     lambda_seed:
         How the initial arboricity estimate λ̂ is obtained.  ``None``
         (default) keeps the static degeneracy estimate.  ``"coreness"``
-        seeds it from an engine-parallel coreness guess-ladder peel
-        (:func:`~repro.stream.orientation.seed_lambda_from_coreness`) run on
-        the service's own executor and charged to its cluster ledger — the
+        seeds it from the coreness guess-ladder peel
+        (:func:`~repro.stream.orientation.seed_lambda_from_coreness`)
+        charged to the service's cluster ledger — the
         ladder's round-up gives the outdegree cap headroom above the exact
         degeneracy, so densifying traces trigger fewer saturation rebuilds.
         Opt-in because it changes the cap, and with it every downstream
@@ -133,8 +109,8 @@ class StreamingService:
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given, each batch is
         wrapped in host wall-clock spans (batch → repair/recolor/quality)
-        carrying the ledger delta charged inside them, and a service-owned
-        pool/cluster is instrumented for metrics.  Tracing is observation
+        carrying the ledger delta charged inside them, and the cluster is
+        instrumented for metrics.  Tracing is observation
         only — results are byte-identical with it on or off.
     """
 
@@ -147,10 +123,6 @@ class StreamingService:
         seed: int = 0,
         cluster: MPCCluster | None = None,
         maintain_coloring: bool = True,
-        workers: int = 1,
-        backend: str = THREAD,
-        executor: ParallelExecutor | None = None,
-        pool: WorkerPool | None = None,
         proactive_flips: bool = True,
         lambda_seed: str | None = None,
         tracer=None,
@@ -163,34 +135,15 @@ class StreamingService:
             cluster = MPCCluster(MPCConfig.for_graph(initial, delta=delta))
         self.cluster = cluster
         self.tracer = NULL_TRACER if tracer is None else tracer
-        owns_pool = pool is None
-        self._pool = (
-            pool
-            if pool is not None
-            else WorkerPool(workers=workers, backend=backend, executor=executor)
-        )
         if tracer is not None:
             cluster.instrument(tracer)
-            if owns_pool:
-                self._pool.instrument(tracer)
-        self._executor = self._pool.executor
-        self._shard_key = self._pool.allocate_scope("repair-shards-")
         self.dynamic = DynamicGraph(initial)
         if tracer is not None:
             self.dynamic.instrument(tracer)
-        # The compacted base travels as delta-aware per-column shards: a
-        # compaction republishes only the columns it changed, carrying the
-        # rest at their current generation.
-        self._graph_scope = self._pool.allocate_scope("stream-graph-")
-        self.graph_handles = self._pool.publish_graph_columns(
-            self._graph_scope, self.dynamic.base
-        )
         self._account_graph_storage()
         lambda_bound = None
         if lambda_seed == "coreness":
-            lambda_bound = seed_lambda_from_coreness(
-                initial, executor=self._executor, cluster=cluster
-            )
+            lambda_bound = seed_lambda_from_coreness(initial, cluster=cluster)
         self.orientation = IncrementalOrientation(
             self.dynamic,
             lambda_bound=lambda_bound,
@@ -203,7 +156,6 @@ class StreamingService:
         )
         self.coloring = IncrementalColoring(self.dynamic) if maintain_coloring else None
         self.summary = StreamSummary()
-        self._closed = False
 
     # ------------------------------------------------------------------ #
     # Batch application
@@ -301,14 +253,12 @@ class StreamingService:
 
         # Superstep order: the graph absorbs the whole batch first (so a
         # mid-batch fallback rebuild sees the batch-final snapshot), then the
-        # orientation resolves the batch as parallel conflict groups, then
-        # the coloring repairs its invalidated endpoints.
+        # orientation resolves the batch as conflict groups, then the
+        # coloring repairs its invalidated endpoints.
         dynamic.apply_ops(ops, us, vs)
 
         with self.tracer.span("repair", cat="stream", cluster=cluster):
-            grouped = orientation.apply_batch(
-                batch.updates, pool=self._pool, shard_key=self._shard_key
-            )
+            grouped = orientation.apply_batch(batch.updates)
 
         if coloring is not None:
             with self.tracer.span("recolor", cat="stream", cluster=cluster):
@@ -333,16 +283,6 @@ class StreamingService:
             cluster.charge_rounds(1, label="stream:recolor")
         if compactions:
             cluster.charge_rounds(compactions, label="stream:compact")
-            # A compaction rewrote the graph wholesale: retire the published
-            # out-table shards now so no handle from before the compaction
-            # can ever resolve again (the next process-backend batch
-            # republishes a fresh generation).  The graph's own edge columns
-            # republish delta-aware: only the columns the compaction changed
-            # advance a generation, the rest carry.
-            self._pool.invalidate(self._shard_key)
-            self.graph_handles = self._pool.publish_graph_columns(
-                self._graph_scope, dynamic.base
-            )
         self._account_graph_storage()
 
         report = BatchReport(
@@ -390,31 +330,6 @@ class StreamingService:
             self.apply(batch)
         return self.summary
 
-    def close(self) -> None:
-        """Release the repair pool's workers and shard segments (idempotent).
-
-        With ``workers > 1`` the service lazily spins up worker pools, and a
-        process-backend batch publishes shared-memory shards; sweeps that
-        create one service per workload should close each when done rather
-        than leaving the release to garbage collection.  A pool passed in by
-        an engine keeps its shared pieces — only this service's shard scope
-        is retired.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._pool.invalidate(self._shard_key)
-        for name in self.graph_handles:
-            self._pool.invalidate(f"{self._graph_scope}.{name}")
-        self._pool.close()
-        self._executor.close()
-
-    def __enter__(self) -> "StreamingService":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # ------------------------------------------------------------------ #
     # Checkpoint seam
     # ------------------------------------------------------------------ #
@@ -425,9 +340,7 @@ class StreamingService:
         Everything behavior-affecting is captured: the sub-ledger (with its
         config, quota, and per-machine storage), the dynamic graph's base +
         journal columns, the orientation heads/λ̂/cap/counters, the coloring
-        column, and the per-batch report history.  Pool scope keys are *not*
-        state — they only name shared-memory segments and are reallocated
-        fresh on restore.
+        column, and the per-batch report history.
         """
         return {
             "ledger": self.cluster.ledger_state(),
@@ -438,9 +351,7 @@ class StreamingService:
         }
 
     @classmethod
-    def from_state(
-        cls, state: dict, pool: WorkerPool, tracer=None
-    ) -> "StreamingService":
+    def from_state(cls, state: dict, tracer=None) -> "StreamingService":
         """Resurrect a service from :meth:`state_dict` output, byte-identically.
 
         Deliberately bypasses ``__init__``: constructing normally would
@@ -452,18 +363,11 @@ class StreamingService:
         service = object.__new__(cls)
         service.cluster = MPCCluster.from_ledger_state(state["ledger"])
         service.tracer = NULL_TRACER if tracer is None else tracer
-        service._pool = pool
         if tracer is not None:
             service.cluster.instrument(tracer)
-        service._executor = pool.executor
-        service._shard_key = pool.allocate_scope("repair-shards-")
         service.dynamic = DynamicGraph.from_state(state["dynamic"])
         if tracer is not None:
             service.dynamic.instrument(tracer)
-        service._graph_scope = pool.allocate_scope("stream-graph-")
-        service.graph_handles = pool.publish_graph_columns(
-            service._graph_scope, service.dynamic.base
-        )
         service.orientation = IncrementalOrientation.from_state(
             state["orientation"], service.dynamic, cluster=service.cluster
         )
@@ -475,7 +379,6 @@ class StreamingService:
         service.summary = StreamSummary()
         for row in state["reports"]:
             service.summary.add(_restore_report(row))
-        service._closed = False
         return service
 
     # ------------------------------------------------------------------ #

@@ -126,9 +126,11 @@ class UpdateBatch:
 class BatchReport:
     """What one batch cost, and where the maintained structures ended up.
 
-    ``conflict_groups`` / ``parallel_groups`` describe the batch-parallel
+    ``conflict_groups`` / ``parallel_groups`` describe the conflict-group
     repair plan: how many vertex-disjoint conflict groups the batch split
-    into and how many of them were cap-safe (resolved concurrently);
+    into, and how many of them were cap-safe — the groups that resolve in
+    one MPC superstep and run first on the host (the name is kept because
+    checkpoints store it);
     ``proactive_flips`` counts deletion-triggered opportunistic flips (a
     subset of ``flips``).
 

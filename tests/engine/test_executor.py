@@ -8,7 +8,6 @@ from repro.engine import (
     BACKENDS,
     PROCESS,
     SERIAL,
-    THREAD,
     ParallelExecutor,
     derive_seed,
     seed_stream,
@@ -41,7 +40,7 @@ class TestBackendsAgree:
         executor = ParallelExecutor(workers=2, backend=backend)
         assert executor.map(_add, [(1, 2), (3, 4), (5, 6)]) == [3, 7, 11]
 
-    @pytest.mark.parametrize("backend", [THREAD, PROCESS])
+    @pytest.mark.parametrize("backend", BACKENDS)
     def test_task_errors_propagate(self, backend):
         executor = ParallelExecutor(workers=2, backend=backend)
         with pytest.raises(ValueError, match="task 1 failed"):
@@ -66,14 +65,16 @@ class TestAutoPick:
         assert executor.resolve_backend(4, total_work=10**6) == PROCESS
 
     def test_explicit_backend_is_honored_on_tiny_work(self):
-        executor = ParallelExecutor(workers=8, backend=THREAD)
-        assert executor.resolve_backend(4, total_work=100) == THREAD
+        executor = ParallelExecutor(workers=8, backend=PROCESS)
+        assert executor.resolve_backend(4, total_work=100) == PROCESS
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ParameterError):
             ParallelExecutor(workers=0)
         with pytest.raises(ParameterError):
             ParallelExecutor(workers=2, backend="gpu")
+        with pytest.raises(ParameterError):
+            ParallelExecutor(workers=2, backend="thread")
 
 
 class TestSeedStreams:

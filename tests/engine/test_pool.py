@@ -8,9 +8,9 @@ Three failure modes the resident-pool refactor must survive:
 * a handle from a retired generation — republished or invalidated — is
   rejected with :class:`~repro.errors.StaleShardError` on every backend,
   never silently served old data through the pool's ``map`` gate;
-* no shared-memory segments outlive their owner: explicit ``close``,
-  engine/service teardown, and the ``atexit`` sweep for an owner that never
-  closed all leave nothing behind (asserted by name-probing from a separate
+* no shared-memory segments outlive their owner: explicit ``close`` and
+  the ``atexit`` sweep for an owner that never closed both leave nothing
+  behind (asserted by name-probing from a separate
   process with its own resource tracker).
 """
 
@@ -27,7 +27,6 @@ from repro.engine import PROCESS, WorkerPool, shm
 from repro.errors import StaleShardError, WorkerCrashError
 from repro.core.partitioning import random_edge_partition
 from repro.graph.generators import union_of_random_forests
-from repro.stream.engine import StreamEngine
 
 _PYTHONPATH = os.pathsep.join(
     path
@@ -126,7 +125,7 @@ class TestStaleGenerations:
         graph, parts = _graph_and_parts()
         with WorkerPool(workers=1) as pool:
             old = pool.publish_edge_parts("parts", graph.num_vertices, parts)
-            pool.invalidate("parts")
+            pool.registry.invalidate("parts")
             with pytest.raises(StaleShardError, match="invalidated"):
                 shm.shard_graph(old, 0)
             # The tombstone carries the counter forward: a retired generation
@@ -194,64 +193,6 @@ class TestStatsAndInstrumentation:
             assert tracer.metrics.snapshot()["counters"]["pool.respawns"] == 1
             assert tracer.metrics.snapshot()["counters"]["shm.publishes"] == 1
 
-    def test_partial_republish_counters_track_carried_columns(self):
-        """ISSUE 9 satellite: delta-aware column publication is observable.
-
-        Republishing a graph whose edge columns did not change carries both
-        columns (no generation bump); a graph that changed republishes
-        exactly the changed columns.  ``stats()`` exposes the split.
-        """
-        graph = union_of_random_forests(32, arboricity=2, seed=1)
-        with WorkerPool(workers=1) as pool:
-            handles = pool.publish_graph_columns("g", graph)
-            assert set(handles) == {"edge_u", "edge_v"}
-            stats = pool.stats()
-            assert stats["columns_republished"] == 2
-            assert stats["columns_carried"] == 0
-
-            # Same columns again: everything carries, generations hold.
-            again = pool.publish_graph_columns("g", graph)
-            stats = pool.stats()
-            assert stats["columns_republished"] == 2
-            assert stats["columns_carried"] == 2
-            assert {name: h.generation for name, h in again.items()} == {
-                name: h.generation for name, h in handles.items()
-            }
-
-            # A changed graph republishes both edge columns afresh.
-            grown = union_of_random_forests(32, arboricity=3, seed=2)
-            fresh = pool.publish_graph_columns("g", grown)
-            stats = pool.stats()
-            assert stats["columns_republished"] == 4
-            assert stats["columns_carried"] == 2
-            assert all(
-                fresh[name].generation > handles[name].generation
-                for name in ("edge_u", "edge_v")
-            )
-
-    def test_partial_republish_metrics_reach_the_tracer(self):
-        from repro.obs import Tracer
-
-        graph = union_of_random_forests(24, arboricity=2, seed=3)
-        tracer = Tracer()
-        with WorkerPool(workers=1) as pool:
-            pool.instrument(tracer)
-            pool.publish_graph_columns("g", graph)
-            pool.publish_graph_columns("g", graph)
-            counters = tracer.metrics.snapshot()["counters"]
-            assert counters["shm.columns_republished"] == 2
-            assert counters["shm.columns_carried"] == 2
-
-    def test_carried_column_reads_back_identically(self):
-        graph = union_of_random_forests(24, arboricity=2, seed=4)
-        with WorkerPool(workers=1) as pool:
-            pool.publish_graph_columns("g", graph)
-            carried = pool.publish_graph_columns("g", graph)
-            for name, column in zip(
-                ("edge_u", "edge_v"), graph.edge_endpoints
-            ):
-                assert shm.graph_column(carried[name], name) == column
-
     def test_instrument_none_restores_the_null_tracer(self):
         from repro.obs import Tracer
 
@@ -262,21 +203,6 @@ class TestStatsAndInstrumentation:
             pool.instrument(None)
             assert pool.executor._tracer.enabled is False
             assert pool.registry.metrics.enabled is False
-
-    def test_engine_verify_failure_carries_pool_stats(self):
-        from repro.errors import GraphError
-
-        initial = union_of_random_forests(48, arboricity=2, seed=3)
-        with StreamEngine(seed=5) as engine:
-            engine.add_tenant("t", initial)
-
-            def boom():
-                raise GraphError("invariant broken")
-
-            engine.tenant_service("t").verify = boom
-            with pytest.raises(GraphError, match=r"tenant 't'.*\[pool .*tasks_run"):
-                engine.verify()
-
 
 class TestSegmentCleanup:
     def test_pool_close_unlinks_every_segment(self):
@@ -291,42 +217,14 @@ class TestSegmentCleanup:
         assert pool.registry.segment_names() == ()
         assert not any(_segment_exists(name) for name in names)
 
-    def test_derived_pool_close_leaves_the_borrowed_registry_alive(self):
-        with WorkerPool(workers=1) as owner:
-            derived = WorkerPool(workers=1, registry=owner.registry)
-            scope_a = derived.allocate_scope("s-")
-            scope_b = owner.allocate_scope("s-")
-            assert scope_a != scope_b  # one counter for all co-resident pools
-            handle = derived.publish_out_shards(scope_a, [{0: (1, 2)}])
-            owner.registry.ensure_shared(handle)
-            names = owner.registry.segment_names()
-            derived.close()
-            # The borrower released nothing it did not own.
-            assert owner.registry.segment_names() == names
-            assert shm.out_shard(handle, 0) == {0: (1, 2)}
-        assert not any(_segment_exists(name) for name in names)
-
-    def test_stream_engine_close_unlinks_its_registry(self):
-        initial = union_of_random_forests(48, arboricity=2, seed=3)
-        engine = StreamEngine(seed=5)
-        engine.add_tenant("t", initial)
-        pool = engine.pool
-        assert pool is not None  # tenants borrow the engine registry
-        handle = pool.publish_out_shards(pool.allocate_scope("probe-"), [{0: (1,)}])
-        pool.registry.ensure_shared(handle)
-        names = pool.registry.segment_names()
-        assert names and all(_segment_exists(name) for name in names)
-        engine.close()
-        assert pool.registry.segment_names() == ()
-        assert not any(_segment_exists(name) for name in names)
-
     def test_atexit_sweep_reclaims_a_forgotten_owners_segments(self):
         """An owner that exits without ever calling close leaks nothing: the
         module's atexit sweep unlinks whatever the process still owns."""
         script = (
-            "from repro.engine.shm import ShardRegistry, publish_out_shards\n"
+            "from repro.engine.shm import ShardRegistry, publish_edge_parts\n"
+            "from repro.graph.graph import Graph\n"
             "registry = ShardRegistry()\n"
-            "handle = publish_out_shards(registry, 'probe', [{0: (1,)}])\n"
+            "handle = publish_edge_parts(registry, 'probe', 2, [Graph(2, [(0, 1)])])\n"
             "registry.ensure_shared(handle)\n"
             "print(handle.segment_name)\n"
             "# deliberately no close(): atexit must sweep\n"

@@ -3,9 +3,7 @@
 The per-kernel equivalence suite pins each dispatcher in isolation; these
 tests pin the composition — a whole Theorem 1.1 orientation run, a whole
 Theorem 1.2 coloring run (both branches), a full streaming trace — computed
-once per backend and compared as complete result fingerprints.  Also covers
-the zero-copy :func:`repro.engine.shm.numpy_column` bridge against the
-copying reference slice.
+once per backend and compared as complete result fingerprints.
 """
 
 from __future__ import annotations
@@ -93,36 +91,3 @@ class TestEndToEnd:
 
         results = _per_backend(run)
         assert results[kernels.PURE] == results[kernels.NUMPY]
-
-
-@needs_numpy
-class TestShmNumpyColumn:
-    def test_view_matches_the_copying_slice(self):
-        from repro.engine import WorkerPool, shm
-        from repro.errors import GraphError
-
-        graph = union_of_random_forests(64, arboricity=2, seed=4)
-        parts = [graph.induced_subgraph(range(0, 64, 2))]
-        with WorkerPool(workers=1) as pool:
-            handle = pool.publish_vertex_parts("np-view", parts)
-            pool.registry.ensure_shared(handle)
-            view = shm._attach_segment(handle)
-            for name, (_base, count) in view.columns.items():
-                arr = shm.numpy_column(handle, name)
-                assert arr.tolist() == list(shm._column_slice(view, name, 0, count))
-                assert not arr.flags.writeable
-                if count >= 2:
-                    window = shm.numpy_column(handle, name, 1, count - 1)
-                    assert window.tolist() == list(
-                        shm._column_slice(view, name, 1, count - 1)
-                    )
-            with pytest.raises(GraphError, match="slice"):
-                shm.numpy_column(handle, name, 0, count + 1)
-
-    def test_requires_numpy(self, monkeypatch):
-        from repro.engine import shm
-        from repro.errors import GraphError
-
-        monkeypatch.setattr(kernels, "_numpy_ok", False)
-        with pytest.raises(GraphError, match="numpy"):
-            shm.numpy_column(object(), "edge_u")

@@ -31,7 +31,6 @@ def engine_payload():
     )
     with StreamEngine(
         seed=7,
-        workers=2,
         tracer=tracer,
         planner=make_planner("top-k-backlog", k=2),
         round_budget=48,

@@ -2,33 +2,34 @@
 
 The matrix the tentpole pins: with the same seed, ``orient``, ``color``, and
 a quota-breaching engine run all produce identical results — heads, colors,
-round counts, quarantine decisions — with tracing on or off, on every
-backend (serial / thread / process) and worker count (1 / 2 / 4).  The
-tracer only ever *reads* the ledger, so a single golden fingerprint per
-scenario must match every cell of the matrix.
+round counts, quarantine decisions — with tracing on or off.  ``orient`` and
+``color`` are checked on every executor backend (serial / process) and
+worker count (1 / 2 / 4); the engine, which runs in-process, on either
+kernel backend under every scheduling policy.  The tracer only ever *reads* the ledger, so a single golden
+fingerprint per scenario must match every cell of the matrix.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import kernels
 from repro.core.coloring import color
 from repro.core.orientation import orient
-from repro.engine import PROCESS, SERIAL, THREAD, ParallelExecutor, derive_seed
+from repro.engine import PROCESS, SERIAL, ParallelExecutor, derive_seed
 from repro.errors import QuotaExceededError
 from repro.graph.generators import union_of_random_forests
 from repro.obs import Tracer
 from repro.stream.engine import StreamEngine
+from repro.stream.scheduler import POLICIES
 from repro.stream.service import StreamingService
 from repro.stream.updates import UpdateBatch
 from repro.stream.workloads import multi_tenant_traces
 
-# (backend, workers): serial is single-worker by definition; thread and
-# process cover the multi-worker cells of the 1/2/4 sweep.
+# (backend, workers): serial is single-worker by definition; process covers
+# the multi-worker cells of the 1/2/4 sweep.
 MATRIX = [
     (SERIAL, 1),
-    (THREAD, 2),
-    (THREAD, 4),
     (PROCESS, 2),
     (PROCESS, 4),
 ]
@@ -95,7 +96,6 @@ def _hog_quota_and_inserts(initial, seed):
         )
         + 4
     )
-    probe.close()
     inserts = []
     for u in range(initial.num_vertices):
         for v in range(u + 1, initial.num_vertices):
@@ -106,7 +106,7 @@ def _hog_quota_and_inserts(initial, seed):
     return quota, inserts
 
 
-def _engine_fingerprint(workers, tracer):
+def _engine_fingerprint(tracer, policy):
     """A quota-breach engine run: sibling results + quarantine + tick rounds."""
     traces = multi_tenant_traces(
         num_tenants=2, num_vertices=48, num_batches=2, batch_size=16, seed=13
@@ -114,7 +114,7 @@ def _engine_fingerprint(workers, tracer):
     hog_initial = traces[1].initial
     quota, inserts = _hog_quota_and_inserts(hog_initial, derive_seed(13, 1))
     breached = False
-    with StreamEngine(seed=13, workers=workers, tracer=tracer) as engine:
+    with StreamEngine(seed=13, tracer=tracer, planner=policy) as engine:
         engine.add_tenant(traces[0].name, traces[0].initial)
         engine.add_tenant("hog", hog_initial, memory_quota=quota)
         engine.submit_all(traces[0].name, traces[0].batches)
@@ -162,10 +162,13 @@ class TestKernelMatrix:
 
 class TestEngineQuotaMatrix:
     @pytest.mark.parametrize("traced", TRACING, ids=["untraced", "traced"])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_quota_breach_run_is_identical_with_tracing_on_or_off(self, workers, traced):
-        golden = _engine_fingerprint(1, None)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_quota_breach_run_is_identical_with_tracing_on_or_off(
+        self, policy, traced, kernel_backend
+    ):
+        with kernels.use_backend(kernels.PURE):
+            golden = _engine_fingerprint(None, policy)
         assert golden[0] is True  # the quota actually breached
         assert golden[1] == ("hog",)
         tracer = Tracer() if traced else None
-        assert _engine_fingerprint(workers, tracer) == golden
+        assert _engine_fingerprint(tracer, policy) == golden

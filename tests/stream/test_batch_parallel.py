@@ -1,14 +1,21 @@
-"""Batch-parallel flip repair: conflict groups, determinism, proactive flips."""
+"""Conflict-group flip repair: planning, group order, determinism, proactive flips."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
 
-from repro.engine import PROCESS, SERIAL, THREAD, ParallelExecutor
-from repro.graph.generators import union_of_random_forests
+from repro import kernels
+from repro.graph.generators import (
+    chung_lu_power_law,
+    grid_2d,
+    random_forest,
+    union_of_random_forests,
+)
 from repro.graph.graph import Graph
+from repro.obs import Tracer
 from repro.stream.dynamic_graph import DynamicGraph
 from repro.stream.orientation import IncrementalOrientation, plan_conflict_groups
 from repro.stream.service import StreamingService
@@ -114,10 +121,179 @@ class TestApplyBatch:
         with pytest.raises(GraphError, match="drifted"):
             orientation2.apply_batch(UpdateBatch.from_ops([("+", 0, 1)]).updates)
 
+    def test_cap_safe_groups_run_before_flip_prone_groups(self):
+        """Pins the group execution order.  Group 0 overflows vertex 0, whose
+        flip path reverses 0 -> 1; group 1 is cap-safe and inserts {1, 9}.
+        Run plainly in group order, the flip lands first and the insert
+        orients 9 -> 1; cap-safe-first runs the insert on the pre-flip
+        degrees and orients 1 -> 9."""
+
+        def build():
+            dynamic = DynamicGraph.empty(10)
+            orientation = IncrementalOrientation(dynamic, lambda_bound=1, flip_slack=2)
+            assert orientation.outdegree_cap == 2
+            for tail, head in ((0, 1), (0, 2), (3, 4), (3, 5)):
+                dynamic.add_edge(tail, head)
+                orientation._out[tail].add(head)
+                orientation._outdeg[tail] += 1
+            batch = UpdateBatch.from_ops([("+", 0, 3), ("+", 1, 9)])
+            for update in batch.updates:
+                dynamic.add_edge(update.u, update.v)
+            return orientation, batch
+
+        plain, batch = build()
+        for group in plan_conflict_groups(batch.updates):
+            plain._apply_group([batch.updates[i] for i in group], True, plain.rebuilds)
+        assert plain.head(1, 9) == 1
+
+        orientation, batch = build()
+        report = orientation.apply_batch(batch.updates)
+        assert (report.num_groups, report.parallel_groups, report.serial_groups) == (2, 1, 1)
+        assert orientation.head(1, 9) == 9
+        assert orientation.head(0, 1) == 0
+        assert orientation.out_neighbors(1) == (0, 9)
+
+
+def _hot_batch(graph, seed, deletes=20, inserts=40, hot=10):
+    """A mixed batch over ``graph``: deletes of live edges plus inserts that
+    each touch a small hot vertex set, so on low-degeneracy graphs some
+    conflict groups stay cap-safe and some need a flip path."""
+    rng = random.Random(seed)
+    live = sorted(graph.edges)
+    ops = [("-", *edge) for edge in rng.sample(live, min(deletes, len(live)))]
+    hot_set = rng.sample(range(graph.num_vertices), hot)
+    seen = set(live)
+    while len(ops) < deletes + inserts:
+        u = rng.choice(hot_set)
+        v = rng.choice(hot_set) if rng.random() < 0.6 else rng.randrange(graph.num_vertices)
+        edge = (min(u, v), max(u, v))
+        if u == v or edge in seen:
+            continue
+        seen.add(edge)
+        ops.append(("+", *edge))
+    rng.shuffle(ops)
+    return UpdateBatch.from_ops(ops)
+
+
+# forest and grid batches include flip-prone groups (forest ones rebuild);
+# two-forests and power-law batches are all cap-safe.
+FAMILIES = {
+    "forest": lambda seed: random_forest(128, num_trees=4, seed=seed),
+    "two-forests": lambda seed: union_of_random_forests(128, arboricity=2, seed=seed),
+    "grid": lambda seed: grid_2d(8, 16),
+    "power-law": lambda seed: chung_lu_power_law(
+        128, exponent=2.3, average_degree=3.0, seed=seed
+    ),
+}
+
+
+def _prepared(family, seed):
+    """An orientation over a family graph with the hot batch already applied
+    to its dynamic graph (``apply_batch``'s precondition)."""
+    graph = FAMILIES[family](seed)
+    dynamic = DynamicGraph(graph)
+    orientation = IncrementalOrientation(dynamic, flip_slack=2)
+    batch = _hot_batch(graph, seed)
+    for update in batch.updates:
+        if update.is_insert:
+            dynamic.add_edge(update.u, update.v)
+        else:
+            dynamic.remove_edge(update.u, update.v)
+    return orientation, dynamic, batch
+
+
+def _heads(orientation):
+    return tuple(tuple(sorted(out)) for out in orientation._out)
+
+
+class TestSinglePathProperties:
+    """Random mixed batches through ``apply_batch`` on several graph
+    families: the result is a legal orientation of exactly the live edges,
+    the report adds up, and it is the same under either kernel backend and
+    after a checkpoint round trip of the pre-batch state."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_batch_lands_on_a_legal_state(self, family, seed, kernel_backend):
+        with kernels.use_backend(kernels.PURE):
+            reference, _dynamic, batch = _prepared(family, seed)
+            reference.apply_batch(batch.updates)
+        orientation, dynamic, batch = _prepared(family, seed)
+        repair_flips = orientation.flips - orientation.opportunistic_flips
+        opportunistic = orientation.opportunistic_flips
+        rebuilds = orientation.rebuilds
+
+        report = orientation.apply_batch(batch.updates)
+
+        live = set(dynamic.snapshot().edges)
+        oriented = {
+            (min(tail, head), max(tail, head))
+            for tail, heads in enumerate(orientation._out)
+            for head in heads
+        }
+        assert oriented == live
+        assert orientation.oriented_edge_count() == len(live)
+        assert orientation.max_outdegree() <= orientation.outdegree_cap
+        assert report.num_updates == len(batch)
+        assert report.num_groups == len(plan_conflict_groups(batch.updates))
+        assert report.parallel_groups + report.serial_groups == report.num_groups
+        assert report.proactive_flips == orientation.opportunistic_flips - opportunistic
+        if report.serial_groups == 0:
+            # cap-safe groups never start a flip search or a rebuild
+            assert orientation.flips - orientation.opportunistic_flips == repair_flips
+            assert orientation.rebuilds == rebuilds
+        assert _heads(orientation) == _heads(reference)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_restored_orientation_replays_the_batch_identically(
+        self, family, seed, kernel_backend
+    ):
+        """An orientation restored from a JSON ``state_dict`` (heads rebuilt
+        from sorted lists) repairs the same batch exactly like the original:
+        same report, heads, counters, λ̂ and cap."""
+        graph = FAMILIES[family](seed)
+        original = IncrementalOrientation(DynamicGraph(graph), flip_slack=2)
+        state = json.loads(json.dumps(original.state_dict()))
+        restored = IncrementalOrientation.from_state(state, DynamicGraph(graph))
+        batch = _hot_batch(graph, seed)
+        results = []
+        for orientation in (original, restored):
+            dynamic = orientation._dynamic
+            for update in batch.updates:
+                if update.is_insert:
+                    dynamic.add_edge(update.u, update.v)
+                else:
+                    dynamic.remove_edge(update.u, update.v)
+            report = orientation.apply_batch(batch.updates)
+            results.append((
+                report,
+                _heads(orientation),
+                orientation.flips,
+                orientation.opportunistic_flips,
+                orientation.rebuilds,
+                orientation.lambda_bound,
+                orientation.outdegree_cap,
+            ))
+        assert results[0] == results[1]
+
+    def test_families_cover_both_phases(self):
+        """The matrix is only meaningful if some batches need the flip-prone
+        phase (with and without a rebuild) and some are all cap-safe."""
+        outcomes = set()
+        for family in FAMILIES:
+            for seed in range(3):
+                orientation, _dynamic, batch = _prepared(family, seed)
+                report = orientation.apply_batch(batch.updates)
+                outcomes.add((report.serial_groups > 0, orientation.rebuilds > 0))
+        assert outcomes >= {(True, True), (True, False), (False, False)}
+
 
 class TestServiceDeterminism:
-    """ISSUE 3 satellite: same seed ⇒ byte-identical structures for any
-    worker count, on every trace family (including rebuild-heavy ones)."""
+    """Same seed ⇒ byte-identical structures under either kernel backend, on
+    every trace family (including rebuild-heavy ones), whether the batches
+    run straight through, with tracing on, or through a JSON
+    ``state_dict``/``from_state`` round trip after every batch."""
 
     @staticmethod
     def _fingerprint(service: StreamingService):
@@ -141,92 +317,31 @@ class TestServiceDeterminism:
         ],
         ids=["churn", "window", "densify"],
     )
-    def test_workers_1_2_4_identical(self, make_trace, kernel_backend):
-        # ``kernel_backend`` (ISSUE 8) re-runs the sweep per kernel backend;
-        # the fingerprints must agree across workers *and* kernels.
-        fingerprints = []
-        for workers in (1, 2, 4):
+    @pytest.mark.parametrize("mode", ["straight", "traced", "restored"])
+    def test_kernel_backends_identical(self, make_trace, mode, kernel_backend):
+        with kernels.use_backend(kernels.PURE):
             trace = make_trace()
-            service = StreamingService(trace.initial, seed=7, workers=workers)
+            service = StreamingService(trace.initial, seed=7)
             service.apply_all(trace.batches)
             service.verify()
-            fingerprints.append(self._fingerprint(service))
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-
-    def test_explicit_thread_executor_matches_serial(self):
-        results = []
-        for executor in (
-            ParallelExecutor(workers=1, backend=SERIAL),
-            ParallelExecutor(workers=4, backend=THREAD),
-        ):
-            trace = densifying_core_trace(80, core_size=24, num_batches=5,
-                                          batch_size=90, seed=6)
-            service = StreamingService(trace.initial, seed=1, executor=executor)
-            service.apply_all(trace.batches)
-            service.verify()
-            results.append(self._fingerprint(service))
-        assert results[0] == results[1]
-
-    @pytest.mark.parametrize(
-        "make_trace",
-        [
-            lambda: uniform_churn_trace(192, num_batches=4, batch_size=150, seed=2),
-            lambda: densifying_core_trace(96, core_size=32, num_batches=5,
-                                          batch_size=100, seed=4),
-        ],
-        ids=["churn", "densify"],
-    )
-    def test_process_backend_matches_serial(self, make_trace):
-        """ISSUE 4: cap-safe groups run under the process backend via
-        out-table sharding with the exact same determinism contract."""
-
-        class RecordingExecutor(ParallelExecutor):
-            """Counts maps of the shared-memory sharded task so the test
-            proves the process branch ran (``parallel_groups`` alone would
-            stay positive even if the branch degraded to the serial loop)."""
-
-            def __init__(self):
-                super().__init__(workers=4, backend=PROCESS)
-                self.sharded_maps = 0
-
-            def map(self, fn, tasks, total_work=None, backend=None):
-                tasks = [tuple(args) for args in tasks]
-                if fn.__name__ == "_apply_group_shm":
-                    self.sharded_maps += 1
-                return super().map(fn, tasks, total_work=total_work, backend=backend)
-
+            expected = self._fingerprint(service)
         trace = make_trace()
-        with StreamingService(trace.initial, seed=7) as serial_service:
-            serial_service.apply_all(trace.batches)
-            serial_service.verify()
-            expected = self._fingerprint(serial_service)
-
-        trace = make_trace()
-        recording = RecordingExecutor()
-        with StreamingService(trace.initial, seed=7, executor=recording) as service:
+        if mode == "restored":
+            service = StreamingService(trace.initial, seed=7)
+            for batch in trace.batches:
+                service.apply(batch)
+                state = json.loads(json.dumps(service.state_dict()))
+                service = StreamingService.from_state(state)
+        else:
+            tracer = Tracer() if mode == "traced" else None
+            service = StreamingService(trace.initial, seed=7, tracer=tracer)
             service.apply_all(trace.batches)
-            service.verify()
-            assert self._fingerprint(service) == expected
-            assert recording.sharded_maps > 0  # the sharded path actually ran
-
-    def test_sharded_group_apply_rejects_drift(self):
-        """The sharded twin raises on the same drift the in-process path
-        does, instead of returning a corrupt shard."""
-        from repro.errors import GraphError
-        from repro.stream.orientation import _apply_group_sharded
-
-        updates = UpdateBatch.from_ops([("+", 0, 1)]).updates
-        with pytest.raises(GraphError, match="drifted"):
-            _apply_group_sharded({0: (1,), 1: ()}, list(updates), cap=4)
-        deletes = UpdateBatch.from_ops([("-", 0, 1)]).updates
-        with pytest.raises(GraphError, match="not oriented"):
-            _apply_group_sharded({0: (), 1: ()}, list(deletes), cap=4)
-        with pytest.raises(GraphError, match="precheck is broken"):
-            _apply_group_sharded({0: (2, 3), 1: (4, 5)}, list(updates), cap=2)
+        service.verify()
+        assert self._fingerprint(service) == expected
 
     def test_parallel_groups_are_reported(self):
         trace = uniform_churn_trace(256, num_batches=3, batch_size=150, seed=8)
-        service = StreamingService(trace.initial, seed=8, workers=2)
+        service = StreamingService(trace.initial, seed=8)
         summary = service.apply_all(trace.batches)
         assert all(r.conflict_groups >= r.parallel_groups for r in summary.reports)
         assert sum(r.parallel_groups for r in summary.reports) > 0

@@ -1,9 +1,8 @@
 """Checkpoint/restore: byte-identity, the crash matrix, and corruption.
 
 ISSUE 10 acceptance: restore-after-crash is byte-identical to the
-uninterrupted run across backends {serial, thread, process} × kernels
-{pure, numpy} × workers {1, 2, 4}; a truncated or corrupted snapshot
-raises a typed :class:`~repro.errors.CheckpointError` and the engine under
+uninterrupted run across kernels {pure, numpy} × scheduling policies × crash
+ticks; a truncated or corrupted snapshot raises a typed :class:`~repro.errors.CheckpointError` and the engine under
 construction is torn down, never half-restored.
 """
 
@@ -11,17 +10,16 @@ from __future__ import annotations
 
 import json
 import os
-import random
 import threading
 
 import pytest
 
-import repro.stream.engine as engine_module
-from repro.engine import PROCESS, SERIAL, THREAD, ParallelExecutor, derive_seed
+from repro.engine import derive_seed
 from repro.errors import CheckpointError, GraphError, QuotaExceededError
 from repro.graph.generators import union_of_random_forests
 from repro.stream import checkpoint
 from repro.stream.engine import StreamEngine, TenantState
+from repro.stream.scheduler import POLICIES, make_planner
 from repro.stream.service import StreamingService
 from repro.stream.updates import UpdateBatch
 from repro.stream.workloads import multi_tenant_traces
@@ -45,9 +43,9 @@ def _loaded_engine(traces, seed=9, **kwargs):
     return engine
 
 
-def _reference_fingerprint(traces, seed=9):
-    """Fingerprint of the uninterrupted serial/workers=1 run."""
-    with _loaded_engine(traces, seed=seed) as engine:
+def _reference_fingerprint(traces, seed=9, **kwargs):
+    """Fingerprint of the uninterrupted run."""
+    with _loaded_engine(traces, seed=seed, **kwargs) as engine:
         engine.run_until_drained()
         engine.verify()
         return checkpoint.fingerprint(engine)
@@ -141,36 +139,41 @@ class TestRoundtrip:
 
 
 class TestCrashRestoreMatrix:
-    """The acceptance matrix: crash at a random tick, restore, drain —
-    byte-identical to the uninterrupted run for every backend × worker
-    count, re-run per kernel backend via the ``kernel_backend`` fixture."""
+    """The acceptance matrix: crash after each tick (0 = before the first,
+    3 = after the last batch under serve-all), restore, drain —
+    byte-identical to the uninterrupted run under every scheduling policy,
+    re-run per kernel backend via the ``kernel_backend`` fixture."""
 
-    @pytest.mark.parametrize("backend", [SERIAL, THREAD, PROCESS])
-    @pytest.mark.parametrize("workers", [1, 2, 4])
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("crash_after", [0, 1, 2, 3])
     def test_crash_restore_matches_uninterrupted(
-        self, backend, workers, kernel_backend, tmp_path
+        self, crash_after, policy, kernel_backend, tmp_path
     ):
         traces = _fleet()
-        reference = _reference_fingerprint(traces)
-        rng = random.Random((workers, backend, kernel_backend).__hash__())
-        crash_after = rng.randint(1, 2)
+        reference = _reference_fingerprint(traces, **self._options(policy))
         path = tmp_path / "crash.json"
-        executor = ParallelExecutor(workers=workers, backend=backend)
-        with _loaded_engine(traces, executor=executor) as engine:
+        with _loaded_engine(traces, **self._options(policy)) as engine:
             for _ in range(crash_after):
                 engine.tick()
             engine.checkpoint(path)
-        executor.close()
 
-        fresh = ParallelExecutor(workers=workers, backend=backend)
-        restored = StreamEngine.restore(path, executor=fresh)
+        restored = StreamEngine.restore(path)
         try:
             restored.run_until_drained()
             restored.verify()
             assert checkpoint.fingerprint(restored) == reference
         finally:
             restored.close()
-            fresh.close()
+
+    @staticmethod
+    def _options(policy):
+        """Engine options for ``policy``: a fresh planner per engine, since
+        planners carry scheduling state."""
+        if policy == "top-k-backlog":
+            return {"planner": make_planner("top-k-backlog", k=1)}
+        if policy == "deficit-round-robin":
+            return {"planner": "deficit-round-robin", "round_budget": 40}
+        return {"planner": policy}
 
 
 class TestCheckpointDuringInFlightTick:
@@ -178,16 +181,16 @@ class TestCheckpointDuringInFlightTick:
         """A checkpoint issued while a tick is mid-flight must block on the
         engine lock and snapshot the *post*-tick state."""
         entered = threading.Event()
-        original = engine_module._apply_tenant_batch
+        original = StreamingService.apply
 
-        def slow_apply(service, batch, **kwargs):
+        def slow_apply(service, batch):
             entered.set()
             # hold the tick (and the engine lock) long enough for the main
             # thread to be blocked inside checkpoint()
             threading.Event().wait(0.2)
-            return original(service, batch, **kwargs)
+            return original(service, batch)
 
-        monkeypatch.setattr(engine_module, "_apply_tenant_batch", slow_apply)
+        monkeypatch.setattr(StreamingService, "apply", slow_apply)
         traces = _fleet()
         path = tmp_path / "inflight.json"
         with _loaded_engine(traces) as engine:
@@ -213,7 +216,6 @@ class TestLifecycleStatesSurvive:
         probe = StreamingService(initial, seed=seed)
         peak = probe.cluster.stats.peak_global_memory_words
         in_use = probe.cluster.global_memory_in_use()
-        probe.close()
         return max(peak, in_use) + 20
 
     @staticmethod

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine import ParallelExecutor
+from repro.core.coreness import geometric_guesses
 from repro.errors import GraphError
 from repro.graph.arboricity import arboricity_upper_bound
 from repro.graph.generators import complete_graph, union_of_random_forests
@@ -47,19 +47,18 @@ class TestSeedValue:
         assert seed_lambda_from_coreness(Graph.empty(0)) == 1
         assert seed_lambda_from_coreness(Graph.empty(5)) == 1
 
-    def test_executor_fanout_matches_serial(self):
-        graph = union_of_random_forests(200, arboricity=3, seed=7)
-        with ParallelExecutor(workers=2) as executor:
-            assert seed_lambda_from_coreness(graph, executor=executor) == (
-                seed_lambda_from_coreness(graph)
-            )
-
     def test_ladder_rounds_are_charged_to_the_cluster(self):
-        graph = complete_graph(8)
+        """The guesses are independent peels: one superstep charges the
+        slowest guess plus one combine round."""
+        graph = union_of_random_forests(200, arboricity=3, seed=7)
         cluster = MPCCluster(MPCConfig.for_graph(graph))
         before = cluster.stats.num_rounds
         seed_lambda_from_coreness(graph, cluster=cluster)
-        assert cluster.stats.num_rounds > before
+        slowest = max(
+            graph.peel_layers(2 * guess)[1]
+            for guess in geometric_guesses(graph.max_degree(), 0.5)
+        )
+        assert cluster.stats.num_rounds - before == slowest + 1
 
 
 class TestServicePlumbing:

@@ -28,7 +28,9 @@ from repro.core.partitioning import random_edge_partition
 from repro.graph.generators import union_of_random_forests
 from repro.graph.graph import Graph
 from repro.stream import checkpoint
+from repro.obs import Tracer
 from repro.stream.engine import StreamEngine, TenantState
+from repro.stream.scheduler import ServeAllPlanner
 from repro.stream.service import StreamingService
 from repro.stream.updates import UpdateBatch
 from repro.stream.workloads import multi_tenant_traces, uniform_churn_trace
@@ -62,7 +64,6 @@ def _quota_for(initial, seed, headroom=20):
     probe = StreamingService(initial, seed=seed)
     peak = probe.cluster.stats.peak_global_memory_words
     in_use = probe.cluster.global_memory_in_use()
-    probe.close()
     return max(peak, in_use) + headroom
 
 
@@ -201,7 +202,6 @@ class TestLifecycleStateMachine:
                 assert _tenant_fingerprint(
                     engine.tenant_service(traces[index].name)
                 ) == _tenant_fingerprint(standalone)
-                standalone.close()
 
 
 class TestResidentTicker:
@@ -260,7 +260,6 @@ class TestResidentTicker:
                 assert _tenant_fingerprint(
                     engine.tenant_service(trace.name)
                 ) == _tenant_fingerprint(standalone)
-                standalone.close()
 
     def test_ticker_absorbs_bad_batches_and_serves_siblings(self):
         """A failing head batch must not kill the ticker: the error lands in
@@ -285,6 +284,33 @@ class TestResidentTicker:
             assert engine.pending("bad") == 1
             assert any("dead edge" in str(exc) for exc in engine.tick_errors)
             engine.verify()
+
+    def test_unexpected_error_stops_the_ticker_and_is_reported(self):
+        """A non-library exception (here a planner bug) must not vanish with
+        the ticker thread: it is recorded and counted, the ticker exits, and
+        wait_until_drained names it instead of claiming start() was never
+        called."""
+
+        class BrokenPlanner(ServeAllPlanner):
+            def plan(self, loads, round_budget=None):
+                raise RuntimeError("planner bug")
+
+        tracer = Tracer()
+        trace = uniform_churn_trace(64, num_batches=1, batch_size=20, seed=2)
+        with StreamEngine(seed=5, planner=BrokenPlanner(), tracer=tracer) as engine:
+            engine.add_tenant("t", trace.initial)
+            engine.submit_all("t", trace.batches)
+            engine.start(tick_interval=0.005)
+            with pytest.raises(GraphError, match="unexpected error.*planner bug"):
+                engine.wait_until_drained(timeout=5.0)
+            assert not engine.running
+            assert [type(exc) for exc in engine.tick_errors] == [RuntimeError]
+            counters = tracer.metrics.snapshot()["counters"]
+            assert counters["engine.ticker_errors"] == 1
+            assert engine.pending("t") == 1
+            # A dead ticker is still reported on later waits.
+            with pytest.raises(GraphError, match="planner bug"):
+                engine.wait_until_drained(timeout=5.0)
 
     def test_start_validates_state_and_interval(self):
         with StreamEngine(seed=5) as engine:
@@ -409,7 +435,6 @@ class TestFaultInjectionTenantFailure:
             assert engine.tenant_summary("bad").num_batches == 0
             assert len(engine.ticks) == self.ITERATIONS
             engine.verify()
-        mirror.close()
 
 
 class TestFaultInjectionQuarantine:
@@ -452,4 +477,3 @@ class TestFaultInjectionQuarantine:
             assert len(engine.quarantined()) == self.ITERATIONS
             assert engine.tenant_state("good") is TenantState.ACTIVE
             engine.verify()
-        mirror.close()

@@ -2,22 +2,25 @@
 
 Extends PR 3's determinism contract to the scheduler layer: same seed ⇒
 byte-identical per-tenant structures, tick schedule, and shared-ledger rounds
-across workers {1, 2, 4} × backends {serial, thread, process} × all three
-scheduling policies.  The engine degrades the process backend to its serial
-loop (tenant tasks mutate live state), which must also be byte-identical.
+across kernel backends {pure, numpy} × all three scheduling policies × every
+way of driving the engine: synchronous ticks, the resident ticker thread, a
+traced run, and a checkpoint after the first tick restored into a fresh
+engine.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.engine import PROCESS, SERIAL, THREAD, ParallelExecutor
+from repro import kernels
+from repro.obs import Tracer
 from repro.stream.engine import StreamEngine
 from repro.stream.scheduler import POLICIES, make_planner
 from repro.stream.workloads import skewed_tenant_traces
 
 SEED = 11
 BUDGET = 14
+MODES = ("sync", "ticker", "traced", "restored")
 
 
 def _fleet():
@@ -41,17 +44,29 @@ def _options(policy):
     return {}
 
 
-def _run(policy, executor=None):
+def _run(policy, mode="sync", tmp_path=None):
     engine = StreamEngine(
         seed=SEED,
-        executor=executor,
         planner=make_planner(policy, **_options(policy)),
         round_budget=BUDGET,
+        tracer=Tracer() if mode == "traced" else None,
     )
     for trace in _fleet():
         engine.add_tenant(trace.name, trace.initial)
         engine.submit_all(trace.name, trace.batches)
-    engine.run_until_drained(max_ticks=200)
+    if mode == "ticker":
+        engine.start(tick_interval=0.005)
+        engine.wait_until_drained(timeout=30.0)
+        engine.stop()
+    elif mode == "restored":
+        engine.tick()
+        path = tmp_path / "mid-run.json"
+        engine.checkpoint(path)
+        engine.close()
+        engine = StreamEngine.restore(path)
+        engine.run_until_drained(max_ticks=200)
+    else:
+        engine.run_until_drained(max_ticks=200)
     engine.verify()
     return engine
 
@@ -77,27 +92,22 @@ def _fingerprint(engine):
 @pytest.fixture(scope="module")
 def references():
     cache = {}
-    for policy in POLICIES:
-        with _run(policy) as engine:
-            cache[policy] = _fingerprint(engine)
+    with kernels.use_backend(kernels.PURE):
+        for policy in POLICIES:
+            with _run(policy) as engine:
+                cache[policy] = _fingerprint(engine)
     return cache
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("backend", [SERIAL, THREAD, PROCESS])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_matrix_is_byte_identical(references, policy, backend, workers, kernel_backend):
-    # ``kernel_backend`` (ISSUE 8) re-runs every cell per kernel backend; the
-    # module-scoped references were computed under the default backend, which
-    # is exactly the byte-identity contract being pinned.
-    executor = ParallelExecutor(workers=workers, backend=backend)
-    try:
-        with _run(policy, executor=executor) as engine:
-            assert _fingerprint(engine) == references[policy], (
-                f"{policy} diverged under backend={backend} workers={workers}"
-            )
-    finally:
-        executor.close()
+def test_matrix_is_byte_identical(references, policy, mode, kernel_backend, tmp_path):
+    # ``kernel_backend`` re-runs every cell per kernel backend against the
+    # synchronous pure-backend references.
+    with _run(policy, mode, tmp_path) as engine:
+        assert _fingerprint(engine) == references[policy], (
+            f"{policy} diverged when driven {mode} under kernels={kernel_backend}"
+        )
 
 
 def test_policies_actually_schedule_differently():

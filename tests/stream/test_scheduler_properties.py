@@ -194,7 +194,6 @@ class TestNoStarvation:
                 assert TestScheduleTransparency._fingerprint(hosted) == (
                     TestScheduleTransparency._fingerprint(standalone)
                 )
-                standalone.close()
         finally:
             engine.close()
 
@@ -329,7 +328,6 @@ class TestScheduleTransparency:
                 assert self._fingerprint(hosted) == self._fingerprint(standalone), (
                     f"tenant {trace.name} diverged under {policy}"
                 )
-                standalone.close()
         finally:
             engine.close()
 

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro import kernels
 from repro.engine import derive_seed
 from repro.errors import GraphError, QuotaExceededError
 from repro.graph.generators import union_of_random_forests
 from repro.graph.graph import Graph
 from repro.stream.engine import StreamEngine
+from repro.stream.scheduler import POLICIES
 from repro.stream.service import StreamingService
 from repro.stream.updates import UpdateBatch
 from repro.stream.workloads import multi_tenant_traces, uniform_churn_trace
@@ -30,8 +32,8 @@ def _fleet(num_tenants=4, num_vertices=128, num_batches=4, batch_size=60, seed=3
     )
 
 
-def _run_engine(traces, seed=9, workers=1):
-    engine = StreamEngine(seed=seed, workers=workers)
+def _run_engine(traces, seed=9, planner=None):
+    engine = StreamEngine(seed=seed, planner=planner)
     for trace in traces:
         engine.add_tenant(trace.name, trace.initial)
         engine.submit_all(trace.name, trace.batches)
@@ -60,7 +62,7 @@ class TestTenantIsolation:
         tenant can observe — same reports, same heads/colors, same rounds —
         on a rebuild-heavy mixed fleet."""
         traces = _fleet()
-        with _run_engine(traces, seed=9, workers=2) as engine:
+        with _run_engine(traces, seed=9) as engine:
             assert sum(
                 engine.tenant_summary(name).total_rebuilds
                 for name in engine.tenant_names()
@@ -76,7 +78,6 @@ class TestTenantIsolation:
                     standalone.summary
                 )
                 assert _tenant_fingerprint(hosted) == _tenant_fingerprint(standalone)
-                standalone.close()
 
     def test_unknown_and_duplicate_tenants_are_rejected(self):
         with StreamEngine() as engine:
@@ -245,12 +246,10 @@ class TestMemoryQuotas:
         """Build peak + steady-state words of a standalone service (the probe
         that sizes quotas without hard-coding provisioning constants)."""
         probe = StreamingService(initial, seed=seed)
-        peaks = (
+        return (
             probe.cluster.stats.peak_global_memory_words,
             probe.cluster.global_memory_in_use(),
         )
-        probe.close()
-        return peaks
 
     def test_registration_rejects_a_quota_below_the_initial_graph(self):
         initial = union_of_random_forests(48, arboricity=2, seed=3)
@@ -315,7 +314,6 @@ class TestMemoryQuotas:
             assert _tenant_fingerprint(engine.tenant_service("good")) == (
                 _tenant_fingerprint(standalone)
             )
-            standalone.close()
 
     def test_lift_quarantine_resumes_byte_identical(self):
         """ISSUE 6 satellite: after the operator raises the quota, the lifted
@@ -357,7 +355,6 @@ class TestMemoryQuotas:
             assert _report_rows(engine.tenant_summary("t")) == _report_rows(
                 standalone.summary
             )
-            standalone.close()
 
     def test_lift_quarantine_validates_its_inputs(self):
         initial = union_of_random_forests(48, arboricity=1, seed=3)
@@ -412,7 +409,8 @@ class TestMemoryQuotas:
 
 class TestEngineDeterminism:
     """ISSUE 4 satellite: same seed ⇒ byte-identical tenant structures and
-    aggregate rounds for any worker count, on a rebuild-heavy fleet."""
+    aggregate rounds on a rebuild-heavy fleet, under either kernel backend
+    and every scheduling policy."""
 
     @staticmethod
     def _engine_fingerprint(engine):
@@ -424,11 +422,22 @@ class TestEngineDeterminism:
             tuple(tick.rounds for tick in engine.ticks),
         )
 
-    @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_worker_counts_are_byte_identical(self, workers, kernel_backend):
-        # ``kernel_backend`` (ISSUE 9) re-runs the matrix per kernel backend;
-        # the fingerprint must agree across workers *and* kernels.
-        with _run_engine(_fleet(), seed=9, workers=1) as reference:
-            expected = self._engine_fingerprint(reference)
-        with _run_engine(_fleet(), seed=9, workers=workers) as engine:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_kernel_backends_are_byte_identical(self, policy, kernel_backend):
+        with kernels.use_backend(kernels.PURE):
+            with _run_engine(_fleet(), seed=9, planner=policy) as reference:
+                expected = self._engine_fingerprint(reference)
+        with _run_engine(_fleet(), seed=9, planner=policy) as engine:
             assert self._engine_fingerprint(engine) == expected
+
+    def test_verify_failure_names_the_tenant(self):
+        initial = union_of_random_forests(48, arboricity=2, seed=3)
+        with StreamEngine(seed=5) as engine:
+            engine.add_tenant("t", initial)
+
+            def boom():
+                raise GraphError("invariant broken")
+
+            engine.tenant_service("t").verify = boom
+            with pytest.raises(GraphError, match=r"^tenant 't': invariant broken$"):
+                engine.verify()

@@ -105,14 +105,28 @@ class TestWorkersAndStream:
         assert main(["orient", str(path), "--quiet", "--workers", "4"]) == 0
         assert capsys.readouterr().out == serial
 
-    def test_stream_accepts_workers(self, capsys):
+    def test_stream_prints_one_row_per_batch(self, capsys):
         assert main([
             "stream", "uniform_churn", "96", "--batches", "3",
-            "--batch-size", "40", "--quiet", "--workers", "2",
+            "--batch-size", "40", "--quiet",
         ]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# batch")
         assert len(out.strip().splitlines()) == 4  # header + 3 batch rows
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "uniform_churn", "96", "--workers", "2"],
+            ["stream-multi", "--smoke", "--workers", "2"],
+        ],
+        ids=["stream", "stream-multi"],
+    )
+    def test_streaming_commands_have_no_workers_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_color_workers_do_not_change_the_output(self, graph_file, capsys):
         path, _graph = graph_file
@@ -126,7 +140,7 @@ class TestStreamMulti:
     def test_stream_multi_prints_one_row_per_tick(self, capsys):
         assert main([
             "stream-multi", "96", "--tenants", "3", "--batches", "3",
-            "--batch-size", "40", "--quiet", "--workers", "2",
+            "--batch-size", "40", "--quiet",
         ]) == 0
         out = capsys.readouterr().out
         assert out.startswith("# tick")
@@ -306,6 +320,13 @@ class TestExperimentCommand:
         out = capsys.readouterr().out
         assert "round_savings" in out
         assert "multi_tenant" in out
+
+    @pytest.mark.parametrize("experiment_id", ["S1", "S2", "S3", "S4"])
+    def test_streaming_experiments_reject_workers(self, experiment_id, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["experiment", experiment_id, "--quiet", "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "E1/E2/E3 only" in capsys.readouterr().err
 
     def test_experiment_rejects_unrunnable_ids(self, capsys):
         with pytest.raises(SystemExit):
