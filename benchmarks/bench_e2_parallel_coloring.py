@@ -1,7 +1,7 @@
 """Engine-backed Theorem 1.2 — parallel Lemma 2.2 vertex-partition coloring.
 
-The coloring twin of ``bench_engine_parallel.py``: with 4 process workers on
-the resident shared-memory pool, large-λ ``color()`` on a 100k-vertex
+The coloring twin of ``bench_engine_parallel.py``: with 4 process workers,
+large-λ ``color()`` on a 100k-vertex
 workload must be **≥ 4× faster** end-to-end than the serial path, with
 results (per-vertex colors, palette, rounds) byte-identical to
 ``workers=1``.  Each run writes one timestamped
@@ -27,12 +27,13 @@ import argparse
 import os
 import sys
 import time
+from unittest import mock
 
 import pytest
 
 from _bench_results import write_snapshot
 from repro.core.coloring import color
-from repro.engine import PROCESS, ParallelExecutor
+from repro.engine import pool as engine_pool
 from repro.graph.generators import union_of_random_forests
 
 NUM_VERTICES = 100_000
@@ -53,10 +54,13 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _color_once(graph, k, executor):
-    start = time.perf_counter()
-    run = color(graph, k=k, seed=7, force_vertex_partitioning=True, executor=executor)
-    return time.perf_counter() - start, run
+def _color_once(graph, k, workers):
+    # A zero threshold sends every multi-worker run to process workers,
+    # smoke instances included.
+    with mock.patch.object(engine_pool, "SERIAL_WORK_THRESHOLD", 0):
+        start = time.perf_counter()
+        run = color(graph, k=k, seed=7, force_vertex_partitioning=True, workers=workers)
+        return time.perf_counter() - start, run
 
 
 def run_coloring_benchmark(
@@ -65,10 +69,8 @@ def run_coloring_benchmark(
     k: int = EXPLICIT_K,
 ) -> dict[str, float]:
     graph = union_of_random_forests(num_vertices, arboricity=arboricity, seed=42)
-    with ParallelExecutor(workers=1) as serial_executor:
-        serial_s, serial_run = _color_once(graph, k, serial_executor)
-    with ParallelExecutor(workers=WORKERS, backend=PROCESS) as parallel_executor:
-        parallel_s, parallel_run = _color_once(graph, k, parallel_executor)
+    serial_s, serial_run = _color_once(graph, k, 1)
+    parallel_s, parallel_run = _color_once(graph, k, WORKERS)
     identical = (
         serial_run.coloring.as_dict() == parallel_run.coloring.as_dict()
         and serial_run.rounds == parallel_run.rounds

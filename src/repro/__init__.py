@@ -12,8 +12,8 @@ The package is organised as:
 * :mod:`repro.analysis` — validators, statistics and report generation.
 * :mod:`repro.stream` — streaming subsystem: dynamic graphs under edge churn
   with incremental orientation/coloring maintenance.
-* :mod:`repro.engine` — superstep execution engine: parallel task fan-out
-  with sub-ledger round accounting and a worker-count determinism contract.
+* :mod:`repro.engine` — host fan-out of independent tasks (serial or process
+  workers) under a worker-count determinism contract.
 * :mod:`repro.experiments` — workloads and the experiment harness behind the
   benchmark suite.
 
@@ -31,7 +31,6 @@ from repro.core.coloring import ColoringRun, color, coloring_palette_bound
 from repro.core.coreness import CorenessResult, approximate_coreness, exact_coreness
 from repro.core.full_assignment import complete_layer_assignment
 from repro.core.orientation import OrientationRun, orient, orientation_outdegree_bound
-from repro.engine import ParallelExecutor
 from repro.graph import generators
 from repro.graph.coloring import Coloring
 from repro.graph.graph import Graph
@@ -56,7 +55,6 @@ __all__ = [
     "MPCConfig",
     "Orientation",
     "OrientationRun",
-    "ParallelExecutor",
     "StreamingService",
     "UpdateBatch",
     "__version__",

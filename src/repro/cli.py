@@ -105,10 +105,18 @@ def _emit(content: str, output: str | None) -> None:
         print(content)
 
 
+def _positive_int(text: str) -> int:
+    """Argparse type for counts that must be at least 1."""
+    value = int(text)  # argparse reports a ValueError as "invalid value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_workers_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=1,
         help="process workers for the static part fan-out (default 1 = serial; "
         "results are identical for any worker count)",

@@ -27,21 +27,19 @@ coloring is proper by construction (validated, not assumed).
 **Parallel execution.**  The Lemma 2.2 parts are *independent*: the paper
 colors them simultaneously on the shared cluster, so their layering and
 list-coloring rounds coincide rather than add.  The large-λ branch therefore
-fans the parts out through the superstep engine
-(:class:`repro.engine.ParallelExecutor`) — each part layers and colors
-against its own sub-ledger (:meth:`repro.mpc.cluster.MPCCluster.fork`) and
-the fold charges rounds as max-over-parts — and combines the per-part
-colorings with a disjoint color-offset scheme: part ``i``'s colors are
-shifted by the sum of the palette sizes of parts ``0..i-1`` (a prefix-sum
-broadcast, charged as one ``palette-offsets`` round).  Results are
-byte-identical for any worker count and backend: the partition is fixed by
-the parent RNG before the fan-out, each part draws only from its own seed
-stream (:func:`repro.engine.derive_seed` by part position), and the offsets
-depend only on the fixed part order.  Cross-process shipping is lean — the
-parts' CSR edge columns and parent-id maps are published *once* into the
-worker pool's shared-memory shard registry (:mod:`repro.engine.shm`), each
-task ships only a shard handle plus a slot index, and the result ships back
-as flat ``array('l')`` color/layer columns instead of per-vertex dicts.
+fans the parts out through the worker pool (:class:`repro.engine.WorkerPool`)
+— each part layers and colors against its own sub-ledger
+(:meth:`repro.mpc.cluster.MPCCluster.fork`) and the fold charges rounds as
+max-over-parts — and combines the per-part colorings with a disjoint
+color-offset scheme: part ``i``'s colors are shifted by the sum of the
+palette sizes of parts ``0..i-1`` (a prefix-sum broadcast, charged as one
+``palette-offsets`` round).  Results are byte-identical for any worker
+count: the partition is fixed by the parent RNG before the fan-out, each
+part draws only from its own seed stream (:func:`repro.engine.derive_seed`
+by part position), and the offsets depend only on the fixed part order.
+Shipping is lean both ways: each task carries its part (a pickled pair of
+edge columns plus the parent-id map), and the result ships back as flat
+``array('l')`` color/layer columns instead of per-vertex dicts.
 
 The output's color count is ``O(λ · log log n)`` — experiment E2 measures
 the realised constant.
@@ -58,9 +56,7 @@ from repro import kernels
 from repro.core.directed_expo import directed_reachability
 from repro.core.full_assignment import complete_layer_assignment
 from repro.core.partitioning import random_vertex_partition
-from repro.engine import ParallelExecutor, WorkerPool, seed_stream
-from repro.engine import shm
-from repro.engine.shm import ShardHandle
+from repro.engine import WorkerPool, seed_stream
 from repro.errors import ParameterError
 from repro.graph.arboricity import arboricity_upper_bound
 from repro.graph.coloring import Coloring
@@ -175,8 +171,7 @@ def _color_layered_graph(
 
 
 def _color_part_task(
-    handle: ShardHandle,
-    slot: int,
+    part: InducedSubgraph,
     k: int,
     delta: float,
     palette_slack: int,
@@ -185,17 +180,12 @@ def _color_part_task(
 ) -> tuple[array, array, int, int, object]:
     """Layer and color one Lemma 2.2 part against its own sub-ledger.
 
-    Module-level so the process backend can pickle it by reference.  The
-    part is *not* in the task tuple: it is read from the published CSR shard
-    segment (:func:`repro.engine.shm.shard_graph`) — zero-copy to the owner's
-    part object in-process, attached from shared memory (and cached per
-    generation) in workers.  The part is colored with a palette-local base of
-    0 — the parent applies the disjoint offset when folding — and the result
+    Module-level so process workers can unpickle it by reference.  The part
+    is colored with a palette-local base of 0 — the parent applies the disjoint offset when folding — and the result
     travels as two flat ``array('l')`` columns (color and layer per local
     vertex id) plus the sub-ledger's stats: everything else (the HPartition
     object, the palette dict) is rebuilt cheaply on the parent side.
     """
-    part = shm.shard_graph(handle, slot)
     run = complete_layer_assignment(part, k=k, delta=delta, cluster=ledger)
     hpartition = run.to_hpartition()
     out_degree = max(hpartition.max_out_degree(), 1)
@@ -224,8 +214,6 @@ def color(
     palette_slack: int = 3,
     force_vertex_partitioning: bool | None = None,
     workers: int = 1,
-    executor: ParallelExecutor | None = None,
-    pool: WorkerPool | None = None,
     tracer=None,
 ) -> ColoringRun:
     """Compute an ``O(λ log log n)``-coloring of ``graph`` (Theorem 1.2).
@@ -233,17 +221,15 @@ def color(
     Parameters mirror :func:`repro.core.orientation.orient`; ``palette_slack``
     is the constant in the per-part palette size ``palette_slack · d`` (the
     paper uses 3d).  ``workers`` fans the Lemma 2.2 vertex-partition parts of
-    the large-λ branch out through a :class:`~repro.engine.ParallelExecutor`
-    (1 = serial; the round accounting is max-over-parts either way),
-    ``executor`` overrides it with a pre-built executor pinning a specific
-    backend, and ``pool`` overrides both with a resident
-    :class:`~repro.engine.WorkerPool` — the parts are then published into
-    the pool's shard registry and each task ships only a handle and a slot
-    index.  Results are byte-identical for any worker count and backend.
+    the large-λ branch out through a :class:`~repro.engine.WorkerPool` (1 =
+    serial; must be at least 1; the round accounting is max-over-parts
+    either way).  Results are byte-identical for any worker count.
     ``tracer`` records kernel-level wall-clock spans (layer+color, fan-out,
     palette union) with their ledger deltas — observation only, results are
     identical with tracing on or off.
     """
+    if workers < 1:
+        raise ParameterError("workers must be at least 1")
     if graph.num_vertices == 0:
         empty = Coloring(graph, {})
         return ColoringRun(
@@ -328,32 +314,20 @@ def color(
         for index, part in enumerate(vertex_partition.parts)
         if part.num_vertices
     ]
-    owns_pool = pool is None
-    if owns_pool:
-        # A borrowed executor is wrapped (not owned): closing the transient
-        # pool unlinks its segments but leaves the caller's workers resident.
-        pool = WorkerPool(workers=workers, executor=executor)
-    if tracer.enabled:
-        pool.instrument(tracer)
-    try:
+    with WorkerPool(workers) as pool:
+        if tracer.enabled:
+            pool.instrument(tracer)
         with tracer.span(
             "color:fanout", cat="kernel", cluster=cluster, parts=len(nonempty)
         ):
-            handle = pool.publish_vertex_parts(
-                "color-parts", [part for _index, part in nonempty]
-            )
             results = pool.map(
                 _color_part_task,
                 [
-                    (handle, slot, per_part_k, delta, palette_slack, part_seeds[index], cluster.fork())
-                    for slot, (index, _part) in enumerate(nonempty)
+                    (part, per_part_k, delta, palette_slack, part_seeds[index], cluster.fork())
+                    for index, part in nonempty
                 ],
                 total_work=vertex_partition.total_edges + graph.num_vertices,
-                handles=(handle,),
             )
-    finally:
-        if owns_pool:
-            pool.close()
 
     with tracer.span("color:merge", cat="kernel", cluster=cluster):
         cluster.merge_parallel([stats for *_rest, stats in results])

@@ -16,15 +16,13 @@ Pipeline (see the proof of Theorem 1.1):
 The Lemma 2.1 parts are *independent*: the paper orients them simultaneously
 on the shared cluster, so their layering rounds coincide rather than add.
 The large-λ branch therefore fans the parts out through the worker pool
-(:class:`repro.engine.WorkerPool`): the parts' CSR columns are published
-once into the pool's shared-memory shard registry (:mod:`repro.engine.shm`)
-and each task ships only a shard handle plus a part index.  Each part runs
-against its own sub-ledger (:meth:`repro.mpc.cluster.MPCCluster.fork`), the
-fold charges rounds as max-over-parts, and the part orientations combine as
-a balanced merge tree, charging ``⌈log2 L⌉`` extra rounds (label
-``merge-orientations``).
-Results are identical for any worker count and backend: the parts are fixed
-by the partition RNG before the fan-out and each part's layering pipeline is
+(:class:`repro.engine.WorkerPool`); each task carries its part, a pickled
+pair of edge columns.  Each part runs against its own sub-ledger
+(:meth:`repro.mpc.cluster.MPCCluster.fork`), the fold charges rounds as
+max-over-parts, and the part orientations combine as a balanced merge tree,
+charging ``⌈log2 L⌉`` extra rounds (label ``merge-orientations``).
+Results are identical for any worker count: the parts are fixed by the
+partition RNG before the fan-out and each part's layering pipeline is
 deterministic.
 
 The output's maximum outdegree is ``O(λ · log log n)`` — experiment E1
@@ -39,9 +37,7 @@ from dataclasses import dataclass, field
 
 from repro.core.full_assignment import LayerAssignmentRun, complete_layer_assignment
 from repro.core.partitioning import random_edge_partition
-from repro.engine import ParallelExecutor, WorkerPool
-from repro.engine import shm
-from repro.engine.shm import ShardHandle
+from repro.engine import WorkerPool
 from repro.errors import GraphError, ParameterError
 from repro.graph.arboricity import arboricity_upper_bound
 from repro.graph.graph import Graph
@@ -77,18 +73,14 @@ def _orient_from_run(graph: Graph, run: LayerAssignmentRun) -> tuple[Orientation
 
 
 def _orient_part_task(
-    handle: ShardHandle, index: int, k: int, delta: float, ledger: MPCCluster | None
+    part: Graph, k: int, delta: float, ledger: MPCCluster | None
 ) -> tuple[LayerAssignmentRun, Orientation, object]:
     """Orient one Lemma 2.1 part against its own sub-ledger.
 
-    Module-level so the process backend can pickle it by reference.  The part
-    itself is *not* in the task tuple: it is read from the published CSR shard
-    segment (:func:`repro.engine.shm.shard_graph`), which the serial backend
-    resolves zero-copy to the owner's part object and process workers attach
-    (and cache per generation) from shared memory.  Returns the sub-ledger's
-    stats rather than the cluster — that is all the parent's fold needs.
+    Module-level so process workers can unpickle it by reference.  Returns
+    the sub-ledger's stats rather than the cluster — that is all the
+    parent's fold needs.
     """
-    part = shm.shard_graph(handle, index)
     run = complete_layer_assignment(part, k=k, delta=delta, cluster=ledger)
     part_orientation, _ = _orient_from_run(part, run)
     return run, part_orientation, (ledger.stats if ledger is not None else None)
@@ -152,8 +144,6 @@ def orient(
     cluster: MPCCluster | None = None,
     force_edge_partitioning: bool | None = None,
     workers: int = 1,
-    executor: ParallelExecutor | None = None,
-    pool: WorkerPool | None = None,
     tracer=None,
 ) -> OrientationRun:
     """Compute an ``O(λ log log n)``-outdegree orientation (Theorem 1.1).
@@ -180,24 +170,18 @@ def orient(
         Override the automatic branch selection (used by tests/ablations).
     workers:
         Host-side parallelism for the large-λ branch: the Lemma 2.1 parts
-        fan out through a :class:`~repro.engine.ParallelExecutor` with this
-        many workers (1 = serial; the round accounting is max-over-parts
-        either way).  Results are identical for any worker count.
-    executor:
-        Optional pre-built executor (overrides ``workers``); tests use it to
-        pin a specific backend.  Wrapped in a transient borrowed
-        :class:`~repro.engine.WorkerPool` for the call.
-    pool:
-        Optional resident :class:`~repro.engine.WorkerPool` (overrides both
-        ``workers`` and ``executor``).  The Lemma 2.1 parts are published
-        into the pool's shard registry and each task ships only a handle and
-        a part index; repeated calls on one pool reuse its resident workers.
+        fan out through a :class:`~repro.engine.WorkerPool` with this many
+        workers (1 = serial; the round accounting is max-over-parts either
+        way).  Must be at least 1.  Results are identical for any worker
+        count.
     tracer:
         Optional :class:`repro.obs.Tracer`: records kernel-level wall-clock
         spans (layer assignment, part fan-out, merge tree) carrying the
         ledger delta each charged.  Observation only — results and round
         counts are byte-identical with tracing on or off.
     """
+    if workers < 1:
+        raise ParameterError("workers must be at least 1")
     if graph.num_vertices == 0:
         empty = Orientation(graph, {})
         return OrientationRun(
@@ -259,27 +243,17 @@ def orient(
     # Empty parts happen whenever the part count exceeds the edge count;
     # they contribute nothing and are simply skipped.
     parts = [part for part in edge_partition.parts if part.num_edges]
-    owns_pool = pool is None
-    if owns_pool:
-        # A borrowed executor is wrapped (not owned): closing the transient
-        # pool unlinks its segments but leaves the caller's workers resident.
-        pool = WorkerPool(workers=workers, executor=executor)
-    if tracer.enabled:
-        pool.instrument(tracer)
-    try:
+    with WorkerPool(workers) as pool:
+        if tracer.enabled:
+            pool.instrument(tracer)
         with tracer.span(
             "orient:fanout", cat="kernel", cluster=cluster, parts=len(parts)
         ):
-            handle = pool.publish_edge_parts("orient-parts", graph.num_vertices, parts)
             results = pool.map(
                 _orient_part_task,
-                [(handle, i, per_part_k, delta, cluster.fork()) for i in range(len(parts))],
+                [(part, per_part_k, delta, cluster.fork()) for part in parts],
                 total_work=sum(part.num_edges for part in parts),
-                handles=(handle,),
             )
-    finally:
-        if owns_pool:
-            pool.close()
     with tracer.span("orient:merge", cat="kernel", cluster=cluster):
         partition_runs.extend(run for run, _orientation, _stats in results)
         cluster.merge_parallel([stats for _run, _orientation, stats in results])

@@ -1,42 +1,24 @@
-"""Superstep execution engine for parallel MPC task fan-out.
+"""Host fan-out for independent MPC tasks.
 
 Public surface:
 
-* :class:`~repro.engine.executor.ParallelExecutor` — serial / process
-  backends with a determinism contract and serial auto-pick.
-* :class:`~repro.engine.pool.WorkerPool` — resident workers plus a
-  shared-memory shard registry: publish graph shards once, ship only task
-  descriptors + deltas per superstep.
-* :class:`~repro.engine.shm.ShardRegistry` / :func:`~repro.engine.shm.attach`
-  — the generation-tagged shared-memory data plane behind the pool.
-* :func:`~repro.engine.executor.derive_seed` /
-  :func:`~repro.engine.executor.seed_stream` — per-task RNG streams.
-* :class:`~repro.engine.ledger.SubLedger` — the fork/merge accounting
-  protocol implemented by :class:`repro.mpc.cluster.MPCCluster`.
+* :class:`~repro.engine.pool.WorkerPool` — runs a list of independent tasks
+  serially or on process workers, results in submission order; the
+  Lemma 2.1/2.2 parts of ``orient()`` and ``color()`` travel in the task
+  tuples.
+* :func:`~repro.engine.seeds.derive_seed` /
+  :func:`~repro.engine.seeds.seed_stream` — per-task RNG streams.
+
+The sub-ledger fold that charges a fan-out as max-over-parts lives on
+:meth:`repro.mpc.cluster.MPCCluster.fork` /
+:meth:`~repro.mpc.cluster.MPCCluster.merge_parallel`.
 """
 
-from repro.engine.executor import (
-    BACKENDS,
-    PROCESS,
-    SERIAL,
-    ParallelExecutor,
-    derive_seed,
-    seed_stream,
-)
-from repro.engine.ledger import SubLedger, fork_ledgers
 from repro.engine.pool import WorkerPool
-from repro.engine.shm import ShardHandle, ShardRegistry
+from repro.engine.seeds import derive_seed, seed_stream
 
 __all__ = [
-    "BACKENDS",
-    "PROCESS",
-    "SERIAL",
-    "ParallelExecutor",
-    "ShardHandle",
-    "ShardRegistry",
-    "SubLedger",
     "WorkerPool",
     "derive_seed",
-    "fork_ledgers",
     "seed_stream",
 ]

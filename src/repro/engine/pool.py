@@ -1,165 +1,189 @@
-"""The persistent worker pool: resident workers + shared-memory graph shards.
+"""The host fan-out: run independent MPC tasks concurrently.
 
-:class:`WorkerPool` is the control plane matching :mod:`repro.engine.shm`'s
-data plane.  It pairs one :class:`~repro.engine.executor.ParallelExecutor`
-(whose process workers are spawned once and reused across every ``map`` for
-the executor's lifetime) with one :class:`~repro.engine.shm.ShardRegistry`
-(whose published shards live in named shared-memory segments for the pool's
-lifetime).  Together they change the parallel stack's shipping model from
+The paper's round bounds rest on work happening *in parallel across
+machines*: the Lemma 2.1 edge-partition parts are oriented simultaneously,
+and so are the Lemma 2.2 vertex-partition parts of the coloring.  The
+simulated cost of such a superstep is charged on the ledger (max over the
+parts); this module only decides where the host runs the parts.
 
-    *every superstep re-pickles CSR columns and part payloads into fresh
-    tasks*
+:class:`WorkerPool` runs a list of independent tasks either as a plain loop
+in the calling process (the reference semantics) or on a lazily created
+:class:`concurrent.futures.ProcessPoolExecutor`.  Task callables must be
+module-level functions and their arguments picklable; a graph part travels
+in the task tuple itself, which is cheap because ``Graph.__reduce__`` ships
+only its two ``array('l')`` edge columns.  The streaming stack does not use
+the pool: tenants and conflict groups run in-process (see
+:mod:`repro.stream.engine`).
 
-to
+**Determinism contract.**  Results are identical for any worker count:
+tasks receive no shared mutable state, results are returned in submission
+order, and randomness is consumed only through per-task seed streams
+(:func:`repro.engine.seeds.derive_seed`), never through a generator shared
+across tasks.
 
-    *graph shards are published once per generation; every superstep ships
-    only task descriptors (a :class:`~repro.engine.shm.ShardHandle` plus a
-    part index) and its results.*
+**Serial or process.**  Spawning workers costs more than small inputs are
+worth, so a map runs serially when ``workers <= 1``, when there is a single
+task, or when the caller-reported ``total_work`` is below
+:data:`SERIAL_WORK_THRESHOLD`.  Tests set the threshold to 0 to force the
+process path on tiny inputs.
 
-Both parallel consumers run on this layer: the large-λ ``orient()`` part
-fan-out and the Theorem 1.2 ``color()`` part fan-out.  These static jobs are
-the one place where host parallelism pays; the streaming stack runs
-in-process and never builds a pool.  The determinism contract is untouched —
-the serial backend resolves the same handles to the owner's original
-objects (zero-copy), so there is exactly one code path for shard access and
-the published partition fixes every task's input regardless of backend.
-
-Failure semantics: a worker dying mid-superstep surfaces as a typed
-:class:`~repro.errors.WorkerCrashError` (the executor discards the broken
-pool; the next map respawns workers, and the published segments — owned by
-the parent — survive).  Shard teardown is guaranteed by
-:meth:`WorkerPool.close`, by a ``weakref`` finalizer on the registry, and by
-an ``atexit`` sweep, all pid-guarded (see :mod:`repro.engine.shm`).
+**Failure semantics.**  On a failing task the first (in-order) exception
+propagates, but only after pending sibling tasks are cancelled and running
+ones have finished, so the caller observes a quiescent state.  A worker
+dying mid-superstep surfaces as a typed
+:class:`~repro.errors.WorkerCrashError`; the broken executor is discarded
+and the next map spawns fresh workers.
 """
 
 from __future__ import annotations
 
+import os
+import time
 from collections.abc import Callable, Iterable, Sequence
+from concurrent.futures import ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any
 
-from repro.engine import shm
-from repro.engine.executor import PROCESS, ParallelExecutor
-from repro.engine.shm import ShardHandle, ShardRegistry
+from repro.errors import ParameterError, WorkerCrashError
+from repro.obs.tracer import NULL_TRACER
+
+#: Maps whose reported ``total_work`` falls below this run serially.
+SERIAL_WORK_THRESHOLD = 20_000
+
+
+def _timed_task(fn: Callable[..., Any], args: Sequence[Any]) -> tuple:
+    """Run ``fn(*args)`` and report where/when it ran (tracing only).
+
+    This wrapper is what stitches worker-side spans across the pickle
+    boundary: it executes inside the worker and returns monotonic
+    ``perf_counter_ns`` readings (CLOCK_MONOTONIC on Linux, comparable
+    across processes on one machine) plus the worker's pid.  The parent
+    unwraps the result in submission order, so tracing cannot reorder or
+    alter what callers observe.
+    """
+    start_ns = time.perf_counter_ns()
+    result = fn(*args)
+    end_ns = time.perf_counter_ns()
+    return result, os.getpid(), start_ns, end_ns
 
 
 class WorkerPool:
-    """Resident workers plus a shard registry; the parallel stack's runtime.
+    """Runs independent tasks concurrently, preserving submission order.
 
-    Parameters
-    ----------
-    workers:
-        Worker count for a pool-owned executor (ignored when ``executor`` is
-        supplied).
-    backend:
-        Backend for a pool-owned executor (``None`` = auto-pick).
-    executor:
-        Optional pre-built executor to share.  The pool then *borrows* it:
-        :meth:`close` releases only the registry, never a borrowed executor.
+    ``workers`` is the maximum number of process workers (1 means serial).
+    The process executor is created on the first parallel map and reused
+    until :meth:`close`.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        backend: str | None = None,
-        executor: ParallelExecutor | None = None,
-    ) -> None:
-        self._owns_executor = executor is None
-        self.executor = (
-            executor
-            if executor is not None
-            else ParallelExecutor(workers=workers, backend=backend)
-        )
-        self.registry = ShardRegistry()
-
-    @property
-    def workers(self) -> int:
-        return self.executor.workers
+    def __init__(self, workers: int = 1) -> None:
+        if workers < 1:
+            raise ParameterError("workers must be at least 1")
+        self.workers = workers
+        self._executor: ProcessPoolExecutor | None = None
+        self._tracer = NULL_TRACER
 
     def instrument(self, tracer) -> None:
-        """Attach a tracer to the executor and its metrics to the registry.
-
-        Safe to call on a borrowed executor: instrumenting is
-        observation-only, and re-instrumenting with the same tracer is
-        idempotent.  ``None``
-        restores the no-op defaults.
-        """
-        self.executor.instrument(tracer)
-        self.registry.instrument(None if tracer is None else tracer.metrics)
-
-    def stats(self) -> dict:
-        """Health snapshot for diagnostics (cheap, side-effect free)."""
-        generations = self.registry.generations()
-        return {
-            "workers": self.workers,
-            "live_workers": self.executor.live_workers(),
-            "tasks_run": self.executor.tasks_run,
-            "respawns": self.executor.respawns,
-            "segments": len(self.registry.segment_names()),
-            "registry_keys": len(generations),
-            "registry_generations": sum(generations.values()),
-        }
-
-    # ------------------------------------------------------------------ #
-    # Publication (delegates to the registry's typed helpers)
-    # ------------------------------------------------------------------ #
-
-    def publish_edge_parts(self, key: str, num_vertices: int, parts) -> ShardHandle:
-        """Publish Lemma 2.1 edge-partition parts under ``key``."""
-        return shm.publish_edge_parts(self.registry, key, num_vertices, parts)
-
-    def publish_vertex_parts(self, key: str, parts) -> ShardHandle:
-        """Publish Lemma 2.2 vertex-partition parts under ``key``."""
-        return shm.publish_vertex_parts(self.registry, key, parts)
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-
-    def resolve_backend(
-        self,
-        num_tasks: int,
-        total_work: int | None = None,
-        backend: str | None = None,
-    ) -> str:
-        """The backend a :meth:`map` with these dimensions would use."""
-        return self.executor.resolve_backend(num_tasks, total_work, backend=backend)
+        """Attach a tracer for map/task spans; ``None`` restores the no-op."""
+        self._tracer = NULL_TRACER if tracer is None else tracer
 
     def map(
         self,
         fn: Callable[..., Any],
         tasks: Iterable[Sequence[Any]],
         total_work: int | None = None,
-        backend: str | None = None,
-        handles: Sequence[ShardHandle] = (),
     ) -> list[Any]:
-        """Run ``fn`` over descriptor tasks; results in submission order.
+        """Apply ``fn(*args)`` to every ``args`` tuple; results in task order.
 
-        ``handles`` names the shard publications the tasks read.  Segments
-        are materialised only when the resolved backend is ``process`` —
-        serial maps resolve the same handles straight to the owner's
-        objects, so in-process execution stays allocation-free.
+        ``total_work`` is an optional size hint (e.g. total edges across
+        parts) compared against :data:`SERIAL_WORK_THRESHOLD`.
         """
         task_list = [tuple(args) for args in tasks]
-        resolved = self.executor.resolve_backend(
-            len(task_list), total_work, backend=backend
+        parallel = (
+            self.workers > 1
+            and len(task_list) > 1
+            and (total_work is None or total_work >= SERIAL_WORK_THRESHOLD)
         )
-        if resolved == PROCESS:
-            for handle in handles:
-                self.registry.ensure_shared(handle)
-        return self.executor.map(fn, task_list, total_work=total_work, backend=backend)
+        if self._tracer.enabled:
+            return self._map_traced(fn, task_list, parallel)
+        if not parallel:
+            return [fn(*args) for args in task_list]
+        return self._run(fn, task_list)
 
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
+    def _map_traced(self, fn: Callable[..., Any], task_list: list, parallel: bool) -> list[Any]:
+        """The :meth:`map` body with span recording (tracer attached).
+
+        Identical result semantics: tasks run on the same path in the same
+        order; only timing is observed.  Process tasks run through
+        :func:`_timed_task` and are unwrapped here in submission order.
+        """
+        tracer = self._tracer
+        name = getattr(fn, "__name__", "task")
+        backend = "process" if parallel else "serial"
+        with tracer.span(
+            f"map:{name}", cat="executor", backend=backend, tasks=len(task_list)
+        ) as map_span:
+            if not parallel:
+                results = []
+                for args in task_list:
+                    with tracer.span(f"task:{name}", cat="executor"):
+                        results.append(fn(*args))
+                return results
+            submit_marks: list[int] = []
+            outcomes = self._run(
+                _timed_task, [(fn, args) for args in task_list], submit_marks
+            )
+            metrics = tracer.metrics
+            results = []
+            for (result, worker, start_ns, end_ns), submit_ns in zip(outcomes, submit_marks):
+                tracer.record_span(
+                    f"task:{name}",
+                    start_ns,
+                    end_ns,
+                    cat="worker",
+                    tid=worker,
+                    parent=map_span.span_id,
+                    args={"backend": backend},
+                )
+                metrics.observe(f"pool.queue_wait_ns.worker:{worker}", start_ns - submit_ns)
+                metrics.observe(f"pool.run_ns.worker:{worker}", end_ns - start_ns)
+                results.append(result)
+            return results
+
+    def _run(
+        self,
+        fn: Callable[..., Any],
+        task_list: list,
+        submit_marks: list[int] | None = None,
+    ) -> list[Any]:
+        """Run every task on the process executor; results in submission order."""
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        futures = []
+        try:
+            for args in task_list:
+                if submit_marks is not None:
+                    submit_marks.append(time.perf_counter_ns())
+                futures.append(self._executor.submit(fn, *args))
+            return [future.result() for future in futures]
+        except BrokenProcessPool as exc:
+            # A worker died mid-superstep.  Discard the broken executor so the
+            # next map respawns workers cleanly, and surface a typed error —
+            # callers distinguish an infrastructure crash from a task bug.
+            executor, self._executor = self._executor, None
+            self._tracer.metrics.inc("pool.respawns")
+            executor.shutdown(wait=False, cancel_futures=True)
+            raise WorkerCrashError(str(exc)) from exc
+        except BaseException:
+            for future in futures:
+                future.cancel()
+            wait(futures)
+            raise
 
     def close(self) -> None:
-        """Release what the pool owns: its registry's segments, its executor.
-
-        A borrowed executor is left for its owner.
-        """
-        self.registry.close()
-        if self._owns_executor:
-            self.executor.close()
+        """Shut down the process workers, if any were spawned (idempotent)."""
+        executor, self._executor = self._executor, None
+        if executor is not None:
+            executor.shutdown(wait=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -168,9 +192,4 @@ class WorkerPool:
         self.close()
 
     def __repr__(self) -> str:
-        return (
-            f"WorkerPool(workers={self.workers}, "
-            f"backend={self.executor.backend or 'auto'}, "
-            f"segments={len(self.registry.segment_names())}, "
-            f"owns_executor={self._owns_executor})"
-        )
+        return f"WorkerPool(workers={self.workers})"

@@ -153,46 +153,21 @@ class CheckpointError(ReproError):
 
 
 class WorkerCrashError(ReproError):
-    """A process-backend worker died mid-superstep (killed, OOM, hard crash).
+    """A process worker died mid-superstep (killed, OOM, hard crash).
 
-    The executor discards the broken pool when raising this, so the next
-    parallel map respawns a fresh set of workers — published shared-memory
-    shards live in the parent and survive the crash untouched.  The failed
-    superstep itself is lost; callers with atomic batch semantics (the
-    streaming service) leave their state exactly as before the call.
+    :class:`~repro.engine.pool.WorkerPool` discards the broken process
+    executor when raising this, so the next parallel map spawns a fresh set
+    of workers.  The failed superstep itself is lost; its tasks carried
+    their inputs by value, so nothing the caller owns was touched.
     """
 
-    def __init__(self, backend: str, detail: str = "") -> None:
-        self.backend = backend
+    def __init__(self, detail: str = "") -> None:
         self.detail = detail
         suffix = f": {detail}" if detail else ""
         super().__init__(
-            f"a {backend}-backend worker died mid-superstep{suffix}; "
+            f"a process worker died mid-superstep{suffix}; "
             f"the pool was discarded and will respawn on the next parallel map"
         )
 
     def __reduce__(self):
-        return (type(self), (self.backend, self.detail))
-
-
-class StaleShardError(ReproError):
-    """A task tried to read a shared-memory shard generation that was retired.
-
-    Raised on either side of the registry: the owner rejects handles whose
-    key was republished or invalidated (e.g. after a dynamic-graph
-    compaction), and a worker attaching a retired segment finds it unlinked.
-    Catching it and re-fetching a fresh handle is always safe — the data of
-    the *current* generation is unaffected.
-    """
-
-    def __init__(self, key: str, generation: int, reason: str) -> None:
-        self.key = key
-        self.generation = generation
-        self.reason = reason
-        super().__init__(
-            f"shard {key!r} generation {generation} is stale ({reason}); "
-            f"republish and ship a fresh handle"
-        )
-
-    def __reduce__(self):
-        return (type(self), (self.key, self.generation, self.reason))
+        return (type(self), (self.detail,))

@@ -71,8 +71,8 @@ def run_orientation_experiment(
 ) -> ExperimentRow:
     """E1: run Theorem 1.1 on a workload and record quality/round metrics.
 
-    ``workers`` fans the large-λ Lemma 2.1 parts out through the superstep
-    engine; results are identical for any worker count.  ``tracer`` (a
+    ``workers`` fans the large-λ Lemma 2.1 parts out through the worker
+    pool; results are identical for any worker count.  ``tracer`` (a
     :class:`repro.obs.Tracer`, optional) records host-side spans without
     affecting any result.
     """
@@ -113,7 +113,7 @@ def run_coloring_experiment(
     """E2: run Theorem 1.2 on a workload, with the centralised baselines alongside.
 
     ``workers`` fans the large-λ Lemma 2.2 vertex-partition parts out through
-    the superstep engine (exactly like E1's orientation runner); results are
+    the worker pool (exactly like E1's orientation runner); results are
     identical for any worker count.
     """
     graph = workload.materialize()

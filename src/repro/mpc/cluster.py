@@ -67,8 +67,8 @@ the children back into the parent with the model's semantics:
   on the same machine fleet).
 
 The fold itself lives on :meth:`repro.mpc.metrics.RoundStats.merge_parallel`;
-the engine depends only on the :class:`repro.engine.ledger.SubLedger`
-protocol that ``fork``/``merge_parallel`` implement.
+callers fan out with :meth:`MPCCluster.fork` and fold back with
+:meth:`MPCCluster.merge_parallel` directly.
 
 **Multi-tenant sub-ledgers** (:class:`repro.stream.engine.StreamEngine`)
 stretch the fork/merge protocol from per-task to per-*tenant*.  Each hosted
@@ -117,19 +117,16 @@ controls refine the multi-tenant model without changing the fold arithmetic:
   its queue); the fold-time check is the backstop for growth an admission
   estimate cannot see (e.g. a rebuild's working set).
 
-**Resident workers and shared-memory shards (PR 6).**  How a parallel task
-physically executes is invisible to this ledger.  The static pipelines'
-:class:`~repro.engine.pool.WorkerPool` keeps process workers resident and
-publishes graph shards into :mod:`multiprocessing.shared_memory` segments
-(:mod:`repro.engine.shm`), so a host superstep ships only a shard-handle
-descriptor + deltas instead of re-pickling its inputs — but that is *host*
-shipping cost, not simulated MPC communication.  Charging is unchanged: a
-task records into its fork exactly what the algorithm's rounds move between
-simulated machines, whether the task ran serially or in a resident worker
-reading shared memory, and ``merge_parallel`` folds the forks with
-the same max/sum semantics above.  The determinism contract (same seed ⇒
-identical rounds for any worker count or backend) is what keeps the fold's
-inputs — and therefore every number in this module — reproducible.
+**Host workers.**  How a parallel task physically executes is invisible to
+this ledger.  The static pipelines' :class:`~repro.engine.pool.WorkerPool`
+runs the parts either in-process or on process workers, each task carrying
+its part and its fork by value — but that pickling is *host* shipping cost,
+not simulated MPC communication.  Charging is unchanged: a task records into
+its fork exactly what the algorithm's rounds move between simulated
+machines, wherever it ran, and ``merge_parallel`` folds the forks with the
+same max/sum semantics above.  The determinism contract (same seed ⇒
+identical rounds for any worker count) is what keeps the fold's inputs —
+and therefore every number in this module — reproducible.
 
 **Host-side observability (PR 7).**  The tracing layer in :mod:`repro.obs`
 records *wall-clock* spans of the host process (how long a tick, batch, or
@@ -514,7 +511,7 @@ class MPCCluster:
             self._tracer.metrics.inc("mpc.rounds", count)
 
     # ------------------------------------------------------------------ #
-    # Sub-ledgers (parallel task fan-out; see repro.engine.ledger)
+    # Sub-ledgers (parallel task fan-out: fork per task, merge_parallel)
     # ------------------------------------------------------------------ #
 
     def fork(

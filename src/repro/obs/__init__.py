@@ -1,7 +1,7 @@
 """Observability: wall-clock tracing, metrics, and perf-trajectory reports.
 
 This package measures the *host* side of the simulator — where real time
-goes, what the pool and shared-memory registry actually did — without ever
+goes, what the worker pool actually did — without ever
 touching the *simulated* ledger beyond read-only ``RoundStats`` marks.  The
 default ``NULL_TRACER`` is a no-op, and the determinism matrix test asserts
 that enabling tracing leaves every simulated outcome byte-identical.

@@ -4,7 +4,7 @@ The registry is deliberately tiny — a flat name -> value store guarded by a
 lock so the engine's ticker thread and concurrent callers can bump counters
 safely.  Nothing here
 reads simulated state: metrics describe the *host-side* execution (queue
-waits, bytes shipped, respawns), never the MPC ledger, so enabling them
+waits, task run times, worker respawns), never the MPC ledger, so enabling them
 cannot perturb the determinism contract.
 
 ``NULL_METRICS`` is the zero-overhead default: every method is a no-op and

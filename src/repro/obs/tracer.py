@@ -22,7 +22,7 @@ Design points:
   whose logical parent lives on another thread can pass ``parent=``
   explicitly.
 - **Cross-process stitching.**  Worker processes cannot reach this object;
-  instead the executor times each task inside the worker (``perf_counter_ns``
+  instead the worker pool times each task inside the worker (``perf_counter_ns``
   is CLOCK_MONOTONIC on Linux, comparable across processes) and the parent
   records the span post-hoc via :meth:`record_span` with ``tid`` set to the
   worker pid.

@@ -40,6 +40,25 @@ def kernel_backend(request) -> str:
 
 
 @pytest.fixture
+def force_process(monkeypatch) -> None:
+    """Send every multi-task, multi-worker map through process workers.
+
+    Zeroes :data:`repro.engine.pool.SERIAL_WORK_THRESHOLD`, so tiny test
+    inputs take the same process path as production-sized ones.
+    """
+    monkeypatch.setattr("repro.engine.pool.SERIAL_WORK_THRESHOLD", 0)
+
+
+@pytest.fixture(params=["auto", "process"])
+def fanout(request) -> str:
+    """Run the test once with the automatic serial/process pick and once
+    with the process path forced (see :func:`force_process`)."""
+    if request.param == "process":
+        request.getfixturevalue("force_process")
+    return request.param
+
+
+@pytest.fixture
 def triangle() -> Graph:
     """The triangle K3."""
     return Graph(3, [(0, 1), (1, 2), (0, 2)])

@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.validators import validate_round_complexity
 from repro.core.coloring import color
-from repro.engine import BACKENDS, ParallelExecutor
+from repro.errors import ParameterError
 from repro.graph.generators import planted_dense_subgraph, union_of_random_forests
 
 
@@ -81,12 +81,10 @@ class TestPartitionedRoundAccounting:
 
 
 class TestWorkerDeterminism:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_match_serial_colors_exactly(self, backend):
+    def test_forced_process_path_matches_serial_colors_exactly(self, fanout):
         graph = dense_graph()
         reference = color(graph, seed=5)
-        with ParallelExecutor(workers=2, backend=backend) as executor:
-            run = color(graph, seed=5, executor=executor)
+        run = color(graph, seed=5, workers=2)
         assert run.coloring.as_dict() == reference.coloring.as_dict()
         assert run.rounds == reference.rounds
         assert run.palette_size == reference.palette_size
@@ -103,19 +101,17 @@ class TestWorkerDeterminism:
         run.coloring.validate_proper()
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matrix_of_workers_and_backends_is_byte_identical(
-        self, workers, backend, kernel_backend
+    def test_matrix_of_workers_and_fanout_paths_is_byte_identical(
+        self, workers, fanout, kernel_backend
     ):
-        """ISSUE 6 acceptance: the full workers × backends matrix — including
-        workers=4 on the process backend, which reads its parts from the
-        shared-memory registry — matches the serial reference exactly.  The
-        ``kernel_backend`` fixture adds the ISSUE 8 dimension: every cell
-        re-runs per kernel backend with unchanged pinned results."""
+        """The full workers × {auto, forced-process} matrix — including
+        workers=4 with every part pickled into a process worker — matches
+        the serial reference exactly.  The ``kernel_backend`` fixture adds
+        the kernel dimension: every cell re-runs per kernel backend with
+        unchanged pinned results."""
         graph = dense_graph()
         reference = color(graph, seed=9)
-        with ParallelExecutor(workers=workers, backend=backend) as executor:
-            run = color(graph, seed=9, executor=executor)
+        run = color(graph, seed=9, workers=workers)
         assert run.coloring.as_dict() == reference.coloring.as_dict()
         assert run.rounds == reference.rounds
         assert run.palette_size == reference.palette_size
@@ -129,3 +125,14 @@ class TestWorkerDeterminism:
         assert not run.used_vertex_partitioning
         assert run.coloring.as_dict() == reference.coloring.as_dict()
         assert run.rounds == reference.rounds
+
+
+class TestWorkersValidation:
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_nonpositive_workers_rejected_on_the_small_lambda_branch(self, workers):
+        """Regression: only the pool-building large-λ branch used to check
+        ``workers``; a small-λ graph accepted ``workers=-5`` silently."""
+        graph = union_of_random_forests(128, arboricity=2, seed=4)
+        assert not color(graph, seed=2).used_vertex_partitioning
+        with pytest.raises(ParameterError, match="workers"):
+            color(graph, seed=2, workers=workers)

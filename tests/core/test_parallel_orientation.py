@@ -16,7 +16,7 @@ import pytest
 
 from repro.analysis.validators import validate_round_complexity
 from repro.core.orientation import orient
-from repro.engine import BACKENDS, ParallelExecutor
+from repro.errors import ParameterError
 from repro.graph.generators import planted_dense_subgraph, union_of_random_forests
 
 
@@ -77,11 +77,10 @@ class TestPartitionedRoundAccounting:
 
 
 class TestWorkerDeterminism:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_backends_match_serial_heads_exactly(self, backend):
+    def test_forced_process_path_matches_serial_heads_exactly(self, fanout):
         graph = dense_graph()
         reference = orient(graph, seed=5)
-        run = orient(graph, seed=5, executor=ParallelExecutor(workers=2, backend=backend))
+        run = orient(graph, seed=5, workers=2)
         assert run.orientation.direction == reference.orientation.direction
         assert run.rounds == reference.rounds
         assert run.max_outdegree == reference.max_outdegree
@@ -96,20 +95,34 @@ class TestWorkerDeterminism:
         assert run.rounds == reference.rounds
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matrix_of_workers_and_backends_is_byte_identical(
-        self, workers, backend, kernel_backend
+    def test_matrix_of_workers_and_fanout_paths_is_byte_identical(
+        self, workers, fanout, kernel_backend
     ):
-        """ISSUE 6 acceptance: the full workers × backends matrix — including
-        workers=4 on the process backend, which reads its parts from the
-        shared-memory registry — matches the serial reference exactly.  The
-        ``kernel_backend`` fixture re-runs every cell per kernel backend
-        (ISSUE 8): the reference is computed under the same kernels, and the
-        pinned bytes must not depend on them."""
+        """The full workers × {auto, forced-process} matrix — including
+        workers=4 with every part pickled into a process worker — matches
+        the serial reference exactly.  The ``kernel_backend`` fixture re-runs
+        every cell per kernel backend: the reference is computed under the
+        same kernels, and the pinned bytes must not depend on them."""
         graph = dense_graph()
         reference = orient(graph, seed=9)
-        with ParallelExecutor(workers=workers, backend=backend) as executor:
-            run = orient(graph, seed=9, executor=executor)
+        run = orient(graph, seed=9, workers=workers)
         assert bytes(run.orientation._heads) == bytes(reference.orientation._heads)
         assert run.rounds == reference.rounds
         assert run.max_outdegree == reference.max_outdegree
+
+
+class TestWorkersValidation:
+    @pytest.mark.parametrize("workers", [0, -5])
+    def test_nonpositive_workers_rejected_on_the_small_lambda_branch(self, workers):
+        """Regression: only the pool-building large-λ branch used to check
+        ``workers``; a small-λ graph accepted ``workers=0`` silently."""
+        graph = union_of_random_forests(128, arboricity=2, seed=4)
+        assert not orient(graph, seed=2).used_edge_partitioning
+        with pytest.raises(ParameterError, match="workers"):
+            orient(graph, seed=2, workers=workers)
+
+    def test_nonpositive_workers_rejected_on_the_empty_graph(self):
+        from repro.graph.graph import Graph
+
+        with pytest.raises(ParameterError, match="workers"):
+            orient(Graph(0, []), workers=0)

@@ -115,11 +115,13 @@ class TestHarness:
         run_coloring_experiment(small_workload, workers=3)
         assert captured["workers"] == 3
 
-    def test_coloring_experiment_workers_change_path_not_result(self):
-        """With a large-λ workload the engine actually fans out (the
-        execution path changes), but the row is identical to serial."""
+    def test_coloring_experiment_workers_change_path_not_result(
+        self, monkeypatch, force_process
+    ):
+        """With a large-λ workload and the process path forced, the parts
+        actually fan out to process workers (the execution path changes),
+        but the row is identical to serial."""
         from repro.core.coloring import color
-        from repro.engine import PROCESS
 
         workload = Workload(
             name="dense",
@@ -135,29 +137,21 @@ class TestHarness:
         graph = workload.materialize()
         reference = color(graph, seed=0)
         assert reference.used_vertex_partitioning  # the fan-out branch runs
-        from repro.engine import ParallelExecutor
+        from repro.engine.pool import WorkerPool
 
-        class RecordingExecutor(ParallelExecutor):
-            def __init__(self):
-                super().__init__(workers=2, backend=PROCESS)
-                self.calls = []
+        process_maps = []
+        original_run = WorkerPool._run
 
-            def map(self, fn, tasks, total_work=None, backend=None):
-                tasks = [tuple(args) for args in tasks]
-                self.calls.append(
-                    (len(tasks), self.resolve_backend(len(tasks), total_work, backend))
-                )
-                return super().map(fn, tasks, total_work=total_work, backend=backend)
+        def recording_run(self, fn, task_list, submit_marks=None):
+            process_maps.append(len(task_list))
+            return original_run(self, fn, task_list, submit_marks)
 
-        recording = RecordingExecutor()
-        with recording:
-            parallel = color(graph, seed=0, executor=recording)
-        # workers>1 changed the path: the parts fanned out through the
-        # engine's process pool instead of the old sequential loop ...
-        assert len(recording.calls) == 1
-        num_tasks, backend = recording.calls[0]
-        assert num_tasks > 1
-        assert backend == PROCESS
+        monkeypatch.setattr(WorkerPool, "_run", recording_run)
+        parallel = color(graph, seed=0, workers=2)
+        # workers>1 changed the path: the parts fanned out through process
+        # workers instead of the in-process loop ...
+        assert len(process_maps) == 1
+        assert process_maps[0] > 1
         # ... but not the result.
         assert parallel.coloring.as_dict() == reference.coloring.as_dict()
         assert parallel.rounds == reference.rounds

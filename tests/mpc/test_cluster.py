@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.errors import (
@@ -13,6 +15,7 @@ from repro.errors import (
 from repro.graph import generators
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
+from repro.mpc.metrics import RoundStats
 
 
 def make_cluster(n=256, m=512, **kwargs) -> MPCCluster:
@@ -225,3 +228,82 @@ class TestQuotaCappedForks:
         cluster = make_cluster()
         with pytest.raises(SimulationError):
             cluster.fork(memory_quota=0)
+
+
+class TestRoundStatsMergeParallel:
+    def test_rounds_fold_as_max_not_sum(self):
+        parent = RoundStats()
+        branches = []
+        for depth in (2, 5, 3):
+            branch = RoundStats()
+            for i in range(depth):
+                branch.record_round(f"work-{i}", 10, 4, 4)
+            branches.append(branch)
+        charged = parent.merge_parallel(branches)
+        assert charged == 5
+        assert parent.num_rounds == 5  # max, not 2 + 5 + 3
+
+    def test_superstep_volume_is_summed_and_machine_peak_maxed(self):
+        a, b = RoundStats(), RoundStats()
+        a.record_round("x", 100, 30, 20)
+        b.record_round("y", 50, 10, 60)
+        parent = RoundStats()
+        parent.merge_parallel([a, b])
+        record = parent.rounds[0]
+        assert record.words_sent == 150
+        assert record.max_machine_sent == 30
+        assert record.max_machine_received == 60
+
+    def test_superstep_labels_follow_critical_path(self):
+        short, long = RoundStats(), RoundStats()
+        short.record_round("short-only", 1, 1, 1)
+        for i in range(3):
+            long.record_round(f"long-{i}", 1, 1, 1)
+        parent = RoundStats()
+        parent.merge_parallel([short, long])
+        assert [r.label for r in parent.rounds] == ["long-0", "long-1", "long-2"]
+
+    def test_memory_peaks_fold_as_sum(self):
+        a, b = RoundStats(), RoundStats()
+        a.observe_memory(100, 1000)
+        b.observe_memory(70, 500)
+        parent = RoundStats()
+        parent.observe_memory(50, 200)
+        parent.merge_parallel([a, b])
+        assert parent.peak_machine_memory_words == 170
+        assert parent.peak_global_memory_words == 1500
+
+    def test_empty_and_none_branches_are_noops(self):
+        parent = RoundStats()
+        assert parent.merge_parallel([]) == 0
+        assert parent.merge_parallel([None, RoundStats()]) == 0
+        assert parent.num_rounds == 0
+
+
+class TestClusterForkAndMerge:
+    def test_fork_shares_provisioning_with_empty_ledger(self):
+        parent = make_cluster()
+        parent.charge_rounds(3, label="before")
+        child = parent.fork()
+        assert child.config is parent.config
+        assert child.stats.num_rounds == 0
+        assert child.global_memory_in_use() == 0
+        child.charge_rounds(1, label="child")
+        assert parent.stats.num_rounds == 3  # forks never write through
+
+    def test_fork_round_trips_through_pickle(self):
+        child = make_cluster().fork()
+        child.charge_rounds(2, label="work")
+        child.store_at_key(5, 7, tag="part")
+        clone = pickle.loads(pickle.dumps(child))
+        assert clone.stats.num_rounds == 2
+        assert clone.global_memory_in_use() == 7
+
+    def test_merge_accepts_clusters_and_bare_stats(self):
+        parent = make_cluster()
+        child = parent.fork()
+        child.charge_rounds(4, label="a")
+        stats = RoundStats()
+        stats.record_round("b", 0, 0, 0)
+        assert parent.merge_parallel([child, stats, None]) == 4
+        assert parent.stats.num_rounds == 4

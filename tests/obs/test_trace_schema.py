@@ -12,7 +12,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.orientation import orient
-from repro.engine import PROCESS, ParallelExecutor
 from repro.graph.generators import union_of_random_forests
 from repro.obs import Tracer
 from repro.stream.engine import StreamEngine
@@ -134,19 +133,16 @@ class TestLaminarNesting:
 
 
 class TestWorkerStitching:
-    def test_process_fanout_records_worker_spans_and_queue_metrics(self):
+    def test_process_fanout_records_worker_spans_and_queue_metrics(self, force_process):
         graph = union_of_random_forests(200, arboricity=4, seed=11)
         tracer = Tracer()
-        executor = ParallelExecutor(workers=2, backend=PROCESS)
         run = orient(
             graph,
             seed=11,
             workers=2,
-            executor=executor,
             force_edge_partitioning=True,
             tracer=tracer,
         )
-        executor.close()
         assert run.used_edge_partitioning
         names = [record.name for record in tracer.records]
         assert any(name == "orient:fanout" for name in names)

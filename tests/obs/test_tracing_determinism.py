@@ -3,8 +3,8 @@
 The matrix the tentpole pins: with the same seed, ``orient``, ``color``, and
 a quota-breaching engine run all produce identical results — heads, colors,
 round counts, quarantine decisions — with tracing on or off.  ``orient`` and
-``color`` are checked on every executor backend (serial / process) and
-worker count (1 / 2 / 4); the engine, which runs in-process, on either
+``color`` are checked at worker counts 1 / 2 / 4 with the process path
+forced for every multi-worker cell; the engine, which runs in-process, on either
 kernel backend under every scheduling policy.  The tracer only ever *reads* the ledger, so a single golden
 fingerprint per scenario must match every cell of the matrix.
 """
@@ -16,7 +16,7 @@ import pytest
 from repro import kernels
 from repro.core.coloring import color
 from repro.core.orientation import orient
-from repro.engine import PROCESS, SERIAL, ParallelExecutor, derive_seed
+from repro.engine import derive_seed
 from repro.errors import QuotaExceededError
 from repro.graph.generators import union_of_random_forests
 from repro.obs import Tracer
@@ -26,38 +26,33 @@ from repro.stream.service import StreamingService
 from repro.stream.updates import UpdateBatch
 from repro.stream.workloads import multi_tenant_traces
 
-# (backend, workers): serial is single-worker by definition; process covers
-# the multi-worker cells of the 1/2/4 sweep.
+# (path, workers): one worker always runs serially; the ``force_process``
+# fixture sends the multi-worker cells of the 1/2/4 sweep to process workers.
 MATRIX = [
-    (SERIAL, 1),
-    (PROCESS, 2),
-    (PROCESS, 4),
+    ("serial", 1),
+    ("process", 2),
+    ("process", 4),
 ]
 TRACING = [False, True]
 
 
 def _matrix_id(cell):
-    backend, workers = cell
-    return f"{backend}-w{workers}"
+    path, workers = cell
+    return f"{path}-w{workers}"
 
 
 def _kernel_graph():
     return union_of_random_forests(160, arboricity=4, seed=21)
 
 
-def _orient_fingerprint(backend, workers, tracer):
-    executor = ParallelExecutor(workers=workers, backend=backend)
-    try:
-        run = orient(
-            _kernel_graph(),
-            seed=21,
-            workers=workers,
-            executor=executor,
-            force_edge_partitioning=True,
-            tracer=tracer,
-        )
-    finally:
-        executor.close()
+def _orient_fingerprint(workers, tracer):
+    run = orient(
+        _kernel_graph(),
+        seed=21,
+        workers=workers,
+        force_edge_partitioning=True,
+        tracer=tracer,
+    )
     return (
         tuple(run.orientation._heads),
         run.max_outdegree,
@@ -66,19 +61,14 @@ def _orient_fingerprint(backend, workers, tracer):
     )
 
 
-def _color_fingerprint(backend, workers, tracer):
-    executor = ParallelExecutor(workers=workers, backend=backend)
-    try:
-        run = color(
-            _kernel_graph(),
-            seed=21,
-            workers=workers,
-            executor=executor,
-            force_vertex_partitioning=True,
-            tracer=tracer,
-        )
-    finally:
-        executor.close()
+def _color_fingerprint(workers, tracer):
+    run = color(
+        _kernel_graph(),
+        seed=21,
+        workers=workers,
+        force_vertex_partitioning=True,
+        tracer=tracer,
+    )
     return (
         tuple(sorted(run.coloring._color_of.items())),
         run.num_colors,
@@ -142,22 +132,26 @@ def _engine_fingerprint(tracer, policy):
 class TestKernelMatrix:
     @pytest.mark.parametrize("traced", TRACING, ids=["untraced", "traced"])
     @pytest.mark.parametrize("cell", MATRIX, ids=_matrix_id)
-    def test_orient_is_identical_across_the_matrix(self, cell, traced, kernel_backend):
-        # ``kernel_backend`` (ISSUE 8) adds the pure/numpy dimension: the
-        # golden fingerprint is recomputed under the same kernels, and the
-        # pinned bytes must not depend on them.
-        backend, workers = cell
-        golden = _orient_fingerprint(SERIAL, 1, None)
+    def test_orient_is_identical_across_the_matrix(
+        self, cell, traced, kernel_backend, force_process
+    ):
+        # ``kernel_backend`` adds the pure/numpy dimension: the golden
+        # fingerprint is recomputed under the same kernels, and the pinned
+        # bytes must not depend on them.
+        _path, workers = cell
+        golden = _orient_fingerprint(1, None)
         tracer = Tracer() if traced else None
-        assert _orient_fingerprint(backend, workers, tracer) == golden
+        assert _orient_fingerprint(workers, tracer) == golden
 
     @pytest.mark.parametrize("traced", TRACING, ids=["untraced", "traced"])
     @pytest.mark.parametrize("cell", MATRIX, ids=_matrix_id)
-    def test_color_is_identical_across_the_matrix(self, cell, traced, kernel_backend):
-        backend, workers = cell
-        golden = _color_fingerprint(SERIAL, 1, None)
+    def test_color_is_identical_across_the_matrix(
+        self, cell, traced, kernel_backend, force_process
+    ):
+        _path, workers = cell
+        golden = _color_fingerprint(1, None)
         tracer = Tracer() if traced else None
-        assert _color_fingerprint(backend, workers, tracer) == golden
+        assert _color_fingerprint(workers, tracer) == golden
 
 
 class TestEngineQuotaMatrix:

@@ -17,7 +17,7 @@ import time
 
 import pytest
 
-from repro.engine import PROCESS, WorkerPool, derive_seed
+from repro.engine import WorkerPool, derive_seed
 from repro.errors import (
     GraphError,
     LifecycleError,
@@ -361,40 +361,32 @@ class TestCloseIdempotency:
 
 class TestFaultInjectionWorkerDeath:
     """PR 4 claim under repetition: a process worker dying mid-superstep is
-    typed, the segments survive, and the pool recovers — every time."""
+    typed, and the pool recovers — every time."""
 
     ITERATIONS = 20
 
-    def test_repeated_worker_kills_recover(self):
+    def test_repeated_worker_kills_recover(self, force_process):
         rng = random.Random(0xC0FFEE)
         graph = union_of_random_forests(200, arboricity=2, seed=1)
-        with WorkerPool(workers=2, backend=PROCESS) as pool:
-            for iteration in range(self.ITERATIONS):
+        with WorkerPool(2) as pool:
+            for _iteration in range(self.ITERATIONS):
                 seed = rng.randint(0, 2**31)
                 parts = random_edge_partition(
                     graph, 8, seed=seed, num_parts=4
                 ).parts
-                handle = pool.publish_edge_parts(
-                    f"parts-{iteration}", graph.num_vertices, parts
-                )
-                tasks = [(handle, i) for i in range(len(parts))]
+                tasks = [(part,) for part in parts]
                 with pytest.raises(WorkerCrashError, match="respawn"):
-                    pool.map(_die, tasks, backend=PROCESS, handles=(handle,))
-                # segments survived the crash; the next map respawns workers
-                assert pool.registry.segment_names()
-                counts = pool.map(
-                    _read_part_edges, tasks, backend=PROCESS, handles=(handle,)
-                )
+                    pool.map(_die, tasks)
+                # the next map respawns workers and sees the same parts
+                counts = pool.map(_num_edges, tasks)
                 assert counts == [part.num_edges for part in parts]
 
 
-def _read_part_edges(handle, index):
-    from repro.engine import shm
-
-    return shm.shard_graph(handle, index).num_edges
+def _num_edges(part):
+    return part.num_edges
 
 
-def _die(handle, index):  # pragma: no cover - runs in a worker it kills
+def _die(part):  # pragma: no cover - runs in a worker it kills
     os._exit(13)
 
 

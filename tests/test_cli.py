@@ -135,6 +135,26 @@ class TestWorkersAndStream:
         assert main(["color", str(path), "--quiet", "--workers", "4"]) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["orient", "--workers", "0"],
+            ["color", "--workers", "-5"],
+            ["experiment", "E1", "--workers", "0"],
+            ["orient", "--workers", "two"],
+        ],
+        ids=["orient-0", "color-negative", "experiment-0", "orient-not-an-int"],
+    )
+    def test_nonpositive_workers_is_a_parser_error(self, graph_file, argv, capsys):
+        """Regression: ``--workers 0`` used to run a small-λ graph silently."""
+        path, _graph = graph_file
+        if argv[0] != "experiment":
+            argv = [argv[0], str(path), *argv[1:]]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--quiet"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
 
 class TestStreamMulti:
     def test_stream_multi_prints_one_row_per_tick(self, capsys):
