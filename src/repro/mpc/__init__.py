@@ -1,8 +1,7 @@
-"""MPC model simulation substrate (machines, rounds, memory accounting, primitives)."""
+"""MPC model simulation substrate (rounds, memory accounting, primitives)."""
 
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
-from repro.mpc.machine import Machine
 from repro.mpc.metrics import RoundRecord, RoundStats
 from repro.mpc.primitives import (
     aggregate_by_key,
@@ -16,7 +15,6 @@ from repro.mpc.primitives import (
 __all__ = [
     "MPCCluster",
     "MPCConfig",
-    "Machine",
     "RoundRecord",
     "RoundStats",
     "aggregate_by_key",

@@ -25,10 +25,30 @@ Algorithms use the cluster in two ways:
    (Claim 3.5, Claim 3.11, Lemma 4.1).  The charged constants are documented
    in :mod:`repro.mpc.primitives`.
 
-The simulator performs the data placement for real — each key lives on a
-specific machine and its storage is accounted there — so violating the
-``n^δ`` local-memory constraint raises an exception rather than going
-unnoticed.
+**Memory ledger.**  Every store is checked against the ``n^δ`` local-memory
+cap, so violating it raises an exception rather than going unnoticed.  The
+ledger keeps two kinds of storage, and its cost follows the number of
+objects and keyed machines, never the machine count ``M``:
+
+* *Keyed storage* (:meth:`MPCCluster.store_at_key`,
+  :meth:`MPCCluster.load_graph`, the ``store_tag`` payload of
+  :meth:`MPCCluster.communication_round`) lands on the machine the placement
+  hash picks for the key, so it is recorded per machine and per tag.
+* *Spread objects* (:meth:`MPCCluster.store_spread`,
+  :meth:`MPCCluster.restore_spread`) are kept per tag as word totals.  A
+  ``T``-word object puts ``⌈T/M⌉`` words on each machine from 0 upward and
+  the remainder on the next one, so a machine's share is a closed form and
+  machine 0 always holds the largest spread share.
+
+Two running scalars answer the memory queries in O(1): the words in use
+across the cluster and the largest per-machine value ever stored (the peak).
+After a spread store only the first machine without keyed storage and the
+keyed machines inside the covered prefix can set a new peak or be the first
+capacity offender, and an upper bound (largest keyed total plus machine 0's
+spread share) skips even those when it fits under the peak and the cap.  A
+store that raises — per-machine cap, communication cap, global budget —
+changes nothing.  Per-round traffic is tallied in local dicts and never
+creates storage records.
 
 **Dynamic update batches** (:mod:`repro.stream`) extend the same accounting
 to streaming workloads.  A batch of edge insertions/deletions is charged as
@@ -145,22 +165,33 @@ observation.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
 from repro.errors import (
+    CommunicationLimitExceeded,
     GlobalMemoryExceeded,
     MemoryLimitExceeded,
     QuotaExceededError,
     SimulationError,
 )
-from repro.mpc.config import MPCConfig
-from repro.mpc.machine import Machine
+from repro.mpc.config import PLACEMENT_MULTIPLIER, MPCConfig
 from repro.mpc.metrics import RoundStats
 from repro.obs.tracer import NULL_TRACER
 
 Message = tuple[int, int, int]
 """A message is ``(source_key, destination_key, size_in_words)``."""
+
+
+def _share(total: int, machines: int, machine_id: int) -> int:
+    """Words of a ``total``-word spread object on ``machine_id``: ``⌈T/M⌉``
+    on each machine from 0 upward, then the remainder, then nothing."""
+    share = -(-total // machines)
+    full = total // share
+    if machine_id < full:
+        return share
+    return total - full * share if machine_id == full else 0
 
 
 class MPCCluster:
@@ -192,8 +223,13 @@ class MPCCluster:
         self.enforce_global_memory = enforce_global_memory
         self.memory_quota = memory_quota
         self.stats = RoundStats()
-        self._machines: dict[int, Machine] = {}
-        self._round_active: list[Machine] = []
+        # machine id -> tag -> keyed words (non-zero entries only; negative
+        # when a keyed release took words out of a spread share).
+        self._keyed: dict[int, dict[str, int]] = {}
+        self._keyed_bound = 0  # >= 0 and >= every keyed machine's keyed total
+        self._spread: dict[str, list[int]] = {}  # tag -> totals of its spread objects
+        self._in_use = 0
+        self._peak = 0
         self._num_machines = config.num_machines()
         self._capacity = config.words_per_machine
         self._global_budget = config.global_memory_words()
@@ -222,11 +258,9 @@ class MPCCluster:
     def ledger_state(self) -> dict:
         """The cluster as a JSON-serializable snapshot (checkpoint seam).
 
-        Per-machine round counters are deliberately *not* captured:
-        :meth:`communication_round` resets every participating machine's
-        counters at the start of the round, so a restored cluster whose
-        machines start with zeroed counters and an empty active set charges
-        future rounds identically.
+        Holds the keyed records, the spread totals per tag and the peak
+        scalar; words in use are derived on restore.  A cluster holding only
+        spread objects has no per-machine entries.
         """
         return {
             "config": {
@@ -240,16 +274,10 @@ class MPCCluster:
             "enforce_global_memory": bool(self.enforce_global_memory),
             "memory_quota": self.memory_quota,
             "stats": self.stats.state_dict(),
-            "machines": [
-                [
-                    machine.machine_id,
-                    machine.stored_words,
-                    machine.peak_stored_words,
-                    dict(machine.stored_by_tag),
-                ]
-                for machine in sorted(
-                    self._machines.values(), key=lambda m: m.machine_id
-                )
+            "peak_machine_words": self._peak,
+            "spread": {tag: list(totals) for tag, totals in self._spread.items()},
+            "keyed": [
+                [machine_id, dict(tags)] for machine_id, tags in sorted(self._keyed.items())
             ],
         }
 
@@ -264,18 +292,18 @@ class MPCCluster:
             memory_quota=state["memory_quota"],
         )
         cluster.stats = RoundStats.from_state(state["stats"])
-        for machine_id, stored, peak, tags in state["machines"]:
-            machine = Machine(
-                machine_id=machine_id, capacity_words=cluster._capacity
-            )
-            machine.stored_words = stored
-            machine.peak_stored_words = peak
-            machine.stored_by_tag = {str(tag): words for tag, words in tags.items()}
-            cluster._machines[machine_id] = machine
+        cluster._peak = state["peak_machine_words"]
+        for tag, totals in state["spread"].items():
+            cluster._spread[str(tag)] = list(totals)
+            cluster._in_use += sum(totals)
+        for machine_id, tags in state["keyed"]:
+            for tag, words in tags.items():
+                cluster._adjust_keyed(machine_id, str(tag), words)
+                cluster._in_use += words
         return cluster
 
     # ------------------------------------------------------------------ #
-    # Machine access / storage accounting
+    # Storage accounting
     # ------------------------------------------------------------------ #
 
     @property
@@ -288,38 +316,44 @@ class MPCCluster:
         """Local memory capacity ``S`` of each machine."""
         return self._capacity
 
-    def machine_for_key(self, key: int) -> Machine:
-        """The machine responsible for an integer key (vertices, edges, tree ids)."""
-        machine_id = self.config.machine_of(key)
-        machine = self._machines.get(machine_id)
-        if machine is None:
-            machine = Machine(machine_id=machine_id, capacity_words=self._capacity)
-            self._machines[machine_id] = machine
-        return machine
-
-    def machine(self, machine_id: int) -> Machine:
-        """Machine by explicit id (creating its record lazily)."""
+    def machine_words(self, machine_id: int) -> int:
+        """Words currently stored on one machine (keyed plus spread shares)."""
         if not 0 <= machine_id < self._num_machines:
             raise SimulationError(f"machine id {machine_id} out of range 0..{self._num_machines - 1}")
-        machine = self._machines.get(machine_id)
-        if machine is None:
-            machine = Machine(machine_id=machine_id, capacity_words=self._capacity)
-            self._machines[machine_id] = machine
-        return machine
+        return self._held(machine_id)
 
     def store_at_key(self, key: int, words: int, tag: str = "data") -> None:
         """Store ``words`` words on the machine owning ``key``."""
-        self.machine_for_key(key).store(words, tag=tag, enforce=self.enforce_limits)
-        self._observe_memory()
+        if words < 0:
+            raise ValueError("words must be non-negative")
+        self._store_keyed({self.config.machine_of(key): words}, tag, self.enforce_limits)
 
     def release_at_key(self, key: int, words: int, tag: str = "data") -> None:
-        """Release ``words`` words on the machine owning ``key``."""
-        self.machine_for_key(key).release(words, tag=tag)
+        """Release ``words`` words of ``tag`` on the machine owning ``key``.
+
+        Raises :class:`~repro.errors.SimulationError`, changing nothing, when
+        the machine holds fewer than ``words`` words under ``tag`` (keyed
+        words plus its share of the tag's spread objects).
+        """
+        if words < 0:
+            raise ValueError("words must be non-negative")
+        machine_id = self.config.machine_of(key)
+        held = self._keyed.get(machine_id, {}).get(tag, 0)
+        held += sum(
+            _share(total, self._num_machines, machine_id) for total in self._spread.get(tag, ())
+        )
+        if words > held:
+            raise SimulationError(
+                f"cannot release {words} words of tag {tag!r} on machine "
+                f"{machine_id}: it holds {held}"
+            )
+        if words:
+            self._adjust_keyed(machine_id, tag, -words)
+            self._in_use -= words
 
     def release_tag_everywhere(self, tag: str) -> None:
         """Drop all storage registered under ``tag`` on every machine."""
-        for machine in self._machines.values():
-            machine.release_tag(tag)
+        self._in_use -= self._drop_keyed_tag(tag) + sum(self._spread.pop(tag, ()))
 
     def store_spread(self, total_words: int, tag: str = "data") -> None:
         """Store ``total_words`` spread evenly across all machines.
@@ -328,83 +362,175 @@ class MPCCluster:
         views, whose *total* size is bounded by ``O(nB)`` while no single
         machine needs to hold more than its even share plus one object).  The
         even share is enforced against each machine's capacity (honoring
-        ``enforce_limits``, like every other store); the global budget check
-        still applies through :meth:`_observe_memory`.
+        ``enforce_limits``, like every other store; the first offender in
+        ascending machine id raises); the global budget check applies too.
         """
-        if total_words < 0:
-            raise SimulationError("total_words must be non-negative")
-        machines = self._num_machines
-        share = -(-total_words // machines) if total_words else 0
-        remaining = total_words
-        for machine_id in range(machines):
-            if remaining <= 0:
-                break
-            chunk = min(share, remaining)
-            self.machine(machine_id).store(chunk, tag=tag, enforce=self.enforce_limits)
-            remaining -= chunk
-        self._observe_memory()
+        self._place_spread(total_words, tag, replace=False)
 
     def restore_spread(self, total_words: int, tag: str = "data") -> None:
-        """Replace the spread object registered under ``tag`` in one pass.
+        """Replace everything registered under ``tag`` with one spread object.
 
-        Exactly equivalent to :meth:`release_tag_everywhere` followed by
-        :meth:`store_spread` — same final per-machine state, same peak
-        updates and capacity enforcement (ascending machine id, first
-        offender raises), same single memory observation at the end — but
-        fused into one walk over the machine records with the per-machine
-        arithmetic inlined.  This is the tick hot path of the streaming
-        accounting, which re-registers the live graph at every batch
-        boundary; on a 100k-vertex cluster the fused walk is what keeps the
-        ledger off the profile.
+        Equivalent to :meth:`release_tag_everywhere` followed by
+        :meth:`store_spread` — same final storage, peak, capacity enforcement
+        and single memory observation — except that a raise leaves the old
+        registration in place.  The streaming service re-registers its live
+        graph this way at every batch boundary; the cost does not depend on
+        the machine count (see the module docstring).
         """
-        if total_words < 0:
-            raise SimulationError("total_words must be non-negative")
-        machines = self._num_machines
-        share = -(-total_words // machines) if total_words else 0
-        remaining = total_words
-        enforce = self.enforce_limits
-        capacity = self._capacity
-        records = self._machines
-        for machine_id in range(machines):
-            chunk = min(share, remaining) if remaining > 0 else 0
-            machine = records.get(machine_id)
-            if machine is None:
-                if chunk == 0:
-                    # Nothing stored here before (no record) and nothing to
-                    # store now — store_spread would not have materialised
-                    # this machine either.
-                    continue
-                machine = Machine(machine_id=machine_id, capacity_words=capacity)
-                records[machine_id] = machine
-            remaining -= chunk
-            tags = machine.stored_by_tag
-            old = tags.pop(tag, 0)
-            stored = machine.stored_words - old
-            if stored < 0:
-                stored = 0
-            if chunk:
-                stored += chunk
-                tags[tag] = chunk
-                if stored > machine.peak_stored_words:
-                    machine.peak_stored_words = stored
-            machine.stored_words = stored
-            if chunk and enforce and stored > capacity:
-                raise MemoryLimitExceeded(machine_id, stored, capacity)
-        self._observe_memory()
+        self._place_spread(total_words, tag, replace=True)
 
     def global_memory_in_use(self) -> int:
         """Total words currently stored across all machines."""
-        return sum(machine.stored_words for machine in self._machines.values())
+        return self._in_use
 
     def peak_machine_memory(self) -> int:
-        """Largest per-machine peak storage observed so far."""
-        return max((m.peak_stored_words for m in self._machines.values()), default=0)
+        """Largest per-machine storage observed so far."""
+        return self._peak
+
+    def _held(self, machine_id: int, without: str | None = None) -> int:
+        """Words on ``machine_id``, ignoring everything under ``without``."""
+        tags = self._keyed.get(machine_id, {})
+        return sum(tags.values()) - tags.get(without, 0) + self._spread_words(machine_id, without)
+
+    def _spread_words(self, machine_id: int, without: str | None = None) -> int:
+        """Spread-object words on ``machine_id``, ignoring tag ``without``."""
+        machines = self._num_machines
+        return sum(
+            _share(total, machines, machine_id)
+            for tag, totals in self._spread.items()
+            if tag != without
+            for total in totals
+        )
+
+    def _adjust_keyed(self, machine_id: int, tag: str, delta: int) -> None:
+        """Add ``delta`` keyed words of ``tag`` on one machine (ledger only)."""
+        tags = self._keyed.setdefault(machine_id, {})
+        words = tags.get(tag, 0) + delta
+        if words:
+            tags[tag] = words
+            self._keyed_bound = max(self._keyed_bound, sum(tags.values()))
+        else:
+            tags.pop(tag, None)
+            if not tags:
+                del self._keyed[machine_id]
+
+    def _drop_keyed_tag(self, tag: str) -> int:
+        """Remove ``tag`` from every keyed record; returns the words dropped."""
+        dropped = 0
+        bound = 0
+        for machine_id, tags in list(self._keyed.items()):
+            dropped += tags.pop(tag, 0)
+            if tags:
+                bound = max(bound, sum(tags.values()))
+            else:
+                del self._keyed[machine_id]
+        self._keyed_bound = bound
+        return dropped
+
+    def _keyed_peak(self, words_by_machine: Mapping[int, int], enforce: bool) -> int:
+        """The peak after storing ``words_by_machine``; raises the first
+        offender in the mapping's order when ``enforce`` is set."""
+        if self._keyed or self._spread:
+            held = self._held
+            after = {m: held(m) + words for m, words in words_by_machine.items()}
+        else:
+            after = words_by_machine
+        top = max(after.values(), default=0)
+        capacity = self._capacity
+        if enforce and top > capacity:
+            for machine_id, stored in after.items():
+                if stored > capacity:
+                    raise MemoryLimitExceeded(machine_id, stored, capacity)
+        return max(self._peak, top)
+
+    def _commit_keyed(self, words_by_machine: Mapping[int, int], tag: str) -> None:
+        keyed = self._keyed
+        for machine_id, words in words_by_machine.items():
+            if not words:
+                continue
+            self._in_use += words
+            if machine_id in keyed:
+                self._adjust_keyed(machine_id, tag, words)
+            else:
+                # A machine's first keyed entry: the common case on a load.
+                keyed[machine_id] = {tag: words}
+                if words > self._keyed_bound:
+                    self._keyed_bound = words
+
+    def _store_keyed(self, words_by_machine: Mapping[int, int], tag: str, enforce: bool) -> None:
+        """Store per-machine word counts under ``tag``, atomically."""
+        peak = self._keyed_peak(words_by_machine, enforce)
+        in_use = self._in_use + sum(words_by_machine.values())
+        self._check_global(in_use)
+        self._commit_keyed(words_by_machine, tag)
+        self._peak = peak
+        self._observe_memory()
+
+    def _place_spread(self, total: int, tag: str, replace: bool) -> None:
+        """Add (or, with ``replace``, substitute) a spread object, atomically."""
+        if total < 0:
+            raise SimulationError("total_words must be non-negative")
+        without = tag if replace else None
+        in_use = self._in_use + total
+        if replace:
+            in_use -= sum(self._spread.get(tag, ()))
+            in_use -= sum(tags.get(tag, 0) for tags in self._keyed.values())
+        peak = self._peak
+        if total:
+            share = -(-total // self._num_machines)
+            # Machine 0 holds the largest spread share, so no machine can
+            # exceed the largest keyed total plus machine 0's spread words.
+            bound = self._keyed_bound + self._spread_words(0, without) + share
+            if bound > peak or (self.enforce_limits and bound > self._capacity):
+                peak = self._spread_peak(total, share, without)
+        self._check_global(in_use)
+        if replace:
+            self._drop_keyed_tag(tag)
+            self._spread.pop(tag, None)
+        if total:
+            self._spread.setdefault(tag, []).append(total)
+        self._in_use = in_use
+        self._peak = peak
+        self._observe_memory()
+
+    def _spread_peak(self, total: int, share: int, without: str | None) -> int:
+        """Exact peak after placing a ``total``-word spread object.
+
+        Candidates are the machines the object covers that hold keyed words,
+        plus the first machine without any: every other covered machine
+        holds only spread shares, which never grow with the machine id.
+        Raises the first offender in ascending machine id under
+        ``enforce_limits``.
+        """
+        full = total // share
+        remainder = total - full * share
+        covered = full + (remainder > 0)
+        keyed = self._keyed
+        first_plain = 0
+        while first_plain in keyed:
+            first_plain += 1
+        candidates = [machine_id for machine_id in keyed if machine_id < covered]
+        if first_plain < covered:
+            candidates.append(first_plain)
+        enforce = self.enforce_limits
+        capacity = self._capacity
+        peak = self._peak
+        for machine_id in sorted(candidates):
+            stored = self._held(machine_id, without) + (
+                share if machine_id < full else remainder
+            )
+            if stored > peak:
+                peak = stored
+            if enforce and stored > capacity:
+                raise MemoryLimitExceeded(machine_id, stored, capacity)
+        return peak
+
+    def _check_global(self, in_use: int) -> None:
+        if self.enforce_global_memory and in_use > self._global_budget:
+            raise GlobalMemoryExceeded(in_use, self._global_budget)
 
     def _observe_memory(self) -> None:
-        global_words = self.global_memory_in_use()
-        self.stats.observe_memory(self.peak_machine_memory(), global_words)
-        if self.enforce_global_memory and global_words > self._global_budget:
-            raise GlobalMemoryExceeded(global_words, self._global_budget)
+        self.stats.observe_memory(self._peak, self._in_use)
 
     # ------------------------------------------------------------------ #
     # Rounds
@@ -433,59 +559,51 @@ class MPCCluster:
         exchange instead of failing, which keeps round counts honest.  With
         ``split_oversized=False`` a violation raises
         :class:`~repro.errors.CommunicationLimitExceeded` (used by tests that
-        check an exchange fits in exactly one round).
+        check an exchange fits in exactly one round), naming the lowest
+        machine id that moved the largest volume.  The stored payload is
+        capacity-checked only in that strict mode, destination machines in
+        order of their first message.  Any raise leaves the ledger and the
+        round stats untouched.
 
         Returns the number of rounds charged.
         """
-        # Only machines touched last round can have non-zero counters, so
-        # resetting just those is byte-identical to walking every record —
-        # and O(active) instead of O(M) per round on big clusters.
-        for machine in self._round_active:
-            machine.begin_round()
-        round_active: dict[int, Machine] = {}
-
+        machines = self._num_machines
+        multiplier = PLACEMENT_MULTIPLIER
+        sent: dict[int, int] = {}
+        received: dict[int, int] = {}
         total_words = 0
-        receive_store: dict[int, int] = {}
         for source_key, destination_key, words in messages:
             if words < 0:
                 raise SimulationError("message size must be non-negative")
-            source = self.machine_for_key(source_key)
-            destination = self.machine_for_key(destination_key)
-            round_active[source.machine_id] = source
-            round_active[destination.machine_id] = destination
-            source.account_send(words, enforce=False)
-            destination.account_receive(words, enforce=False)
+            source = source_key * multiplier % machines
+            destination = destination_key * multiplier % machines
+            sent[source] = sent.get(source, 0) + words
+            received[destination] = received.get(destination, 0) + words
             total_words += words
-            if store_tag is not None:
-                receive_store[destination.machine_id] = (
-                    receive_store.get(destination.machine_id, 0) + words
-                )
 
+        capacity = self._capacity
+        strict = self.enforce_limits and not split_oversized
+        peak = self._peak
+        in_use = self._in_use
         if store_tag is not None:
-            for machine_id, words in receive_store.items():
-                self.machine(machine_id).store(
-                    words, tag=store_tag, enforce=self.enforce_limits and not split_oversized
-                )
-
-        self._round_active = list(round_active.values())
-        max_sent = max((m.round_sent_words for m in self._round_active), default=0)
-        max_received = max((m.round_received_words for m in self._round_active), default=0)
+            peak = self._keyed_peak(received, enforce=strict)
+            in_use += total_words
+        max_sent = max(sent.values(), default=0)
+        max_received = max(received.values(), default=0)
         max_volume = max(max_sent, max_received)
         rounds_needed = 1
-        if max_volume > self._capacity:
-            if self.enforce_limits and not split_oversized:
+        if max_volume > capacity:
+            if strict:
                 direction = "sent" if max_sent >= max_received else "received"
-                offender = max(
-                    self._machines.values(),
-                    key=lambda m: max(m.round_sent_words, m.round_received_words),
-                )
-                from repro.errors import CommunicationLimitExceeded
+                volumes = sent if direction == "sent" else received
+                offender = min(m for m, words in volumes.items() if words == max_volume)
+                raise CommunicationLimitExceeded(offender, direction, max_volume, capacity)
+            rounds_needed = -(-max_volume // capacity)
+        self._check_global(in_use)
 
-                raise CommunicationLimitExceeded(
-                    offender.machine_id, direction, max_volume, self._capacity
-                )
-            rounds_needed = -(-max_volume // self._capacity)
-
+        if store_tag is not None:
+            self._commit_keyed(received, store_tag)
+            self._peak = peak
         self.stats.record_round(label, total_words, max_sent, max_received)
         if self._tracer.enabled:
             self._tracer.metrics.inc("mpc.rounds")
@@ -588,24 +706,22 @@ class MPCCluster:
 
         Models the arbitrary initial distribution of the input: edge ``(u, v)``
         is stored on the machine owning the edge's index, and every vertex id
-        is stored on the machine owning the vertex.  Placement is batched per
-        machine — one store call per machine instead of one per key — which
-        keeps loading linear with a small constant even for 10^5-edge inputs.
-        The memory observation at the end sees the same totals (stores only
-        ever grow), so the recorded peaks are unchanged.
+        is stored on the machine owning the vertex.  Placement is tallied per
+        machine — the keys form arithmetic progressions under the placement
+        hash, so no call is made per key — and stored as one atomic keyed
+        store, machines in order of their first key (the first offender in
+        that order raises).
         """
-        machine_of = self.config.machine_of
-        words_by_machine: dict[int, int] = {}
-        for v in range(graph.num_vertices):
-            machine_id = machine_of(v)
-            words_by_machine[machine_id] = words_by_machine.get(machine_id, 0) + 1
-        base = graph.num_vertices
-        for index in range(graph.num_edges):
-            machine_id = machine_of(base + index)
-            words_by_machine[machine_id] = words_by_machine.get(machine_id, 0) + 2
-        for machine_id, words in words_by_machine.items():
-            self.machine(machine_id).store(words, tag=tag, enforce=self.enforce_limits)
-        self._observe_memory()
+        machines = self._num_machines
+        step = PLACEMENT_MULTIPLIER
+        end = graph.num_vertices * step
+        words = Counter(map(machines.__rmod__, range(0, end, step)))
+        edge_machines = Counter(
+            map(machines.__rmod__, range(end, end + graph.num_edges * step, step))
+        )
+        for machine_id, count in edge_machines.items():
+            words[machine_id] += 2 * count
+        self._store_keyed(words, tag, self.enforce_limits)
 
     def snapshot(self) -> dict[str, float]:
         """Summary of the execution so far (for the experiment harness)."""

@@ -17,6 +17,10 @@ from dataclasses import dataclass, field
 
 from repro.errors import ParameterError
 
+#: Multiplier of the placement hash: key ``k`` lives on machine
+#: ``(k * PLACEMENT_MULTIPLIER) % num_machines``.
+PLACEMENT_MULTIPLIER = 2654435761
+
 
 @dataclass(frozen=True)
 class MPCConfig:
@@ -55,6 +59,13 @@ class MPCConfig:
             raise ParameterError("delta must be positive")
         if self.memory_constant <= 0 or self.global_memory_factor <= 0:
             raise ParameterError("constants must be positive")
+        # Derived once: placement reads it per key.  Not a field, so equality,
+        # hashing and ``repr`` still see only the five parameters.
+        object.__setattr__(
+            self,
+            "_num_machines",
+            max(1, -(-self.global_memory_words() // self.words_per_machine)),
+        )
 
     # ------------------------------------------------------------------ #
 
@@ -91,16 +102,8 @@ class MPCConfig:
         return int(self.global_memory_factor * (self.num_edges + self.num_vertices + 1) * slack)
 
     def num_machines(self) -> int:
-        """Number of machines needed so that M·S covers the global memory budget.
-
-        Memoised (the config is frozen) because :meth:`machine_of` calls this
-        once per placed key, which made graph loading quadratic in practice.
-        """
-        cached = getattr(self, "_num_machines_cache", None)
-        if cached is None:
-            cached = max(1, -(-self.global_memory_words() // self.words_per_machine))
-            object.__setattr__(self, "_num_machines_cache", cached)
-        return cached
+        """Number of machines needed so that M·S covers the global memory budget."""
+        return self._num_machines
 
     def machine_of(self, key: int) -> int:
         """Deterministic placement of a key (vertex/edge id) onto a machine.
@@ -109,8 +112,7 @@ class MPCConfig:
         ids, which is what an adversarial initial distribution would also
         achieve in expectation.
         """
-        knuth = 2654435761
-        return (key * knuth) % self.num_machines()
+        return (key * PLACEMENT_MULTIPLIER) % self._num_machines
 
     @classmethod
     def for_graph(cls, graph, delta: float = 0.5, **kwargs) -> "MPCConfig":

@@ -14,7 +14,7 @@ File format (version |VERSION|)::
 
     {
       "format":   "repro-stream-checkpoint",
-      "version":  1,
+      "version":  2,
       "checksum": sha256 hex of the canonical payload JSON,
       "payload":  { ... engine state ... }
     }
@@ -54,7 +54,7 @@ from repro.stream.service import StreamingService, _report_state, _restore_repor
 from repro.stream.updates import StreamSummary, UpdateBatch
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 __all__ = [
     "CHECKPOINT_FORMAT",

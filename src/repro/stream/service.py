@@ -338,9 +338,9 @@ class StreamingService:
         """The complete maintained state as a JSON-serializable snapshot.
 
         Everything behavior-affecting is captured: the sub-ledger (with its
-        config, quota, and per-machine storage), the dynamic graph's base +
-        journal columns, the orientation heads/λ̂/cap/counters, the coloring
-        column, and the per-batch report history.
+        config, quota, keyed storage and spread totals), the dynamic graph's
+        base + journal columns, the orientation heads/λ̂/cap/counters, the
+        coloring column, and the per-batch report history.
         """
         return {
             "ledger": self.cluster.ledger_state(),

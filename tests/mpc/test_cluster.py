@@ -9,6 +9,7 @@ import pytest
 from repro.errors import (
     CommunicationLimitExceeded,
     GlobalMemoryExceeded,
+    MemoryLimitExceeded,
     QuotaExceededError,
     SimulationError,
 )
@@ -77,8 +78,21 @@ class TestStorage:
     def test_store_spread_divides_evenly(self):
         cluster = make_cluster()
         cluster.store_spread(cluster.num_machines * 3, tag="big")
-        peak = max(m.stored_words for m in cluster._machines.values())
-        assert peak <= 3 + 1
+        assert cluster.peak_machine_memory() == 3
+        for machine_id in (0, 1, cluster.num_machines // 2, cluster.num_machines - 1):
+            assert cluster.machine_words(machine_id) == 3
+
+    def test_store_spread_puts_the_remainder_after_the_full_shares(self):
+        cluster = make_cluster()
+        machines = cluster.num_machines
+        cluster.store_spread(2 * machines + 5, tag="big")  # share 3
+        full = (2 * machines + 5) // 3
+        remainder = 2 * machines + 5 - 3 * full
+        assert cluster.peak_machine_memory() == 3
+        assert [cluster.machine_words(m) for m in (0, full - 1)] == [3, 3]
+        assert cluster.machine_words(full) == remainder
+        assert cluster.machine_words(machines - 1) == 0
+        assert sum(cluster.machine_words(m) for m in range(machines)) == 2 * machines + 5
 
     def test_store_spread_rejects_negative(self):
         cluster = make_cluster()
@@ -89,8 +103,6 @@ class TestStorage:
         """Regression: the even share must be checked against each machine's
         capacity (the docstring always promised it; the code stored with
         enforce=False)."""
-        from repro.errors import MemoryLimitExceeded
-
         cluster = make_cluster()
         oversized = cluster.num_machines * (cluster.words_per_machine + 1)
         with pytest.raises(MemoryLimitExceeded):
@@ -122,8 +134,177 @@ class TestStorage:
 
     def test_machine_id_out_of_range(self):
         cluster = make_cluster()
+        with pytest.raises(SimulationError, match="out of range"):
+            cluster.machine_words(cluster.num_machines + 5)
+
+
+def _ledger_view(cluster: MPCCluster):
+    return (
+        cluster.global_memory_in_use(),
+        cluster.peak_machine_memory(),
+        cluster.stats.state_dict(),
+        cluster.ledger_state(),
+    )
+
+
+def _global_only(**kwargs) -> MPCCluster:
+    return make_cluster(enforce_limits=False, enforce_global_memory=True, **kwargs)
+
+
+#: ``(cluster factory, failing call, exception)``; every cluster first holds
+#: a spread object and a keyed store, so "nothing changed" has content.
+RAISING_STORES = {
+    "store_at_key": (
+        make_cluster,
+        lambda c: c.store_at_key(3, c.words_per_machine + 1, tag="x"),
+        MemoryLimitExceeded,
+    ),
+    "store_spread": (
+        make_cluster,
+        lambda c: c.store_spread(c.num_machines * (c.words_per_machine + 1), tag="big"),
+        MemoryLimitExceeded,
+    ),
+    "restore_spread": (
+        make_cluster,
+        lambda c: c.restore_spread(c.num_machines * (c.words_per_machine + 1), tag="live"),
+        MemoryLimitExceeded,
+    ),
+    "load_graph": (
+        lambda: make_cluster(n=16, m=16),
+        lambda c: c.load_graph(generators.union_of_random_forests(200, arboricity=10, seed=1)),
+        MemoryLimitExceeded,
+    ),
+    "communication_round-store": (
+        make_cluster,
+        lambda c: c.communication_round(
+            [(0, 1, c.words_per_machine + 1)], store_tag="views", split_oversized=False
+        ),
+        MemoryLimitExceeded,
+    ),
+    "communication_round-traffic": (
+        make_cluster,
+        lambda c: c.communication_round(
+            [(0, 1, c.words_per_machine + 1)], split_oversized=False
+        ),
+        CommunicationLimitExceeded,
+    ),
+    "store_spread-global": (
+        _global_only,
+        lambda c: c.store_spread(c.config.global_memory_words(), tag="big"),
+        GlobalMemoryExceeded,
+    ),
+    "store_at_key-global": (
+        _global_only,
+        lambda c: c.store_at_key(9, c.config.global_memory_words(), tag="x"),
+        GlobalMemoryExceeded,
+    ),
+    "communication_round-global": (
+        _global_only,
+        lambda c: c.communication_round(
+            [(0, 1, c.config.global_memory_words())], store_tag="views"
+        ),
+        GlobalMemoryExceeded,
+    ),
+}
+
+
+class TestAtomicStores:
+    """A store that raises changes nothing: not the words in use, not the
+    peak, not the stats."""
+
+    def test_failed_spread_leaves_no_words_on_the_offender(self):
+        cluster = make_cluster()  # S = 64
+        capacity = cluster.words_per_machine
+        with pytest.raises(MemoryLimitExceeded) as excinfo:
+            cluster.store_spread(cluster.num_machines * (capacity + 1), tag="too-big")
+        assert excinfo.value.machine_id == 0
+        assert excinfo.value.used_words == capacity + 1
+        assert cluster.global_memory_in_use() == 0
+        assert cluster.peak_machine_memory() == 0
+        cluster.communication_round([(0, 1, 1)], label="unrelated")
+        assert cluster.stats.peak_machine_memory_words == 0
+
+    @pytest.mark.parametrize("case", sorted(RAISING_STORES))
+    def test_every_raising_store_is_atomic(self, case):
+        factory, call, error = RAISING_STORES[case]
+        cluster = factory()
+        cluster.restore_spread(3 * cluster.num_machines, tag="live")
+        cluster.store_at_key(5, 2, tag="x")
+        before = _ledger_view(cluster)
+        with pytest.raises(error):
+            call(cluster)
+        assert _ledger_view(cluster) == before
+
+    def test_spread_onto_a_machine_a_split_payload_overfilled_raises(self):
+        """A non-strict payload store may exceed the cap; a later enforced
+        spread covering that machine must still name it, even when the
+        peak (set by a released payload) is above every current value."""
+        cluster = make_cluster()
+        capacity = cluster.words_per_machine
+        cluster.communication_round([(7, 0, 2 * capacity)], store_tag="views")
+        cluster.communication_round([(7, 1, 3 * capacity)], store_tag="spike")
+        cluster.release_tag_everywhere("spike")
+        machine = cluster.config.machine_of(0)
+        assert cluster.peak_machine_memory() == 3 * capacity
+        with pytest.raises(MemoryLimitExceeded) as excinfo:
+            cluster.store_spread(cluster.num_machines, tag="small")
+        assert excinfo.value.machine_id == machine
+        assert excinfo.value.used_words == 2 * capacity + 1
+
+    def test_traffic_offender_is_the_lowest_machine_at_the_largest_volume(self):
+        cluster = make_cluster()
+        capacity = cluster.words_per_machine
+        keys = sorted(range(1, 40), key=cluster.config.machine_of)[:2]
+        with pytest.raises(CommunicationLimitExceeded) as excinfo:
+            cluster.communication_round(
+                [(keys[1], 0, capacity + 1), (keys[0], 0, capacity + 1)],
+                split_oversized=False,
+            )
+        assert excinfo.value.direction == "received"
+        cluster = make_cluster()
+        with pytest.raises(CommunicationLimitExceeded) as excinfo:
+            cluster.communication_round(
+                [(keys[1], 0, capacity + 1), (keys[0], 1, capacity + 1)],
+                split_oversized=False,
+            )
+        assert excinfo.value.direction == "sent"
+        assert excinfo.value.machine_id == cluster.config.machine_of(keys[0])
+
+
+class TestRelease:
+    def test_over_release_raises_and_changes_nothing(self):
+        cluster = make_cluster()
+        cluster.store_at_key(7, 10, tag="a")
+        cluster.store_at_key(7, 10, tag="b")
+        before = _ledger_view(cluster)
+        machine = cluster.config.machine_of(7)
+        with pytest.raises(SimulationError, match=f"machine {machine}: it holds 10"):
+            cluster.release_at_key(7, 15, tag="a")
+        with pytest.raises(SimulationError, match="it holds 0"):
+            cluster.release_at_key(7, 1, tag="unknown")
+        assert _ledger_view(cluster) == before
+        cluster.release_at_key(7, 10, tag="a")
+        assert cluster.global_memory_in_use() == 10
+        assert cluster.machine_words(machine) == 10
+
+    def test_release_at_key_may_take_words_from_a_spread_share(self):
+        cluster = make_cluster()
+        cluster.store_spread(2 * cluster.num_machines, tag="s")
+        cluster.release_at_key(7, 2, tag="s")
+        assert cluster.machine_words(cluster.config.machine_of(7)) == 0
+        assert cluster.global_memory_in_use() == 2 * cluster.num_machines - 2
         with pytest.raises(SimulationError):
-            cluster.machine(cluster.num_machines + 5)
+            cluster.release_at_key(7, 1, tag="s")
+
+    def test_spread_only_ledger_state_has_no_per_machine_entries(self):
+        cluster = make_cluster()
+        cluster.restore_spread(5 * cluster.num_machines + 3, tag="live")
+        cluster.store_spread(40, tag="views")
+        cluster.communication_round([(0, 1, 4), (2, 3, 6)])
+        state = cluster.ledger_state()
+        assert state["keyed"] == []
+        assert state["spread"] == {"live": [5 * cluster.num_machines + 3], "views": [40]}
+        assert state["peak_machine_words"] == 6 + 1
 
 
 class TestGraphLoading:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import ParameterError
@@ -50,6 +53,22 @@ class TestDerivedQuantities:
             m = config.machine_of(key)
             assert 0 <= m < machines
             assert m == config.machine_of(key)
+
+    def test_machine_count_is_derived_once_and_not_a_field(self):
+        config = MPCConfig(num_vertices=500, num_edges=1000, delta=0.5)
+        twin = MPCConfig(num_vertices=500, num_edges=1000, delta=0.5)
+        expected = -(-config.global_memory_words() // config.words_per_machine)
+        assert config.num_machines() == expected
+        assert [f.name for f in dataclasses.fields(config)] == [
+            "num_vertices", "num_edges", "delta", "memory_constant", "global_memory_factor",
+        ]
+        assert config == twin and hash(config) == hash(twin)
+        clone = pickle.loads(pickle.dumps(config))
+        assert clone == config and hash(clone) == hash(config)
+        assert clone.num_machines() == expected
+        assert clone.machine_of(12345) == config.machine_of(12345)
+        grown = dataclasses.replace(config, num_edges=9000)
+        assert grown.num_machines() > config.num_machines()
 
     def test_machine_of_spreads_keys(self):
         config = MPCConfig(num_vertices=5000, num_edges=20000, delta=0.5)

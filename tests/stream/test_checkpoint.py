@@ -313,6 +313,16 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="version"):
             StreamEngine.restore(snapshot)
 
+    def test_version_1_container_is_refused(self, snapshot):
+        """Version 1 stored per-machine ledger records; version 2 stores keyed
+        records, spread totals and the peak, so a v1 file cannot restore."""
+        assert checkpoint.CHECKPOINT_VERSION == 2
+        container = json.loads(snapshot.read_text())
+        container["version"] = 1
+        snapshot.write_text(json.dumps(container))
+        with pytest.raises(CheckpointError, match="has version 1; this build restores version 2"):
+            StreamEngine.restore(snapshot)
+
     def test_missing_checksum(self, snapshot):
         container = json.loads(snapshot.read_text())
         del container["checksum"]
