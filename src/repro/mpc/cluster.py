@@ -44,11 +44,11 @@ Two running scalars answer the memory queries in O(1): the words in use
 across the cluster and the largest per-machine value ever stored (the peak).
 After a spread store only the first machine without keyed storage and the
 keyed machines inside the covered prefix can set a new peak or be the first
-capacity offender, and an upper bound (largest keyed total plus machine 0's
-spread share) skips even those when it fits under the peak and the cap.  A
-store that raises — per-machine cap, communication cap, global budget —
-changes nothing.  Per-round traffic is tallied in local dicts and never
-creates storage records.
+capacity offender, so only those are checked.  A store that raises —
+per-machine cap, communication cap, global budget — changes nothing.
+Per-round traffic is tallied in local dicts
+(:meth:`~repro.mpc.config.MPCConfig.traffic`) and never creates storage
+records.
 
 **Dynamic update batches** (:mod:`repro.stream`) extend the same accounting
 to streaming workloads.  A batch of edge insertions/deletions is charged as
@@ -165,7 +165,6 @@ observation.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable, Mapping
 from typing import Optional
 
@@ -176,7 +175,7 @@ from repro.errors import (
     QuotaExceededError,
     SimulationError,
 )
-from repro.mpc.config import PLACEMENT_MULTIPLIER, MPCConfig
+from repro.mpc.config import MPCConfig
 from repro.mpc.metrics import RoundStats
 from repro.obs.tracer import NULL_TRACER
 
@@ -226,7 +225,6 @@ class MPCCluster:
         # machine id -> tag -> keyed words (non-zero entries only; negative
         # when a keyed release took words out of a spread share).
         self._keyed: dict[int, dict[str, int]] = {}
-        self._keyed_bound = 0  # >= 0 and >= every keyed machine's keyed total
         self._spread: dict[str, list[int]] = {}  # tag -> totals of its spread objects
         self._in_use = 0
         self._peak = 0
@@ -408,7 +406,6 @@ class MPCCluster:
         words = tags.get(tag, 0) + delta
         if words:
             tags[tag] = words
-            self._keyed_bound = max(self._keyed_bound, sum(tags.values()))
         else:
             tags.pop(tag, None)
             if not tags:
@@ -417,14 +414,10 @@ class MPCCluster:
     def _drop_keyed_tag(self, tag: str) -> int:
         """Remove ``tag`` from every keyed record; returns the words dropped."""
         dropped = 0
-        bound = 0
         for machine_id, tags in list(self._keyed.items()):
             dropped += tags.pop(tag, 0)
-            if tags:
-                bound = max(bound, sum(tags.values()))
-            else:
+            if not tags:
                 del self._keyed[machine_id]
-        self._keyed_bound = bound
         return dropped
 
     def _keyed_peak(self, words_by_machine: Mapping[int, int], enforce: bool) -> int:
@@ -434,6 +427,9 @@ class MPCCluster:
             held = self._held
             after = {m: held(m) + words for m, words in words_by_machine.items()}
         else:
+            # Every orient()/color() job loads its graph onto a fresh cluster;
+            # skipping one _held call per machine there is a measured
+            # end-to-end gain on the oneshot benchmark workload.
             after = words_by_machine
         top = max(after.values(), default=0)
         capacity = self._capacity
@@ -444,18 +440,10 @@ class MPCCluster:
         return max(self._peak, top)
 
     def _commit_keyed(self, words_by_machine: Mapping[int, int], tag: str) -> None:
-        keyed = self._keyed
         for machine_id, words in words_by_machine.items():
-            if not words:
-                continue
-            self._in_use += words
-            if machine_id in keyed:
+            if words:
                 self._adjust_keyed(machine_id, tag, words)
-            else:
-                # A machine's first keyed entry: the common case on a load.
-                keyed[machine_id] = {tag: words}
-                if words > self._keyed_bound:
-                    self._keyed_bound = words
+                self._in_use += words
 
     def _store_keyed(self, words_by_machine: Mapping[int, int], tag: str, enforce: bool) -> None:
         """Store per-machine word counts under ``tag``, atomically."""
@@ -475,14 +463,7 @@ class MPCCluster:
         if replace:
             in_use -= sum(self._spread.get(tag, ()))
             in_use -= sum(tags.get(tag, 0) for tags in self._keyed.values())
-        peak = self._peak
-        if total:
-            share = -(-total // self._num_machines)
-            # Machine 0 holds the largest spread share, so no machine can
-            # exceed the largest keyed total plus machine 0's spread words.
-            bound = self._keyed_bound + self._spread_words(0, without) + share
-            if bound > peak or (self.enforce_limits and bound > self._capacity):
-                peak = self._spread_peak(total, share, without)
+        peak = self._spread_peak(total, without) if total else self._peak
         self._check_global(in_use)
         if replace:
             self._drop_keyed_tag(tag)
@@ -493,7 +474,7 @@ class MPCCluster:
         self._peak = peak
         self._observe_memory()
 
-    def _spread_peak(self, total: int, share: int, without: str | None) -> int:
+    def _spread_peak(self, total: int, without: str | None) -> int:
         """Exact peak after placing a ``total``-word spread object.
 
         Candidates are the machines the object covers that hold keyed words,
@@ -502,6 +483,7 @@ class MPCCluster:
         Raises the first offender in ascending machine id under
         ``enforce_limits``.
         """
+        share = -(-total // self._num_machines)
         full = total // share
         remainder = total - full * share
         covered = full + (remainder > 0)
@@ -567,19 +549,7 @@ class MPCCluster:
 
         Returns the number of rounds charged.
         """
-        machines = self._num_machines
-        multiplier = PLACEMENT_MULTIPLIER
-        sent: dict[int, int] = {}
-        received: dict[int, int] = {}
-        total_words = 0
-        for source_key, destination_key, words in messages:
-            if words < 0:
-                raise SimulationError("message size must be non-negative")
-            source = source_key * multiplier % machines
-            destination = destination_key * multiplier % machines
-            sent[source] = sent.get(source, 0) + words
-            received[destination] = received.get(destination, 0) + words
-            total_words += words
+        sent, received, total_words = self.config.traffic(messages)
 
         capacity = self._capacity
         strict = self.enforce_limits and not split_oversized
@@ -707,19 +677,12 @@ class MPCCluster:
         Models the arbitrary initial distribution of the input: edge ``(u, v)``
         is stored on the machine owning the edge's index, and every vertex id
         is stored on the machine owning the vertex.  Placement is tallied per
-        machine — the keys form arithmetic progressions under the placement
-        hash, so no call is made per key — and stored as one atomic keyed
-        store, machines in order of their first key (the first offender in
-        that order raises).
+        machine and stored as one atomic keyed store, machines in order of
+        their first key (the first offender in that order raises).
         """
-        machines = self._num_machines
-        step = PLACEMENT_MULTIPLIER
-        end = graph.num_vertices * step
-        words = Counter(map(machines.__rmod__, range(0, end, step)))
-        edge_machines = Counter(
-            map(machines.__rmod__, range(end, end + graph.num_edges * step, step))
-        )
-        for machine_id, count in edge_machines.items():
+        placement_counts = self.config.placement_counts
+        words = placement_counts(0, graph.num_vertices)
+        for machine_id, count in placement_counts(graph.num_vertices, graph.num_edges).items():
             words[machine_id] += 2 * count
         self._store_keyed(words, tag, self.enforce_limits)
 

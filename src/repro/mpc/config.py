@@ -13,13 +13,15 @@ the theory hides, so experiments can (a) enforce the constraints and (b) sweep
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from repro.errors import ParameterError
+from repro.errors import ParameterError, SimulationError
 
-#: Multiplier of the placement hash: key ``k`` lives on machine
-#: ``(k * PLACEMENT_MULTIPLIER) % num_machines``.
-PLACEMENT_MULTIPLIER = 2654435761
+# Multiplier of the placement hash: key ``k`` lives on machine
+# ``(k * _PLACEMENT_MULTIPLIER) % num_machines``.
+_PLACEMENT_MULTIPLIER = 2654435761
 
 
 @dataclass(frozen=True)
@@ -112,7 +114,35 @@ class MPCConfig:
         ids, which is what an adversarial initial distribution would also
         achieve in expectation.
         """
-        return (key * PLACEMENT_MULTIPLIER) % self._num_machines
+        return (key * _PLACEMENT_MULTIPLIER) % self._num_machines
+
+    def placement_counts(self, first_key: int, count: int) -> Counter:
+        """How many of the keys ``first_key … first_key + count - 1`` each
+        machine owns, machines in order of their first key.  The hashed keys
+        form an arithmetic progression, so no call is made per key.
+        """
+        step = _PLACEMENT_MULTIPLIER
+        start = first_key * step
+        return Counter(map(self._num_machines.__rmod__, range(start, start + count * step, step)))
+
+    def traffic(self, messages: Iterable[tuple[int, int, int]]) -> tuple[dict, dict, int]:
+        """Per-machine words sent and received by ``(source_key,
+        destination_key, words)`` messages, plus their total, each endpoint
+        placed by :meth:`machine_of` (machines in order of first use).
+        """
+        machines = self._num_machines
+        sent: dict[int, int] = {}
+        received: dict[int, int] = {}
+        total_words = 0
+        for source_key, destination_key, words in messages:
+            if words < 0:
+                raise SimulationError("message size must be non-negative")
+            source = source_key * _PLACEMENT_MULTIPLIER % machines
+            destination = destination_key * _PLACEMENT_MULTIPLIER % machines
+            sent[source] = sent.get(source, 0) + words
+            received[destination] = received.get(destination, 0) + words
+            total_words += words
+        return sent, received, total_words
 
     @classmethod
     def for_graph(cls, graph, delta: float = 0.5, **kwargs) -> "MPCConfig":

@@ -296,6 +296,29 @@ class TestRelease:
         with pytest.raises(SimulationError):
             cluster.release_at_key(7, 1, tag="s")
 
+    @pytest.mark.parametrize("enforce", [True, False])
+    def test_restore_over_a_released_spread_share_is_checked_exactly(self, enforce):
+        # The release leaves machine_of(7) with a negative keyed entry under
+        # "t"; re-registering "t" drops it, so the machine ends at 62 + 3.
+        cluster = make_cluster(enforce_limits=enforce)
+        machines = cluster.num_machines
+        machine = cluster.config.machine_of(7)
+        cluster.store_spread(3 * machines, tag="t")
+        cluster.release_at_key(7, 3, tag="t")
+        cluster.store_at_key(7, 62, tag="a")
+        assert cluster.peak_machine_memory() == 62
+        if enforce:
+            before = _ledger_view(cluster)
+            with pytest.raises(MemoryLimitExceeded) as excinfo:
+                cluster.restore_spread(3 * machines, tag="t")
+            assert (excinfo.value.machine_id, excinfo.value.used_words) == (machine, 65)
+            assert _ledger_view(cluster) == before
+        else:
+            cluster.restore_spread(3 * machines, tag="t")
+            assert cluster.machine_words(machine) == 65
+            assert cluster.peak_machine_memory() == 65
+            assert cluster.stats.peak_machine_memory_words == 65
+
     def test_spread_only_ledger_state_has_no_per_machine_entries(self):
         cluster = make_cluster()
         cluster.restore_spread(5 * cluster.num_machines + 3, tag="live")
