@@ -3,7 +3,7 @@
 Composite benchmark at n=100k (union of 8 random spanning forests, λ ≤ 8):
 
 1. ``PartialLayerAssignment.from_peeling`` — frontier peel kernel vs. the
-   seed's per-round full-vertex rescan into a ``dict[int, float]``;
+   seed's per-round full-vertex rescan;
 2. ``Graph.induced_subgraph`` — CSR slice walk over the kept vertices vs. the
    seed's scan of every parent edge plus eager rebuild of the sorted
    adjacency tuples;
@@ -44,11 +44,11 @@ SPEEDUP_TARGET = 3.0
 
 
 def reference_from_peeling(graph: Graph, threshold: int) -> PartialLayerAssignment:
-    """The seed peel loop: full vertex rescan per round, dict-backed layers."""
+    """The seed peel loop: full vertex rescan per round."""
     n = graph.num_vertices
     degree = list(graph.degrees)
     removed = [False] * n
-    layer_of: dict[int, float] = {v: UNASSIGNED for v in range(n)}
+    layer_of = [UNASSIGNED] * n
     current_layer = 1
     remaining = n
     while remaining > 0:

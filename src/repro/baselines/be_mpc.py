@@ -64,7 +64,7 @@ def barenboim_elkin_in_mpc(
 
     degree = list(graph.degrees)
     removed = [False] * n
-    layer_of: dict[int, int] = {}
+    layer_of = [0] * n
     rounds = 0
     remaining = n
     while remaining > 0 and rounds < max_rounds:
@@ -93,7 +93,7 @@ def barenboim_elkin_in_mpc(
             if not removed[v]:
                 layer_of[v] = final_layer
 
-    partition = HPartition(graph, layer_of) if n > 0 else HPartition(graph, {})
+    partition = HPartition(graph, layer_of)
     orientation = partition.to_orientation()
     return BEMpcResult(
         orientation=orientation,

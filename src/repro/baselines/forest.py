@@ -29,6 +29,7 @@ random forests.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
@@ -69,62 +70,35 @@ def forest_orient_and_color(
     if cluster is None:
         cluster = MPCCluster(MPCConfig.for_graph(graph, delta=delta))
 
-    # Peeling with threshold 2: on forests every iteration removes at least
-    # half of the remaining vertices, so there are O(log n) iterations; the
-    # MPC implementation of [GLM+23] compresses them into O(log log n) rounds
+    # Peeling with threshold 2: on forests every round removes at least
+    # half of the remaining vertices, so there are O(log n) rounds; the MPC
+    # implementation of [GLM+23] compresses them into O(log log n) rounds
     # via exponentiation on the (degree ≤ 2) remainder, which we charge
-    # accordingly: one round per batch of doubling length.
-    degree = list(graph.degrees)
-    removed = [False] * n
-    layer_of: dict[int, int] = {}
-    iteration = 0
-    remaining = n
-    while remaining > 0:
-        iteration += 1
-        peel = [v for v in range(n) if not removed[v] and degree[v] <= 2]
-        if not peel:
-            break
-        for v in peel:
-            removed[v] = True
-            layer_of[v] = iteration
-        remaining -= len(peel)
-        for v in peel:
-            for w in graph.neighbors(v):
-                if not removed[w]:
-                    degree[w] -= 1
-    if remaining > 0:
-        iteration += 1
-        for v in range(n):
-            if not removed[v]:
-                layer_of[v] = iteration
-
-    # Round accounting: compressing `iteration` peeling steps takes
-    # O(log(iteration)) = O(log log n) exponentiation rounds.
-    compressed_rounds = max(int(math.ceil(math.log2(max(iteration, 2)))), 1) + 2
-    cluster.charge_rounds(compressed_rounds, label="forest:orientation")
-
-    partition = HPartition(graph, layer_of) if n > 0 else HPartition(graph, {})
+    # accordingly: one round per batch of doubling length.  Survivors (none
+    # on a forest) go one layer past the last round.
+    layers, rounds_used = graph.peel_layers(2)
+    partition = HPartition(graph, [layer or rounds_used + 1 for layer in layers])
     orientation = partition.to_orientation()
+
+    # Round accounting: compressing `rounds_used` peeling steps takes
+    # O(log(rounds_used)) = O(log log n) exponentiation rounds.
+    compressed_rounds = max(int(math.ceil(math.log2(max(rounds_used, 2)))), 1) + 2
+    cluster.charge_rounds(compressed_rounds, label="forest:orientation")
 
     # Coloring: process layers from the deepest down; each vertex has at most
     # 2 neighbors in layers ≥ its own, and lower-layer neighbors are still
     # uncolored when it picks, so the greedy choice never exceeds color 2.
-    colors: dict[int, int] = {}
-    num_layers = partition.num_layers
-    for layer_index in range(num_layers, 0, -1):
+    colors = array("l", [-1]) * n
+    for layer_index in range(partition.num_layers, 0, -1):
         for v in partition.layer(layer_index):
-            taken = {
-                colors[w]
-                for w in graph.neighbors(v)
-                if w in colors
-            }
+            taken = {colors[w] for w in graph.neighbors(v)}
             color = 0
             while color in taken:
                 color += 1
             colors[v] = color
     cluster.charge_rounds(compressed_rounds, label="forest:coloring")
 
-    coloring = Coloring(graph, colors)
+    coloring = Coloring.from_column(graph, colors)
     return ForestResult(
         orientation=orientation,
         partition=partition,

@@ -76,7 +76,7 @@ def glm19_orientation(
 
     degree = list(graph.degrees)
     removed = [False] * n
-    layer_of: dict[int, int] = {}
+    layer_of = [0] * n
     local_rounds = 0
     phases = 0
     remaining = n
@@ -120,7 +120,7 @@ def glm19_orientation(
             if not removed[v]:
                 layer_of[v] = local_rounds
 
-    partition = HPartition(graph, layer_of) if n > 0 else HPartition(graph, {})
+    partition = HPartition(graph, layer_of)
     orientation = partition.to_orientation()
     return GLM19Result(
         orientation=orientation,

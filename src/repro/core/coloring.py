@@ -104,17 +104,17 @@ def _color_layered_graph(
     cluster: MPCCluster | None,
     rng: random.Random,
     delta: float,
-) -> tuple[dict[int, int], int]:
+) -> tuple[array, int]:
     """Color a single (low-arboricity) graph given its H-partition.
 
     Layers are processed from the deepest to the shallowest in batches whose
     directed-reachability sets stay below the local-memory proxy ``n^δ``.
-    Returns the vertex -> color map (colors offset by ``palette_base``) and
-    the total number of LOCAL subroutine rounds consumed.
+    Returns the per-vertex color column (colors offset by ``palette_base``)
+    and the total number of LOCAL subroutine rounds consumed.
     """
-    layer_of = {v: hpartition.layer_of[v] for v in graph.vertices}
+    layer_of = hpartition.layer_of
     num_layers = hpartition.num_layers
-    colors: dict[int, int] = {}
+    colors = array("l", [-1]) * graph.num_vertices
     local_rounds = 0
 
     n = max(graph.num_vertices, 2)
@@ -146,21 +146,20 @@ def _color_layered_graph(
         # Color the batch layer by layer (highest first); each layer is a
         # degree+1 list coloring on the graph induced by that layer.
         for layer_index in range(highest_uncolored, lowest_in_batch - 1, -1):
-            members = [v for v in graph.vertices if layer_of[v] == layer_index]
+            members = hpartition.layer(layer_index)
             if not members:
                 continue
             induced = graph.induced_subgraph(members)
-            palettes: dict[int, list[int]] = {}
-            for local_v in induced.vertices:
-                v = induced.to_parent(local_v)
+            palettes: list[list[int]] = []
+            for v in induced.parent_ids:
                 taken = {
                     colors[w]
                     for w in graph.neighbors(v)
-                    if w in colors and layer_of[w] >= layer_index
+                    if colors[w] >= 0 and layer_of[w] >= layer_index
                 }
-                palettes[local_v] = [
-                    palette_base + c for c in range(palette_size) if palette_base + c not in taken
-                ]
+                palettes.append(
+                    [palette_base + c for c in range(palette_size) if palette_base + c not in taken]
+                )
             result = random_list_coloring(induced, palettes, rng=rng)
             local_rounds += result.rounds
             for local_v, color in result.colors.items():
@@ -181,10 +180,11 @@ def _color_part_task(
     """Layer and color one Lemma 2.2 part against its own sub-ledger.
 
     Module-level so process workers can unpickle it by reference.  The part
-    is colored with a palette-local base of 0 — the parent applies the disjoint offset when folding — and the result
-    travels as two flat ``array('l')`` columns (color and layer per local
-    vertex id) plus the sub-ledger's stats: everything else (the HPartition
-    object, the palette dict) is rebuilt cheaply on the parent side.
+    is colored with a palette-local base of 0 — the parent applies the
+    disjoint offset when folding — and the result travels as two flat
+    ``array('l')`` columns (color and layer per local vertex id) plus the
+    sub-ledger's stats; the parent rebuilds the HPartition from the layer
+    column.
     """
     run = complete_layer_assignment(part, k=k, delta=delta, cluster=ledger)
     hpartition = run.to_hpartition()
@@ -199,9 +199,7 @@ def _color_part_task(
         rng=random.Random(seed),
         delta=delta,
     )
-    color_column = array("l", (part_colors[v] for v in part.vertices))
-    layer_column = array("l", (hpartition.layer_of[v] for v in part.vertices))
-    return color_column, layer_column, palette_size, local_rounds, ledger.stats
+    return part_colors, hpartition.layer_of, palette_size, local_rounds, ledger.stats
 
 
 def color(
@@ -283,7 +281,7 @@ def color(
                 rng=rng,
                 delta=delta,
             )
-        coloring = Coloring(graph, colors)
+        coloring = Coloring.from_column(graph, colors)
         return ColoringRun(
             coloring=coloring,
             num_colors=coloring.num_colors(),
@@ -351,9 +349,7 @@ def color(
         part_rounds: list[int] = []
         for (_index, part), result in zip(nonempty, results):
             _color_column, layer_column, _palette_size, part_local_rounds, stats = result
-            hpartitions.append(
-                HPartition(part, {v: layer_column[v] for v in part.vertices})
-            )
+            hpartitions.append(HPartition(part, layer_column))
             local_rounds += part_local_rounds
             part_rounds.append(stats.num_rounds)
         palette_base = offsets[-1]

@@ -17,7 +17,7 @@ than assumed.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.graph.graph import Graph
@@ -35,7 +35,7 @@ class ReachabilityResult:
 
 
 def out_neighbors_by_layer(
-    graph: Graph, layer_of: Mapping[int, int]
+    graph: Graph, layer_of: Sequence[int]
 ) -> dict[int, list[int]]:
     """The directed out-neighborhood used by the coloring algorithm.
 
@@ -56,7 +56,7 @@ def out_neighbors_by_layer(
 
 def directed_reachability(
     graph: Graph,
-    layer_of: Mapping[int, int],
+    layer_of: Sequence[int],
     start_vertices: Iterable[int],
     max_distance: int,
     cluster: MPCCluster | None = None,
@@ -67,7 +67,7 @@ def directed_reachability(
     Parameters
     ----------
     graph, layer_of:
-        The graph and its layer assignment defining edge directions.
+        The graph and its per-vertex layer column defining edge directions.
     start_vertices:
         The batch of vertices that need to learn their reachability sets.
     max_distance:

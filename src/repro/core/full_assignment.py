@@ -14,7 +14,8 @@
   and layer decay ``|{v : ℓ(v) ≥ j}| ≤ 0.5^{j-1}·n``.
 
 The functions below work on *induced subgraphs* of the original input; layers
-are always reported in terms of the original vertex ids.
+are always reported in terms of the original vertex ids, as a flat per-vertex
+column (``UNASSIGNED`` = ``∞`` for vertices without a layer).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from repro.core.layering import UNASSIGNED
 from repro.core.parameters import loglog
 from repro.core.partial_assignment import partial_assignment_with_decay
-from repro.errors import ParameterError
+from repro.errors import InvalidLayeringError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
 from repro.mpc.cluster import MPCCluster
@@ -33,28 +34,37 @@ from repro.mpc.cluster import MPCCluster
 
 @dataclass
 class LayerAssignmentRun:
-    """A complete (or partial) layer assignment over the original vertex ids."""
+    """A complete (or partial) layer assignment over the original vertex ids.
+
+    ``layer_of[v]`` is the layer of vertex ``v`` as a float, or
+    :data:`UNASSIGNED`.
+    """
 
     graph: Graph
-    layer_of: dict[int, float]
+    layer_of: list[float]
     out_degree_bound: int
     num_layers_used: int
     phases: int
     rounds_charged: int
     phase_log: list[dict[str, float]] = field(default_factory=list)
 
+    def __post_init__(self) -> None:
+        n = self.graph.num_vertices
+        if len(self.layer_of) != n or min(self.layer_of, default=1) < 1:
+            raise InvalidLayeringError(
+                f"a layer column needs {n} entries, each ≥ 1 or UNASSIGNED"
+            )
+
     def is_complete(self) -> bool:
         """Whether every vertex received a finite layer."""
-        return all(self.layer_of[v] != UNASSIGNED for v in self.graph.vertices)
+        return UNASSIGNED not in self.layer_of
 
     def to_hpartition(self) -> HPartition:
         """Convert to an :class:`HPartition` (requires completeness)."""
-        if not self.is_complete():
-            missing = [v for v in self.graph.vertices if self.layer_of[v] == UNASSIGNED]
-            raise ParameterError(
-                f"assignment is not complete: {len(missing)} unassigned vertices"
-            )
-        return HPartition(self.graph, {v: int(self.layer_of[v]) for v in self.graph.vertices})
+        missing = self.layer_of.count(UNASSIGNED)
+        if missing:
+            raise ParameterError(f"assignment is not complete: {missing} unassigned vertices")
+        return HPartition(self.graph, map(int, self.layer_of))
 
 
 # --------------------------------------------------------------------------- #
@@ -81,7 +91,7 @@ def iterated_partial_assignment(
     if max_iterations is None:
         max_iterations = max(2 * int(math.ceil(math.log2(max(k, 2)))) + 4, 4)
 
-    layer_of: dict[int, float] = {v: UNASSIGNED for v in graph.vertices}
+    layer_of = [UNASSIGNED] * graph.num_vertices
     unassigned = list(graph.vertices)
     offset = 0
     out_degree_bound = 0
@@ -95,12 +105,9 @@ def iterated_partial_assignment(
         result = partial_assignment_with_decay(subgraph, k=k, budget=budget, cluster=cluster)
         assignment = result.assignment
         out_degree_bound = max(out_degree_bound, assignment.out_degree)
-        newly_assigned = 0
-        for local_vertex in subgraph.vertices:
-            layer = assignment.layer(local_vertex)
-            if layer != UNASSIGNED:
-                layer_of[subgraph.to_parent(local_vertex)] = offset + layer
-                newly_assigned += 1
+        newly_assigned = _scatter_layers(
+            layer_of, subgraph.parent_ids, assignment.layer_of, offset
+        )
         offset += result.params.num_layers
         phase_log.append(
             {
@@ -124,7 +131,7 @@ def iterated_partial_assignment(
         # (possibly larger) out-degree honestly.
         offset += 1
         for v in unassigned:
-            layer_of[v] = offset
+            layer_of[v] = float(offset)
 
     rounds_after = cluster.stats.num_rounds if cluster is not None else 0
     return LayerAssignmentRun(
@@ -143,28 +150,38 @@ def iterated_partial_assignment(
 # --------------------------------------------------------------------------- #
 
 
+def _scatter_layers(
+    layer_of: list[float], parent_ids: tuple[int, ...], local: list[float], offset: int
+) -> int:
+    """Write a subgraph's assigned layers, shifted by ``offset``, into ``layer_of``.
+
+    ``local[i]`` is the layer of local vertex ``i``, whose parent id is
+    ``parent_ids[i]``.  Returns the number of vertices written.
+    """
+    written = 0
+    for parent, layer in zip(parent_ids, local):
+        if layer != UNASSIGNED:
+            layer_of[parent] = offset + layer
+            written += 1
+    return written
+
+
 def _peel_low_degree(
     graph: Graph,
     k: int,
     rounds: int,
     cluster: MPCCluster | None = None,
-) -> tuple[dict[int, int], list[int], int]:
+) -> tuple[list[float], list[int], int]:
     """Stage 1 of Lemma 3.15: peel vertices of degree ≤ k for ``rounds`` rounds.
 
-    Returns the layer of every peeled vertex (1-based), the surviving
-    vertices, and the number of peeling rounds actually used.  Each peeling
-    round is one MPC round (degree recomputation is an aggregate-by-key,
-    charged as part of the same round).
+    Returns the layer column (1-based layers, :data:`UNASSIGNED` for
+    survivors), the surviving vertices, and the number of peeling rounds
+    actually used.  Each peeling round is one MPC round (degree
+    recomputation is an aggregate-by-key, charged as part of the same round).
     """
-    n = graph.num_vertices
     layers, used_rounds = graph.peel_layers(k, max_rounds=rounds)
-    layer_of: dict[int, int] = {}
-    survivors: list[int] = []
-    for v in range(n):
-        if layers[v]:
-            layer_of[v] = layers[v]
-        else:
-            survivors.append(v)
+    layer_of = [float(layer) if layer else UNASSIGNED for layer in layers]
+    survivors = [v for v, layer in enumerate(layers) if not layer]
     if cluster is not None and used_rounds:
         cluster.charge_rounds(used_rounds, label="peel:low-degree")
     return layer_of, survivors, used_rounds
@@ -209,13 +226,9 @@ def complete_layer_assignment(
 
     # Stage 1: initial peeling for O(log k) rounds.
     peel_rounds = max(int(math.ceil(math.log2(max(k, 2)))) + 2, 2)
-    peeled_layers, survivors, used_peel_rounds = _peel_low_degree(
+    layer_of, survivors, used_peel_rounds = _peel_low_degree(
         graph, k, peel_rounds, cluster=cluster
     )
-
-    layer_of: dict[int, float] = {v: UNASSIGNED for v in graph.vertices}
-    for v, layer in peeled_layers.items():
-        layer_of[v] = float(layer)
     offset = used_peel_rounds
 
     # Stage 2: iterated partial assignment with budget boosting.
@@ -225,7 +238,7 @@ def complete_layer_assignment(
     phase_log: list[dict[str, float]] = [
         {
             "phase": 0.0,
-            "assigned": float(len(peeled_layers)),
+            "assigned": float(graph.num_vertices - len(survivors)),
             "remaining": float(len(survivors)),
             "layers_in_phase": float(used_peel_rounds),
         }
@@ -238,10 +251,7 @@ def complete_layer_assignment(
         subgraph = graph.induced_subgraph(remaining)
         run = iterated_partial_assignment(subgraph, k=k, budget=budget, cluster=cluster)
         out_degree_bound = max(out_degree_bound, run.out_degree_bound)
-        for local_vertex in subgraph.vertices:
-            layer = run.layer_of[local_vertex]
-            if layer != UNASSIGNED:
-                layer_of[subgraph.to_parent(local_vertex)] = offset + layer
+        _scatter_layers(layer_of, subgraph.parent_ids, run.layer_of, offset)
         offset += run.num_layers_used
         newly_remaining = [v for v in remaining if layer_of[v] == UNASSIGNED]
         phase_log.append(

@@ -12,13 +12,11 @@ Implements Section 2.1 of the paper:
   path counts ``NumPathsIn`` / ``NumPathsOut``; the total is at most
   ``n · d^L`` for a complete assignment with out-degree ``d``.
 
-Storage layout: layers live in a flat per-vertex list (``∞`` =
-:data:`UNASSIGNED`) aligned with the graph's CSR arrays, not in a
-``dict[int, float]``.  The public ``layer_of`` attribute remains a read-only
-``Mapping`` view over that list for source compatibility; constructors also
-accept a plain sequence, which the hot paths (:meth:`~PartialLayerAssignment.from_peeling`,
-:meth:`~PartialLayerAssignment.combine_min`) use to skip dict round-trips.
-The peeling constructor delegates to the shared frontier kernel
+Storage layout: ``layer_of`` is a flat per-vertex list of floats (``∞`` =
+:data:`UNASSIGNED`) indexed by vertex id and aligned with the graph's CSR
+arrays — the same column form as :class:`~repro.graph.hpartition.HPartition`
+and :class:`~repro.core.full_assignment.LayerAssignmentRun`.  The peeling
+constructor delegates to the shared frontier kernel
 :meth:`repro.graph.graph.Graph.peel_layers`, and the path-count DPs are
 single passes over a layer-sorted vertex array.
 """
@@ -26,7 +24,6 @@ single passes over a layer-sorted vertex array.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.errors import InvalidLayeringError
@@ -36,44 +33,6 @@ UNASSIGNED = math.inf
 """Sentinel layer value for unassigned vertices (the paper's ``∞``)."""
 
 
-class _LayerArrayView(Mapping):
-    """Read-only ``vertex -> layer`` Mapping over the flat layer list."""
-
-    __slots__ = ("_values",)
-
-    def __init__(self, values: list[float]) -> None:
-        self._values = values
-
-    def __getitem__(self, v: int) -> float:
-        values = self._values
-        if isinstance(v, int) and 0 <= v < len(values):
-            return values[v]
-        raise KeyError(v)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(len(self._values)))
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LayerArrayView):
-            return self._values == other._values
-        if isinstance(other, Mapping):
-            if len(other) != len(self._values):
-                return False
-            try:
-                return all(other[v] == value for v, value in enumerate(self._values))
-            except KeyError:
-                return False
-        return NotImplemented
-
-    __hash__ = None  # mirrors dict's unhashability
-
-    def __repr__(self) -> str:
-        return repr(dict(enumerate(self._values)))
-
-
 @dataclass(frozen=True)
 class PartialLayerAssignment:
     """A partial layer assignment ``ℓ : V(G) -> [L] ∪ {∞}`` (Definition 2.1).
@@ -81,68 +40,51 @@ class PartialLayerAssignment:
     ``layer_of[v]`` is either an integer in ``1..num_layers`` or
     :data:`UNASSIGNED`.  The declared ``out_degree`` is the bound ``d`` the
     assignment promises; :meth:`validate` checks the promise.  ``layer_of``
-    may be passed as a mapping (the original API) or as a flat per-vertex
-    sequence; it is normalised to the internal flat list either way.
+    is any per-vertex sequence; it is stored as a list.
     """
 
     graph: Graph
-    layer_of: Mapping[int, float]
+    layer_of: list[float]
     num_layers: int
     out_degree: int
 
     def __post_init__(self) -> None:
-        graph = self.graph
-        n = graph.num_vertices
-        provided = self.layer_of
-        if isinstance(provided, _LayerArrayView):
-            values = list(provided._values)
-            if len(values) != n:
-                raise InvalidLayeringError(
-                    f"layer sequence has {len(values)} entries for {n} vertices"
-                )
-        elif isinstance(provided, Mapping):
-            values = [UNASSIGNED] * n
-            for v in range(n):
-                value = provided.get(v, None)
-                if value is None:
-                    raise InvalidLayeringError(f"vertex {v} has no layer entry (use UNASSIGNED)")
-                values[v] = value
-        else:
-            values = list(provided)
-            if len(values) != n:
-                raise InvalidLayeringError(
-                    f"layer sequence has {len(values)} entries for {n} vertices"
-                )
-        num_layers = self.num_layers
-        for v, value in enumerate(values):
-            if value != UNASSIGNED and not (1 <= value <= num_layers):
-                raise InvalidLayeringError(
-                    f"vertex {v} has layer {value} outside 1..{num_layers}"
-                )
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "layer_of", _LayerArrayView(values))
+        values = list(self.layer_of)
+        n = self.graph.num_vertices
+        if len(values) != n:
+            raise InvalidLayeringError(
+                f"layer column has {len(values)} entries for {n} vertices"
+            )
+        allowed = {UNASSIGNED, *range(1, self.num_layers + 1)}
+        if not allowed.issuperset(values):
+            v = next(v for v, value in enumerate(values) if value not in allowed)
+            raise InvalidLayeringError(
+                f"vertex {v} has layer {values[v]!r}, not an integer in "
+                f"1..{self.num_layers} or UNASSIGNED"
+            )
+        object.__setattr__(self, "layer_of", values)
 
     # ------------------------------------------------------------------ #
 
     def layer(self, v: int) -> float:
         """Layer of ``v`` (``UNASSIGNED`` if not assigned)."""
-        return self._values[v]
+        return self.layer_of[v]
 
     def is_assigned(self, v: int) -> bool:
         """Whether ``v`` has a finite layer."""
-        return self._values[v] != UNASSIGNED
+        return self.layer_of[v] != UNASSIGNED
 
     def assigned_vertices(self) -> list[int]:
         """All vertices with a finite layer."""
-        return [v for v, value in enumerate(self._values) if value != UNASSIGNED]
+        return [v for v, value in enumerate(self.layer_of) if value != UNASSIGNED]
 
     def unassigned_vertices(self) -> list[int]:
         """All vertices with layer ``∞``."""
-        return [v for v, value in enumerate(self._values) if value == UNASSIGNED]
+        return [v for v, value in enumerate(self.layer_of) if value == UNASSIGNED]
 
     def higher_or_equal_neighbors(self, v: int) -> list[int]:
         """Neighbors ``u`` of ``v`` with ``ℓ(u) ≥ ℓ(v)`` (the out-degree set)."""
-        values = self._values
+        values = self.layer_of
         mine = values[v]
         return [u for u in self.graph.neighbors(v) if values[u] >= mine]
 
@@ -156,7 +98,7 @@ class PartialLayerAssignment:
         One pass over the CSR adjacency; shared by :meth:`validate` and
         :meth:`max_observed_out_degree`.
         """
-        values = self._values
+        values = self.layer_of
         indptr = self.graph.csr_indptr
         indices = self.graph.csr_indices
         for v, mine in enumerate(values):
@@ -213,7 +155,7 @@ class PartialLayerAssignment:
             raise InvalidLayeringError(
                 "cannot combine assignments with different (L, d) parameters"
             )
-        combined = [a if a <= b else b for a, b in zip(self._values, other._values)]
+        combined = [a if a <= b else b for a, b in zip(self.layer_of, other.layer_of)]
         return PartialLayerAssignment(
             graph=self.graph,
             layer_of=combined,
@@ -274,7 +216,7 @@ def num_paths_in(assignment: PartialLayerAssignment) -> dict[int, int]:
     increasing layer: ``NumPathsIn(v) = 1 + Σ_{u ∈ N(v), ℓ(u) < ℓ(v)} NumPathsIn(u)``.
     """
     graph = assignment.graph
-    values = assignment._values
+    values = assignment.layer_of
     n = graph.num_vertices
     indptr = graph.csr_indptr
     indices = graph.csr_indices
@@ -296,7 +238,7 @@ def num_paths_in(assignment: PartialLayerAssignment) -> dict[int, int]:
 def num_paths_out(assignment: PartialLayerAssignment) -> dict[int, int]:
     """``NumPathsOut(v)``: strictly increasing paths (w.r.t. ℓ) starting at ``v``."""
     graph = assignment.graph
-    values = assignment._values
+    values = assignment.layer_of
     n = graph.num_vertices
     indptr = graph.csr_indptr
     indices = graph.csr_indices

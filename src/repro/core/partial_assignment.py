@@ -54,7 +54,7 @@ def partial_layer_assignment(
     expo = exponentiate_and_local_prune(graph, params, cluster=cluster)
 
     a = params.layer_out_degree
-    best_layer: dict[int, float] = {v: UNASSIGNED for v in graph.vertices}
+    best_layer = [UNASSIGNED] * graph.num_vertices
     contributions: list[tuple[int, float]] = []
     for v in graph.vertices:
         tree_assignment = partial_layer_assignment_tree(

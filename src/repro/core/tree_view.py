@@ -215,11 +215,11 @@ class TreeView:
     # ------------------------------------------------------------------ #
 
     def is_strictly_monotonically_reachable(
-        self, node: int, layer_of: Mapping[int, float]
+        self, node: int, layer_of: Sequence[float]
     ) -> bool:
         """Whether layers strictly increase along the path from ``node`` to the root.
 
-        ``layer_of`` maps graph vertices to layers (``math.inf`` for ``∞``).
+        ``layer_of`` is the per-vertex layer column (``math.inf`` for ``∞``).
         Following Definition 2.7, we require
         ``ℓ(map(x_1)) < ℓ(map(x_2)) < ... < ℓ(map(x_k))`` where ``x_1 = node``
         and ``x_k`` is the root.  Note that an ``∞`` layer anywhere except
@@ -236,7 +236,7 @@ class TreeView:
         return True
 
     def strictly_monotonically_reachable_nodes(
-        self, layer_of: Mapping[int, float]
+        self, layer_of: Sequence[float]
     ) -> list[int]:
         """All nodes satisfying Definition 2.7 (computed top-down in O(n))."""
         reachable: list[bool] = [True] * self.num_nodes

@@ -13,7 +13,8 @@ computing H-partitions live in :mod:`repro.core`.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.errors import InvalidLayeringError
@@ -30,27 +31,31 @@ class HPartition:
     graph:
         The underlying graph.
     layer_of:
-        Mapping from vertex id to its (1-based) layer number.
+        Per-vertex layer column: ``layer_of[v]`` is the (1-based) layer of
+        vertex ``v``.  Any iterable of ``n`` integers is accepted; it is
+        stored as an ``array('l')``.
     """
 
     graph: Graph
-    layer_of: Mapping[int, int]
+    layer_of: array
     _layers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self) -> None:
-        missing = [v for v in self.graph.vertices if v not in self.layer_of]
-        if missing:
-            raise InvalidLayeringError(
-                f"{len(missing)} vertices have no layer (e.g. {missing[:5]})"
-            )
-        bad = [v for v in self.graph.vertices if self.layer_of[v] < 1]
-        if bad:
+        n = self.graph.num_vertices
+        try:
+            column = array("l", self.layer_of)
+        except TypeError as exc:
+            raise InvalidLayeringError(f"layers must be integers ({exc})") from None
+        if len(column) != n:
+            raise InvalidLayeringError(f"layer column has {len(column)} entries for {n} vertices")
+        if min(column, default=1) < 1:
+            bad = [v for v, layer in enumerate(column) if layer < 1]
             raise InvalidLayeringError(f"layers must be ≥ 1 (offenders: {bad[:5]})")
-        num_layers = max((self.layer_of[v] for v in self.graph.vertices), default=0)
-        layers: list[list[int]] = [[] for _ in range(num_layers)]
-        for v in self.graph.vertices:
-            layers[self.layer_of[v] - 1].append(v)
-        object.__setattr__(self, "_layers", tuple(tuple(layer) for layer in layers))
+        layers: list[list[int]] = [[] for _ in range(max(column, default=0))]
+        for v, layer in enumerate(column):
+            layers[layer - 1].append(v)
+        object.__setattr__(self, "layer_of", column)
+        object.__setattr__(self, "_layers", tuple(map(tuple, layers)))
 
     # ------------------------------------------------------------------ #
 
@@ -61,6 +66,10 @@ class HPartition:
 
     def layer(self, index: int) -> tuple[int, ...]:
         """Vertices in layer ``index`` (1-based)."""
+        if not 1 <= index <= len(self._layers):
+            raise InvalidLayeringError(
+                f"layer {index} is outside 1..{len(self._layers)}"
+            )
         return self._layers[index - 1]
 
     @property
@@ -93,7 +102,7 @@ class HPartition:
 
     def to_orientation(self) -> Orientation:
         """Orient every edge toward the strictly higher layer (ties toward larger id)."""
-        return Orientation.from_layering(self.graph, self.layer_of)
+        return Orientation.from_vertex_order(self.graph, self.layer_of)
 
     # ------------------------------------------------------------------ #
     # Validation helpers used by tests and the experiment harness
@@ -130,12 +139,19 @@ class HPartition:
                 )
 
     @classmethod
-    def from_layers(cls, graph: Graph, layers: Sequence[Sequence[int]]) -> "HPartition":
-        """Build from an explicit list of layers (layer 1 first)."""
-        layer_of: dict[int, int] = {}
+    def from_layers(cls, graph: Graph, layers: Iterable[Iterable[int]]) -> "HPartition":
+        """Build from an explicit list of layers (layer 1 first).
+
+        A vertex missing from every layer keeps layer 0, which the
+        constructor rejects.
+        """
+        n = graph.num_vertices
+        layer_of = array("l", [0]) * n
         for index, layer in enumerate(layers, start=1):
             for v in layer:
-                if v in layer_of:
+                if not 0 <= v < n:
+                    raise InvalidLayeringError(f"vertex {v} is not a vertex of the graph")
+                if layer_of[v]:
                     raise InvalidLayeringError(f"vertex {v} appears in more than one layer")
                 layer_of[v] = index
         return cls(graph, layer_of)

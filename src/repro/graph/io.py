@@ -87,7 +87,7 @@ def format_coloring(coloring: Coloring) -> str:
 
 def format_layering(partition: HPartition) -> str:
     """One ``vertex layer`` line per vertex, sorted by vertex id."""
-    return "\n".join(f"{v} {partition.layer_of[v]}" for v in partition.graph.vertices)
+    return "\n".join(f"{v} {layer}" for v, layer in enumerate(partition.layer_of))
 
 
 def write_text(content: str, path: str | os.PathLike) -> None:

@@ -16,7 +16,7 @@ that array, so existing callers that treat it as a dict keep working while
 from __future__ import annotations
 
 from array import array
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro import kernels
@@ -217,29 +217,20 @@ class Orientation:
         return cls(graph, head_of)
 
     @classmethod
-    def from_vertex_order(cls, graph: Graph, rank: Mapping[int, int] | Iterable[int]) -> "Orientation":
+    def from_vertex_order(cls, graph: Graph, rank: Sequence[int]) -> "Orientation":
         """Orient every edge from the lower-ranked endpoint to the higher-ranked one.
 
-        ``rank`` is either a mapping vertex -> rank or a sequence listing the
-        rank of each vertex.  Ties are broken toward the larger vertex id,
-        matching the paper's "break ties by identifier" convention.  The head
-        flips run through :mod:`repro.kernels` — one vectorized ``np.where``
-        over the edge columns on the numpy backend, the reference loop on
-        ``pure`` — with identical heads either way.
+        ``rank`` is a per-vertex sequence: ``rank[v]`` is the rank of vertex
+        ``v``.  Ties are broken toward the larger vertex id, matching the
+        paper's "break ties by identifier" convention.  Theorem 1.1 turns an
+        H-partition into an orientation this way, with the layer column as
+        the rank.  The head flips run through :mod:`repro.kernels` — one
+        vectorized ``np.where`` over the edge columns on the numpy backend,
+        the reference loop on ``pure`` — with identical heads either way.
         """
-        ranks = rank if isinstance(rank, Mapping) else list(rank)
         edge_u, edge_v = graph.edge_endpoints
-        heads = kernels.orient_by_rank(edge_u, edge_v, ranks)
+        heads = kernels.orient_by_rank(edge_u, edge_v, rank)
         return cls._from_heads(graph, heads)
-
-    @classmethod
-    def from_layering(cls, graph: Graph, layer_of: Mapping[int, int]) -> "Orientation":
-        """Orient each edge toward the endpoint in the strictly higher layer.
-
-        Edges inside a layer are oriented toward the larger id.  This is
-        exactly how Theorem 1.1 turns an H-partition into an orientation.
-        """
-        return cls.from_vertex_order(graph, [layer_of[v] for v in graph.vertices])
 
     def __reduce__(self):
         # Ship only the graph (itself reduced to its edge columns) and the

@@ -104,12 +104,6 @@ def peel_layers(num_vertices, indptr, indices, degrees, threshold, max_rounds):
 def orient_by_rank(edge_u, edge_v, ranks):
     """``np.where`` head flips: point each edge at the higher-ranked endpoint."""
     rank = np.asarray(ranks)
-    if rank.dtype == object:
-        # Arbitrary comparable ranks (not coercible to a numeric vector):
-        # defer to the reference loop.
-        from repro.kernels import pure
-
-        return pure.orient_by_rank(edge_u, edge_v, ranks)
     eu = np_view(edge_u)
     ev = np_view(edge_v)
     # u < v in canonical form, so rank ties resolve toward v.

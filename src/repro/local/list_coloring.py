@@ -24,6 +24,9 @@ from collections.abc import Mapping, Sequence
 from repro.errors import InvalidColoringError, ParameterError
 from repro.graph.graph import Graph
 
+Palettes = Sequence[Sequence[int]] | Mapping[int, Sequence[int]]
+"""``palettes[v]`` is vertex ``v``'s palette: a per-vertex list, or a mapping."""
+
 
 @dataclass
 class ListColoringResult:
@@ -33,12 +36,13 @@ class ListColoringResult:
     rounds: int
 
 
-def validate_lists(graph: Graph, palettes: Mapping[int, Sequence[int]]) -> None:
+def validate_lists(graph: Graph, palettes: Palettes) -> None:
     """Check the degree+1 precondition: ``|palette(v)| ≥ deg(v) + 1`` for all v."""
     for v in graph.vertices:
-        palette = palettes.get(v)
-        if palette is None:
-            raise ParameterError(f"vertex {v} has no palette")
+        try:
+            palette = palettes[v]
+        except (KeyError, IndexError):
+            raise ParameterError(f"vertex {v} has no palette") from None
         if len(set(palette)) < graph.degree(v) + 1:
             raise ParameterError(
                 f"vertex {v} has {len(set(palette))} colors but degree {graph.degree(v)}"
@@ -47,7 +51,7 @@ def validate_lists(graph: Graph, palettes: Mapping[int, Sequence[int]]) -> None:
 
 def random_list_coloring(
     graph: Graph,
-    palettes: Mapping[int, Sequence[int]],
+    palettes: Palettes,
     rng: random.Random | None = None,
     seed: int | None = None,
     max_rounds: int | None = None,
@@ -117,7 +121,7 @@ def random_list_coloring(
 
 
 def greedy_list_coloring(
-    graph: Graph, palettes: Mapping[int, Sequence[int]]
+    graph: Graph, palettes: Palettes
 ) -> dict[int, int]:
     """Sequential greedy list coloring (reference implementation for tests)."""
     validate_lists(graph, palettes)

@@ -109,7 +109,7 @@ def barenboim_elkin_peeling(
     """
     n = graph.num_vertices
     if n == 0:
-        empty = HPartition(graph, {})
+        empty = HPartition(graph, ())
         return PeelingResult(empty, empty.to_orientation(), 0, 0)
     threshold = peeling_threshold(arboricity, epsilon)
     if max_rounds is None:
@@ -141,7 +141,7 @@ def barenboim_elkin_peeling(
                 states[v] = algorithm.update(v, states[v], inboxes[v])
         rounds += 1
 
-    layer_of = {}
+    layer_of: list[int] = []
     deepest = max((states[v].layer for v in graph.vertices if states[v].layer is not None), default=0)
     for v in graph.vertices:
         layer = states[v].layer
@@ -149,7 +149,7 @@ def barenboim_elkin_peeling(
             # Did not terminate within max_rounds (threshold too small);
             # dump survivors into one final layer so the output is complete.
             layer = deepest + 1
-        layer_of[v] = layer + 1  # 1-based layers
+        layer_of.append(layer + 1)  # 1-based layers
     partition = HPartition(graph, layer_of)
     orientation = partition.to_orientation()
     del network  # the explicit loop above replaced network.run
@@ -167,7 +167,4 @@ def peeling_layers_reference(graph: Graph, threshold: int) -> HPartition:
     """
     layers, rounds_used = graph.peel_layers(threshold)
     stuck_layer = rounds_used + 1
-    layer_of = {
-        v: (layers[v] if layers[v] else stuck_layer) for v in graph.vertices
-    }
-    return HPartition(graph, layer_of)
+    return HPartition(graph, [layer or stuck_layer for layer in layers])

@@ -32,7 +32,7 @@ from repro.mpc.metrics import RoundStats
 
 class TestQualityValidators:
     def test_orientation_quality_pass_and_fail(self, small_star):
-        good = Orientation.from_layering(small_star, {0: 2, **{v: 1 for v in range(1, 9)}})
+        good = Orientation.from_vertex_order(small_star, [2] + [1] * 8)
         assert validate_orientation_quality(good, 1, small_star.num_vertices).passed
         bad = Orientation(small_star, {(0, v): v for v in range(1, 9)})
         report = validate_orientation_quality(bad, 1, small_star.num_vertices, constant=2.0)
@@ -57,22 +57,21 @@ class TestQualityValidators:
 
 class TestStructureValidators:
     def test_hpartition_out_degree(self, small_star):
-        partition = HPartition(small_star, {0: 2, **{v: 1 for v in range(1, 9)}})
+        partition = HPartition(small_star, [2] + [1] * 8)
         assert validate_hpartition_out_degree(partition, 1).passed
         assert not validate_hpartition_out_degree(partition, 0).passed
 
     def test_layer_decay(self, small_path):
-        good = HPartition(small_path, {0: 1, 1: 1, 2: 1, 3: 2, 4: 3})
+        good = HPartition(small_path, [1, 1, 1, 2, 3])
         assert validate_layer_decay(good, slack=1.5).passed
-        bad = HPartition(small_path, {v: 4 for v in small_path.vertices})
+        bad = HPartition(small_path, [4] * small_path.num_vertices)
         assert not validate_layer_decay(bad, slack=1.0).passed
 
     def test_partial_assignment_validator(self, small_star):
-        layer_of = {0: 1.0, **{v: 2.0 for v in range(1, 9)}}
-        bad = PartialLayerAssignment(small_star, layer_of, num_layers=2, out_degree=2)
+        bad = PartialLayerAssignment(small_star, [1.0] + [2.0] * 8, num_layers=2, out_degree=2)
         assert not validate_partial_assignment(bad).passed
         good = PartialLayerAssignment(
-            small_star, {0: 2.0, **{v: 1.0 for v in range(1, 9)}}, num_layers=2, out_degree=2
+            small_star, [2.0] + [1.0] * 8, num_layers=2, out_degree=2
         )
         assert validate_partial_assignment(good).passed
 

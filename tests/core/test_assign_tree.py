@@ -109,7 +109,7 @@ class TestLemma310Projection:
         view = TreeView.star_of_neighbors(graph, root)
         tree_assignment = partial_layer_assignment_tree(graph, view, a, num_layers=3)
         projected = tree_assignment.vertex_layers()
-        layer_of = {v: projected.get(v, UNASSIGNED) for v in graph.vertices}
+        layer_of = [projected.get(v, UNASSIGNED) for v in graph.vertices]
         assignment = PartialLayerAssignment(
             graph, layer_of, num_layers=3, out_degree=a
         )

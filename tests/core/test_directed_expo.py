@@ -12,7 +12,7 @@ from repro.mpc.config import MPCConfig
 
 class TestOutNeighborsByLayer:
     def test_cross_layer_edges_point_up(self, small_path):
-        layer_of = {0: 1, 1: 2, 2: 3, 3: 3, 4: 1}
+        layer_of = [1, 2, 3, 3, 1]
         out = out_neighbors_by_layer(small_path, layer_of)
         assert out[0] == [1]          # 1 is in a higher layer
         assert out[1] == [2]
@@ -23,14 +23,14 @@ class TestOutNeighborsByLayer:
 
 class TestDirectedReachability:
     def test_distance_limits(self, small_path):
-        layer_of = {v: v + 1 for v in small_path.vertices}
+        layer_of = [v + 1 for v in small_path.vertices]
         result = directed_reachability(small_path, layer_of, [0], max_distance=2)
         assert result.reachable[0] == {0, 1, 2}
         result = directed_reachability(small_path, layer_of, [0], max_distance=10)
         assert result.reachable[0] == set(small_path.vertices)
 
     def test_only_directed_paths_count(self, small_path):
-        layer_of = {0: 2, 1: 1, 2: 1, 3: 1, 4: 2}
+        layer_of = [2, 1, 1, 1, 2]
         # Vertex 1 can reach 0 (higher layer) and 2 (same layer), then 3, 4.
         result = directed_reachability(small_path, layer_of, [1], max_distance=5)
         assert result.reachable[1] == {0, 1, 2, 3, 4}
@@ -40,7 +40,7 @@ class TestDirectedReachability:
 
     def test_set_size_limit_truncates(self):
         graph = generators.complete_graph(30)
-        layer_of = {v: 1 for v in graph.vertices}
+        layer_of = [1] * graph.num_vertices
         result = directed_reachability(graph, layer_of, [0], max_distance=3, set_size_limit=5)
         assert result.max_set_size >= 5
 
@@ -65,6 +65,6 @@ class TestDirectedReachability:
 
     def test_empty_start_set(self):
         graph = Graph(3, [(0, 1)])
-        result = directed_reachability(graph, {0: 1, 1: 1, 2: 1}, [], max_distance=2)
+        result = directed_reachability(graph, [1, 1, 1], [], max_distance=2)
         assert result.reachable == {}
         assert result.max_set_size == 0

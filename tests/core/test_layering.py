@@ -26,10 +26,10 @@ from tests.conftest import graphs
 def random_assignment(graph, num_layers, out_degree, seed, assign_probability=0.8):
     """A random layer map (not necessarily respecting the out-degree bound)."""
     rng = random.Random(seed)
-    layer_of = {
-        v: (rng.randint(1, num_layers) if rng.random() < assign_probability else UNASSIGNED)
-        for v in graph.vertices
-    }
+    layer_of = [
+        rng.randint(1, num_layers) if rng.random() < assign_probability else UNASSIGNED
+        for _ in graph.vertices
+    ]
     return PartialLayerAssignment(
         graph=graph, layer_of=layer_of, num_layers=num_layers, out_degree=out_degree
     )
@@ -38,18 +38,27 @@ def random_assignment(graph, num_layers, out_degree, seed, assign_probability=0.
 class TestConstructionAndQueries:
     def test_requires_entry_for_every_vertex(self, triangle):
         with pytest.raises(InvalidLayeringError):
-            PartialLayerAssignment(triangle, {0: 1, 1: 2}, num_layers=3, out_degree=2)
+            PartialLayerAssignment(triangle, [1, 2], num_layers=3, out_degree=2)
+
+    def test_rejects_a_column_longer_than_the_vertex_set(self, triangle):
+        # An entry for vertex 7 of a 3-vertex graph is malformed input.
+        layer_of = [1.0, 2.0, UNASSIGNED] + [UNASSIGNED] * 4 + [1.0]
+        with pytest.raises(InvalidLayeringError):
+            PartialLayerAssignment(triangle, layer_of, num_layers=3, out_degree=2)
 
     def test_rejects_out_of_range_layers(self, triangle):
         with pytest.raises(InvalidLayeringError):
-            PartialLayerAssignment(
-                triangle, {0: 1, 1: 5, 2: UNASSIGNED}, num_layers=3, out_degree=2
-            )
+            PartialLayerAssignment(triangle, [1, 5, UNASSIGNED], num_layers=3, out_degree=2)
+
+    @pytest.mark.parametrize("bad", [1.5, 0, -1, "1", math.nan])
+    def test_rejects_non_integer_layers(self, triangle, bad):
+        with pytest.raises(InvalidLayeringError):
+            PartialLayerAssignment(triangle, [1, bad, UNASSIGNED], num_layers=3, out_degree=2)
 
     def test_basic_queries(self, small_path):
         assignment = PartialLayerAssignment(
             small_path,
-            {0: 1, 1: 2, 2: UNASSIGNED, 3: 1, 4: 2},
+            [1, 2, UNASSIGNED, 1, 2],
             num_layers=2,
             out_degree=2,
         )
@@ -75,8 +84,7 @@ class TestValidation:
     def test_validate_detects_violation(self, small_star):
         # Center in layer 1, leaves all in layer 2: the center has 8 neighbors
         # in a higher layer, so out-degree 2 must fail.
-        layer_of = {0: 1.0}
-        layer_of.update({v: 2.0 for v in range(1, small_star.num_vertices)})
+        layer_of = [1.0] + [2.0] * (small_star.num_vertices - 1)
         assignment = PartialLayerAssignment(small_star, layer_of, num_layers=2, out_degree=2)
         with pytest.raises(InvalidLayeringError):
             assignment.validate()
@@ -85,10 +93,10 @@ class TestValidation:
 class TestClaim23MinCombine:
     def test_min_is_taken_pointwise(self, small_path):
         a = PartialLayerAssignment(
-            small_path, {0: 2, 1: 1, 2: UNASSIGNED, 3: 2, 4: 1}, num_layers=2, out_degree=2
+            small_path, [2, 1, UNASSIGNED, 2, 1], num_layers=2, out_degree=2
         )
         b = PartialLayerAssignment(
-            small_path, {0: 1, 1: 2, 2: 2, 3: UNASSIGNED, 4: 1}, num_layers=2, out_degree=2
+            small_path, [1, 2, 2, UNASSIGNED, 1], num_layers=2, out_degree=2
         )
         combined = a.combine_min(b)
         assert combined.layer(0) == 1
@@ -113,7 +121,7 @@ class TestClaim23MinCombine:
         # dropping a random subset of vertices to UNASSIGNED.
         def valid_assignment(salt: int) -> PartialLayerAssignment:
             base = PartialLayerAssignment.from_peeling(graph, threshold=graph.max_degree() or 1)
-            layer_of = dict(base.layer_of)
+            layer_of = list(base.layer_of)
             local = random.Random(seed + salt)
             for v in graph.vertices:
                 if local.random() < 0.3:
@@ -176,13 +184,13 @@ class TestFromPeelingNumLayers:
 class TestPathCounts:
     def test_single_vertex_paths(self):
         g = Graph(1)
-        assignment = PartialLayerAssignment(g, {0: 1}, num_layers=1, out_degree=1)
+        assignment = PartialLayerAssignment(g, [1], num_layers=1, out_degree=1)
         assert num_paths_in(assignment) == {0: 1}
         assert num_paths_out(assignment) == {0: 1}
 
     def test_increasing_path_graph(self, small_path):
         assignment = PartialLayerAssignment(
-            small_path, {v: v + 1 for v in small_path.vertices}, num_layers=5, out_degree=1
+            small_path, [v + 1 for v in small_path.vertices], num_layers=5, out_degree=1
         )
         counts_in = num_paths_in(assignment)
         # Vertex i is reached by exactly i+1 strictly increasing paths
@@ -194,7 +202,7 @@ class TestPathCounts:
     def test_unassigned_vertices_have_zero_paths(self, small_path):
         assignment = PartialLayerAssignment(
             small_path,
-            {0: 1, 1: 2, 2: UNASSIGNED, 3: 1, 4: 2},
+            [1, 2, UNASSIGNED, 1, 2],
             num_layers=2,
             out_degree=2,
         )
@@ -207,7 +215,7 @@ class TestPathCounts:
     def test_dp_matches_enumeration(self, graph, num_layers, seed):
         """The DP path counts equal brute-force enumeration on small graphs."""
         rng = random.Random(seed)
-        layer_of = {v: float(rng.randint(1, num_layers)) for v in graph.vertices}
+        layer_of = [float(rng.randint(1, num_layers)) for _ in graph.vertices]
         assignment = PartialLayerAssignment(
             graph, layer_of, num_layers=num_layers, out_degree=graph.num_vertices
         )
@@ -224,7 +232,7 @@ class TestPathCounts:
         # A complete assignment from peeling at threshold max degree is valid
         # with out-degree d = max degree (and d >= 2 per the lemma statement).
         d = max(graph.max_degree(), 2)
-        layer_of = {v: float(rng.randint(1, 3)) for v in graph.vertices}
+        layer_of = [float(rng.randint(1, 3)) for _ in graph.vertices]
         assignment = PartialLayerAssignment(graph, layer_of, num_layers=3, out_degree=d)
         total_in = sum(num_paths_in(assignment).values())
         total_out = sum(num_paths_out(assignment).values())

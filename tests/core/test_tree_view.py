@@ -91,7 +91,7 @@ class TestMissingNeighbors:
 class TestStrictMonotonicReachability:
     def test_increasing_layers(self, square):
         view = two_level_view(square)
-        layer_of = {0: 3.0, 1: 2.0, 2: 1.0, 3: 2.0}
+        layer_of = [3.0, 2.0, 1.0, 2.0]
         # node 3 maps to v2 (layer 1) with path v2 < v1 < v0 => increasing toward root.
         assert view.is_strictly_monotonically_reachable(3, layer_of)
         # node 1 maps to v1 (layer 2) < root layer 3.
@@ -101,20 +101,20 @@ class TestStrictMonotonicReachability:
 
     def test_non_increasing_rejected(self, square):
         view = two_level_view(square)
-        layer_of = {0: 1.0, 1: 2.0, 2: 1.0, 3: 2.0}
+        layer_of = [1.0, 2.0, 1.0, 2.0]
         assert not view.is_strictly_monotonically_reachable(1, layer_of)
 
     def test_infinite_layers(self, square):
         view = two_level_view(square)
-        layer_of = {0: math.inf, 1: 2.0, 2: 1.0, 3: 2.0}
+        layer_of = [math.inf, 2.0, 1.0, 2.0]
         # A finite layer below the root's ∞ still counts as strictly smaller.
         assert view.is_strictly_monotonically_reachable(1, layer_of)
-        layer_of = {0: 2.0, 1: math.inf, 2: 1.0, 3: 2.0}
+        layer_of = [2.0, math.inf, 1.0, 2.0]
         assert not view.is_strictly_monotonically_reachable(1, layer_of)
 
     def test_bulk_matches_single(self, square):
         view = two_level_view(square)
-        layer_of = {0: 3.0, 1: 2.0, 2: 1.0, 3: 1.0}
+        layer_of = [3.0, 2.0, 1.0, 1.0]
         bulk = set(view.strictly_monotonically_reachable_nodes(layer_of))
         singles = {
             node

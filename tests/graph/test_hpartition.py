@@ -14,18 +14,39 @@ from repro.local.peeling import peeling_layers_reference
 class TestConstruction:
     def test_requires_all_vertices(self, triangle):
         with pytest.raises(InvalidLayeringError):
-            HPartition(triangle, {0: 1, 1: 1})
+            HPartition(triangle, [1, 1])
+
+    def test_rejects_a_column_longer_than_the_vertex_set(self, small_path):
+        # A layer for vertex 99 of a 5-vertex graph is malformed input.
+        with pytest.raises(InvalidLayeringError):
+            HPartition(small_path, [1] * 100)
+        with pytest.raises(InvalidLayeringError):
+            HPartition.from_layers(small_path, [[0, 1, 2, 3, 4, 99]])
 
     def test_rejects_non_positive_layers(self, triangle):
         with pytest.raises(InvalidLayeringError):
-            HPartition(triangle, {0: 0, 1: 1, 2: 1})
+            HPartition(triangle, [0, 1, 1])
+
+    @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+    def test_rejects_non_integer_layers(self, triangle, bad):
+        with pytest.raises(InvalidLayeringError):
+            HPartition(triangle, [1, bad, 1])
 
     def test_layers_and_sizes(self, small_path):
-        partition = HPartition(small_path, {0: 1, 1: 1, 2: 2, 3: 2, 4: 3})
+        partition = HPartition(small_path, [1, 1, 2, 2, 3])
         assert partition.num_layers == 3
         assert partition.layer(1) == (0, 1)
+        assert partition.layer(3) == (4,)
         assert partition.layer_sizes() == [2, 2, 1]
         assert partition.suffix_sizes() == [5, 3, 1]
+
+    @pytest.mark.parametrize("index", [0, -1, 4])
+    def test_layer_index_outside_range_raises(self, small_path, index):
+        # Regression: layer(0) and layer(-1) used to wrap around to the
+        # deepest layers through negative indexing.
+        partition = HPartition(small_path, [1, 1, 2, 2, 3])
+        with pytest.raises(InvalidLayeringError):
+            partition.layer(index)
 
     def test_from_layers_round_trip(self, small_path):
         partition = HPartition.from_layers(small_path, [[0, 1], [2, 3], [4]])
@@ -38,27 +59,24 @@ class TestConstruction:
 
 class TestOutDegreeAndDecay:
     def test_out_degree_of_star_center(self, small_star):
-        layer_of = {0: 1}
-        layer_of.update({v: 2 for v in range(1, small_star.num_vertices)})
-        partition = HPartition(small_star, layer_of)
+        leaves = small_star.num_vertices - 1
+        partition = HPartition(small_star, [1] + [2] * leaves)
         assert partition.out_degree_of(0) == small_star.num_vertices - 1
         # Reversing the layers puts the center above the leaves.
-        layer_of = {0: 2}
-        layer_of.update({v: 1 for v in range(1, small_star.num_vertices)})
-        partition = HPartition(small_star, layer_of)
+        partition = HPartition(small_star, [2] + [1] * leaves)
         assert partition.out_degree_of(0) == 0
         assert partition.max_out_degree() == 1
 
     def test_validate_out_degree(self, triangle):
-        partition = HPartition(triangle, {0: 1, 1: 1, 2: 1})
+        partition = HPartition(triangle, [1, 1, 1])
         partition.validate_out_degree(2)
         with pytest.raises(InvalidLayeringError):
             partition.validate_out_degree(1)
 
     def test_validate_decay(self, small_path):
-        partition = HPartition(small_path, {0: 1, 1: 1, 2: 1, 3: 2, 4: 3})
+        partition = HPartition(small_path, [1, 1, 1, 2, 3])
         partition.validate_decay(ratio=0.5, slack=1.2)
-        bad = HPartition(small_path, {v: 3 for v in small_path.vertices})
+        bad = HPartition(small_path, [3] * small_path.num_vertices)
         with pytest.raises(InvalidLayeringError):
             bad.validate_decay(ratio=0.5, slack=1.0)
 
@@ -76,7 +94,7 @@ class TestOutDegreeAndDecay:
 class TestEdgeCases:
     def test_single_vertex(self):
         g = Graph(1)
-        partition = HPartition(g, {0: 1})
+        partition = HPartition(g, [1])
         assert partition.max_out_degree() == 0
         assert partition.suffix_sizes() == [1]
 

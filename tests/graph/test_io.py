@@ -67,7 +67,7 @@ class TestRoundTrip:
 
 class TestFormatters:
     def test_format_orientation(self, small_path):
-        orientation = Orientation.from_vertex_order(small_path, {v: v for v in small_path.vertices})
+        orientation = Orientation.from_vertex_order(small_path, list(small_path.vertices))
         text = format_orientation(orientation)
         assert "0 -> 1" in text
         assert len(text.splitlines()) == small_path.num_edges
@@ -78,7 +78,7 @@ class TestFormatters:
         assert lines == ["0 0", "1 1", "2 2"]
 
     def test_format_layering(self, small_path):
-        partition = HPartition(small_path, {0: 1, 1: 1, 2: 2, 3: 2, 4: 3})
+        partition = HPartition(small_path, [1, 1, 2, 2, 3])
         lines = format_layering(partition).splitlines()
         assert lines[0] == "0 1"
         assert lines[-1] == "4 3"

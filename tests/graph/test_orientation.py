@@ -42,26 +42,25 @@ class TestConstruction:
 
 class TestFromVertexOrderAndLayering:
     def test_from_vertex_order_orients_upward(self, small_path):
-        orientation = Orientation.from_vertex_order(small_path, {v: v for v in small_path.vertices})
+        orientation = Orientation.from_vertex_order(small_path, list(small_path.vertices))
         assert all(orientation.is_oriented_from(i, i + 1) for i in range(4))
         assert orientation.max_outdegree() == 1
 
     def test_ties_break_toward_larger_id(self, triangle):
-        orientation = Orientation.from_vertex_order(triangle, {0: 0, 1: 0, 2: 0})
+        orientation = Orientation.from_vertex_order(triangle, [0, 0, 0])
         assert orientation.is_oriented_from(0, 1)
         assert orientation.is_oriented_from(1, 2)
         assert orientation.is_oriented_from(0, 2)
 
     def test_from_layering_acyclic(self, union_forest_graph):
         # Orientations induced by any vertex ranking are acyclic.
-        rank = {v: v % 7 for v in union_forest_graph.vertices}
-        orientation = Orientation.from_layering(union_forest_graph, rank)
+        rank = [v % 7 for v in union_forest_graph.vertices]
+        orientation = Orientation.from_vertex_order(union_forest_graph, rank)
         assert orientation.is_acyclic()
 
     def test_star_layering_gives_outdegree_one(self, small_star):
-        layers = {0: 2}
-        layers.update({v: 1 for v in range(1, small_star.num_vertices)})
-        orientation = Orientation.from_layering(small_star, layers)
+        layers = [2] + [1] * (small_star.num_vertices - 1)
+        orientation = Orientation.from_vertex_order(small_star, layers)
         assert orientation.max_outdegree() == 1
         assert orientation.outdegree(0) == 0
 
@@ -101,12 +100,12 @@ class TestMergeAndValidation:
 @settings(max_examples=30, deadline=None)
 @given(graphs(max_vertices=20))
 def test_outdegree_sum_equals_edges(graph):
-    orientation = Orientation.from_vertex_order(graph, {v: v for v in graph.vertices})
+    orientation = Orientation.from_vertex_order(graph, list(graph.vertices))
     assert sum(orientation.outdegrees) == graph.num_edges
 
 
 @settings(max_examples=30, deadline=None)
 @given(graphs(max_vertices=20))
 def test_id_order_orientation_is_acyclic(graph):
-    orientation = Orientation.from_vertex_order(graph, {v: 0 for v in graph.vertices})
+    orientation = Orientation.from_vertex_order(graph, [0] * graph.num_vertices)
     assert orientation.is_acyclic()

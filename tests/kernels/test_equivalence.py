@@ -82,13 +82,13 @@ class TestPeel:
 
 class TestOrientAndTally:
     @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
-    def test_heads_identical_for_list_mapping_and_float_ranks(self, graph):
+    def test_heads_identical_for_int_and_float_ranks(self, graph):
         edge_u, edge_v = graph.edge_endpoints
         rng = random.Random(31)
         int_ranks = [rng.randrange(50) for _ in range(graph.num_vertices)]
         for ranks in (
             int_ranks,
-            dict(enumerate(int_ranks)),
+            array("l", int_ranks),
             [r + 0.5 for r in int_ranks],
         ):
             pure, vec = both("orient_by_rank", edge_u, edge_v, ranks)

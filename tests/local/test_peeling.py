@@ -58,7 +58,8 @@ class TestPeeling:
         clique = generators.complete_graph(8)
         result = barenboim_elkin_peeling(clique, arboricity=1, max_rounds=3)
         # Threshold 3 cannot peel K8; everyone still receives a layer.
-        assert set(result.partition.layer_of) == set(clique.vertices)
+        assert len(result.partition.layer_of) == clique.num_vertices
+        assert result.partition.num_layers >= 2
 
     def test_empty_graph(self):
         empty = generators.path(0)
