@@ -242,9 +242,10 @@ class Tracer:
 
     def export_chrome(self, path) -> None:
         """Write the Chrome trace-event JSON payload to ``path``."""
+        # One ``json.dumps`` call takes the C encoder; ``json.dump`` to a
+        # handle always runs the pure-Python one.
         with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.chrome_payload(), handle)
-            handle.write("\n")
+            handle.write(json.dumps(self.chrome_payload()) + "\n")
 
     def export_jsonl(self, path) -> None:
         """Write one span per line: ``{span_id, parent_id, name, ...}``."""

@@ -10,23 +10,27 @@ credits, and tick history — and a restored engine is indistinguishable from
 one that never stopped.  The tracer is deliberately **not** state: it is
 re-attached on restore and cannot influence simulated outcomes.
 
-File format (version |VERSION|)::
+File format (version |VERSION|): one header line, then the body::
 
-    {
-      "format":   "repro-stream-checkpoint",
-      "version":  2,
-      "checksum": sha256 hex of the canonical payload JSON,
-      "payload":  { ... engine state ... }
-    }
+    {"checksum":...,"format":"repro-stream-checkpoint","payload_bytes":...,"version":3}
+    {"delta":...,"engine_ledger":...,"fingerprint":...,...}
 
-written atomically (temp file + ``os.replace``) so a crash mid-checkpoint
-never leaves a truncated snapshot under the target name.  Reading validates
-format, version and checksum and raises
-:class:`~repro.errors.CheckpointError` on any mismatch; restoring re-derives
-the engine fingerprint and compares it against the one recorded at
-checkpoint time, so a corrupted-but-checksummed (hand-edited) payload cannot
-silently produce a divergent engine.  Restore is all-or-nothing: on any
-failure the partially built engine is closed before the error propagates.
+The body is the canonical encoding of the payload (sorted keys, compact
+separators, ASCII-only, so it holds no raw newline), encoded exactly once:
+``checksum`` is the SHA-256 of those body bytes and ``payload_bytes`` their
+length.  The file is written with a single ``write`` to a temp file that is
+then ``os.replace``-d over the target, so a crash mid-checkpoint never leaves
+a truncated snapshot under the target name (and a failed write leaves no
+temp file behind).  Reading validates the format, the version, the body
+length against ``payload_bytes`` (truncation) and the checksum against the
+body bytes as read, then parses the body once; any mismatch raises
+:class:`~repro.errors.CheckpointError`.  Version 1 and 2 files (one JSON
+object with the payload inline) are refused by version.  Restoring
+re-derives the engine fingerprint and compares it against the one recorded
+at checkpoint time, so a corrupted-but-checksummed (hand-edited) payload
+cannot silently produce a divergent engine.  Restore is all-or-nothing: on
+any failure the partially built engine is closed before the error
+propagates.
 
 The per-component (de)serializers live next to the state they capture:
 ``DynamicGraph.state_columns``/``from_state``,
@@ -41,6 +45,7 @@ one engine-level snapshot and owns the container format.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -54,7 +59,7 @@ from repro.stream.service import StreamingService, _report_state, _restore_repor
 from repro.stream.updates import StreamSummary, UpdateBatch
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -133,58 +138,95 @@ def fingerprint_digest(print_or_engine) -> str:
 # ---------------------------------------------------------------------- #
 
 def write_checkpoint(path, payload: dict) -> None:
-    """Write a payload under the versioned, checksummed container, atomically."""
-    container = {
-        "format": CHECKPOINT_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "checksum": hashlib.sha256(_canonical(payload)).hexdigest(),
-        "payload": payload,
-    }
+    """Write a payload under the versioned, checksummed container, atomically.
+
+    The payload is encoded once; the checksum covers exactly the body bytes
+    written.  On any failure the temp file is removed before the error
+    propagates.
+    """
+    body = _canonical(payload)
+    header = json.dumps(
+        {
+            "format": CHECKPOINT_FORMAT,
+            "version": CHECKPOINT_VERSION,
+            "checksum": hashlib.sha256(body).hexdigest(),
+            "payload_bytes": len(body),
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    ).encode("ascii")
     path = os.fspath(path)
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(container, handle)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(header + b"\n" + body)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def read_checkpoint(path) -> dict:
     """Read and validate a container; returns the payload.
 
-    Raises :class:`~repro.errors.CheckpointError` for a missing file, broken
-    JSON (truncation), an unknown format marker, a version this code cannot
-    restore, or a checksum mismatch (bit rot / partial overwrite).
+    Raises :class:`~repro.errors.CheckpointError` for a missing file, a
+    header that is not JSON, an unknown format marker, a version this code
+    cannot restore, a missing body or checksum, a malformed
+    ``payload_bytes``, a body whose length differs from ``payload_bytes``
+    (truncation), or a checksum mismatch (bit rot / partial overwrite).
     """
     path = os.fspath(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            container = json.load(handle)
+        with open(path, "rb") as handle:
+            blob = handle.read()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
+    # A version 1/2 file is one JSON object with no newline: it parses as a
+    # header, so it is refused by its version below.
+    head, newline, body = blob.partition(b"\n")
+    try:
+        header = json.loads(head)
     except ValueError as exc:
         raise CheckpointError(
-            f"checkpoint {path!r} is not valid JSON (truncated or corrupted): {exc}"
+            f"checkpoint {path!r} header is not valid JSON "
+            f"(truncated or corrupted): {exc}"
         ) from exc
-    if not isinstance(container, dict) or container.get("format") != CHECKPOINT_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointError(
             f"checkpoint {path!r} is not a {CHECKPOINT_FORMAT} file"
         )
-    version = container.get("version")
+    version = header.get("version")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"checkpoint {path!r} has version {version!r}; "
             f"this build restores version {CHECKPOINT_VERSION}"
         )
-    payload = container.get("payload")
-    checksum = container.get("checksum")
-    if payload is None or checksum is None:
+    checksum = header.get("checksum")
+    size = header.get("payload_bytes")
+    if not newline or checksum is None or size is None:
         raise CheckpointError(f"checkpoint {path!r} is missing payload or checksum")
-    actual = hashlib.sha256(_canonical(payload)).hexdigest()
+    if not isinstance(size, int) or isinstance(size, bool) or size < 0:
+        raise CheckpointError(
+            f"checkpoint {path!r} has a malformed payload_bytes {size!r}"
+        )
+    if len(body) != size:
+        raise CheckpointError(
+            f"checkpoint {path!r} is truncated or corrupted: the header "
+            f"records {size} payload bytes, the file holds {len(body)}"
+        )
+    actual = hashlib.sha256(body).hexdigest()
     if actual != checksum:
         raise CheckpointError(
             f"checkpoint {path!r} failed its checksum "
-            f"(recorded {checksum[:12]}..., computed {actual[:12]}...)"
+            f"(recorded {str(checksum)[:12]}..., computed {actual[:12]}...)"
         )
-    return payload
+    try:
+        return json.loads(body)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"checkpoint {path!r} payload is not valid JSON: {exc}"
+        ) from exc
 
 
 # ---------------------------------------------------------------------- #

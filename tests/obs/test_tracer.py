@@ -144,6 +144,18 @@ class TestRingBufferAndExport:
             assert event["dur"] >= 0
         assert payload["metrics"]["counters"] == {"hits": 2}
 
+    def test_chrome_export_bytes_are_one_json_dumps_call(self, tmp_path):
+        tracer = Tracer()
+        with tracer.span("outer", cat="engine", label="λ̂ → cap\n"):
+            with tracer.span("inner", sizes=[1, 2**70], ratio=0.5, flag=None):
+                pass
+        tracer.metrics.inc("hits", 3)
+        path = tmp_path / "trace.json"
+        tracer.export_chrome(path)
+        assert path.read_text(encoding="utf-8") == (
+            json.dumps(tracer.chrome_payload()) + "\n"
+        )
+
     def test_jsonl_export_round_trips_every_span(self, tmp_path):
         tracer = Tracer()
         with tracer.span("a", tag="x"):

@@ -8,11 +8,14 @@ construction is torn down, never half-restored.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.engine import derive_seed
 from repro.errors import CheckpointError, GraphError, QuotaExceededError
@@ -49,6 +52,29 @@ def _reference_fingerprint(traces, seed=9, **kwargs):
         engine.run_until_drained()
         engine.verify()
         return checkpoint.fingerprint(engine)
+
+
+def _read_container(path):
+    """The container as one dict: the header fields plus the parsed payload."""
+    head, _, body = path.read_bytes().partition(b"\n")
+    container = json.loads(head)
+    container["payload"] = json.loads(body)
+    return container
+
+
+def _write_container(path, container):
+    """Write a hand-edited container back in the version-3 layout.
+
+    The header fields go on line 1 and the canonical payload follows, with
+    ``payload_bytes`` set to the body's length as the writer does.  The
+    checksum is written as given, so a stale one stays stale.
+    """
+    header = {key: value for key, value in container.items() if key != "payload"}
+    body = json.dumps(
+        container["payload"], sort_keys=True, separators=(",", ":")
+    ).encode("ascii")
+    header["payload_bytes"] = len(body)
+    path.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
 
 
 def _summary_rows(summary):
@@ -106,7 +132,7 @@ class TestRoundtrip:
         with _loaded_engine(_fleet()) as engine:
             engine.run_until_drained()
             engine.checkpoint(path)
-        container = json.loads(path.read_text())
+        container = _read_container(path)
         assert container["format"] == checkpoint.CHECKPOINT_FORMAT
         assert container["version"] == checkpoint.CHECKPOINT_VERSION
         assert len(container["checksum"]) == 64
@@ -300,40 +326,44 @@ class TestCorruption:
             StreamEngine.restore(snapshot)
 
     def test_wrong_format_marker(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         container["format"] = "not-a-checkpoint"
-        snapshot.write_text(json.dumps(container))
+        _write_container(snapshot, container)
         with pytest.raises(CheckpointError, match="is not a"):
             StreamEngine.restore(snapshot)
 
     def test_unsupported_version(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         container["version"] = checkpoint.CHECKPOINT_VERSION + 1
-        snapshot.write_text(json.dumps(container))
+        _write_container(snapshot, container)
         with pytest.raises(CheckpointError, match="version"):
             StreamEngine.restore(snapshot)
 
-    def test_version_1_container_is_refused(self, snapshot):
-        """Version 1 stored per-machine ledger records; version 2 stores keyed
-        records, spread totals and the peak, so a v1 file cannot restore."""
-        assert checkpoint.CHECKPOINT_VERSION == 2
-        container = json.loads(snapshot.read_text())
-        container["version"] = 1
-        snapshot.write_text(json.dumps(container))
-        with pytest.raises(CheckpointError, match="has version 1; this build restores version 2"):
+    @pytest.mark.parametrize("old_version", [1, 2])
+    def test_version_1_and_2_containers_are_refused(self, snapshot, old_version):
+        """Versions 1 and 2 held the payload inline in one JSON object (and
+        version 1 stored per-machine ledger records), so neither restores."""
+        assert checkpoint.CHECKPOINT_VERSION == 3
+        container = _read_container(snapshot)
+        container["version"] = old_version
+        snapshot.write_text(json.dumps(container))  # the old one-object layout
+        with pytest.raises(
+            CheckpointError,
+            match=f"has version {old_version}; this build restores version 3",
+        ):
             StreamEngine.restore(snapshot)
 
     def test_missing_checksum(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         del container["checksum"]
-        snapshot.write_text(json.dumps(container))
+        _write_container(snapshot, container)
         with pytest.raises(CheckpointError, match="missing payload or checksum"):
             StreamEngine.restore(snapshot)
 
     def test_bit_rot_fails_the_checksum(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         container["payload"]["seed"] += 1  # payload altered, checksum stale
-        snapshot.write_text(json.dumps(container))
+        _write_container(snapshot, container)
         with pytest.raises(CheckpointError, match="failed its checksum"):
             StreamEngine.restore(snapshot)
 
@@ -342,10 +372,10 @@ class TestCorruption:
         """Recompute the checksum after a hand-edit (a plausible attacker /
         fat-fingered operator) so only the deeper defenses can catch it."""
         container["checksum"] = checkpoint.fingerprint_digest(container["payload"])
-        snapshot.write_text(json.dumps(container))
+        _write_container(snapshot, container)
 
     def test_resealed_edit_fails_the_fingerprint_check(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         tenants = container["payload"]["tenants"]
         tenants[0]["service"]["coloring"]["colors"][0] += 1
         self._reseal(snapshot, container)
@@ -353,21 +383,21 @@ class TestCorruption:
             StreamEngine.restore(snapshot)
 
     def test_live_tenant_without_service_state_is_rejected(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         container["payload"]["tenants"][0]["service"] = None
         self._reseal(snapshot, container)
         with pytest.raises(CheckpointError, match="not retired"):
             StreamEngine.restore(snapshot)
 
     def test_unknown_planner_policy_is_a_checkpoint_error(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         container["payload"]["planner"]["policy"] = "bogus-policy"
         self._reseal(snapshot, container)
         with pytest.raises(CheckpointError, match="malformed"):
             StreamEngine.restore(snapshot)
 
     def test_structurally_broken_payload_is_a_checkpoint_error(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         service = container["payload"]["tenants"][0]["service"]
         del service["dynamic"]["journal_ops"]
         self._reseal(snapshot, container)
@@ -375,7 +405,7 @@ class TestCorruption:
             StreamEngine.restore(snapshot)
 
     def test_failed_restores_leak_no_threads(self, snapshot):
-        container = json.loads(snapshot.read_text())
+        container = _read_container(snapshot)
         container["payload"]["tenants"][0]["service"]["coloring"]["colors"][0] += 1
         self._reseal(snapshot, container)
         before = threading.active_count()
@@ -383,3 +413,118 @@ class TestCorruption:
             with pytest.raises(CheckpointError):
                 StreamEngine.restore(snapshot)
         assert threading.active_count() == before
+
+    def test_body_truncated_under_an_intact_header(self, snapshot):
+        blob = snapshot.read_bytes()
+        snapshot.write_bytes(blob[:-1])  # header intact, last body byte gone
+        with pytest.raises(CheckpointError, match="truncated or corrupted"):
+            StreamEngine.restore(snapshot)
+
+    def test_one_flipped_body_byte_fails_the_checksum(self, snapshot):
+        blob = bytearray(snapshot.read_bytes())
+        blob[(blob.index(b"\n") + len(blob)) // 2] ^= 0x01  # mid-body
+        snapshot.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="failed its checksum"):
+            StreamEngine.restore(snapshot)
+
+    def test_header_without_newline_is_refused(self, snapshot):
+        head = snapshot.read_bytes().partition(b"\n")[0]
+        snapshot.write_bytes(head)
+        with pytest.raises(CheckpointError, match="missing payload or checksum"):
+            StreamEngine.restore(snapshot)
+
+    def test_empty_file_is_refused(self, snapshot):
+        snapshot.write_bytes(b"")
+        with pytest.raises(CheckpointError, match="truncated or corrupted"):
+            StreamEngine.restore(snapshot)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (str, "malformed payload_bytes"),
+            (float, "malformed payload_bytes"),
+            (lambda size: True, "malformed payload_bytes"),
+            (lambda size: -1, "malformed payload_bytes"),
+            (lambda size: None, "missing payload or checksum"),
+            (lambda size: size + 1, "truncated or corrupted"),
+            (lambda size: size - 1, "truncated or corrupted"),
+        ],
+        ids=["str", "float", "bool", "negative", "null", "one-long", "one-short"],
+    )
+    def test_bad_payload_bytes_is_refused(self, snapshot, edit, message):
+        head, _, body = snapshot.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["payload_bytes"] = edit(header["payload_bytes"])
+        snapshot.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        with pytest.raises(CheckpointError, match=message):
+            StreamEngine.restore(snapshot)
+
+    def test_checksummed_body_that_is_not_json_is_refused(self, snapshot):
+        header = json.loads(snapshot.read_bytes().partition(b"\n")[0])
+        body = b'{"seed":'
+        header["payload_bytes"] = len(body)
+        header["checksum"] = hashlib.sha256(body).hexdigest()
+        snapshot.write_bytes(json.dumps(header).encode("ascii") + b"\n" + body)
+        with pytest.raises(CheckpointError, match="payload is not valid JSON"):
+            StreamEngine.restore(snapshot)
+
+
+class TestContainer:
+    def test_body_is_the_canonical_payload_under_a_one_line_header(self, tmp_path):
+        path = tmp_path / "ck.json"
+        with _loaded_engine(_fleet()) as engine:
+            engine.tick()
+            engine.checkpoint(path)
+        head, newline, body = path.read_bytes().partition(b"\n")
+        assert newline and b"\n" not in body
+        header = json.loads(head)
+        assert sorted(header) == ["checksum", "format", "payload_bytes", "version"]
+        assert header["payload_bytes"] == len(body)
+        payload = checkpoint.read_checkpoint(path)
+        assert body == json.dumps(
+            payload, sort_keys=True, separators=(",", ":")
+        ).encode("ascii")
+        # the checksum value is the one earlier versions recorded
+        assert header["checksum"] == hashlib.sha256(body).hexdigest()
+        assert header["checksum"] == checkpoint.fingerprint_digest(payload)
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "ck"
+        target.mkdir()  # os.replace cannot put a file over a directory
+        with pytest.raises(OSError):
+            checkpoint.write_checkpoint(target, {"seed": 1})
+        assert os.listdir(tmp_path) == ["ck"]
+        assert os.listdir(target) == []
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=6), children, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(payload=_JSON_VALUES)
+@example(payload={"line\nbreak": ["é\n€ 𝔸", 2**64 + 1, -(2**70), 0.1, True, None]})
+def test_any_json_payload_roundtrips_and_every_prefix_is_refused(
+    tmp_path_factory, payload
+):
+    path = tmp_path_factory.mktemp("roundtrip") / "ck.json"
+    checkpoint.write_checkpoint(path, payload)
+    assert checkpoint.read_checkpoint(path) == payload
+    blob = path.read_bytes()
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(CheckpointError):
+            checkpoint.read_checkpoint(path)
