@@ -109,7 +109,7 @@ def _build_service(graph) -> StreamingService:
     # under test and is byte-identical across backends by the kernel
     # contract, so it always runs on the fastest backend available.
     with kernels.use_backend(kernels.NUMPY):
-        service = StreamingService(graph, maintain_coloring=True)
+        service = StreamingService(graph)
     # Tighten the compaction threshold so the trace exercises the
     # compact_journal kernel at full base size every tick (the default
     # fraction would never trip at this journal/edge ratio).  Both backends

@@ -64,8 +64,6 @@ def run_streaming_experiment(
     quality = validate_streaming_outdegree(
         service.orientation.max_outdegree(), bounds.upper, snapshot.num_vertices
     )
-    coloring = service.coloring
-
     row = ExperimentRow(
         workload=workload.describe(),
         num_vertices=snapshot.num_vertices,
@@ -78,7 +76,7 @@ def run_streaming_experiment(
         {
             "outdegree_bound": quality.allowed,
             "outdegree_ok": 1.0 if quality.passed else 0.0,
-            "proper": 1.0 if (coloring is None or coloring.is_proper()) else 0.0,
+            "proper": 1.0 if service.coloring.is_proper() else 0.0,
             "initial_m": float(trace.initial.num_edges),
         }
     )

@@ -3,14 +3,7 @@
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
 from repro.mpc.metrics import RoundRecord, RoundStats
-from repro.mpc.primitives import (
-    aggregate_by_key,
-    broadcast,
-    count_by_key,
-    gather_bundles,
-    prefix_sums,
-    sort_by_key,
-)
+from repro.mpc.primitives import aggregate_by_key, broadcast, gather_bundles
 
 __all__ = [
     "MPCCluster",
@@ -19,8 +12,5 @@ __all__ = [
     "RoundStats",
     "aggregate_by_key",
     "broadcast",
-    "count_by_key",
     "gather_bundles",
-    "prefix_sums",
-    "sort_by_key",
 ]

@@ -3,8 +3,9 @@
 The paper repeatedly appeals to "standard MPC primitives developed in previous
 works" ([ASS+18] Section E, [GSZ11], [Gha] lecture notes) for the plumbing of
 its algorithms: sorting, aggregation by key, broadcast trees, and the directed
-information-gathering of Lemma 4.1.  This module provides those primitives on
-top of :class:`~repro.mpc.cluster.MPCCluster`.
+information-gathering of Lemma 4.1.  This module provides the ones the
+pipeline calls — aggregation by key, broadcast and gathering — on top of
+:class:`~repro.mpc.cluster.MPCCluster`.
 
 Each primitive does the actual data manipulation centrally (the simulator is a
 single process) but charges the documented number of MPC rounds and routes the
@@ -14,10 +15,8 @@ enforced.  The constants charged are:
 ===========================  ======  ==========================================
 primitive                    rounds  reference
 ===========================  ======  ==========================================
-``sort_by_key``              3       [GSZ11] constant-round sample sort
 ``aggregate_by_key``         2       sort + local combine [ASS+18]
 ``broadcast``                2       n^{δ/2}-ary broadcast tree [Gha §1.3.2]
-``prefix_sums``              3       via sorting [GSZ11]
 ``gather_bundles``           3       Lemma 4.1 (sort, copy via broadcast trees,
                                      match)
 ===========================  ======  ==========================================
@@ -25,38 +24,17 @@ primitive                    rounds  reference
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Callable, Iterable, Mapping, Sequence
-from typing import Any, TypeVar
+from typing import TypeVar
 
 from repro.errors import SimulationError
 from repro.mpc.cluster import MPCCluster
 
-K = TypeVar("K")
 V = TypeVar("V")
 
-SORT_ROUNDS = 3
 AGGREGATE_ROUNDS = 2
 BROADCAST_ROUNDS = 2
-PREFIX_SUM_ROUNDS = 3
 GATHER_ROUNDS = 3
-
-
-def sort_by_key(
-    cluster: MPCCluster,
-    items: Sequence[tuple[int, Any]],
-    label: str = "sort",
-) -> list[tuple[int, Any]]:
-    """Sort ``(key, value)`` pairs by key in a constant number of MPC rounds.
-
-    Charges :data:`SORT_ROUNDS` rounds and one round of all-to-all traffic
-    proportional to the number of items (each item is counted as one word plus
-    an estimated payload word).
-    """
-    messages = [(key, key, 2) for key, _value in items]
-    cluster.communication_round(messages, label=f"{label}:shuffle")
-    cluster.charge_rounds(SORT_ROUNDS - 1, label=f"{label}:merge")
-    return sorted(items, key=lambda kv: kv[0])
 
 
 def aggregate_by_key(
@@ -71,9 +49,7 @@ def aggregate_by_key(
     computing degrees or the per-vertex minimum layer in Algorithm 4).
     """
     grouped: dict[int, V] = {}
-    count = 0
     for key, value in items:
-        count += 1
         if key in grouped:
             grouped[key] = combine(grouped[key], value)
         else:
@@ -81,8 +57,6 @@ def aggregate_by_key(
     messages = [(key, key, 1) for key in grouped]
     cluster.communication_round(messages, label=f"{label}:shuffle")
     cluster.charge_rounds(AGGREGATE_ROUNDS - 1, label=f"{label}:combine")
-    # Touch 'count' so linters don't flag it; it documents the traffic volume.
-    del count
     return grouped
 
 
@@ -125,21 +99,6 @@ def broadcast(
         cluster.charge_rounds(BROADCAST_ROUNDS - rounds_used, label=label)
 
 
-def prefix_sums(
-    cluster: MPCCluster,
-    values: Sequence[int],
-    label: str = "prefix_sums",
-) -> list[int]:
-    """Exclusive prefix sums of ``values`` (constant rounds via sorting)."""
-    cluster.charge_rounds(PREFIX_SUM_ROUNDS, label=label)
-    result: list[int] = []
-    running = 0
-    for value in values:
-        result.append(running)
-        running += value
-    return result
-
-
 def gather_bundles(
     cluster: MPCCluster,
     bundles: Mapping[int, int],
@@ -167,17 +126,3 @@ def gather_bundles(
                 messages.append((v, u, size))
     cluster.communication_round(messages, label=f"{label}:deliver", store_tag=store_tag)
 
-
-def count_by_key(
-    cluster: MPCCluster,
-    keys: Iterable[int],
-    label: str = "count",
-) -> dict[int, int]:
-    """Count occurrences of each key (a special case of :func:`aggregate_by_key`)."""
-    counts: dict[int, int] = defaultdict(int)
-    for key in keys:
-        counts[key] += 1
-    messages = [(key, key, 1) for key in counts]
-    cluster.communication_round(messages, label=f"{label}:shuffle")
-    cluster.charge_rounds(AGGREGATE_ROUNDS - 1, label=f"{label}:combine")
-    return dict(counts)

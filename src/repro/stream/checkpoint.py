@@ -12,7 +12,7 @@ re-attached on restore and cannot influence simulated outcomes.
 
 File format (version |VERSION|): one header line, then the body::
 
-    {"checksum":...,"format":"repro-stream-checkpoint","payload_bytes":...,"version":3}
+    {"checksum":...,"format":"repro-stream-checkpoint","payload_bytes":...,"version":4}
     {"delta":...,"engine_ledger":...,"fingerprint":...,...}
 
 The body is the canonical encoding of the payload (sorted keys, compact
@@ -25,12 +25,13 @@ temp file behind).  Reading validates the format, the version, the body
 length against ``payload_bytes`` (truncation) and the checksum against the
 body bytes as read, then parses the body once; any mismatch raises
 :class:`~repro.errors.CheckpointError`.  Version 1 and 2 files (one JSON
-object with the payload inline) are refused by version.  Restoring
-re-derives the engine fingerprint and compares it against the one recorded
-at checkpoint time, so a corrupted-but-checksummed (hand-edited) payload
-cannot silently produce a divergent engine.  Restore is all-or-nothing: on
-any failure the partially built engine is closed before the error
-propagates.
+object with the payload inline) and version 3 files (this layout, but an
+orientation state that still carried a ``proactive_flips`` switch) are
+refused by version.  Restoring re-derives the engine fingerprint and
+compares it against the one recorded at checkpoint time, so a
+corrupted-but-checksummed (hand-edited) payload cannot silently produce a
+divergent engine.  Restore is all-or-nothing: on any failure the partially
+built engine is closed before the error propagates.
 
 The per-component (de)serializers live next to the state they capture:
 ``DynamicGraph.state_columns``/``from_state``,
@@ -59,7 +60,7 @@ from repro.stream.service import StreamingService, _report_state, _restore_repor
 from repro.stream.updates import StreamSummary, UpdateBatch
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -104,10 +105,7 @@ def fingerprint(engine: StreamEngine) -> dict:
             "outdegree_cap": orientation["outdegree_cap"],
             "flips": orientation["flips"],
             "rebuilds": orientation["rebuilds"],
-            "colors": (
-                None if service.coloring is None
-                else list(service.coloring._colors)
-            ),
+            "colors": list(service.coloring._colors),
             "rounds": service.cluster.stats.num_rounds,
             "num_edges": service.dynamic.num_edges,
             "journal_length": service.dynamic.journal_length,
@@ -183,7 +181,7 @@ def read_checkpoint(path) -> dict:
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path!r}: {exc}") from exc
     # A version 1/2 file is one JSON object with no newline: it parses as a
-    # header, so it is refused by its version below.
+    # header, so it is refused by its version below, like a version 3 one.
     head, newline, body = blob.partition(b"\n")
     try:
         header = json.loads(head)

@@ -63,15 +63,6 @@ class IncrementalColoring:
         """Largest color index in use (palette-size proxy)."""
         return kernels.max_value(self._colors)
 
-    def to_coloring(self, graph: Graph | None = None) -> Coloring:
-        """Freeze the maintained colors into a :class:`Coloring` value object.
-
-        ``graph`` defaults to a fresh snapshot of the dynamic graph.
-        """
-        if graph is None:
-            graph = self._dynamic.snapshot()
-        return Coloring(graph, {v: self._colors[v] for v in graph.vertices})
-
     def is_proper(self) -> bool:
         """Whether no live edge is monochromatic (one kernel scan over a
         snapshot's edge columns — the snapshot cache makes repeated checks
@@ -118,9 +109,6 @@ class IncrementalColoring:
             self.handle_insert(us[i], vs[i])
             start = i + 1
         return self.recolors - before
-
-    def handle_delete(self, u: int, v: int) -> None:
-        """Deletions cannot invalidate a proper coloring; kept for symmetry."""
 
     def refresh(self, snapshot: Graph | None = None) -> None:
         """Recolor from scratch in reverse degeneracy order (palette reset)."""

@@ -150,6 +150,11 @@ _LIFECYCLE = {
 _SCHEDULABLE = (TenantState.ACTIVE, TenantState.LIFTED)
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is an integer ≥ 1 (``bool`` is not an integer here)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass
 class _Tenant:
     """Book-keeping for one hosted tenant."""
@@ -296,11 +301,6 @@ class StreamEngine:
         name: str,
         initial: Graph,
         seed: int | None = None,
-        flip_slack: int = 4,
-        quality_interval: int = 1024,
-        maintain_coloring: bool = True,
-        proactive_flips: bool = True,
-        lambda_seed: str | None = None,
         memory_quota: int | None = None,
         weight: int = 1,
     ) -> StreamingService:
@@ -314,11 +314,17 @@ class StreamEngine:
         service (useful for direct inspection; mutate it only through the
         engine).
 
-        ``memory_quota`` caps the tenant's sub-ledger at that many words of
-        global memory (see the module docstring).  Registration itself must
-        fit: a quota the initial graph (or the construction build's peak)
-        already exceeds raises :class:`~repro.errors.QuotaExceededError` and
-        leaves the tenant unregistered and the engine untouched.
+        ``seed`` is the tenant's orientation seed (derived from the engine
+        seed and the registration position when omitted); every other
+        maintenance setting is the :class:`StreamingService` default.
+
+        ``memory_quota`` (``None``, or an integer ≥ 1) caps the tenant's
+        sub-ledger at that many words of global memory (see the module
+        docstring).  Registration itself must fit: a quota the initial graph
+        (or the construction build's peak) already exceeds raises
+        :class:`~repro.errors.QuotaExceededError`.  A rejected registration
+        — a bad argument, a quota breach or any failure while building the
+        tenant — leaves the tenant unregistered and the engine untouched.
 
         ``weight`` (integer ≥ 1, default 1) is the tenant's proportional
         share of the tick round budget under weighted-fair policies: with
@@ -326,10 +332,6 @@ class StreamEngine:
         round credits per backlogged tick, so a weight-3 tenant is served
         about three times as often as a weight-1 sibling on a congested
         fleet.  Policies without a fairness notion ignore it.
-
-        ``lambda_seed`` is forwarded to :class:`StreamingService` — pass
-        ``"coreness"`` to seed the tenant's λ̂ from the guess-ladder peel
-        instead of the static degeneracy estimate.
 
         Safe while the engine is resident: registration takes the engine
         lock, so it lands between ticks; the new tenant enters the lifecycle
@@ -341,11 +343,6 @@ class StreamEngine:
                 name,
                 initial,
                 seed=seed,
-                flip_slack=flip_slack,
-                quality_interval=quality_interval,
-                maintain_coloring=maintain_coloring,
-                proactive_flips=proactive_flips,
-                lambda_seed=lambda_seed,
                 memory_quota=memory_quota,
                 weight=weight,
             )
@@ -355,11 +352,6 @@ class StreamEngine:
         name: str,
         initial: Graph,
         seed: int | None = None,
-        flip_slack: int = 4,
-        quality_interval: int = 1024,
-        maintain_coloring: bool = True,
-        proactive_flips: bool = True,
-        lambda_seed: str | None = None,
         memory_quota: int | None = None,
         weight: int = 1,
     ) -> StreamingService:
@@ -367,9 +359,14 @@ class StreamEngine:
             raise GraphError("engine is closed")
         if name in self._tenants:
             raise GraphError(f"tenant {name!r} is already registered")
-        if not isinstance(weight, int) or weight < 1:
+        if not _is_count(weight):
             raise GraphError(
                 f"tenant weight must be an integer >= 1, got {weight!r}"
+            )
+        if memory_quota is not None and not _is_count(memory_quota):
+            raise GraphError(
+                f"tenant memory_quota must be None or an integer >= 1, "
+                f"got {memory_quota!r}"
             )
         initial_words = graph_memory_words(initial.num_vertices, initial.num_edges)
         if memory_quota is not None and initial_words > memory_quota:
@@ -380,30 +377,26 @@ class StreamEngine:
         created_cluster = self.cluster is None
         if created_cluster:
             self.cluster = MPCCluster(tenant_config)
-        if self.tracer.enabled:
-            self.cluster.instrument(self.tracer)
-        ledger = self.cluster.fork(config=tenant_config, memory_quota=memory_quota)
-        tenant_seed = (
-            seed if seed is not None else derive_seed(self._seed, len(self._tenants))
-        )
-        service = StreamingService(
-            initial,
-            delta=self._delta,
-            flip_slack=flip_slack,
-            quality_interval=quality_interval,
-            seed=tenant_seed,
-            cluster=ledger,
-            maintain_coloring=maintain_coloring,
-            proactive_flips=proactive_flips,
-            lambda_seed=lambda_seed,
-            tracer=self.tracer if self.tracer.enabled else None,
-        )
-        # The construction build's memory peak must fit the quota too; a
-        # breach here leaves the engine untouched (nothing folded yet, and a
-        # cluster provisioned from the rejected tenant is rolled back).
+        # Nothing is folded into the engine before the construction build's
+        # memory peak passes the quota; on any failure up to there a cluster
+        # provisioned from the rejected tenant is rolled back, which leaves
+        # the engine untouched.
         try:
+            if self.tracer.enabled:
+                self.cluster.instrument(self.tracer)
+            ledger = self.cluster.fork(config=tenant_config, memory_quota=memory_quota)
+            tenant_seed = (
+                seed if seed is not None else derive_seed(self._seed, len(self._tenants))
+            )
+            service = StreamingService(
+                initial,
+                delta=self._delta,
+                seed=tenant_seed,
+                cluster=ledger,
+                tracer=self.tracer if self.tracer.enabled else None,
+            )
             ledger.check_quota()
-        except QuotaExceededError:
+        except BaseException:
             if created_cluster:
                 self.cluster = None
             raise
@@ -874,9 +867,7 @@ class StreamEngine:
             outdegree_cap=max(
                 (s.orientation.outdegree_cap for s in services), default=0
             ),
-            num_colors=sum(
-                s.coloring.num_colors() for s in services if s.coloring is not None
-            ),
+            num_colors=sum(s.coloring.num_colors() for s in services),
             wall_clock_s=tick.wall_clock_s,
         )
 

@@ -2,7 +2,9 @@
 
 This is the Brodal–Fagerberg-style dynamic counterpart of Theorem 1.1: an
 orientation of a :class:`~repro.stream.dynamic_graph.DynamicGraph` whose
-maximum outdegree stays ``O(λ)`` per update.
+maximum outdegree stays ``O(λ)`` per update.  Every update goes through
+:meth:`IncrementalOrientation.apply_batch` (a single update is a one-update
+batch):
 
 * **Insertion** orients the new edge out of the endpoint with the smaller
   outdegree.  If that pushes the tail past the cap ``flip_slack · λ̂`` (where
@@ -10,12 +12,14 @@ maximum outdegree stays ``O(λ)`` per update.
   the nearest vertex with spare out-capacity and the whole path is flipped —
   the classical argument shows such flip paths are short (O(log n) for
   ``cap ≥ 2λ``) and their total length is amortised O(log n) per insertion.
-* **Deletion** drops the oriented edge; outdegrees only decrease, so the
-  invariant is preserved for free.  The freed out-slot is then used
-  *proactively*: if some in-neighbor of the freed tail sits exactly at the
-  outdegree cap, one of its in-edges is flipped toward the slot, draining
-  the population of at-cap vertices between rebuilds (so the realised
-  maximum outdegree tracks the current density down, not just the cap).
+* **Deletion** drops the oriented edge (deleting an edge that is not oriented
+  raises :class:`~repro.errors.GraphError`); outdegrees only decrease, so
+  the invariant is preserved for free.  The freed out-slot is then used
+  *proactively*, once the batch's groups have run: if some in-neighbor of
+  the freed tail sits exactly at the outdegree cap, one of its in-edges is
+  flipped toward the slot, draining the population of at-cap vertices
+  between rebuilds (so the realised maximum outdegree tracks the current
+  density down, not just the cap).
 * **Fallback.** When no flip path exists (the reachable region is saturated,
   which certifies that the density outgrew the estimate) the maintainer falls
   back to the full Theorem 1.1 pipeline (:func:`repro.core.orientation.orient`)
@@ -97,52 +101,11 @@ def plan_conflict_groups(updates: Sequence) -> list[list[int]]:
 def _choose_tail(u: int, v: int, outdeg_u: int, outdeg_v: int) -> int:
     """The insertion rule: orient out of the smaller outdegree, ``u`` on ties.
 
-    One definition shared by ``insert``, the cap-safety precheck and the
-    batch path: the precheck proves a group cap-safe by replaying the exact
+    One definition shared by the cap-safety precheck and the group
+    execution: the precheck proves a group cap-safe by replaying the exact
     decisions the execution will make, so the rule must not be duplicated.
     """
     return u if outdeg_u <= outdeg_v else v
-
-
-def seed_lambda_from_coreness(
-    snapshot: Graph,
-    epsilon: float = 0.5,
-    cluster=None,
-) -> int:
-    """Seed λ̂ from the coreness guess ladder instead of the static degeneracy.
-
-    The default estimate (``arboricity_upper_bound``) is one serial O(n + m)
-    bucket peel yielding the exact degeneracy ``d``.  This helper instead
-    runs the [GLM19] guess ladder ``g = ⌈(1+ε)^i⌉`` — each guess one
-    threshold-``2g`` frontier peel.  The guesses are independent, so rounds
-    charge as the max over guesses plus one combine, exactly like
-    :func:`repro.core.coreness.approximate_coreness` — and the helper returns
-    ``2 · g*`` where ``g*`` is the smallest guess whose peel clears the
-    graph.  Since the peel clears iff ``2g ≥ d``, the seed lands in
-    ``[d, (1+ε)·d]``: never below the degeneracy, and usually *above* it by
-    the ladder's round-up.  That headroom is the point — on a densifying
-    trace the wider cap absorbs growth that would saturate the
-    degeneracy-seeded cap, so fewer ``"saturated"`` rebuilds fire (pinned by
-    the regression test).  Each peel itself runs on the active kernel
-    backend, so with numpy the whole estimate is a few vectorized sweeps.
-    """
-    from repro.core.coreness import geometric_guesses  # deferred: core imports stream-free
-
-    if snapshot.num_vertices == 0 or snapshot.num_edges == 0:
-        return 1
-    guesses = geometric_guesses(max(snapshot.max_degree(), 1), epsilon)
-    results = []
-    for guess in guesses:
-        layers, rounds_used = snapshot.peel_layers(2 * guess)
-        results.append((all(layers), rounds_used))
-    cleared_at = next(
-        (guess for guess, (cleared, _rounds) in zip(guesses, results) if cleared),
-        guesses[-1],
-    )
-    if cluster is not None:
-        max_rounds = max(rounds for _cleared, rounds in results)
-        cluster.charge_rounds(max_rounds + 1, label="stream:lambda-seed")
-    return max(1, 2 * cleared_at)
 
 
 @dataclass(frozen=True)
@@ -184,12 +147,11 @@ class IncrementalOrientation:
     cluster:
         Optional :class:`~repro.mpc.cluster.MPCCluster`; fallback rebuilds run
         the Theorem 1.1 pipeline against it so their rounds are accounted.
-    proactive_flips:
-        When ``True`` (default), a deletion that frees an out-slot
-        opportunistically flips one in-edge of an at-cap in-neighbor toward
-        the slot, tightening the realised maximum outdegree between
-        rebuilds.  Proactive flips are counted in :attr:`flips` and,
-        separately, in :attr:`opportunistic_flips`.
+
+    A deletion that frees an out-slot opportunistically flips one in-edge
+    of an at-cap in-neighbor toward the slot, tightening the realised
+    maximum outdegree between rebuilds.  Proactive flips are counted in
+    :attr:`flips` and, separately, in :attr:`opportunistic_flips`.
     """
 
     def __init__(
@@ -201,7 +163,6 @@ class IncrementalOrientation:
         delta: float = 0.5,
         seed: int = 0,
         cluster=None,
-        proactive_flips: bool = True,
     ) -> None:
         if flip_slack < 2:
             raise GraphError("flip_slack must be at least 2 for flip paths to exist")
@@ -211,7 +172,6 @@ class IncrementalOrientation:
         self._delta = delta
         self._seed = seed
         self._cluster = cluster
-        self.proactive_flips = proactive_flips
         self._out: list[set[int]] = [set() for _ in range(dynamic.num_vertices)]
         # Flat outdegree column mirroring len(self._out[v]) at every mutation
         # site, so max_outdegree() — read per tenant per tick by the engine's
@@ -220,8 +180,7 @@ class IncrementalOrientation:
         self.flips = 0
         self.opportunistic_flips = 0
         self.rebuilds = 0
-        # Per-reason rebuild tally ("saturated", "stale-bound", ...): the
-        # λ̂-seeding regression tests compare saturation rebuilds alone.
+        # Per-reason rebuild tally ("saturated", "stale-bound").
         self.rebuild_reasons: dict[str, int] = {}
         self._updates_since_check = 0
         snapshot = dynamic.snapshot()
@@ -281,31 +240,6 @@ class IncrementalOrientation:
     # there is exactly one definition).
     _choose_tail = staticmethod(_choose_tail)
 
-    def insert(self, u: int, v: int) -> None:
-        """Orient a newly inserted edge, flipping a path if the tail saturates."""
-        out = self._out
-        tail = self._choose_tail(u, v, len(out[u]), len(out[v]))
-        head = v if tail == u else u
-        out[tail].add(head)
-        self._outdeg[tail] += 1
-        if len(out[tail]) > self.outdegree_cap:
-            self._repair(tail)
-        self._tick()
-
-    def delete(self, u: int, v: int) -> None:
-        """Drop a deleted edge, then reuse the freed slot proactively."""
-        if v in self._out[u]:
-            self._out[u].discard(v)
-            freed = u
-        elif u in self._out[v]:
-            self._out[v].discard(u)
-            freed = v
-        else:
-            raise GraphError(f"edge {normalize_edge(u, v)} is not oriented")
-        self._outdeg[freed] -= 1
-        self._proactive_flip(freed)
-        self._tick()
-
     def _proactive_flip(self, freed: int) -> None:
         """Flip one in-edge of an at-cap in-neighbor toward a freed out-slot.
 
@@ -317,8 +251,6 @@ class IncrementalOrientation:
         at ``w`` to force a search.  Scans ``freed``'s dynamic adjacency
         (O(deg)); picks the smallest such ``w`` for determinism.
         """
-        if not self.proactive_flips:
-            return
         out = self._out
         cap = self.outdegree_cap
         if len(out[freed]) >= cap:
@@ -378,10 +310,9 @@ class IncrementalOrientation:
             )
 
         opportunistic_before = self.opportunistic_flips
-        if self.proactive_flips:
-            for position in range(len(grouped)):
-                for freed in freed_by_group[position]:
-                    self._proactive_flip(freed)
+        for position in range(len(grouped)):
+            for freed in freed_by_group[position]:
+                self._proactive_flip(freed)
 
         self._updates_since_check += len(updates)
         if self._updates_since_check >= self._quality_threshold():
@@ -444,8 +375,8 @@ class IncrementalOrientation:
         deletes of already-unoriented ones are legal only after a mid-batch
         rebuild fast-forwarded the orientation to the batch-final state
         (``self.rebuilds > rebuilds_before``); without one they mean the
-        orientation drifted from the live edge set, and the batch path
-        raises exactly like the per-update path does.
+        orientation drifted from the live edge set, and they raise
+        :class:`~repro.errors.GraphError`.
         """
         freed: list[int] = []
         for update in group_updates:
@@ -534,11 +465,6 @@ class IncrementalOrientation:
         """Updates between quality checks: Θ(m), floored by ``quality_interval``."""
         return max(self.quality_interval, self._dynamic.num_edges // 4)
 
-    def _tick(self) -> None:
-        self._updates_since_check += 1
-        if self._updates_since_check >= self._quality_threshold():
-            self.ensure_quality()
-
     # ------------------------------------------------------------------ #
     # Quality fallback
     # ------------------------------------------------------------------ #
@@ -622,7 +548,6 @@ class IncrementalOrientation:
             "quality_interval": self.quality_interval,
             "delta": self._delta,
             "seed": self._seed,
-            "proactive_flips": bool(self.proactive_flips),
             "flips": self.flips,
             "opportunistic_flips": self.opportunistic_flips,
             "rebuilds": self.rebuilds,
@@ -643,7 +568,6 @@ class IncrementalOrientation:
         orientation._delta = state["delta"]
         orientation._seed = state["seed"]
         orientation._cluster = cluster
-        orientation.proactive_flips = state["proactive_flips"]
         indptr = state["indptr"]
         heads = state["heads"]
         orientation._out = [

@@ -51,7 +51,7 @@ from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
 from repro.stream.coloring import IncrementalColoring
 from repro.stream.dynamic_graph import DynamicGraph
-from repro.stream.orientation import IncrementalOrientation, seed_lambda_from_coreness
+from repro.stream.orientation import IncrementalOrientation
 from repro.stream.updates import BatchReport, StreamSummary, UpdateBatch
 
 
@@ -86,26 +86,13 @@ class StreamingService:
         The graph at stream start (may be empty).
     delta:
         Memory exponent for the simulated cluster (when none is supplied).
-    flip_slack, quality_interval, seed:
-        Forwarded to :class:`IncrementalOrientation`.
+    seed:
+        Forwarded to :class:`IncrementalOrientation` (the seed of its
+        Theorem 1.1 builds).  The orientation keeps its default cap
+        (``4 · λ̂``, λ̂ the initial degeneracy) and quality interval.
     cluster:
         Optional pre-built cluster; a fresh one sized for ``initial`` is
         created (and loaded) when omitted.
-    maintain_coloring:
-        Disable to maintain only the orientation (benchmarks isolating the
-        flip path).
-    proactive_flips:
-        Forwarded to :class:`IncrementalOrientation`.
-    lambda_seed:
-        How the initial arboricity estimate λ̂ is obtained.  ``None``
-        (default) keeps the static degeneracy estimate.  ``"coreness"``
-        seeds it from the coreness guess-ladder peel
-        (:func:`~repro.stream.orientation.seed_lambda_from_coreness`)
-        charged to the service's cluster ledger — the
-        ladder's round-up gives the outdegree cap headroom above the exact
-        degeneracy, so densifying traces trigger fewer saturation rebuilds.
-        Opt-in because it changes the cap, and with it every downstream
-        flip/rebuild count, relative to the pinned default trajectories.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When given, each batch is
         wrapped in host wall-clock spans (batch → repair/recolor/quality)
@@ -118,19 +105,10 @@ class StreamingService:
         self,
         initial: Graph,
         delta: float = 0.5,
-        flip_slack: int = 4,
-        quality_interval: int = 1024,
         seed: int = 0,
         cluster: MPCCluster | None = None,
-        maintain_coloring: bool = True,
-        proactive_flips: bool = True,
-        lambda_seed: str | None = None,
         tracer=None,
     ) -> None:
-        if lambda_seed not in (None, "coreness"):
-            raise GraphError(
-                f"unknown lambda_seed {lambda_seed!r} (expected None or 'coreness')"
-            )
         if cluster is None:
             cluster = MPCCluster(MPCConfig.for_graph(initial, delta=delta))
         self.cluster = cluster
@@ -141,20 +119,10 @@ class StreamingService:
         if tracer is not None:
             self.dynamic.instrument(tracer)
         self._account_graph_storage()
-        lambda_bound = None
-        if lambda_seed == "coreness":
-            lambda_bound = seed_lambda_from_coreness(initial, cluster=cluster)
         self.orientation = IncrementalOrientation(
-            self.dynamic,
-            lambda_bound=lambda_bound,
-            flip_slack=flip_slack,
-            quality_interval=quality_interval,
-            delta=delta,
-            seed=seed,
-            cluster=cluster,
-            proactive_flips=proactive_flips,
+            self.dynamic, delta=delta, seed=seed, cluster=cluster
         )
-        self.coloring = IncrementalColoring(self.dynamic) if maintain_coloring else None
+        self.coloring = IncrementalColoring(self.dynamic)
         self.summary = StreamSummary()
 
     # ------------------------------------------------------------------ #
@@ -238,7 +206,7 @@ class StreamingService:
 
         flips_before = orientation.flips
         rebuilds_before = orientation.rebuilds
-        recolors_before = coloring.recolors if coloring is not None else 0
+        recolors_before = coloring.recolors
         compactions_before = dynamic.num_compactions
         rounds_before = cluster.stats.num_rounds
 
@@ -260,22 +228,21 @@ class StreamingService:
         with self.tracer.span("repair", cat="stream", cluster=cluster):
             grouped = orientation.apply_batch(batch.updates)
 
-        if coloring is not None:
-            with self.tracer.span("recolor", cat="stream", cluster=cluster):
-                # Deletions never invalidate properness, so the scan covers
-                # just the insert columns (kernel-dispatched; see
-                # handle_insert_batch for the byte-identity argument).
-                coloring.handle_insert_batch(*batch.insert_columns())
+        with self.tracer.span("recolor", cat="stream", cluster=cluster):
+            # Deletions never invalidate properness, so the scan covers just
+            # the insert columns (kernel-dispatched; see handle_insert_batch
+            # for the byte-identity argument).
+            coloring.handle_insert_batch(*batch.insert_columns())
 
         # Amortised quality maintenance at the batch boundary; a rebuild here
         # also refreshes the coloring (the rebuild recomputed everything).
         with self.tracer.span("quality", cat="stream", cluster=cluster):
             orientation.ensure_quality()
-            if coloring is not None and orientation.rebuilds > rebuilds_before:
+            if orientation.rebuilds > rebuilds_before:
                 coloring.refresh(dynamic.snapshot())
 
         flips = orientation.flips - flips_before
-        recolors = (coloring.recolors - recolors_before) if coloring is not None else 0
+        recolors = coloring.recolors - recolors_before
         compactions = dynamic.num_compactions - compactions_before
         if flips:
             cluster.charge_rounds(1, label="stream:flip-repair")
@@ -301,7 +268,7 @@ class StreamingService:
             journal_size=dynamic.journal_size,
             max_outdegree=orientation.max_outdegree(),
             outdegree_cap=orientation.outdegree_cap,
-            num_colors=coloring.num_colors() if coloring is not None else 0,
+            num_colors=coloring.num_colors(),
         )
         return report
 
@@ -346,7 +313,7 @@ class StreamingService:
             "ledger": self.cluster.ledger_state(),
             "dynamic": self.dynamic.state_columns(),
             "orientation": self.orientation.state_dict(),
-            "coloring": None if self.coloring is None else self.coloring.state_dict(),
+            "coloring": self.coloring.state_dict(),
             "reports": [_report_state(report) for report in self.summary.reports],
         }
 
@@ -371,10 +338,8 @@ class StreamingService:
         service.orientation = IncrementalOrientation.from_state(
             state["orientation"], service.dynamic, cluster=service.cluster
         )
-        service.coloring = (
-            None
-            if state["coloring"] is None
-            else IncrementalColoring.from_state(state["coloring"], service.dynamic)
+        service.coloring = IncrementalColoring.from_state(
+            state["coloring"], service.dynamic
         )
         service.summary = StreamSummary()
         for row in state["reports"]:
@@ -391,7 +356,7 @@ class StreamingService:
         * the orientation covers the live edge set exactly, with every
           oriented edge live;
         * ``max_outdegree ≤ outdegree_cap``;
-        * the coloring (when maintained) is proper on the live edge set.
+        * the coloring is proper on the live edge set.
         """
         dynamic = self.dynamic
         orientation = self.orientation
@@ -407,7 +372,7 @@ class StreamingService:
             raise GraphError(
                 f"outdegree {worst} exceeds maintained cap {orientation.outdegree_cap}"
             )
-        if self.coloring is not None and not self.coloring.is_proper():
+        if not self.coloring.is_proper():
             raise GraphError("maintained coloring is not proper")
 
     def __repr__(self) -> str:

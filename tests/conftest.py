@@ -1,4 +1,4 @@
-"""Shared fixtures and hypothesis strategies for the test suite."""
+"""Shared fixtures, helpers and hypothesis strategies for the test suite."""
 
 from __future__ import annotations
 
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.graph import generators
 from repro.graph.graph import Graph
+from repro.stream.updates import UpdateBatch
 
 
 @pytest.fixture
@@ -127,3 +128,13 @@ def forests(draw, max_vertices: int = 32):
     seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
     trees = draw(st.integers(min_value=1, max_value=max(n // 4, 1)))
     return generators.random_forest(n, num_trees=trees, seed=seed)
+
+
+def apply_one(orientation, op: str, u: int, v: int):
+    """Resolve one update (``"+"`` or ``"-"``) as a one-update batch.
+
+    The caller has applied the update to the dynamic graph already, as
+    :meth:`~repro.stream.orientation.IncrementalOrientation.apply_batch`
+    requires; returns the batch's report.
+    """
+    return orientation.apply_batch(UpdateBatch.from_ops([(op, u, v)]).updates)

@@ -11,28 +11,15 @@ from repro.mpc.primitives import (
     AGGREGATE_ROUNDS,
     BROADCAST_ROUNDS,
     GATHER_ROUNDS,
-    PREFIX_SUM_ROUNDS,
-    SORT_ROUNDS,
     aggregate_by_key,
     broadcast,
-    count_by_key,
     gather_bundles,
-    prefix_sums,
-    sort_by_key,
 )
 
 
 @pytest.fixture
 def cluster() -> MPCCluster:
     return MPCCluster(MPCConfig(num_vertices=512, num_edges=1024, delta=0.5))
-
-
-class TestSort:
-    def test_sorts_by_key(self, cluster):
-        items = [(3, "c"), (1, "a"), (2, "b")]
-        result = sort_by_key(cluster, items)
-        assert [k for k, _ in result] == [1, 2, 3]
-        assert cluster.stats.num_rounds == SORT_ROUNDS
 
 
 class TestAggregate:
@@ -46,12 +33,8 @@ class TestAggregate:
         result = aggregate_by_key(cluster, [(7, 4), (7, 1), (9, 2)], combine=min)
         assert result == {7: 1, 9: 2}
 
-    def test_count_by_key(self, cluster):
-        result = count_by_key(cluster, [1, 1, 2, 3, 3, 3])
-        assert result == {1: 2, 2: 1, 3: 3}
 
-
-class TestBroadcastAndPrefix:
+class TestBroadcast:
     def test_broadcast_charges_rounds(self, cluster):
         broadcast(cluster, payload_words=2, destinations=list(range(50)))
         assert cluster.stats.num_rounds >= BROADCAST_ROUNDS
@@ -63,10 +46,6 @@ class TestBroadcastAndPrefix:
     def test_broadcast_rejects_negative_payload(self, cluster):
         with pytest.raises(SimulationError):
             broadcast(cluster, payload_words=-1, destinations=[1])
-
-    def test_prefix_sums(self, cluster):
-        assert prefix_sums(cluster, [3, 1, 4, 1]) == [0, 3, 4, 8]
-        assert cluster.stats.num_rounds == PREFIX_SUM_ROUNDS
 
 
 class TestGather:

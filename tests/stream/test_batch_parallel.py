@@ -25,6 +25,7 @@ from repro.stream.workloads import (
     sliding_window_trace,
     uniform_churn_trace,
 )
+from tests.conftest import apply_one
 
 
 class TestConflictGroupPlanning:
@@ -102,13 +103,13 @@ class TestApplyBatch:
     def test_drifted_state_raises_instead_of_silently_skipping(self):
         """Without a mid-batch rebuild, a delete of an unoriented edge (or an
         insert of an oriented one) means the orientation drifted from the
-        live edge set — the batch path must raise like delete() does."""
+        live edge set — the batch path must raise."""
         from repro.errors import GraphError
 
         dynamic = DynamicGraph.empty(6)
         orientation = IncrementalOrientation(dynamic)
         dynamic.add_edge(0, 1)
-        orientation.insert(0, 1)
+        apply_one(orientation, "+", 0, 1)
         orientation._out[0].discard(1)  # induce drift: live edge unoriented
         dynamic.remove_edge(0, 1)
         with pytest.raises(GraphError, match="not oriented"):
@@ -367,29 +368,11 @@ class TestProactiveFlips:
         assert orientation.outdegree(0) == cap
         # Deleting {1, 5} frees a slot at 1; 0 is an at-cap in-neighbor of 1.
         dynamic.remove_edge(1, 5)
-        orientation.delete(1, 5)
+        apply_one(orientation, "-", 1, 5)
         assert orientation.opportunistic_flips == 1
         assert orientation.outdegree(0) == cap - 1
         assert orientation.head(0, 1) == 0  # flipped toward the freed slot
         assert orientation.max_outdegree() <= cap
-
-    def test_disabled_proactive_flips_change_nothing_on_delete(self):
-        n = 6
-        dynamic = DynamicGraph.empty(n)
-        orientation = IncrementalOrientation(
-            dynamic, lambda_bound=2, flip_slack=2, proactive_flips=False
-        )
-        cap = orientation.outdegree_cap
-        out = orientation._out
-        for w in range(1, cap + 1):
-            dynamic.add_edge(0, w)
-            out[0].add(w)
-        dynamic.add_edge(1, 5)
-        out[1].add(5)
-        dynamic.remove_edge(1, 5)
-        orientation.delete(1, 5)
-        assert orientation.opportunistic_flips == 0
-        assert orientation.outdegree(0) == cap
 
     @pytest.mark.parametrize("seed", [1, 4])
     def test_churn_property_invariants_hold_with_proactive_flips(self, seed):
@@ -408,7 +391,7 @@ class TestProactiveFlips:
                 e = sorted(mirror)[rng.randrange(len(mirror))]
                 mirror.discard(e)
                 dynamic.remove_edge(*e)
-                orientation.delete(*e)
+                apply_one(orientation, "-", *e)
             else:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u == v:
@@ -418,7 +401,7 @@ class TestProactiveFlips:
                     continue
                 mirror.add(e)
                 dynamic.add_edge(*e)
-                orientation.insert(*e)
+                apply_one(orientation, "+", *e)
             if step % 90 == 89:
                 assert orientation.max_outdegree() <= orientation.outdegree_cap
                 assert orientation.oriented_edge_count() == len(mirror)

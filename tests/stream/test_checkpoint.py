@@ -63,7 +63,7 @@ def _read_container(path):
 
 
 def _write_container(path, container):
-    """Write a hand-edited container back in the version-3 layout.
+    """Write a hand-edited container back in the header-line + body layout.
 
     The header fields go on line 1 and the canonical payload follows, with
     ``payload_bytes`` set to the body's length as the writer does.  The
@@ -343,13 +343,28 @@ class TestCorruption:
     def test_version_1_and_2_containers_are_refused(self, snapshot, old_version):
         """Versions 1 and 2 held the payload inline in one JSON object (and
         version 1 stored per-machine ledger records), so neither restores."""
-        assert checkpoint.CHECKPOINT_VERSION == 3
+        assert checkpoint.CHECKPOINT_VERSION == 4
         container = _read_container(snapshot)
         container["version"] = old_version
         snapshot.write_text(json.dumps(container))  # the old one-object layout
         with pytest.raises(
             CheckpointError,
-            match=f"has version {old_version}; this build restores version 3",
+            match=f"has version {old_version}; this build restores version 4",
+        ):
+            StreamEngine.restore(snapshot)
+
+    def test_version_3_container_is_refused(self, snapshot):
+        """Version 3 had today's layout, but its orientation state carried a
+        ``proactive_flips`` switch that could be off; such a file must be
+        refused by its version, not restored into different behaviour."""
+        container = _read_container(snapshot)
+        for tenant in container["payload"]["tenants"]:
+            if tenant["service"] is not None:
+                tenant["service"]["orientation"]["proactive_flips"] = False
+        container["version"] = 3
+        self._reseal(snapshot, container)
+        with pytest.raises(
+            CheckpointError, match="has version 3; this build restores version 4"
         ):
             StreamEngine.restore(snapshot)
 

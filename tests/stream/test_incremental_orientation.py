@@ -13,6 +13,7 @@ from repro.graph.generators import complete_graph, union_of_random_forests
 from repro.graph.graph import Graph
 from repro.stream.dynamic_graph import DynamicGraph
 from repro.stream.orientation import IncrementalOrientation
+from tests.conftest import apply_one
 
 
 def make_pair(base: Graph, **kwargs):
@@ -32,11 +33,11 @@ class TestBasics:
     def test_insert_orients_and_delete_unorients(self):
         dynamic, orientation = make_pair(Graph.empty(4))
         dynamic.add_edge(0, 1)
-        orientation.insert(0, 1)
+        apply_one(orientation, "+", 0, 1)
         assert orientation.head(0, 1) in (0, 1)
         assert orientation.oriented_edge_count() == 1
         dynamic.remove_edge(0, 1)
-        orientation.delete(0, 1)
+        apply_one(orientation, "-", 0, 1)
         assert orientation.oriented_edge_count() == 0
         with pytest.raises(GraphError):
             orientation.head(0, 1)
@@ -44,7 +45,7 @@ class TestBasics:
     def test_delete_unoriented_edge_raises(self):
         _dynamic, orientation = make_pair(Graph.empty(3))
         with pytest.raises(GraphError):
-            orientation.delete(0, 1)
+            apply_one(orientation, "-", 0, 1)
 
     def test_flip_slack_must_allow_paths(self):
         with pytest.raises(GraphError):
@@ -67,7 +68,7 @@ class TestFlipsAndFallback:
         # ring so flip paths exist out of every vertex
         for i in range(n):
             dynamic.add_edge(i, (i + 1) % n)
-            orientation.insert(i, (i + 1) % n)
+            apply_one(orientation, "+", i, (i + 1) % n)
         assert orientation.max_outdegree() <= orientation.outdegree_cap
 
     def test_densification_triggers_theorem_rebuild(self):
@@ -79,7 +80,7 @@ class TestFlipsAndFallback:
         for u in range(n):
             for v in range(u + 1, n):
                 dynamic.add_edge(u, v)
-                orientation.insert(u, v)
+                apply_one(orientation, "+", u, v)
         assert orientation.rebuilds >= 1
         assert orientation.lambda_bound > 1
         assert orientation.max_outdegree() <= orientation.outdegree_cap
@@ -97,7 +98,7 @@ class TestFlipsAndFallback:
         cap_before = orientation.outdegree_cap
         for u, v in clique.edges:
             dynamic.remove_edge(u, v)
-            orientation.delete(u, v)
+            apply_one(orientation, "-", u, v)
         rebuilt = orientation.ensure_quality(force=True)
         assert rebuilt
         assert orientation.outdegree_cap < cap_before
@@ -116,7 +117,7 @@ class TestFlipsAndFallback:
         for u in range(n):
             for v in range(u + 1, n):
                 dynamic.add_edge(u, v)
-                orientation.insert(u, v)
+                apply_one(orientation, "+", u, v)
         assert orientation.rebuilds >= 1
         assert cluster.stats.rounds_by_label["stream:rebuild:saturated"] >= 1
         assert cluster.stats.num_rounds > 0
@@ -143,7 +144,7 @@ class TestBoundProperty:
                     continue
                 mirror.discard(e)
                 dynamic.remove_edge(*e)
-                orientation.delete(*e)
+                apply_one(orientation, "-", *e)
             else:
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u == v:
@@ -154,7 +155,7 @@ class TestBoundProperty:
                 mirror.add(e)
                 pool.append(e)
                 dynamic.add_edge(*e)
-                orientation.insert(*e)
+                apply_one(orientation, "+", *e)
             if step % 100 == 99:
                 # Invariant: never above the maintained cap.
                 assert orientation.max_outdegree() <= orientation.outdegree_cap

@@ -96,14 +96,6 @@ class TestServiceApply:
         assert service.coloring.refreshes >= 1
         service.verify()
 
-    def test_maintain_coloring_disabled(self):
-        service = StreamingService(Graph.empty(8), maintain_coloring=False)
-        report = service.apply(UpdateBatch.from_ops([("+", 0, 1)]))
-        assert service.coloring is None
-        assert report.num_colors == 0
-        assert report.recolors == 0
-        service.verify()
-
     def test_illegal_batch_rejected_atomically(self):
         """An illegal update anywhere in the batch must leave the service (and
         the round/memory ledger) completely untouched."""

@@ -15,6 +15,7 @@ from repro.engine import derive_seed
 from repro.errors import GraphError, QuotaExceededError
 from repro.graph.generators import union_of_random_forests
 from repro.graph.graph import Graph
+from repro.mpc.config import MPCConfig
 from repro.stream.engine import StreamEngine
 from repro.stream.scheduler import POLICIES
 from repro.stream.service import StreamingService
@@ -95,6 +96,9 @@ class TestTenantIsolation:
                 engine.add_tenant("w", initial, weight=0)
             with pytest.raises(GraphError, match="weight must be an integer"):
                 engine.add_tenant("w", initial, weight=1.5)
+            with pytest.raises(GraphError, match="weight must be an integer"):
+                engine.add_tenant("w", initial, weight=True)
+            assert engine.cluster is None  # rejected before provisioning
             engine.add_tenant("w", initial, weight=2)
             assert engine.tenant_names() == ("w",)
 
@@ -259,6 +263,35 @@ class TestMemoryQuotas:
                 engine.add_tenant("hog", initial, memory_quota=words - 1)
             assert engine.tenant_names() == ()
             assert engine.cluster is None  # nothing was provisioned
+
+    @pytest.mark.parametrize("quota", [0, -3, 2.5, True])
+    def test_registration_rejects_a_malformed_quota(self, quota):
+        """A quota that is not an integer ≥ 1 is a bad argument, not a
+        breach, and it is refused before the engine is provisioned."""
+        with StreamEngine(seed=5) as engine:
+            with pytest.raises(GraphError, match="memory_quota must be None or an integer"):
+                engine.add_tenant("z", Graph.empty(0), memory_quota=quota)
+            assert engine.tenant_names() == ()
+            assert engine.cluster is None
+
+    def test_a_failed_build_rolls_back_the_provisioned_cluster(self, monkeypatch):
+        """Any failure while building the first tenant leaves the engine
+        unprovisioned, and a later registration provisions it afresh."""
+        initial = union_of_random_forests(48, arboricity=2, seed=3)
+
+        def failing_service(*args, **kwargs):
+            raise RuntimeError("build failed")
+
+        with StreamEngine(seed=5) as engine:
+            monkeypatch.setattr("repro.stream.engine.StreamingService", failing_service)
+            with pytest.raises(RuntimeError, match="build failed"):
+                engine.add_tenant("t", initial)
+            assert engine.tenant_names() == ()
+            assert engine.cluster is None
+            monkeypatch.undo()
+            engine.add_tenant("t", initial)
+            assert engine.tenant_names() == ("t",)
+            assert engine.cluster.config == MPCConfig.for_graph(initial, delta=0.5)
 
     def test_registration_admits_a_quota_the_build_fits(self):
         initial = union_of_random_forests(48, arboricity=2, seed=3)
