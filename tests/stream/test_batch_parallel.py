@@ -374,6 +374,20 @@ class TestProactiveFlips:
         assert orientation.head(0, 1) == 0  # flipped toward the freed slot
         assert orientation.max_outdegree() <= cap
 
+    def test_delete_flips_nothing_when_no_in_neighbor_is_at_cap(self):
+        dynamic = DynamicGraph.empty(6)
+        orientation = IncrementalOrientation(dynamic, lambda_bound=2, flip_slack=2)
+        for u, v in ((0, 1), (1, 5)):
+            dynamic.add_edge(u, v)
+            apply_one(orientation, "+", u, v)
+        assert orientation.head(0, 1) == 1 and orientation.head(1, 5) == 5
+        # Deleting {1, 5} frees a slot at 1, but its in-neighbor 0 is below the cap.
+        dynamic.remove_edge(1, 5)
+        report = apply_one(orientation, "-", 1, 5)
+        assert report.proactive_flips == 0
+        assert orientation.opportunistic_flips == 0
+        assert orientation.head(0, 1) == 1
+
     @pytest.mark.parametrize("seed", [1, 4])
     def test_churn_property_invariants_hold_with_proactive_flips(self, seed):
         """ISSUE 3 satellite: under random churn with deletions, proactive

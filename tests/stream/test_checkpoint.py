@@ -503,6 +503,38 @@ class TestContainer:
         assert header["checksum"] == hashlib.sha256(body).hexdigest()
         assert header["checksum"] == checkpoint.fingerprint_digest(payload)
 
+    def test_orientation_state_carries_no_behaviour_switch(self, tmp_path):
+        """Version 4 stores the orientation's heads, λ̂, cap, counters and
+        maintenance parameters, and no ``proactive_flips`` switch."""
+        path = tmp_path / "ck.json"
+        with _loaded_engine(_fleet()) as engine:
+            engine.tick()
+            engine.checkpoint(path)
+        container = _read_container(path)
+        assert container["version"] == checkpoint.CHECKPOINT_VERSION == 4
+        states = [
+            tenant["service"]["orientation"]
+            for tenant in container["payload"]["tenants"]
+            if tenant["service"] is not None
+        ]
+        assert len(states) == 3
+        for state in states:
+            assert sorted(state) == [
+                "delta",
+                "flip_slack",
+                "flips",
+                "heads",
+                "indptr",
+                "lambda_bound",
+                "opportunistic_flips",
+                "outdegree_cap",
+                "quality_interval",
+                "rebuild_reasons",
+                "rebuilds",
+                "seed",
+                "updates_since_check",
+            ]
+
     def test_failed_write_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "ck"
         target.mkdir()  # os.replace cannot put a file over a directory

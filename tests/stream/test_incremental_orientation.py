@@ -59,6 +59,68 @@ class TestBasics:
         assert frozen.max_outdegree() == orientation.max_outdegree()
 
 
+class TestOneUpdateBatch:
+    """A one-update ``apply_batch`` is the whole per-update path: the tail
+    rule, the flip repair, the quality tick and the drift errors all run
+    through it."""
+
+    def test_insert_orients_out_of_the_smaller_outdegree(self):
+        dynamic, orientation = make_pair(Graph.empty(4))
+        reports = []
+        for u, v in ((0, 1), (0, 2), (1, 2)):
+            dynamic.add_edge(u, v)
+            reports.append(apply_one(orientation, "+", u, v))
+        assert orientation.head(0, 1) == 1  # tie: out of the first endpoint
+        assert orientation.head(0, 2) == 0  # 2 had the smaller outdegree
+        assert orientation.head(1, 2) == 2  # tie again: 1 -> 2
+        for report in reports:
+            assert (report.num_updates, report.num_groups) == (1, 1)
+            assert (report.parallel_groups, report.serial_groups) == (1, 0)
+
+    def test_insert_of_an_oriented_edge_raises(self):
+        dynamic, orientation = make_pair(Graph.empty(3))
+        dynamic.add_edge(0, 1)
+        apply_one(orientation, "+", 0, 1)
+        with pytest.raises(GraphError, match="already-oriented"):
+            apply_one(orientation, "+", 0, 1)
+        assert orientation.oriented_edge_count() == 1
+
+    def test_each_update_ticks_the_quality_check(self):
+        dynamic, orientation = make_pair(Graph.empty(6), quality_interval=3)
+        for step, (u, v) in enumerate(((0, 1), (2, 3)), start=1):
+            dynamic.add_edge(u, v)
+            apply_one(orientation, "+", u, v)
+            assert orientation._updates_since_check == step
+        dynamic.remove_edge(0, 1)
+        apply_one(orientation, "-", 0, 1)  # third update: the check runs
+        assert orientation._updates_since_check == 0
+        dynamic.add_edge(4, 5)
+        apply_one(orientation, "+", 4, 5)
+        assert orientation._updates_since_check == 1
+
+    def test_overloading_insert_repairs_along_a_flip_path(self):
+        """K5 densified edge by edge under cap 2: some inserts land on a
+        saturated tail, run as a flip-prone group and flip a path instead of
+        rebuilding (K5 fits outdegree 2 exactly)."""
+        n = 5
+        dynamic = DynamicGraph.empty(n)
+        orientation = IncrementalOrientation(dynamic, lambda_bound=1, flip_slack=2)
+        assert orientation.outdegree_cap == 2
+        repaired = 0
+        for u in range(n):
+            for v in range(u + 1, n):
+                dynamic.add_edge(u, v)
+                flips_before = orientation.flips
+                report = apply_one(orientation, "+", u, v)
+                if orientation.flips > flips_before:
+                    repaired += 1
+                    assert report.serial_groups == 1
+                assert orientation.max_outdegree() <= orientation.outdegree_cap
+        assert repaired >= 1
+        assert orientation.rebuilds == 0
+        assert orientation.oriented_edge_count() == n * (n - 1) // 2
+
+
 class TestFlipsAndFallback:
     def test_insertions_into_low_capacity_vertex_trigger_flips(self):
         """A star forced through a tiny cap must flip paths away from the hub."""

@@ -96,6 +96,28 @@ class TestServiceApply:
         assert service.coloring.refreshes >= 1
         service.verify()
 
+    def test_coloring_is_maintained_on_every_batch(self):
+        service = StreamingService(Graph.empty(8), seed=0)
+        assert service.coloring is not None
+        report = service.apply(UpdateBatch.from_ops([("+", 0, 1), ("+", 1, 2)]))
+        color = service.coloring.color
+        assert color(0) != color(1) and color(1) != color(2)
+        assert report.num_colors == service.coloring.num_colors() >= 2
+        service.verify()
+
+    def test_maintenance_settings_are_not_options(self):
+        """The service runs one configuration: the removed tenant knobs are
+        not accepted."""
+        for option, value in (
+            ("flip_slack", 3),
+            ("quality_interval", 8),
+            ("maintain_coloring", False),
+            ("proactive_flips", False),
+            ("lambda_seed", "coreness"),
+        ):
+            with pytest.raises(TypeError, match=option):
+                StreamingService(Graph.empty(4), **{option: value})
+
     def test_illegal_batch_rejected_atomically(self):
         """An illegal update anywhere in the batch must leave the service (and
         the round/memory ledger) completely untouched."""

@@ -102,6 +102,23 @@ class TestTenantIsolation:
             engine.add_tenant("w", initial, weight=2)
             assert engine.tenant_names() == ("w",)
 
+    def test_add_tenant_takes_no_maintenance_options(self):
+        """Every tenant runs the service's one configuration: the removed
+        knobs are refused and the refused call provisions nothing."""
+        with StreamEngine() as engine:
+            initial = union_of_random_forests(32, arboricity=2, seed=1)
+            for option, value in (
+                ("flip_slack", 3),
+                ("quality_interval", 8),
+                ("maintain_coloring", False),
+                ("proactive_flips", False),
+                ("lambda_seed", "coreness"),
+            ):
+                with pytest.raises(TypeError, match=option):
+                    engine.add_tenant("w", initial, **{option: value})
+            assert engine.tenant_names() == ()
+            assert engine.cluster is None
+
     def test_tenant_seeds_derive_from_registration_position(self):
         traces = _fleet(num_tenants=2)
         with _run_engine(traces, seed=31) as engine:
@@ -264,7 +281,7 @@ class TestMemoryQuotas:
             assert engine.tenant_names() == ()
             assert engine.cluster is None  # nothing was provisioned
 
-    @pytest.mark.parametrize("quota", [0, -3, 2.5, True])
+    @pytest.mark.parametrize("quota", [0, -3, 2.5, True, False, "5"])
     def test_registration_rejects_a_malformed_quota(self, quota):
         """A quota that is not an integer ≥ 1 is a bad argument, not a
         breach, and it is refused before the engine is provisioned."""
