@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from repro import kernels
 from repro.core.directed_expo import directed_reachability
 from repro.core.full_assignment import complete_layer_assignment
+from repro.core.parameters import refuse_bools
 from repro.core.partitioning import random_vertex_partition
 from repro.engine import WorkerPool, seed_stream
 from repro.errors import ParameterError
@@ -226,6 +227,7 @@ def color(
     palette union) with their ledger deltas — observation only, results are
     identical with tracing on or off.
     """
+    refuse_bools(k=k, workers=workers)
     if workers < 1:
         raise ParameterError("workers must be at least 1")
     if graph.num_vertices == 0:

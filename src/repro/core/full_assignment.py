@@ -21,6 +21,7 @@ column (``UNASSIGNED`` = ``∞`` for vertices without a layer).
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 
 from repro.core.layering import UNASSIGNED
@@ -59,12 +60,16 @@ class LayerAssignmentRun:
         """Whether every vertex received a finite layer."""
         return UNASSIGNED not in self.layer_of
 
-    def to_hpartition(self) -> HPartition:
-        """Convert to an :class:`HPartition` (requires completeness)."""
+    def layer_column(self) -> array:
+        """The layers as an ``array('l')`` indexed by vertex (requires completeness)."""
         missing = self.layer_of.count(UNASSIGNED)
         if missing:
             raise ParameterError(f"assignment is not complete: {missing} unassigned vertices")
-        return HPartition(self.graph, map(int, self.layer_of))
+        return array("l", map(int, self.layer_of))
+
+    def to_hpartition(self) -> HPartition:
+        """Convert to an :class:`HPartition` (requires completeness)."""
+        return HPartition(self.graph, self.layer_column())
 
 
 # --------------------------------------------------------------------------- #

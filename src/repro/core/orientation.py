@@ -19,8 +19,12 @@ The large-λ branch therefore fans the parts out through the worker pool
 (:class:`repro.engine.WorkerPool`); each task carries its part, a pickled
 pair of edge columns.  Each part runs against its own sub-ledger
 (:meth:`repro.mpc.cluster.MPCCluster.fork`), the fold charges rounds as
-max-over-parts, and the part orientations combine as a balanced merge tree,
-charging ``⌈log2 L⌉`` extra rounds (label ``merge-orientations``).
+max-over-parts, and each part returns only its heads column.  The part
+columns combine in a single L-way merge — concatenated, ordered once by edge
+key and compared with the input graph's own columns, which is the exact
+coverage check of Lemma 2.1 — and the outdegrees are tallied once.  The
+model's merge is a balanced aggregation tree, so it is still charged
+``⌈log2 L⌉`` rounds (label ``merge-orientations``, one round per tree level).
 Results are identical for any worker count: the parts are fixed by the
 partition RNG before the fan-out and each part's layering pipeline is
 deterministic.
@@ -33,9 +37,12 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 
+from repro import kernels
 from repro.core.full_assignment import LayerAssignmentRun, complete_layer_assignment
+from repro.core.parameters import refuse_bools
 from repro.core.partitioning import random_edge_partition
 from repro.engine import WorkerPool
 from repro.errors import GraphError, ParameterError
@@ -67,58 +74,55 @@ class OrientationRun:
         return self.max_outdegree / max(self.arboricity_proxy, 1)
 
 
-def _orient_from_run(graph: Graph, run: LayerAssignmentRun) -> tuple[Orientation, HPartition]:
-    partition = run.to_hpartition()
-    return partition.to_orientation(), partition
-
-
 def _orient_part_task(
     part: Graph, k: int, delta: float, ledger: MPCCluster | None
-) -> tuple[LayerAssignmentRun, Orientation, object]:
+) -> tuple[LayerAssignmentRun, array, object]:
     """Orient one Lemma 2.1 part against its own sub-ledger.
 
     Module-level so process workers can unpickle it by reference.  Returns
-    the sub-ledger's stats rather than the cluster — that is all the
-    parent's fold needs.
+    the part's heads column (toward the strictly higher layer, ties toward
+    the higher id) and the sub-ledger's stats rather than the cluster —
+    that is all the parent's merge and fold need.
     """
     run = complete_layer_assignment(part, k=k, delta=delta, cluster=ledger)
-    part_orientation, _ = _orient_from_run(part, run)
-    return run, part_orientation, (ledger.stats if ledger is not None else None)
+    edge_u, edge_v = part.edge_endpoints
+    heads = kernels.orient_by_rank(edge_u, edge_v, run.layer_column())
+    return run, heads, (ledger.stats if ledger is not None else None)
 
 
-def _merge_orientation_tree(
-    orientations: list[Orientation], cluster: MPCCluster
-) -> Orientation | None:
-    """Combine part orientations as a balanced binary merge tree.
+def _merge_part_heads(
+    num_vertices: int, parts: list[Graph], heads: list[array], cluster: MPCCluster
+) -> tuple[array, array, array] | None:
+    """Combine the parts' heads columns in one L-way merge.
 
-    Each tree level merges disjoint pairs simultaneously (one constant-round
-    aggregation per level in the model), so ``L`` parts cost ``⌈log2 L⌉``
-    rounds instead of the ``L - 1`` a left fold would charge.  The result is
-    independent of the merge shape — the merged head map is the union of the
-    (edge-disjoint) part maps — which the determinism tests pin down.
+    In the model the parts merge as a balanced aggregation tree, disjoint
+    pairs per level at one round each, so ``L`` parts are charged
+    ``⌈log2 L⌉`` rounds.  On the host the columns are concatenated and
+    ordered once by edge key; the result is the union of the (edge-disjoint)
+    part maps whatever the merge shape.  Returns ``None`` for no parts.
     """
-    level = list(orientations)
-    while len(level) > 1:
-        next_level = [
-            level[i].merge_with(level[i + 1]) for i in range(0, len(level) - 1, 2)
-        ]
-        if len(level) % 2:
-            next_level.append(level[-1])
-        level = next_level
+    for _level in range((len(parts) - 1).bit_length() if parts else 0):
         cluster.charge_rounds(1, label="merge-orientations")
-    return level[0] if level else None
+    if not parts:
+        return None
+    return kernels.merge_part_columns(
+        num_vertices,
+        [(*part.edge_endpoints, part_heads) for part, part_heads in zip(parts, heads)],
+    )
 
 
-def _check_merged_covers(graph: Graph, merged: Orientation | None) -> Orientation:
+def _check_merged_covers(
+    graph: Graph, merged: tuple[array, array, array] | None
+) -> Orientation:
     """Lemma 2.1 invariant: the oriented parts cover every input edge exactly once.
 
-    Edge-disjointness is already enforced by :meth:`Orientation.merge_with`
-    (it rejects overlapping parts), so the only remaining failure mode is a
-    partition that *misses* edges — which would silently produce an
-    orientation of a subgraph.  Rather than trying to "repair" such a merge
-    (the old fallback re-wrapped the incomplete direction map and crashed with
-    a confusing coverage error), we fail loudly with the actual invariant that
-    broke.
+    ``merged`` is the key-ordered ``(edge_u, edge_v, heads)`` columns of all
+    parts (``None`` when there were none).  They must equal the input graph's
+    own edge columns: an edge in no part, in two parts or not in the graph
+    at all breaks the equality, and we fail loudly with the invariant that
+    broke instead of orienting a subgraph.  The parts come from the module's
+    partition RNG contract (one ``randrange``-equivalent draw per edge, see
+    :mod:`repro.core.partitioning`), so a correct partition always passes.
     """
     if merged is None:
         if graph.num_edges == 0:
@@ -127,12 +131,19 @@ def _check_merged_covers(graph: Graph, merged: Orientation | None) -> Orientatio
             f"edge partition produced no oriented parts although the graph has "
             f"{graph.num_edges} edges"
         )
-    if merged.graph != graph:
+    edge_u, edge_v, heads = merged
+    graph_u, graph_v = graph.edge_endpoints
+    if edge_u != graph_u or edge_v != graph_v:
+        held = list(zip(edge_u, edge_v))
+        distinct = set(held)
+        expected = set(graph.edges)
         raise GraphError(
-            f"edge partition does not cover the input graph exactly: the merged "
-            f"orientation spans {merged.graph.num_edges} of {graph.num_edges} edges"
+            f"edge partition does not cover the input graph exactly: of "
+            f"{graph.num_edges} edges, {len(expected - distinct)} are in no part "
+            f"and {len(held) - len(distinct)} are in more than one part; "
+            f"{len(distinct - expected)} part edges are not in the graph"
         )
-    return merged
+    return Orientation._from_heads(graph, heads)
 
 
 def orient(
@@ -176,10 +187,11 @@ def orient(
         count.
     tracer:
         Optional :class:`repro.obs.Tracer`: records kernel-level wall-clock
-        spans (layer assignment, part fan-out, merge tree) carrying the
+        spans (layer assignment, part fan-out, merge) carrying the
         ledger delta each charged.  Observation only — results and round
         counts are byte-identical with tracing on or off.
     """
+    refuse_bools(k=k, workers=workers)
     if workers < 1:
         raise ParameterError("workers must be at least 1")
     if graph.num_vertices == 0:
@@ -221,7 +233,8 @@ def orient(
     if not large_lambda:
         with tracer.span("orient:layers", cat="kernel", cluster=cluster):
             run = complete_layer_assignment(graph, k=k, delta=delta, cluster=cluster)
-            orientation, hpartition = _orient_from_run(graph, run)
+            hpartition = run.to_hpartition()
+            orientation = hpartition.to_orientation()
         partition_runs.append(run)
         return OrientationRun(
             orientation=orientation,
@@ -236,7 +249,7 @@ def orient(
         )
 
     # Large-λ branch: Lemma 2.1 edge partitioning, orient all parts in
-    # parallel supersteps (each on its own sub-ledger), balanced-tree merge.
+    # parallel supersteps (each on its own sub-ledger), one L-way merge.
     edge_partition = random_edge_partition(graph, arboricity_bound=k, rng=rng)
     cluster.charge_rounds(1, label="edge-partition")
     per_part_k = max(2, int(math.ceil(2 * log_n)))
@@ -255,10 +268,10 @@ def orient(
                 total_work=sum(part.num_edges for part in parts),
             )
     with tracer.span("orient:merge", cat="kernel", cluster=cluster):
-        partition_runs.extend(run for run, _orientation, _stats in results)
-        cluster.merge_parallel([stats for _run, _orientation, stats in results])
-        merged = _merge_orientation_tree(
-            [part_orientation for _run, part_orientation, _stats in results], cluster
+        partition_runs.extend(run for run, _heads, _stats in results)
+        cluster.merge_parallel([stats for _run, _heads, stats in results])
+        merged = _merge_part_heads(
+            graph.num_vertices, parts, [heads for _run, heads, _stats in results], cluster
         )
         merged = _check_merged_covers(graph, merged)
 

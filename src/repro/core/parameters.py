@@ -73,6 +73,17 @@ class Parameters:
         return int(math.isqrt(self.budget))
 
 
+def refuse_bools(**values) -> None:
+    """Raise :class:`ParameterError` for any integer argument given as a ``bool``.
+
+    ``True`` and ``False`` are ints to Python, so ``k=True`` would silently
+    run as ``k=1``; the public entry points refuse them by name instead.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool):
+            raise ParameterError(f"{name} must be an integer, not a bool ({value!r})")
+
+
 def log2_ceil(x: float) -> int:
     """``⌈log2 x⌉`` for ``x ≥ 1`` (0 for smaller values)."""
     if x <= 1:

@@ -6,14 +6,30 @@ vertices) of a graph with arboricity λ uniformly at random into
 high probability.  Theorem 1.1 uses the edge version (orient each part
 separately and merge); Theorem 1.2 uses the vertex version (color each induced
 part with its own palette).
+
+**RNG contract.**  Both partitions draw one part per item (edge in canonical
+order, resp. vertex in id order) and consume the caller's ``random.Random``
+exactly as ``[rng.randrange(L) for _ in items]`` does: the same parts and the
+same final ``rng.getstate()``.  :func:`draw_parts` gets there in bulk.
+CPython's ``randrange(L)`` takes 32-bit Mersenne-Twister words, shifts each
+right by ``32 − L.bit_length()`` and rejects values ``≥ L``; and
+``getrandbits(32·w)`` returns the next ``w`` of those words, little-endian.
+So the helper pulls words in bulk, shifts and rejects them as a column
+(``kernels.draws_below``), and pulls again for exactly the shortfall, which
+never takes a word the per-item loop would not.  One word per candidate caps
+``L`` at ``2³² − 1``; a larger part count is refused.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
+from array import array
 from dataclasses import dataclass
 
+from repro import kernels
+from repro.core.parameters import refuse_bools
 from repro.errors import ParameterError
 from repro.graph.graph import Graph, InducedSubgraph
 
@@ -24,6 +40,50 @@ def number_of_parts(arboricity_bound: int, num_vertices: int) -> int:
         raise ParameterError("arboricity_bound must be non-negative")
     log_n = max(math.log2(max(num_vertices, 2)), 1.0)
     return max(1, int(math.ceil(arboricity_bound / log_n)))
+
+
+#: Largest part count one 32-bit draw word can serve (``L.bit_length() ≤ 32``).
+MAX_PARTS = 2**32 - 1
+
+
+def _parts_count(num_parts, arboricity_bound: int, num_vertices: int) -> int:
+    """The requested or the paper's part count, checked to be in ``1..MAX_PARTS``."""
+    if num_parts is None:
+        count = number_of_parts(arboricity_bound, num_vertices)
+    else:
+        refuse_bools(num_parts=num_parts)
+        try:
+            count = operator.index(num_parts)
+        except TypeError:
+            raise ParameterError(
+                f"num_parts must be an integer, not {num_parts!r}"
+            ) from None
+    if count < 1:
+        raise ParameterError("num_parts must be at least 1")
+    if count > MAX_PARTS:
+        raise ParameterError(
+            f"num_parts must be at most {MAX_PARTS} (one 32-bit draw per item), "
+            f"got {count}"
+        )
+    return count
+
+
+def draw_parts(rng: random.Random, num_parts: int, count: int) -> array:
+    """``count`` uniform parts in ``0..num_parts-1``, as ``randrange`` would draw them.
+
+    Returns an ``array('l')`` equal to ``[rng.randrange(num_parts) for _ in
+    range(count)]`` and leaves ``rng`` in the same state (see the module's
+    RNG contract).  ``num_parts`` must be in ``1..MAX_PARTS``.
+    """
+    if not 1 <= num_parts <= MAX_PARTS:
+        raise ParameterError(f"num_parts must be in 1..{MAX_PARTS}, got {num_parts}")
+    shift = 32 - num_parts.bit_length()
+    draws = array("l")
+    while len(draws) < count:
+        need = count - len(draws)
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        draws.extend(kernels.draws_below(words, shift, num_parts))
+    return draws
 
 
 @dataclass
@@ -58,23 +118,18 @@ def random_edge_partition(
     """Lemma 2.1: partition the edges into ``⌈k / log n⌉`` parts uniformly at random.
 
     Every part keeps the full vertex set; with high probability each part has
-    arboricity ``O(log n)`` (checked empirically by experiment E4).
+    arboricity ``O(log n)`` (checked empirically by experiment E4).  One part
+    is drawn per edge in canonical order (the module's RNG contract), and
+    each part is a stable slice of the parent's edge columns, so it is
+    canonical sorted and goes straight to ``Graph._from_columns``.
     """
     rng = rng if rng is not None else random.Random(seed)
-    parts_count = (
-        num_parts
-        if num_parts is not None
-        else number_of_parts(arboricity_bound, graph.num_vertices)
-    )
-    if parts_count < 1:
-        raise ParameterError("num_parts must be at least 1")
-    buckets: list[list] = [[] for _ in range(parts_count)]
-    for edge in graph.edges:
-        buckets[rng.randrange(parts_count)].append(edge)
-    # Each bucket inherits the canonical sorted order from graph.edges, so
-    # the parts can be assembled through the trusted fast path.
+    parts_count = _parts_count(num_parts, arboricity_bound, graph.num_vertices)
+    edge_u, edge_v = graph.edge_endpoints
+    labels = draw_parts(rng, parts_count, len(edge_u))
     parts = [
-        Graph._from_canonical_sorted(graph.num_vertices, bucket) for bucket in buckets
+        Graph._from_columns(graph.num_vertices, part_u, part_v)
+        for part_u, part_v in kernels.split_by_part(labels, parts_count, (edge_u, edge_v))
     ]
     return EdgePartition(parts=parts)
 
@@ -123,19 +178,14 @@ def random_vertex_partition(
     each part has arboricity ``O(log n)``.
     """
     rng = rng if rng is not None else random.Random(seed)
-    parts_count = (
-        num_parts
-        if num_parts is not None
-        else number_of_parts(arboricity_bound, graph.num_vertices)
-    )
-    if parts_count < 1:
-        raise ParameterError("num_parts must be at least 1")
-    # One pass buckets the vertices (consuming exactly one draw per vertex in
-    # vertex order — the RNG contract the engine-backed coloring pipeline
-    # relies on for worker-count determinism); the old per-part rescan of the
-    # whole vertex set was O(n·L).
-    buckets: list[list[int]] = [[] for _ in range(parts_count)]
-    for v in graph.vertices:
-        buckets[rng.randrange(parts_count)].append(v)
-    parts = [graph.induced_subgraph(bucket) for bucket in buckets]
+    parts_count = _parts_count(num_parts, arboricity_bound, graph.num_vertices)
+    # One draw per vertex in vertex order (the module's RNG contract, which
+    # the engine-backed coloring pipeline relies on for worker-count
+    # determinism), then one stable group-by of the vertex ids.
+    labels = draw_parts(rng, parts_count, graph.num_vertices)
+    vertex_ids = array("l", graph.vertices)
+    parts = [
+        graph.induced_subgraph(bucket)
+        for (bucket,) in kernels.split_by_part(labels, parts_count, (vertex_ids,))
+    ]
     return VertexPartition(parts=parts)

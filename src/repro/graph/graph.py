@@ -124,8 +124,8 @@ class Graph:
 
         ``canonical`` must already be canonical ``(min, max)`` edges, sorted
         lexicographically, without duplicates, and within ``0..n-1``.  Used by
-        subgraph extraction, edge unions and the random edge partition, which
-        all derive their edges from an existing graph's canonical edge list.
+        subgraph extraction and edge unions, which derive their edges from an
+        existing graph's canonical edge list.
         """
         self = object.__new__(cls)
         self._n = int(num_vertices)

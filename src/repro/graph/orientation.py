@@ -241,9 +241,9 @@ class Orientation:
     def merge_with(self, other: "Orientation") -> "Orientation":
         """Union of two orientations of edge-disjoint graphs on the same vertex set.
 
-        Used by Theorem 1.1 when λ ≫ log n: each random edge part is oriented
-        separately and the orientations are combined.  The merge is a linear
-        pass over the union's edge index — no per-edge dicts are built.
+        The merge is a linear pass over the union's edge index — no per-edge
+        dicts are built.  (Theorem 1.1's large-λ branch does not merge pairs:
+        it combines all its part columns in one L-way merge.)
         """
         if other.graph.num_vertices != self.graph.num_vertices:
             raise InvalidOrientationError("cannot merge orientations over different vertex sets")

@@ -49,6 +49,9 @@ __all__ = [
     "orient_by_rank",
     "tally_outdegrees",
     "merge_oriented_columns",
+    "merge_part_columns",
+    "draws_below",
+    "split_by_part",
     "sum_counts",
     "min_value",
     "max_value",
@@ -189,6 +192,35 @@ def merge_oriented_columns(num_vertices, a_u, a_v, a_heads, b_u, b_v, b_heads, b
     return _module(backend).merge_oriented_columns(
         num_vertices, a_u, a_v, a_heads, b_u, b_v, b_heads
     )
+
+
+def merge_part_columns(num_vertices, parts, backend=None):
+    """One L-way merge of ``(edge_u, edge_v, heads)`` part columns.
+
+    Returns the concatenated columns stably ordered by edge key (an edge in
+    several parts appears once per part, adjacent, in part order); the
+    caller compares them with the parent's own columns to check coverage.
+    """
+    return _module(backend).merge_part_columns(num_vertices, parts)
+
+
+def draws_below(words, shift, bound, backend=None):
+    """``randrange(bound)`` candidates of a run of 32-bit MT words, rejects dropped.
+
+    ``words`` are the little-endian bytes of ``getrandbits(32·w)``;
+    ``shift = 32 − bound.bit_length()``.  Returns the accepted draws, in
+    order, as an ``array('l')``.
+    """
+    return _module(backend).draws_below(words, shift, bound)
+
+
+def split_by_part(labels, num_parts, columns, backend=None):
+    """Stable group-by-part of ``columns`` by a ``0..num_parts-1`` label column.
+
+    Returns ``num_parts`` tuples of ``array('l')`` columns, part ``i``
+    holding the rows labelled ``i`` in input order.
+    """
+    return _module(backend).split_by_part(labels, num_parts, columns)
 
 
 def sum_counts(a, b, backend=None):

@@ -110,6 +110,37 @@ def orient_by_rank(edge_u, edge_v, ranks):
     return to_array(np.where(rank[eu] <= rank[ev], ev, eu))
 
 
+def draws_below(words, shift, bound):
+    """Shift a run of MT words into ``randrange`` candidates and keep those < ``bound``."""
+    candidates = np.frombuffer(words, dtype="<u4") >> shift
+    return to_array(candidates[candidates < bound])
+
+
+def split_by_part(labels, num_parts, columns):
+    """Stable group-by-part: one stable argsort of the labels, then slices."""
+    label = np_view(labels)
+    order = np.argsort(label, kind="stable")
+    ends = np.cumsum(np.bincount(label, minlength=num_parts)).tolist()
+    grouped = [np_view(column)[order] for column in columns]
+    parts = []
+    start = 0
+    for end in ends:
+        parts.append(tuple(to_array(column[start:end]) for column in grouped))
+        start = end
+    return parts
+
+
+def merge_part_columns(num_vertices, parts):
+    """Concatenate the part columns and order them by one stable key argsort."""
+    if not parts:
+        return array("l"), array("l"), array("l")
+    edge_u, edge_v, heads = (
+        np.concatenate([np_view(part[i]) for part in parts]) for i in range(3)
+    )
+    order = np.argsort(edge_u * max(num_vertices, 1) + edge_v, kind="stable")
+    return to_array(edge_u[order]), to_array(edge_v[order]), to_array(heads[order])
+
+
 def tally_outdegrees(num_vertices, edge_u, edge_v, heads):
     """One ``bincount`` over the tail column (+ the reference endpoint check)."""
     eu = np_view(edge_u)

@@ -10,6 +10,7 @@ in ``tests/kernels/``).
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 
@@ -64,6 +65,63 @@ def orient_by_rank(edge_u, edge_v, ranks):
         # u < v in canonical form, so rank ties resolve toward v.
         append(v if lookup(u) <= lookup(v) else u)
     return heads
+
+
+def draws_below(words, shift, bound):
+    """Accepted draws of ``randrange(bound)`` from a run of 32-bit MT words.
+
+    ``words`` holds little-endian 32-bit Mersenne-Twister outputs in draw
+    order (the bytes of ``getrandbits(32·w)``); each word shifted right by
+    ``shift = 32 − bound.bit_length()`` is one candidate of CPython's
+    ``_randbelow_with_getrandbits``, kept iff it is below ``bound``.
+    """
+    column = array("I")
+    column.frombytes(words)
+    if sys.byteorder == "big":
+        column.byteswap()
+    return array("l", [d for d in (w >> shift for w in column) if d < bound])
+
+
+def split_by_part(labels, num_parts, columns):
+    """Stable group-by-part: per part, the rows of ``columns`` carrying its label.
+
+    Returns one tuple of ``array('l')`` columns per part ``0..num_parts-1``;
+    within a part the rows keep their input order, so slices of canonical
+    sorted edge columns stay canonical sorted.
+    """
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    grouped = [array("l", map(column.__getitem__, order)) for column in columns]
+    sorted_labels = array("l", map(labels.__getitem__, order))
+    parts = []
+    start = 0
+    for part in range(num_parts):
+        end = bisect_right(sorted_labels, part, start)
+        parts.append(tuple(column[start:end] for column in grouped))
+        start = end
+    return parts
+
+
+def merge_part_columns(num_vertices, parts):
+    """One L-way merge of ``(edge_u, edge_v, heads)`` part columns by edge key.
+
+    The parts are concatenated and stably ordered by ``u * stride + v``
+    (``stride = max(num_vertices, 1)``); an edge held by several parts comes
+    out as adjacent equal rows in part order.  Each part is itself sorted,
+    so the sort only merges its ``L`` runs.
+    """
+    edge_u = array("l")
+    edge_v = array("l")
+    heads = array("l")
+    for part_u, part_v, part_heads in parts:
+        edge_u.extend(part_u)
+        edge_v.extend(part_v)
+        heads.extend(part_heads)
+    stride = max(num_vertices, 1)
+    keys = [u * stride + v for u, v in zip(edge_u, edge_v)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return tuple(
+        array("l", map(column.__getitem__, order)) for column in (edge_u, edge_v, heads)
+    )
 
 
 def tally_outdegrees(num_vertices, edge_u, edge_v, heads):

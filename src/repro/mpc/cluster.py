@@ -79,8 +79,9 @@ the children back into the parent with the model's semantics:
 
 * **rounds = max** over the parallel tasks (round ``i`` of every task is one
   superstep; the superstep count is the longest task's); any subsequent
-  combination work — e.g. the balanced orientation-merge tree — is charged
-  separately on the parent (label ``merge-orientations``);
+  combination work — e.g. the orientation merge, charged as a balanced
+  aggregation tree — is charged separately on the parent (label
+  ``merge-orientations``);
 * per-superstep **communication volume = sum** over the tasks, per-machine
   send/receive peaks = max;
 * **memory = sum** of the children's peaks (parallel tasks are co-resident

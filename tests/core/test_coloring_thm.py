@@ -28,6 +28,14 @@ class TestBasicCorrectness:
         with pytest.raises(ParameterError):
             color(small_forest, palette_slack=1)
 
+    def test_rejects_bool_k(self, small_forest):
+        with pytest.raises(ParameterError, match="k must be an integer, not a bool"):
+            color(small_forest, k=True)
+
+    def test_rejects_bool_workers(self, small_forest):
+        with pytest.raises(ParameterError, match="workers must be an integer, not a bool"):
+            color(small_forest, workers=True)
+
     def test_always_proper(self, union_forest_graph):
         run = color(union_forest_graph, seed=0)
         run.coloring.validate_proper()

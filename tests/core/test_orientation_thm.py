@@ -33,6 +33,14 @@ class TestBasicCorrectness:
         with pytest.raises(ParameterError):
             orient(union_forest_graph, k=0)
 
+    def test_rejects_bool_k(self, union_forest_graph):
+        with pytest.raises(ParameterError, match="k must be an integer, not a bool"):
+            orient(union_forest_graph, k=True)
+
+    def test_rejects_bool_workers(self, union_forest_graph):
+        with pytest.raises(ParameterError, match="workers must be an integer, not a bool"):
+            orient(union_forest_graph, workers=True)
+
     def test_deterministic_given_seed(self, union_forest_graph):
         a = orient(union_forest_graph, seed=5)
         b = orient(union_forest_graph, seed=5)
@@ -146,6 +154,24 @@ class TestMergedCoverageInvariant:
 
         monkeypatch.setattr(orientation_module, "random_edge_partition", lossy_partition)
         with pytest.raises(GraphError, match="does not cover"):
+            orient(graph, k=8, seed=1, force_edge_partitioning=True)
+
+    def test_overlapping_parts_raise_clear_invariant_error(self, monkeypatch):
+        """An edge in two parts breaks the Lemma 2.1 invariant just like a
+        missing one, and the single merge names it."""
+        import repro.core.orientation as orientation_module
+
+        graph = generators.path(4)
+
+        def overlapping_partition(g, arboricity_bound, rng=None, seed=None, num_parts=None):
+            return EdgePartition(
+                parts=[Graph(g.num_vertices, g.edges), Graph(g.num_vertices, g.edges[:1])]
+            )
+
+        monkeypatch.setattr(orientation_module, "random_edge_partition", overlapping_partition)
+        with pytest.raises(
+            GraphError, match="does not cover .* 0 are in no part and 1 are in more than one part"
+        ):
             orient(graph, k=8, seed=1, force_edge_partitioning=True)
 
     def test_all_parts_empty_with_nonempty_graph_raises(self):

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import kernels
 from repro.core.partitioning import (
+    MAX_PARTS,
+    draw_parts,
     number_of_parts,
     random_edge_partition,
     random_vertex_partition,
@@ -104,3 +108,79 @@ def test_partitions_always_cover(graph, parts, seed):
     vertex_partition = random_vertex_partition(graph, arboricity_bound=1, num_parts=parts, seed=seed)
     assert vertex_partition.covers(graph)
     assert sum(p.num_vertices for p in vertex_partition.parts) == graph.num_vertices
+
+
+PARTITIONS = [random_edge_partition, random_vertex_partition]
+
+
+@pytest.mark.parametrize("partition", PARTITIONS, ids=["edge", "vertex"])
+class TestPartCountValidation:
+    """``num_parts`` must be a true integer in ``1..MAX_PARTS``."""
+
+    def test_bool_is_refused(self, partition, union_forest_graph):
+        with pytest.raises(ParameterError, match="num_parts must be an integer"):
+            partition(union_forest_graph, arboricity_bound=3, num_parts=True)
+
+    def test_float_is_refused(self, partition, union_forest_graph):
+        with pytest.raises(ParameterError, match="num_parts must be an integer"):
+            partition(union_forest_graph, arboricity_bound=3, num_parts=2.5)
+
+    def test_string_is_refused(self, partition, union_forest_graph):
+        with pytest.raises(ParameterError, match="num_parts must be an integer"):
+            partition(union_forest_graph, arboricity_bound=3, num_parts="3")
+
+    def test_more_parts_than_one_draw_word_serves_is_refused(
+        self, partition, union_forest_graph
+    ):
+        with pytest.raises(ParameterError, match="at most 4294967295"):
+            partition(union_forest_graph, arboricity_bound=3, num_parts=MAX_PARTS + 1)
+        # The paper's count ⌈k / log n⌉ is held to the same limit.
+        with pytest.raises(ParameterError, match="at most 4294967295"):
+            partition(union_forest_graph, arboricity_bound=2**40)
+
+
+BACKENDS = kernels.available_backends()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@settings(max_examples=60, deadline=None)
+@given(
+    bound=st.one_of(
+        st.sampled_from([1, 2, 3, 33, MAX_PARTS] + [2**i for i in range(32)]),
+        st.integers(min_value=1, max_value=MAX_PARTS),
+    ),
+    count=st.integers(min_value=0, max_value=400),
+    seed=st.integers(min_value=0, max_value=2**64),
+)
+def test_draw_parts_is_randrange_exactly(backend, bound, count, seed):
+    """The bulk draw equals the per-item ``randrange`` loop, state included."""
+    reference = random.Random(seed)
+    expected = [reference.randrange(bound) for _ in range(count)]
+    rng = random.Random(seed)
+    with kernels.use_backend(backend):
+        drawn = draw_parts(rng, bound, count)
+    assert list(drawn) == expected
+    assert rng.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("num_parts", [1, 3, 20])
+def test_partitions_match_the_per_item_randrange_reference(
+    backend, num_parts, dense_community_graph
+):
+    """Parts are exactly the buckets of one ``randrange`` per edge (resp. vertex)."""
+    graph = dense_community_graph
+    reference = random.Random(11)
+    edge_buckets = [[] for _ in range(num_parts)]
+    for edge in graph.edges:
+        edge_buckets[reference.randrange(num_parts)].append(edge)
+    vertex_buckets = [[] for _ in range(num_parts)]
+    for v in graph.vertices:
+        vertex_buckets[reference.randrange(num_parts)].append(v)
+    rng = random.Random(11)
+    with kernels.use_backend(backend):
+        edges = random_edge_partition(graph, 1, rng=rng, num_parts=num_parts)
+        vertices = random_vertex_partition(graph, 1, rng=rng, num_parts=num_parts)
+    assert [list(part.edges) for part in edges.parts] == edge_buckets
+    assert [list(part.parent_ids) for part in vertices.parts] == vertex_buckets
+    assert rng.getstate() == reference.getstate()

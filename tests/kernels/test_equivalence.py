@@ -158,6 +158,118 @@ class TestMerge:
         assert pure[3] == 0 and len(pure[0]) == 0
 
 
+def _random_words(count, seed):
+    """The little-endian bytes of ``count`` 32-bit MT words."""
+    return random.Random(seed).getrandbits(32 * count).to_bytes(4 * count, "little")
+
+
+class TestDrawsBelow:
+    @pytest.mark.parametrize("bound", [1, 2, 3, 20, 32, 33, 2**31 + 1, 2**32 - 1])
+    def test_random_words_identical(self, bound):
+        words = _random_words(500, seed=bound)
+        shift = 32 - bound.bit_length()
+        pure, vec = both("draws_below", words, shift, bound)
+        assert pure == vec
+        assert isinstance(vec, array) and vec.typecode == "l"
+        candidates = [w >> shift for w in array("I", words)]
+        assert list(pure) == [c for c in candidates if c < bound]
+
+    def test_empty_input(self):
+        pure, vec = both("draws_below", b"", 27, 20)
+        assert pure == vec == array("l")
+
+    def test_one_part_keeps_every_zero_candidate(self):
+        # L = 1 still spends words: randrange(1) draws one bit per candidate
+        # and rejects the ones.
+        words = _random_words(200, seed=1)
+        pure, vec = both("draws_below", words, 31, 1)
+        assert pure == vec
+        assert set(pure) <= {0}
+        assert len(pure) == sum(1 for w in array("I", words) if not w >> 31)
+
+
+class TestSplitByPart:
+    @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
+    @pytest.mark.parametrize("num_parts", [2, 7, 20])
+    def test_random_labels_identical(self, graph, num_parts):
+        edge_u, edge_v = graph.edge_endpoints
+        rng = random.Random(num_parts)
+        labels = array("l", (rng.randrange(num_parts) for _ in range(len(edge_u))))
+        pure, vec = both("split_by_part", labels, num_parts, (edge_u, edge_v))
+        assert pure == vec
+        assert len(pure) == num_parts
+        for part, (part_u, part_v) in enumerate(pure):
+            rows = [i for i, label in enumerate(labels) if label == part]
+            assert list(part_u) == [edge_u[i] for i in rows]
+            assert list(part_v) == [edge_v[i] for i in rows]
+
+    def test_empty_input(self):
+        pure, vec = both("split_by_part", array("l"), 3, (array("l"), array("l")))
+        assert pure == vec == [(array("l"), array("l"))] * 3
+
+    def test_one_part(self):
+        edge_u, edge_v = GRAPHS[0].edge_endpoints
+        labels = array("l", [0]) * len(edge_u)
+        pure, vec = both("split_by_part", labels, 1, (edge_u, edge_v))
+        assert pure == vec == [(edge_u, edge_v)]
+
+    def test_one_part_holds_every_row(self):
+        edge_u, edge_v = GRAPHS[0].edge_endpoints
+        labels = array("l", [2]) * len(edge_u)
+        pure, vec = both("split_by_part", labels, 4, (edge_u, edge_v))
+        empty = (array("l"), array("l"))
+        assert pure == vec == [empty, empty, (edge_u, edge_v), empty]
+
+
+class TestMergePartColumns:
+    @staticmethod
+    def _parts(graph, num_parts, seed):
+        edge_u, edge_v = graph.edge_endpoints
+        heads = kernels.orient_by_rank(edge_u, edge_v, list(range(graph.num_vertices)))
+        rng = random.Random(seed)
+        labels = array("l", (rng.randrange(num_parts) for _ in range(len(edge_u))))
+        return kernels.split_by_part(labels, num_parts, (edge_u, edge_v, heads)), heads
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
+    @pytest.mark.parametrize("num_parts", [2, 5, 20])
+    def test_random_partition_merges_back_identically(self, graph, num_parts):
+        parts, heads = self._parts(graph, num_parts, seed=num_parts)
+        pure, vec = both("merge_part_columns", graph.num_vertices, parts)
+        assert pure == vec
+        edge_u, edge_v = graph.edge_endpoints
+        assert pure == (edge_u, edge_v, heads)
+
+    def test_overlap_keeps_both_copies_in_part_order(self):
+        graph = GRAPHS[0]
+        parts, _heads = self._parts(graph, 3, seed=4)
+        u0, v0, h0 = parts[0]
+        # Part 0's first edge again, in a fourth part, pointing the other way.
+        extra = (u0[:1], v0[:1], array("l", [u0[0] if h0[0] == v0[0] else v0[0]]))
+        pure, vec = both("merge_part_columns", graph.num_vertices, parts + [extra])
+        assert pure == vec
+        i = next(i for i in range(len(pure[0])) if (pure[0][i], pure[1][i]) == (u0[0], v0[0]))
+        assert (pure[0][i + 1], pure[1][i + 1]) == (u0[0], v0[0])
+        assert (pure[2][i], pure[2][i + 1]) == (h0[0], extra[2][0])
+
+    def test_empty_input(self):
+        empty = array("l")
+        pure, vec = both("merge_part_columns", 5, [])
+        assert pure == vec == (empty, empty, empty)
+        pure, vec = both("merge_part_columns", 5, [(empty, empty, empty)] * 2)
+        assert pure == vec == (empty, empty, empty)
+
+    def test_one_part_holding_every_edge(self):
+        graph = GRAPHS[1]
+        edge_u, edge_v = graph.edge_endpoints
+        heads = kernels.orient_by_rank(edge_u, edge_v, list(range(graph.num_vertices)))
+        empty = array("l")
+        parts = [(empty, empty, empty), (edge_u, edge_v, heads), (empty, empty, empty)]
+        pure, vec = both("merge_part_columns", graph.num_vertices, parts)
+        assert pure == vec == (edge_u, edge_v, heads)
+        pure, vec = both("merge_part_columns", graph.num_vertices, parts[1:2])
+        assert pure == vec == (edge_u, edge_v, heads)
+
+
 class TestSmallReductions:
     def test_sum_counts(self):
         rng = random.Random(2)
