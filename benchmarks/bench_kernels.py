@@ -66,7 +66,7 @@ def run_kernel_benchmark(
     n = graph.num_vertices
     # Materialise every input column outside the timed region — the kernels
     # are the unit under test, not the CSR build.
-    indptr, indices, degrees = graph.csr_indptr, graph.csr_indices, graph.degrees
+    indptr, indices = graph.csr_indptr, graph.csr_indices
     edge_u, edge_v = graph.edge_endpoints
     rank = list(range(n))
 
@@ -88,7 +88,7 @@ def run_kernel_benchmark(
     layers, _rounds = timed(
         "peel",
         lambda backend: kernels.peel_layers(
-            n, indptr, indices, degrees, PEEL_THRESHOLD, backend=backend
+            n, indptr, indices, PEEL_THRESHOLD, backend=backend
         ),
     )
     assert all(layers), "peel threshold must clear the whole graph"

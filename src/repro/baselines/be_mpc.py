@@ -13,6 +13,7 @@ sparsification baseline and our poly(log log n) pipeline.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
@@ -72,10 +73,13 @@ def barenboim_elkin_in_mpc(
         if not peel:
             break
         rounds += 1
-        cluster.communication_round(
-            [(v, w, 1) for v in peel for w in graph.neighbors(v) if not removed[w]],
-            label="be-peeling:notify",
-        )
+        notifiers = array("l")
+        notified = array("l")
+        for v in peel:
+            alive = [w for w in graph.neighbors(v) if not removed[w]]
+            notifiers.extend(array("l", [v]) * len(alive))
+            notified.extend(alive)
+        cluster.communication_round(notifiers, notified, 1, label="be-peeling:notify")
         for v in peel:
             removed[v] = True
             layer_of[v] = rounds

@@ -24,7 +24,9 @@ curve that experiment E3 plots against our poly(log log n) pipeline.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
@@ -90,12 +92,12 @@ def glm19_orientation(
         # The data shipped per phase is proportional to the sparsified
         # neighborhoods; we charge one explicit round carrying one word per
         # remaining incident edge as a conservative stand-in.
+        edge_u, edge_v = graph.edge_endpoints
+        alive = [not (removed[u] or removed[v]) for u, v in zip(edge_u, edge_v)]
         cluster.communication_round(
-            [
-                (u, v, 1)
-                for (u, v) in graph.edges
-                if not removed[u] and not removed[v]
-            ],
+            array("l", compress(edge_u, alive)),
+            array("l", compress(edge_v, alive)),
+            1,
             label="glm19:sparsified-gather",
         )
         for _ in range(phase_length):

@@ -120,9 +120,10 @@ def _color_layered_graph(
 
     n = max(graph.num_vertices, 2)
     set_size_limit = max(int(math.ceil(4 * (n ** delta))), 16)
-    # Batch size in layers: the paper uses Θ(δ log n / log^{2.67} log n); the
-    # simulator shrinks a batch adaptively when the reachability sets grow
-    # past the local-memory proxy.
+    # Batch size in layers: the paper uses Θ(δ log n / log^{2.67} log n).  The
+    # batch size is fixed: the reachability call below only charges the
+    # Lemma 4.1 gather, and its result (sets truncated at the local-memory
+    # proxy) is not used to shrink a batch.
     loglog = max(math.log2(max(math.log2(n), 2.0)), 1.0)
     default_batch = max(int(math.ceil(math.log2(n) / (loglog ** 2))), 1)
 

@@ -17,6 +17,7 @@ than assumed.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -74,8 +75,10 @@ def directed_reachability(
         Maximum number of directed steps.
     cluster:
         Optional MPC cluster; when given, ``⌈log2(max_distance)⌉ + 1`` doubling
-        rounds plus one Lemma 4.1 gather are charged, and each shipped set is
-        a message whose size is the set's cardinality in words.
+        rounds plus one Lemma 4.1 gather are charged, and every vertex of a
+        start's set is one one-word message to that start.
+        ``rounds_charged`` reports every round charged, including the
+        delivery's oversized-split rounds.
     set_size_limit:
         When given, reachability sets are truncated at this size and the
         truncation is reported through ``max_set_size`` exceeding the limit —
@@ -114,8 +117,15 @@ def directed_reachability(
     if cluster is not None:
         doubling_rounds = max(max_distance.bit_length(), 1)
         cluster.charge_rounds(doubling_rounds, label="directed-expo:doubling")
-        bundles = {v: 1 for v in graph.vertices}
-        interest = {start: sorted(reachable[start]) for start in starts}
-        gather_bundles(cluster, bundles, interest, label="directed-expo:gather")
-        rounds = doubling_rounds + 4
+        # Every vertex's bundle is one word; start ``s`` requests the bundle
+        # of each vertex in its reachability set.
+        owners = array("l")
+        requesters = array("l")
+        for start in starts:
+            seen = reachable[start]
+            owners.extend(seen)
+            requesters.extend(array("l", [start]) * len(seen))
+        rounds = doubling_rounds + gather_bundles(
+            cluster, owners, requesters, 1, label="directed-expo:gather"
+        )
     return ReachabilityResult(reachable=reachable, max_set_size=max_size, rounds_charged=rounds)

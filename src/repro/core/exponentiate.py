@@ -21,6 +21,7 @@ Invariants (checked by the tests):
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from repro.core.parameters import Parameters
@@ -122,7 +123,11 @@ def exponentiate_and_local_prune(
         # Exponentiation / attachment step.
         # ----------------------------------------------------------------- #
         attach_distance = 2 ** (step - 1)
-        messages: list[tuple[int, int, int]] = []
+        # Message columns: each attached subtree travels from the vertex it
+        # maps to (its owner) to the vertex whose view grows.
+        owners = array("l")
+        receivers = array("l")
+        sizes = array("l")
         new_trees: dict[int, TreeView] = {}
         for v in graph.vertices:
             if not active[v]:
@@ -135,7 +140,9 @@ def exponentiate_and_local_prune(
                 if not active.get(target, False):
                     continue
                 replacements[leaf] = pruned[target]
-                messages.append((target, v, pruned[target].word_size()))
+                owners.append(target)
+                receivers.append(v)
+                sizes.append(pruned[target].word_size())
             if replacements:
                 new_trees[v] = base.attach(replacements)
             else:
@@ -146,7 +153,9 @@ def exponentiate_and_local_prune(
             # ships the attached subtrees, store the new ones (spread as an
             # O(nB)-word distributed object, per Claim 3.5).
             cluster.release_tag_everywhere("tree-view")
-            cluster.communication_round(messages, label=f"exponentiate:step{step}")
+            cluster.communication_round(
+                owners, receivers, sizes, label=f"exponentiate:step{step}"
+            )
             cluster.store_spread(
                 sum(t.word_size() for t in new_trees.values()), tag="tree-view"
             )

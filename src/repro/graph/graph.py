@@ -427,7 +427,6 @@ class Graph:
             self._n,
             self.csr_indptr,
             self.csr_indices,
-            self.degrees,
             threshold,
             max_rounds,
         )

@@ -65,6 +65,7 @@ __all__ = [
     "first_monochrome",
     "compact_journal",
     "validate_batch",
+    "tally_by_machine",
 ]
 
 PURE = "pure"
@@ -72,6 +73,10 @@ NUMPY = "numpy"
 BACKENDS = (PURE, NUMPY)
 
 ENV_VAR = "REPRO_KERNELS"
+
+# Multiplier of the MPC placement hash: key ``k`` lives on machine
+# ``(k * PLACEMENT_MULTIPLIER) % num_machines`` (see ``MPCConfig.machine_of``).
+PLACEMENT_MULTIPLIER = 2654435761
 
 # Process-wide selection (None = fall through to the environment/default).
 _selected: str | None = None
@@ -165,11 +170,12 @@ def _module(backend: str | None):
 # ---------------------------------------------------------------------- #
 
 
-def peel_layers(num_vertices, indptr, indices, degrees, threshold, max_rounds=None, backend=None):
-    """Round-synchronous peel over a CSR adjacency; ``(array('l') layers, rounds)``."""
-    return _module(backend).peel_layers(
-        num_vertices, indptr, indices, degrees, threshold, max_rounds
-    )
+def peel_layers(num_vertices, indptr, indices, threshold, max_rounds=None, backend=None):
+    """Round-synchronous peel over a CSR adjacency; ``(array('l') layers, rounds)``.
+
+    Degrees are derived from ``indptr`` inside the kernel.
+    """
+    return _module(backend).peel_layers(num_vertices, indptr, indices, threshold, max_rounds)
 
 
 def orient_by_rank(edge_u, edge_v, ranks, backend=None):
@@ -318,6 +324,21 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
     return _module(backend).validate_batch(
         num_vertices, ops, us, vs, base_keys, added_keys, removed_keys
     )
+
+
+def tally_by_machine(num_machines, keys, words, backend=None):
+    """Words per machine of a column of keys placed by the MPC placement hash.
+
+    Key ``keys[i]`` lands on machine ``keys[i] * PLACEMENT_MULTIPLIER %
+    num_machines`` and carries ``words`` words (one int for every key) or
+    ``words[i]`` (a column as long as ``keys``).  Returns ``(machines,
+    totals)``: the touched machine ids in ascending order and their word
+    totals, both python-int lists.  A machine reached only by zero-word keys is
+    touched, with total 0.  Keys must fit in a signed 64-bit int.  Raises
+    :class:`~repro.errors.SimulationError` when some key carries a negative
+    size (so never for an empty key column).
+    """
+    return _module(backend).tally_by_machine(num_machines, keys, words)
 
 
 def flip_repair_group(shard, group_updates, cap, choose_tail, backend=None):

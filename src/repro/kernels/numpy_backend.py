@@ -30,7 +30,8 @@ from array import array
 
 import numpy as np
 
-from repro.errors import GraphError, InvalidOrientationError
+from repro.errors import GraphError, InvalidOrientationError, SimulationError
+from repro.kernels import PLACEMENT_MULTIPLIER, pure
 
 # array('l') is int64 on every platform this repo targets (Linux/macOS); the
 # dtype is derived rather than hard-coded so a 32-bit ``long`` would still
@@ -53,7 +54,7 @@ def to_array(values: np.ndarray) -> array:
     return out
 
 
-def peel_layers(num_vertices, indptr, indices, degrees, threshold, max_rounds):
+def peel_layers(num_vertices, indptr, indices, threshold, max_rounds):
     """Vectorized frontier peel: bincount decrements + boolean-mask extraction.
 
     Per round, the frontier's neighbor lists are gathered with one fancy
@@ -66,9 +67,7 @@ def peel_layers(num_vertices, indptr, indices, degrees, threshold, max_rounds):
     n = num_vertices
     indptr = np_view(indptr)
     indices = np_view(indices)
-    # Scratch copy; equals the ``degrees`` tuple by CSR construction, but
-    # derived from indptr so no python-level conversion of n ints is needed.
-    degree = indptr[1:] - indptr[:-1]
+    degree = indptr[1:] - indptr[:-1]  # a scratch copy, never a view
     layers = np.zeros(n, dtype=_DTYPE)
     frontier = np.nonzero(degree <= threshold)[0]
     layers[frontier] = 1
@@ -386,6 +385,49 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
     if int(op[i]) == 1:
         raise GraphError(f"batch update #{i}: insert of live edge {e}")
     raise GraphError(f"batch update #{i}: delete of dead edge {e}")
+
+
+#: Key columns shorter than this are tallied by the reference loop.
+SMALL_TALLY = 64
+
+
+def _int_column(values) -> np.ndarray:
+    """An int64 vector over a ``range``, an ``array('l')`` or any int sequence."""
+    if isinstance(values, range):
+        return np.arange(values.start, values.stop, values.step, dtype=_DTYPE)
+    if isinstance(values, array):
+        return np_view(values)
+    return np.asarray(values, dtype=_DTYPE)
+
+
+def tally_by_machine(num_machines, keys, words):
+    """Words per machine as one ``bincount`` over the placement hash.
+
+    Each key is reduced mod ``num_machines`` before the multiply, so the
+    product stays below ``num_machines²`` and no int64 key overflows.
+    Word columns are summed with an integer ``np.add.at``, keeping totals
+    exact at any size.  A column shorter than :data:`SMALL_TALLY` keys runs
+    the reference dict loop instead: below that, numpy's fixed per-call cost
+    is larger than the loop (the outputs are identical either way).
+    """
+    if len(keys) < SMALL_TALLY:
+        return pure.tally_by_machine(num_machines, keys, words)
+    machines = _int_column(keys) % num_machines
+    machines *= PLACEMENT_MULTIPLIER % num_machines
+    machines %= num_machines
+    counts = np.bincount(machines, minlength=num_machines)
+    if isinstance(words, int):
+        if words < 0 and machines.size:
+            raise SimulationError("message size must be non-negative")
+        totals = counts * words
+    else:
+        sizes = _int_column(words)
+        if sizes.size and sizes.min() < 0:
+            raise SimulationError("message size must be non-negative")
+        totals = np.zeros(num_machines, dtype=_DTYPE)
+        np.add.at(totals, machines, sizes)
+    touched = np.flatnonzero(counts)
+    return touched.tolist(), totals[touched].tolist()
 
 
 def _canonical(u, v):

@@ -13,11 +13,14 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
+from itertools import repeat
+from operator import sub
 
-from repro.errors import GraphError, InvalidOrientationError
+from repro.errors import GraphError, InvalidOrientationError, SimulationError
+from repro.kernels import PLACEMENT_MULTIPLIER
 
 
-def peel_layers(num_vertices, indptr, indices, degrees, threshold, max_rounds):
+def peel_layers(num_vertices, indptr, indices, threshold, max_rounds):
     """Frontier-based round-synchronous peel (see ``Graph.peel_layers``).
 
     A vertex is stamped with the *next* round's index the moment its
@@ -25,7 +28,7 @@ def peel_layers(num_vertices, indptr, indices, degrees, threshold, max_rounds):
     decrements in the same round skip it, so its stored degree stays stale —
     harmless, because every read is gated on ``layers[w] == 0``.
     """
-    degree = list(degrees)
+    degree = list(map(sub, indptr[1:], indptr))
     layers = [0] * num_vertices
     frontier = [v for v, d in enumerate(degree) if d <= threshold]
     for v in frontier:
@@ -371,6 +374,20 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
         if not is_insert and not live:
             raise GraphError(f"batch update #{index}: delete of dead edge {e}")
         pending[e] = is_insert
+
+
+def tally_by_machine(num_machines, keys, words):
+    """Words per machine as a dict loop, sorted by machine id at the end."""
+    sizes = repeat(words, len(keys)) if isinstance(words, int) else words
+    totals: dict[int, int] = {}
+    get = totals.get
+    for key, size in zip(keys, sizes):
+        if size < 0:
+            raise SimulationError("message size must be non-negative")
+        machine = key * PLACEMENT_MULTIPLIER % num_machines
+        totals[machine] = get(machine, 0) + size
+    machines = sorted(totals)
+    return machines, list(map(totals.__getitem__, machines))
 
 
 def _canonical(u, v):

@@ -12,8 +12,9 @@ exactly:
 Algorithms use the cluster in two ways:
 
 1. **Explicit message rounds** — :meth:`MPCCluster.communication_round` takes
-   the multiset of messages exchanged in a round (keyed by integer keys whose
-   machine placement is determined by :class:`~repro.mpc.config.MPCConfig`),
+   the messages exchanged in a round as columns of source keys, destination
+   keys and word sizes (integer keys whose machine placement is determined by
+   :class:`~repro.mpc.config.MPCConfig`),
    verifies the per-machine send/receive caps, and increments the round
    counter.  This is used wherever the data movement matters for the memory
    argument (graph exponentiation, gathering tree views, layer broadcasts).
@@ -46,9 +47,10 @@ After a spread store only the first machine without keyed storage and the
 keyed machines inside the covered prefix can set a new peak or be the first
 capacity offender, so only those are checked.  A store that raises —
 per-machine cap, communication cap, global budget — changes nothing.
-Per-round traffic is tallied in local dicts
-(:meth:`~repro.mpc.config.MPCConfig.traffic`) and never creates storage
-records.
+A round's messages arrive as columns (source keys, destination keys,
+words); :func:`repro.kernels.tally_by_machine` turns each key column into
+per-machine word totals in one call, so no per-message object is built, and
+the tallies never create storage records.
 
 **Dynamic update batches** (:mod:`repro.stream`) extend the same accounting
 to streaming workloads.  A batch of edge insertions/deletions is charged as
@@ -166,9 +168,11 @@ observation.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from array import array
+from bisect import bisect_left
 from typing import Optional
 
+from repro import kernels
 from repro.errors import (
     CommunicationLimitExceeded,
     GlobalMemoryExceeded,
@@ -179,10 +183,6 @@ from repro.errors import (
 from repro.mpc.config import MPCConfig
 from repro.mpc.metrics import RoundStats
 from repro.obs.tracer import NULL_TRACER
-
-Message = tuple[int, int, int]
-"""A message is ``(source_key, destination_key, size_in_words)``."""
-
 
 def _share(total: int, machines: int, machine_id: int) -> int:
     """Words of a ``total``-word spread object on ``machine_id``: ``⌈T/M⌉``
@@ -325,7 +325,8 @@ class MPCCluster:
         """Store ``words`` words on the machine owning ``key``."""
         if words < 0:
             raise ValueError("words must be non-negative")
-        self._store_keyed({self.config.machine_of(key): words}, tag, self.enforce_limits)
+        machine_id = self.config.machine_of(key)
+        self._store_keyed((machine_id,), (words,), (key,), tag, self.enforce_limits)
 
     def release_at_key(self, key: int, words: int, tag: str = "data") -> None:
         """Release ``words`` words of ``tag`` on the machine owning ``key``.
@@ -421,37 +422,68 @@ class MPCCluster:
                 del self._keyed[machine_id]
         return dropped
 
-    def _keyed_peak(self, words_by_machine: Mapping[int, int], enforce: bool) -> int:
-        """The peak after storing ``words_by_machine``; raises the first
-        offender in the mapping's order when ``enforce`` is set."""
-        if self._keyed or self._spread:
-            held = self._held
-            after = {m: held(m) + words for m, words in words_by_machine.items()}
-        else:
-            # Every orient()/color() job loads its graph onto a fresh cluster;
-            # skipping one _held call per machine there is a measured
-            # end-to-end gain on the oneshot benchmark workload.
-            after = words_by_machine
-        top = max(after.values(), default=0)
+    def _held_plus(self, machines, words) -> list[int]:
+        """Words held on each of ``machines`` (ascending ids) plus ``words``.
+
+        A spread object adds its share to the machines it covers, a prefix
+        of the ids found by bisection, so only covered and keyed machines
+        cost work.
+        """
+        after = list(words)
+        count = self._num_machines
+        for totals in self._spread.values():
+            for total in totals:
+                share = -(-total // count)
+                full = total // share
+                covered = bisect_left(machines, full)
+                after[:covered] = [stored + share for stored in after[:covered]]
+                if covered < len(machines) and machines[covered] == full:
+                    after[covered] += total - full * share
+        keyed = self._keyed
+        if keyed:
+            for index, machine_id in enumerate(machines):
+                tags = keyed.get(machine_id)
+                if tags:
+                    after[index] += sum(tags.values())
+        return after
+
+    def _keyed_peak(self, machines, words, keys, enforce: bool) -> int:
+        """The peak after adding ``words`` to ``machines`` (ascending ids).
+
+        With ``enforce`` set, raises the first machine over capacity in the
+        order its first key appears in the ``keys`` column.
+        """
+        after = self._held_plus(machines, words)
+        top = max(after, default=0)
         capacity = self._capacity
         if enforce and top > capacity:
-            for machine_id, stored in after.items():
-                if stored > capacity:
-                    raise MemoryLimitExceeded(machine_id, stored, capacity)
+            stored_on = dict(zip(machines, after))
+            machine_of = self.config.machine_of
+            for key in keys:
+                machine_id = machine_of(key)
+                if stored_on[machine_id] > capacity:
+                    raise MemoryLimitExceeded(machine_id, stored_on[machine_id], capacity)
         return max(self._peak, top)
 
-    def _commit_keyed(self, words_by_machine: Mapping[int, int], tag: str) -> None:
-        for machine_id, words in words_by_machine.items():
-            if words:
-                self._adjust_keyed(machine_id, tag, words)
-                self._in_use += words
+    def _commit_keyed(self, machines, words, tag: str) -> None:
+        """Add ``words`` of ``tag`` to ``machines`` (ledger records only)."""
+        keyed = self._keyed
+        for machine_id, stored in zip(machines, words):
+            if not stored:
+                continue
+            if machine_id in keyed:
+                self._adjust_keyed(machine_id, tag, stored)
+            else:
+                keyed[machine_id] = {tag: stored}
 
-    def _store_keyed(self, words_by_machine: Mapping[int, int], tag: str, enforce: bool) -> None:
-        """Store per-machine word counts under ``tag``, atomically."""
-        peak = self._keyed_peak(words_by_machine, enforce)
-        in_use = self._in_use + sum(words_by_machine.values())
+    def _store_keyed(self, machines, words, keys, tag: str, enforce: bool) -> None:
+        """Store ``words`` on ``machines`` (ascending ids) under ``tag``,
+        atomically; ``keys`` orders the capacity check (see _keyed_peak)."""
+        peak = self._keyed_peak(machines, words, keys, enforce)
+        in_use = self._in_use + sum(words)
         self._check_global(in_use)
-        self._commit_keyed(words_by_machine, tag)
+        self._commit_keyed(machines, words, tag)
+        self._in_use = in_use
         self._peak = peak
         self._observe_memory()
 
@@ -521,19 +553,26 @@ class MPCCluster:
 
     def communication_round(
         self,
-        messages: Iterable[Message],
+        sources,
+        destinations,
+        words,
         label: str = "round",
         store_tag: Optional[str] = None,
         split_oversized: bool = True,
     ) -> int:
-        """Execute one (or more) synchronous rounds exchanging ``messages``.
+        """Execute one (or more) synchronous rounds exchanging a column of messages.
 
-        Each message ``(source_key, destination_key, words)`` is charged as
-        ``words`` outgoing traffic on the machine owning ``source_key`` and
-        ``words`` incoming traffic on the machine owning ``destination_key``.
-        If ``store_tag`` is given, received words are additionally stored on
-        the destination machine under that tag (modelling that the payload is
-        kept for later rounds, e.g. learned neighborhood views).
+        Message ``i`` goes from key ``sources[i]`` to key ``destinations[i]``
+        and carries ``words`` words (one int for every message) or
+        ``words[i]`` (a column).  It is charged as outgoing traffic on the
+        machine owning its source key and incoming traffic on the machine
+        owning its destination key; both sides are tallied per machine by
+        :func:`repro.kernels.tally_by_machine`.  Columns of different lengths
+        raise :class:`~repro.errors.SimulationError`.  If ``store_tag`` is
+        given, received words are additionally stored on the destination
+        machine under that tag (modelling that the payload is kept for later
+        rounds, e.g. learned neighborhood views); a machine reached only by
+        zero-word messages takes part in that store's capacity check.
 
         In the MPC model a machine can move at most ``S`` words per round.
         When the requested exchange would exceed that on some machine, the
@@ -550,30 +589,43 @@ class MPCCluster:
 
         Returns the number of rounds charged.
         """
-        sent, received, total_words = self.config.traffic(messages)
+        count = len(sources)
+        sized = not isinstance(words, int)
+        if len(destinations) != count or (sized and len(words) != count):
+            lengths = f"{count} sources, {len(destinations)} destinations"
+            if sized:
+                lengths += f", {len(words)} words"
+            raise SimulationError(f"message columns differ in length: {lengths}")
+        machines = self._num_machines
+        senders, sent = kernels.tally_by_machine(machines, sources, words)
+        receivers, received = kernels.tally_by_machine(machines, destinations, words)
+        total_words = sum(sent)
 
         capacity = self._capacity
         strict = self.enforce_limits and not split_oversized
         peak = self._peak
         in_use = self._in_use
         if store_tag is not None:
-            peak = self._keyed_peak(received, enforce=strict)
+            peak = self._keyed_peak(receivers, received, destinations, enforce=strict)
             in_use += total_words
-        max_sent = max(sent.values(), default=0)
-        max_received = max(received.values(), default=0)
+        max_sent = max(sent, default=0)
+        max_received = max(received, default=0)
         max_volume = max(max_sent, max_received)
         rounds_needed = 1
         if max_volume > capacity:
             if strict:
-                direction = "sent" if max_sent >= max_received else "received"
-                volumes = sent if direction == "sent" else received
-                offender = min(m for m, words in volumes.items() if words == max_volume)
+                if max_sent >= max_received:
+                    direction, ids, volumes = "sent", senders, sent
+                else:
+                    direction, ids, volumes = "received", receivers, received
+                offender = ids[volumes.index(max_volume)]
                 raise CommunicationLimitExceeded(offender, direction, max_volume, capacity)
             rounds_needed = -(-max_volume // capacity)
         self._check_global(in_use)
 
         if store_tag is not None:
-            self._commit_keyed(received, store_tag)
+            self._commit_keyed(receivers, received, store_tag)
+            self._in_use = in_use
             self._peak = peak
         self.stats.record_round(label, total_words, max_sent, max_received)
         if self._tracer.enabled:
@@ -675,17 +727,17 @@ class MPCCluster:
     def load_graph(self, graph, tag: str = "input") -> None:
         """Distribute the input graph across machines (one word per edge endpoint).
 
-        Models the arbitrary initial distribution of the input: edge ``(u, v)``
-        is stored on the machine owning the edge's index, and every vertex id
-        is stored on the machine owning the vertex.  Placement is tallied per
-        machine and stored as one atomic keyed store, machines in order of
-        their first key (the first offender in that order raises).
+        Models the arbitrary initial distribution of the input: vertex ``v``
+        (one word) is stored on the machine owning key ``v``, and edge ``i``
+        (two words) on the machine owning key ``n + i``.  The key column is
+        tallied per machine in one kernel call and stored as one atomic keyed
+        store; the first machine over capacity in key order raises.
         """
-        placement_counts = self.config.placement_counts
-        words = placement_counts(0, graph.num_vertices)
-        for machine_id, count in placement_counts(graph.num_vertices, graph.num_edges).items():
-            words[machine_id] += 2 * count
-        self._store_keyed(words, tag, self.enforce_limits)
+        n, m = graph.num_vertices, graph.num_edges
+        keys = range(n + m)
+        words = array("l", [1]) * n + array("l", [2]) * m
+        machines, totals = kernels.tally_by_machine(self._num_machines, keys, words)
+        self._store_keyed(machines, totals, keys, tag, self.enforce_limits)
 
     def snapshot(self) -> dict[str, float]:
         """Summary of the execution so far (for the experiment harness)."""

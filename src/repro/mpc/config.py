@@ -13,15 +13,10 @@ the theory hides, so experiments can (a) enforce the constraints and (b) sweep
 from __future__ import annotations
 
 import math
-from collections import Counter
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.errors import ParameterError, SimulationError
-
-# Multiplier of the placement hash: key ``k`` lives on machine
-# ``(k * _PLACEMENT_MULTIPLIER) % num_machines``.
-_PLACEMENT_MULTIPLIER = 2654435761
+from repro.errors import ParameterError
+from repro.kernels import PLACEMENT_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -112,37 +107,10 @@ class MPCConfig:
 
         A multiplicative hash keeps placement spread out even for consecutive
         ids, which is what an adversarial initial distribution would also
-        achieve in expectation.
+        achieve in expectation.  :func:`repro.kernels.tally_by_machine`
+        applies the same placement to a whole column of keys at once.
         """
-        return (key * _PLACEMENT_MULTIPLIER) % self._num_machines
-
-    def placement_counts(self, first_key: int, count: int) -> Counter:
-        """How many of the keys ``first_key … first_key + count - 1`` each
-        machine owns, machines in order of their first key.  The hashed keys
-        form an arithmetic progression, so no call is made per key.
-        """
-        step = _PLACEMENT_MULTIPLIER
-        start = first_key * step
-        return Counter(map(self._num_machines.__rmod__, range(start, start + count * step, step)))
-
-    def traffic(self, messages: Iterable[tuple[int, int, int]]) -> tuple[dict, dict, int]:
-        """Per-machine words sent and received by ``(source_key,
-        destination_key, words)`` messages, plus their total, each endpoint
-        placed by :meth:`machine_of` (machines in order of first use).
-        """
-        machines = self._num_machines
-        sent: dict[int, int] = {}
-        received: dict[int, int] = {}
-        total_words = 0
-        for source_key, destination_key, words in messages:
-            if words < 0:
-                raise SimulationError("message size must be non-negative")
-            source = source_key * _PLACEMENT_MULTIPLIER % machines
-            destination = destination_key * _PLACEMENT_MULTIPLIER % machines
-            sent[source] = sent.get(source, 0) + words
-            received[destination] = received.get(destination, 0) + words
-            total_words += words
-        return sent, received, total_words
+        return (key * PLACEMENT_MULTIPLIER) % self._num_machines
 
     @classmethod
     def for_graph(cls, graph, delta: float = 0.5, **kwargs) -> "MPCConfig":

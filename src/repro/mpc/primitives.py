@@ -10,7 +10,10 @@ pipeline calls — aggregation by key, broadcast and gathering — on top of
 Each primitive does the actual data manipulation centrally (the simulator is a
 single process) but charges the documented number of MPC rounds and routes the
 data volume through the cluster so memory/communication constraints are
-enforced.  The constants charged are:
+enforced.  Every exchange reaches the cluster as message columns — source
+keys, destination keys, word sizes — for
+:meth:`~repro.mpc.cluster.MPCCluster.communication_round`, which tallies each
+key column per machine in one kernel call.  The constants charged are:
 
 ===========================  ======  ==========================================
 primitive                    rounds  reference
@@ -24,7 +27,7 @@ primitive                    rounds  reference
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import TypeVar
 
 from repro.errors import SimulationError
@@ -54,8 +57,8 @@ def aggregate_by_key(
             grouped[key] = combine(grouped[key], value)
         else:
             grouped[key] = value
-    messages = [(key, key, 1) for key in grouped]
-    cluster.communication_round(messages, label=f"{label}:shuffle")
+    keys = list(grouped)
+    cluster.communication_round(keys, keys, 1, label=f"{label}:shuffle")
     cluster.charge_rounds(AGGREGATE_ROUNDS - 1, label=f"{label}:combine")
     return grouped
 
@@ -83,17 +86,14 @@ def broadcast(
     remaining = list(destinations)
     rounds_used = 0
     while remaining:
-        messages = []
-        next_frontier = []
-        for source in frontier:
-            for _ in range(fan_out):
-                if not remaining:
-                    break
-                destination = remaining.pop()
-                messages.append((source, destination, payload_words))
-                next_frontier.append(destination)
-        cluster.communication_round(messages, label=f"{label}:tree")
-        frontier = next_frontier
+        # Each frontier node sends to the next ``fan_out`` destinations,
+        # taken from the end of the list.
+        reached = min(len(remaining), len(frontier) * fan_out)
+        targets = remaining[: -reached - 1 : -1]
+        del remaining[-reached:]
+        senders = [source for source in frontier for _ in range(fan_out)][:reached]
+        cluster.communication_round(senders, targets, payload_words, label=f"{label}:tree")
+        frontier = targets
         rounds_used += 1
     if rounds_used < BROADCAST_ROUNDS:
         cluster.charge_rounds(BROADCAST_ROUNDS - rounds_used, label=label)
@@ -101,28 +101,28 @@ def broadcast(
 
 def gather_bundles(
     cluster: MPCCluster,
-    bundles: Mapping[int, int],
-    interest_lists: Mapping[int, Sequence[int]],
+    owners: Sequence[int],
+    requesters: Sequence[int],
+    words,
     label: str = "gather",
     store_tag: str | None = None,
-) -> None:
+) -> int:
     """Lemma 4.1: every node ``u`` receives the information bundles of ``L_u``.
 
-    ``bundles[v]`` is the size (in words) of node ``v``'s bundle ``B_v``;
-    ``interest_lists[u]`` is the list ``L_u`` of nodes whose bundles ``u``
-    wants.  The lemma requires ``|B_v| ≤ n^{δ/2}``, ``|L_u| ≤ n^{δ/2}`` and the
-    total delivered volume to be ``O(m + n)``; the cluster's communication
-    accounting enforces the per-machine consequences of these bounds.
+    The requests come as columns: ``requesters[i]`` wants the bundle of
+    ``owners[i]``, whose size is ``words`` (one int for every bundle) or
+    ``words[i]`` words.  Listing ``u`` once per node of ``L_u`` gives the
+    lemma's interest lists.  The lemma requires ``|B_v| ≤ n^{δ/2}``,
+    ``|L_u| ≤ n^{δ/2}`` and the total delivered volume to be ``O(m + n)``;
+    the cluster's communication accounting enforces the per-machine
+    consequences of these bounds.
 
     Charges :data:`GATHER_ROUNDS` rounds (sort + copy + match, as in the
-    lemma's proof sketch) plus the delivery round carrying the actual volume.
+    lemma's proof sketch) plus the delivery round carrying the actual volume,
+    and returns the rounds charged in total — more than ``GATHER_ROUNDS + 1``
+    when the delivery is split into several rounds.
     """
     cluster.charge_rounds(GATHER_ROUNDS, label=f"{label}:plumbing")
-    messages = []
-    for u, wanted in interest_lists.items():
-        for v in wanted:
-            size = bundles.get(v, 0)
-            if size > 0:
-                messages.append((v, u, size))
-    cluster.communication_round(messages, label=f"{label}:deliver", store_tag=store_tag)
-
+    return GATHER_ROUNDS + cluster.communication_round(
+        owners, requesters, words, label=f"{label}:deliver", store_tag=store_tag
+    )

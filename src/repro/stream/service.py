@@ -214,10 +214,7 @@ class StreamingService:
         # 2-word message routed between the machines owning its endpoints.
         ops, us, vs = batch.columns()
         if len(batch):
-            cluster.communication_round(
-                [(u, v, 2) for u, v in zip(us, vs)],
-                label="stream:batch",
-            )
+            cluster.communication_round(us, vs, 2, label="stream:batch")
 
         # Superstep order: the graph absorbs the whole batch first (so a
         # mid-batch fallback rebuild sees the batch-final snapshot), then the

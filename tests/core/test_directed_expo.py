@@ -54,6 +54,17 @@ class TestDirectedReachability:
         assert result.rounds_charged >= 4
         assert cluster.stats.num_rounds >= 4
 
+    def test_rounds_charged_include_the_split_delivery(self):
+        # One layer makes every edge bidirectional: the gather's delivery
+        # exceeds S and is split, and rounds_charged must count the split.
+        graph = generators.union_of_random_forests(400, arboricity=6, seed=1)
+        cluster = MPCCluster(MPCConfig.for_graph(graph))
+        result = directed_reachability(
+            graph, [0] * graph.num_vertices, graph.vertices, max_distance=8, cluster=cluster
+        )
+        assert cluster.stats.rounds_by_label["directed-expo:gather:deliver:oversized-split"] > 0
+        assert result.rounds_charged == cluster.stats.num_rounds == 12
+
     def test_reachability_respects_hpartition_orientation(self, union_forest_graph):
         partition = peeling_layers_reference(union_forest_graph, threshold=6)
         layer_of = partition.layer_of

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+from array import array
 
 import pytest
 
@@ -34,7 +35,7 @@ class TestRounds:
 
     def test_communication_round_counts_volume(self):
         cluster = make_cluster()
-        rounds = cluster.communication_round([(0, 1, 4), (2, 3, 6)], label="test")
+        rounds = cluster.communication_round([0, 2], [1, 3], [4, 6], label="test")
         assert rounds == 1
         assert cluster.stats.num_rounds == 1
         assert cluster.stats.total_words_sent == 10
@@ -42,12 +43,12 @@ class TestRounds:
     def test_negative_message_size_rejected(self):
         cluster = make_cluster()
         with pytest.raises(SimulationError):
-            cluster.communication_round([(0, 1, -2)])
+            cluster.communication_round([0], [1], [-2])
 
     def test_oversized_round_splits(self):
         cluster = make_cluster(n=64, m=64)
         capacity = cluster.words_per_machine
-        rounds = cluster.communication_round([(0, 1, capacity * 3)], label="big")
+        rounds = cluster.communication_round([0], [1], capacity * 3, label="big")
         assert rounds >= 3
         assert cluster.stats.num_rounds == rounds
 
@@ -56,15 +57,58 @@ class TestRounds:
         capacity = cluster.words_per_machine
         with pytest.raises(CommunicationLimitExceeded):
             cluster.communication_round(
-                [(0, 1, capacity * 3)], label="big", split_oversized=False
+                [0], [1], capacity * 3, label="big", split_oversized=False
             )
 
     def test_store_tag_keeps_received_payload(self):
         cluster = make_cluster()
-        cluster.communication_round([(0, 1, 5)], store_tag="views")
+        cluster.communication_round([0], [1], 5, store_tag="views")
         assert cluster.global_memory_in_use() == 5
         cluster.release_tag_everywhere("views")
         assert cluster.global_memory_in_use() == 0
+
+    def test_uniform_words_equal_a_words_column(self):
+        uniform, column = make_cluster(), make_cluster()
+        sources, destinations = array("l", range(50)), array("l", range(50, 0, -1))
+        assert uniform.communication_round(sources, destinations, 3, store_tag="v") == 1
+        assert column.communication_round(
+            list(sources), range(50, 0, -1), array("l", [3]) * 50, store_tag="v"
+        ) == 1
+        assert uniform.ledger_state() == column.ledger_state()
+
+    @pytest.mark.parametrize(
+        "sources, destinations, words, lengths",
+        [
+            ([0, 1], [1], 2, "2 sources, 1 destinations"),
+            ([0], [1], [2, 3], "1 sources, 1 destinations, 2 words"),
+            ([], [], [4], "0 sources, 0 destinations, 1 words"),
+        ],
+    )
+    def test_column_length_mismatch_raises(self, sources, destinations, words, lengths):
+        cluster = make_cluster()
+        with pytest.raises(SimulationError, match=f"message columns differ in length: {lengths}$"):
+            cluster.communication_round(sources, destinations, words)
+        assert cluster.stats.num_rounds == 0
+
+    def test_zero_word_message_takes_part_in_the_store_check(self):
+        cluster = make_cluster()
+        capacity = cluster.words_per_machine
+        cluster.communication_round([7], [0], capacity + 5, store_tag="views")
+        with pytest.raises(MemoryLimitExceeded) as excinfo:
+            cluster.communication_round([3], [0], 0, store_tag="more", split_oversized=False)
+        assert excinfo.value.machine_id == cluster.config.machine_of(0)
+        assert excinfo.value.used_words == capacity + 5
+
+    def test_store_offender_is_the_first_in_message_order(self):
+        cluster = make_cluster()
+        capacity = cluster.words_per_machine
+        keys = sorted(range(1, 40), key=cluster.config.machine_of)[:2]
+        for order in (keys, keys[::-1]):
+            with pytest.raises(MemoryLimitExceeded) as excinfo:
+                cluster.communication_round(
+                    [0, 0], order, capacity + 1, store_tag="v", split_oversized=False
+                )
+            assert excinfo.value.machine_id == cluster.config.machine_of(order[0])
 
 
 class TestStorage:
@@ -177,14 +221,14 @@ RAISING_STORES = {
     "communication_round-store": (
         make_cluster,
         lambda c: c.communication_round(
-            [(0, 1, c.words_per_machine + 1)], store_tag="views", split_oversized=False
+            [0], [1], c.words_per_machine + 1, store_tag="views", split_oversized=False
         ),
         MemoryLimitExceeded,
     ),
     "communication_round-traffic": (
         make_cluster,
         lambda c: c.communication_round(
-            [(0, 1, c.words_per_machine + 1)], split_oversized=False
+            [0], [1], c.words_per_machine + 1, split_oversized=False
         ),
         CommunicationLimitExceeded,
     ),
@@ -198,10 +242,15 @@ RAISING_STORES = {
         lambda c: c.store_at_key(9, c.config.global_memory_words(), tag="x"),
         GlobalMemoryExceeded,
     ),
+    "communication_round-lengths": (
+        make_cluster,
+        lambda c: c.communication_round([0, 1], [1], [2, 2], store_tag="views"),
+        SimulationError,
+    ),
     "communication_round-global": (
         _global_only,
         lambda c: c.communication_round(
-            [(0, 1, c.config.global_memory_words())], store_tag="views"
+            [0], [1], c.config.global_memory_words(), store_tag="views"
         ),
         GlobalMemoryExceeded,
     ),
@@ -221,7 +270,7 @@ class TestAtomicStores:
         assert excinfo.value.used_words == capacity + 1
         assert cluster.global_memory_in_use() == 0
         assert cluster.peak_machine_memory() == 0
-        cluster.communication_round([(0, 1, 1)], label="unrelated")
+        cluster.communication_round([0], [1], 1, label="unrelated")
         assert cluster.stats.peak_machine_memory_words == 0
 
     @pytest.mark.parametrize("case", sorted(RAISING_STORES))
@@ -241,8 +290,8 @@ class TestAtomicStores:
         peak (set by a released payload) is above every current value."""
         cluster = make_cluster()
         capacity = cluster.words_per_machine
-        cluster.communication_round([(7, 0, 2 * capacity)], store_tag="views")
-        cluster.communication_round([(7, 1, 3 * capacity)], store_tag="spike")
+        cluster.communication_round([7], [0], 2 * capacity, store_tag="views")
+        cluster.communication_round([7], [1], 3 * capacity, store_tag="spike")
         cluster.release_tag_everywhere("spike")
         machine = cluster.config.machine_of(0)
         assert cluster.peak_machine_memory() == 3 * capacity
@@ -257,15 +306,13 @@ class TestAtomicStores:
         keys = sorted(range(1, 40), key=cluster.config.machine_of)[:2]
         with pytest.raises(CommunicationLimitExceeded) as excinfo:
             cluster.communication_round(
-                [(keys[1], 0, capacity + 1), (keys[0], 0, capacity + 1)],
-                split_oversized=False,
+                [keys[1], keys[0]], [0, 0], capacity + 1, split_oversized=False
             )
         assert excinfo.value.direction == "received"
         cluster = make_cluster()
         with pytest.raises(CommunicationLimitExceeded) as excinfo:
             cluster.communication_round(
-                [(keys[1], 0, capacity + 1), (keys[0], 1, capacity + 1)],
-                split_oversized=False,
+                [keys[1], keys[0]], [0, 1], capacity + 1, split_oversized=False
             )
         assert excinfo.value.direction == "sent"
         assert excinfo.value.machine_id == cluster.config.machine_of(keys[0])
@@ -323,7 +370,7 @@ class TestRelease:
         cluster = make_cluster()
         cluster.restore_spread(5 * cluster.num_machines + 3, tag="live")
         cluster.store_spread(40, tag="views")
-        cluster.communication_round([(0, 1, 4), (2, 3, 6)])
+        cluster.communication_round([0, 2], [1, 3], [4, 6])
         state = cluster.ledger_state()
         assert state["keyed"] == []
         assert state["spread"] == {"live": [5 * cluster.num_machines + 3], "views": [40]}
@@ -365,7 +412,7 @@ class TestSnapshotAccounting:
     def test_oversized_split_charges_extra_labelled_rounds(self):
         cluster = make_cluster(n=64, m=64)
         capacity = cluster.words_per_machine
-        rounds = cluster.communication_round([(0, 1, capacity * 3)], label="bulk")
+        rounds = cluster.communication_round([0], [1], capacity * 3, label="bulk")
         labels = cluster.stats.rounds_by_label
         assert labels["bulk"] == 1
         assert labels["bulk:oversized-split"] == rounds - 1
@@ -375,9 +422,9 @@ class TestSnapshotAccounting:
 
     def test_round_labels_accumulate_across_sources(self):
         cluster = make_cluster()
-        cluster.communication_round([(0, 1, 2)], label="exchange")
+        cluster.communication_round([0], [1], 2, label="exchange")
         cluster.charge_rounds(3, label="primitive")
-        cluster.communication_round([(1, 2, 1)], label="exchange")
+        cluster.communication_round([1], [2], 1, label="exchange")
         assert cluster.stats.rounds_by_label == {"exchange": 2, "primitive": 3}
         assert cluster.snapshot()["rounds"] == 5.0
 

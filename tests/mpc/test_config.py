@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-from collections import Counter
 
 import pytest
 
@@ -75,24 +74,6 @@ class TestDerivedQuantities:
         config = MPCConfig(num_vertices=5000, num_edges=20000, delta=0.5)
         machines = {config.machine_of(key) for key in range(1000)}
         assert len(machines) > 1
-
-    @pytest.mark.parametrize("first_key, count", [(0, 0), (0, 700), (313, 2000)])
-    def test_placement_counts_tally_machine_of(self, first_key, count):
-        config = MPCConfig(num_vertices=500, num_edges=1000, delta=0.5)
-        keys = range(first_key, first_key + count)
-        expected = Counter(config.machine_of(key) for key in keys)
-        assert list(config.placement_counts(first_key, count).items()) == list(expected.items())
-
-    def test_traffic_places_both_endpoints_with_machine_of(self):
-        config = MPCConfig(num_vertices=500, num_edges=1000, delta=0.5)
-        messages = [(0, 1, 4), (2, 3, 6), (0, 3, 1), (10**12, 7, 0)]
-        sent, received, total = config.traffic(iter(messages))
-        expected_sent, expected_received = Counter(), Counter()
-        for source, destination, words in messages:
-            expected_sent[config.machine_of(source)] += words
-            expected_received[config.machine_of(destination)] += words
-        assert (sent, received, total) == (expected_sent, expected_received, 11)
-        assert config.traffic([]) == ({}, {}, 0)
 
     def test_for_graph_constructor(self):
         graph = generators.union_of_random_forests(200, arboricity=2, seed=0)

@@ -14,6 +14,7 @@ so the copy must continue identically too.
 from __future__ import annotations
 
 import json
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -133,7 +134,16 @@ class ReferenceLedger:
             words[machine_id] = words.get(machine_id, 0) + 2
         self._store(list(words.items()), tag, self.enforce_limits)
 
-    def communication_round(self, messages, label, store_tag, split_oversized):
+    def communication_round(self, sources, destinations, words, label, store_tag, split_oversized):
+        """Zip the columns into ``(source, destination, words)`` tuples and
+        run the round message by message."""
+        sizes = [words] * len(sources) if isinstance(words, int) else list(words)
+        if len(destinations) != len(sources) or len(sizes) != len(sources):
+            lengths = f"{len(sources)} sources, {len(destinations)} destinations"
+            if not isinstance(words, int):
+                lengths += f", {len(sizes)} words"
+            raise SimulationError(f"message columns differ in length: {lengths}")
+        messages = list(zip(sources, destinations, sizes))
         sent: dict[int, int] = {}
         received: dict[int, int] = {}
         for source_key, destination_key, words in messages:
@@ -172,7 +182,22 @@ keys = st.integers(0, 24)
 tags = st.sampled_from(TAGS)
 small_words = st.integers(-1, 40)
 totals = st.one_of(st.integers(-1, 150), st.integers(0, 3000))
-messages = st.lists(st.tuples(keys, keys, st.integers(-1, 60)), max_size=6)
+sizes = st.integers(-1, 60)
+# A round's message columns: sources, destinations, words (a column or one int).
+message_columns = st.one_of(
+    st.lists(st.tuples(keys, keys, sizes), max_size=6).map(
+        lambda batch: tuple(array("l", column) for column in zip(*batch)) or ([], [], [])
+    ),
+    st.tuples(st.lists(st.tuples(keys, keys), max_size=6), sizes).map(
+        lambda pair: ([s for s, _ in pair[0]], [d for _, d in pair[0]], pair[1])
+    ),
+    # Columns of (usually) different lengths.
+    st.tuples(
+        st.lists(keys, max_size=3),
+        st.lists(keys, max_size=3),
+        st.one_of(sizes, st.lists(sizes, max_size=3)),
+    ),
+)
 
 steps = st.one_of(
     st.tuples(st.just("store_at_key"), keys, small_words, tags),
@@ -183,7 +208,7 @@ steps = st.one_of(
     st.tuples(st.just("load_graph"), st.integers(1, 25), st.integers(0, 24), tags),
     st.tuples(
         st.just("communication_round"),
-        messages,
+        message_columns,
         st.one_of(st.none(), tags),
         st.booleans(),
     ),
@@ -202,9 +227,9 @@ def _run(target, step):
         num_vertices, num_edges, tag = args
         return target.load_graph(_path_graph(num_vertices, num_edges), tag=tag)
     if kind == "communication_round":
-        batch, store_tag, split = args
+        (sources, destinations, words), store_tag, split = args
         return target.communication_round(
-            list(batch), label="x", store_tag=store_tag, split_oversized=split
+            sources, destinations, words, label="x", store_tag=store_tag, split_oversized=split
         )
     if kind in ("store_at_key", "release_at_key"):
         key, words, tag = args

@@ -50,12 +50,17 @@ class TestBroadcast:
 
 class TestGather:
     def test_gather_bundles_delivers_volume(self, cluster):
-        bundles = {0: 3, 1: 2, 2: 1}
-        interest = {5: [0, 1], 6: [2]}
-        gather_bundles(cluster, bundles, interest)
-        assert cluster.stats.num_rounds == GATHER_ROUNDS + 1
+        # Node 5 wants the bundles of 0 and 1, node 6 the bundle of 2.
+        rounds = gather_bundles(cluster, [0, 1, 2], [5, 5, 6], [3, 2, 1])
+        assert rounds == cluster.stats.num_rounds == GATHER_ROUNDS + 1
         assert cluster.stats.total_words_sent == 3 + 2 + 1
 
     def test_gather_with_storage(self, cluster):
-        gather_bundles(cluster, {0: 4}, {1: [0]}, store_tag="bundle")
+        gather_bundles(cluster, [0], [1], 4, store_tag="bundle")
         assert cluster.global_memory_in_use() == 4
+
+    def test_gather_returns_the_split_delivery_rounds(self, cluster):
+        oversized = 3 * cluster.words_per_machine
+        rounds = gather_bundles(cluster, [0], [1], oversized)
+        assert rounds == cluster.stats.num_rounds == GATHER_ROUNDS + 3
+        assert cluster.stats.rounds_by_label["gather:deliver:oversized-split"] == 2

@@ -81,10 +81,10 @@ class TestLedgerDeltas:
         cluster = _make_cluster()
         tracer = Tracer()
         cluster.instrument(tracer)
-        cluster.communication_round([(0, 1, 3)])
+        cluster.communication_round([0], [1], 3)
         with tracer.span("work", cluster=cluster):
-            cluster.communication_round([(0, 1, 2)])
-            cluster.communication_round([(1, 0, 1)])
+            cluster.communication_round([0], [1], 2)
+            cluster.communication_round([1], [0], 1)
         record = tracer.records[0]
         assert record.args["rounds"] == 2  # the pre-span round is not charged
         assert record.args["volume"] == 3
@@ -99,7 +99,7 @@ class TestLedgerDeltas:
         cluster = _make_cluster()
         tracer = Tracer()
         cluster.instrument(tracer)
-        cluster.communication_round([(0, 1, 3)])
+        cluster.communication_round([0], [1], 3)
         counters = tracer.metrics.snapshot()["counters"]
         assert counters["mpc.rounds"] == 1
         assert counters["mpc.words_sent"] == 3
