@@ -121,8 +121,7 @@ def directed_reachability(
         # of each vertex in its reachability set.
         owners = array("l")
         requesters = array("l")
-        for start in starts:
-            seen = reachable[start]
+        for start, seen in reachable.items():
             owners.extend(seen)
             requesters.extend(array("l", [start]) * len(seen))
         rounds = doubling_rounds + gather_bundles(

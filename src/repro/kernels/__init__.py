@@ -74,9 +74,16 @@ BACKENDS = (PURE, NUMPY)
 
 ENV_VAR = "REPRO_KERNELS"
 
-# Multiplier of the MPC placement hash: key ``k`` lives on machine
-# ``(k * PLACEMENT_MULTIPLIER) % num_machines`` (see ``MPCConfig.machine_of``).
+# Multiplier of the MPC placement hash (see :func:`machine_of`).
 PLACEMENT_MULTIPLIER = 2654435761
+
+
+def machine_of(key: int, num_machines: int) -> int:
+    """The machine that holds ``key`` among ``num_machines``: the MPC
+    placement hash.  :meth:`~repro.mpc.config.MPCConfig.machine_of` and both
+    :func:`tally_by_machine` bodies place keys by this rule."""
+    return key * PLACEMENT_MULTIPLIER % num_machines
+
 
 # Process-wide selection (None = fall through to the environment/default).
 _selected: str | None = None
@@ -329,8 +336,8 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
 def tally_by_machine(num_machines, keys, words, backend=None):
     """Words per machine of a column of keys placed by the MPC placement hash.
 
-    Key ``keys[i]`` lands on machine ``keys[i] * PLACEMENT_MULTIPLIER %
-    num_machines`` and carries ``words`` words (one int for every key) or
+    Key ``keys[i]`` lands on machine ``machine_of(keys[i], num_machines)``
+    and carries ``words`` words (one int for every key) or
     ``words[i]`` (a column as long as ``keys``).  Returns ``(machines,
     totals)``: the touched machine ids in ascending order and their word
     totals, both python-int lists.  A machine reached only by zero-word keys is

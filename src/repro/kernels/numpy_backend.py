@@ -31,7 +31,7 @@ from array import array
 import numpy as np
 
 from repro.errors import GraphError, InvalidOrientationError, SimulationError
-from repro.kernels import PLACEMENT_MULTIPLIER, pure
+from repro.kernels import PLACEMENT_MULTIPLIER
 
 # array('l') is int64 on every platform this repo targets (Linux/macOS); the
 # dtype is derived rather than hard-coded so a 32-bit ``long`` would still
@@ -387,15 +387,12 @@ def validate_batch(num_vertices, ops, us, vs, base_keys, added_keys, removed_key
     raise GraphError(f"batch update #{i}: delete of dead edge {e}")
 
 
-#: Key columns shorter than this are tallied by the reference loop.
-SMALL_TALLY = 64
-
-
 def _int_column(values) -> np.ndarray:
-    """An int64 vector over a ``range``, an ``array('l')`` or any int sequence."""
+    """An int64 vector over a ``range``, an ``array('l')`` (zero-copy) or
+    any other int sequence."""
     if isinstance(values, range):
         return np.arange(values.start, values.stop, values.step, dtype=_DTYPE)
-    if isinstance(values, array):
+    if isinstance(values, array) and values.typecode == "l":
         return np_view(values)
     return np.asarray(values, dtype=_DTYPE)
 
@@ -403,15 +400,11 @@ def _int_column(values) -> np.ndarray:
 def tally_by_machine(num_machines, keys, words):
     """Words per machine as one ``bincount`` over the placement hash.
 
-    Each key is reduced mod ``num_machines`` before the multiply, so the
-    product stays below ``num_machines²`` and no int64 key overflows.
-    Word columns are summed with an integer ``np.add.at``, keeping totals
-    exact at any size.  A column shorter than :data:`SMALL_TALLY` keys runs
-    the reference dict loop instead: below that, numpy's fixed per-call cost
-    is larger than the loop (the outputs are identical either way).
+    The placement must equal :func:`repro.kernels.machine_of`.  Each key is
+    reduced mod ``num_machines`` before the multiply, so the product stays
+    below ``num_machines²`` and no int64 key overflows.  Word columns are
+    summed with an integer ``np.add.at``, keeping totals exact at any size.
     """
-    if len(keys) < SMALL_TALLY:
-        return pure.tally_by_machine(num_machines, keys, words)
     machines = _int_column(keys) % num_machines
     machines *= PLACEMENT_MULTIPLIER % num_machines
     machines %= num_machines

@@ -17,7 +17,7 @@ from itertools import repeat
 from operator import sub
 
 from repro.errors import GraphError, InvalidOrientationError, SimulationError
-from repro.kernels import PLACEMENT_MULTIPLIER
+from repro.kernels import machine_of
 
 
 def peel_layers(num_vertices, indptr, indices, threshold, max_rounds):
@@ -384,7 +384,7 @@ def tally_by_machine(num_machines, keys, words):
     for key, size in zip(keys, sizes):
         if size < 0:
             raise SimulationError("message size must be non-negative")
-        machine = key * PLACEMENT_MULTIPLIER % num_machines
+        machine = machine_of(key, num_machines)
         totals[machine] = get(machine, 0) + size
     machines = sorted(totals)
     return machines, list(map(totals.__getitem__, machines))

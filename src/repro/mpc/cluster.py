@@ -169,7 +169,6 @@ observation.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from typing import Optional
 
 from repro import kernels
@@ -422,38 +421,17 @@ class MPCCluster:
                 del self._keyed[machine_id]
         return dropped
 
-    def _held_plus(self, machines, words) -> list[int]:
-        """Words held on each of ``machines`` (ascending ids) plus ``words``.
-
-        A spread object adds its share to the machines it covers, a prefix
-        of the ids found by bisection, so only covered and keyed machines
-        cost work.
-        """
-        after = list(words)
-        count = self._num_machines
-        for totals in self._spread.values():
-            for total in totals:
-                share = -(-total // count)
-                full = total // share
-                covered = bisect_left(machines, full)
-                after[:covered] = [stored + share for stored in after[:covered]]
-                if covered < len(machines) and machines[covered] == full:
-                    after[covered] += total - full * share
-        keyed = self._keyed
-        if keyed:
-            for index, machine_id in enumerate(machines):
-                tags = keyed.get(machine_id)
-                if tags:
-                    after[index] += sum(tags.values())
-        return after
-
     def _keyed_peak(self, machines, words, keys, enforce: bool) -> int:
         """The peak after adding ``words`` to ``machines`` (ascending ids).
 
         With ``enforce`` set, raises the first machine over capacity in the
         order its first key appears in the ``keys`` column.
         """
-        after = self._held_plus(machines, words)
+        if self._keyed or self._spread:
+            held = self._held
+            after = [stored + held(machine_id) for machine_id, stored in zip(machines, words)]
+        else:
+            after = words
         top = max(after, default=0)
         capacity = self._capacity
         if enforce and top > capacity:

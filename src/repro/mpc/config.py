@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro import kernels
 from repro.errors import ParameterError
-from repro.kernels import PLACEMENT_MULTIPLIER
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class MPCConfig:
         achieve in expectation.  :func:`repro.kernels.tally_by_machine`
         applies the same placement to a whole column of keys at once.
         """
-        return (key * PLACEMENT_MULTIPLIER) % self._num_machines
+        return kernels.machine_of(key, self._num_machines)
 
     @classmethod
     def for_graph(cls, graph, delta: float = 0.5, **kwargs) -> "MPCConfig":

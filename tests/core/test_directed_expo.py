@@ -65,6 +65,17 @@ class TestDirectedReachability:
         assert cluster.stats.rounds_by_label["directed-expo:gather:deliver:oversized-split"] > 0
         assert result.rounds_charged == cluster.stats.num_rounds == 12
 
+    def test_duplicate_starts_gather_once(self, union_forest_graph):
+        partition = peeling_layers_reference(union_forest_graph, threshold=6)
+        words = []
+        for starts in ([0, 1], [0, 1, 0, 1]):
+            cluster = MPCCluster(MPCConfig.for_graph(union_forest_graph))
+            directed_reachability(
+                union_forest_graph, partition.layer_of, starts, max_distance=3, cluster=cluster
+            )
+            words.append(cluster.stats.total_words_sent)
+        assert words[0] == words[1] > 0
+
     def test_reachability_respects_hpartition_orientation(self, union_forest_graph):
         partition = peeling_layers_reference(union_forest_graph, threshold=6)
         layer_of = partition.layer_of
