@@ -16,6 +16,15 @@ integers ``0 .. n-1``.  Internally the graph is array-backed:
 * ``_edge_index`` — hash map from canonical edge to its index, giving O(1)
   edge membership (``in``) and O(1) edge-id lookup; also built lazily.
 
+**Construction.**  ``Graph(n, edges)`` and ``Graph.from_columns(n, us, vs)``
+are the public, validating constructors, and both build the columns with
+one kernel, ``kernels.canonical_edge_columns``.  Vertex ids are read with
+``int()`` (floats truncate toward zero, so ``(-0.5, 1)`` is ``(0, 1)``).
+The first offending edge in input order raises :class:`GraphError`, and
+each edge is checked for range, then self loop, then duplicate (a reversed
+pair is a duplicate).  ``_from_columns`` and ``_from_canonical_sorted`` are
+the trusted internal paths for columns derived from an existing graph.
+
 All public accessors are source-compatible with the original tuple-of-tuples
 representation (``edges`` and ``neighbors`` still return tuples; both are
 materialised lazily and memoised).  Hot paths — induced/edge subgraphs, the
@@ -75,6 +84,9 @@ class Graph:
     edges:
         Iterable of ``(u, v)`` pairs.  Each pair is normalised; duplicates and
         reversed duplicates are rejected so the edge multiset is simple.
+        Vertex ids are read with ``int()``, so numpy integers, numeric strings
+        and floats are accepted, and floats truncate toward zero:
+        ``(-0.5, 1)`` is read as ``(0, 1)``.
 
     Notes
     -----
@@ -99,24 +111,22 @@ class Graph:
     def __init__(self, num_vertices: int, edges: Iterable[Edge] = ()) -> None:
         if num_vertices < 0:
             raise GraphError("num_vertices must be non-negative")
-        n = int(num_vertices)
-        canonical: list[Edge] = []
-        seen: set[Edge] = set()
-        for u, v in edges:
-            u = int(u)
-            v = int(v)
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(
-                    f"edge ({u}, {v}) references a vertex outside 0..{n - 1}"
-                )
-            e = normalize_edge(u, v)
-            if e in seen:
-                raise GraphError(f"duplicate edge {e}")
-            seen.add(e)
-            canonical.append(e)
-        canonical.sort()
-        self._n = n
-        self._assemble(canonical)
+        self._n = int(num_vertices)
+        self._init_columns(*kernels.canonical_edge_columns(self._n, edges))
+
+    @classmethod
+    def from_columns(cls, num_vertices: int, us: Sequence[int], vs: Sequence[int]) -> "Graph":
+        """Build a graph from two endpoint columns: edge ``i`` is ``(us[i], vs[i])``.
+
+        Validates exactly like the constructor (same accepted ids, same
+        errors on the same first offender); the columns need not be
+        canonical or sorted.  Columns of different lengths are rejected.
+        """
+        if len(us) != len(vs):
+            raise GraphError(
+                f"edge columns differ in length ({len(us)} endpoints vs {len(vs)})"
+            )
+        return cls(num_vertices, zip(us, vs))
 
     @classmethod
     def _from_canonical_sorted(cls, num_vertices: int, canonical: Iterable[Edge]) -> "Graph":

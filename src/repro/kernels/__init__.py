@@ -1,9 +1,9 @@
 """Pluggable kernel backends for the CSR hot paths.
 
-The graph core's inner loops — frontier peeling, head flips, outdegree
-tallies, orientation merges, palette assembly — are pure-python passes over
-flat ``array('l')`` columns.  This package puts one *dispatch seam* in front
-of each of them: the reference implementations live in
+The graph core's inner loops — edge canonicalisation, frontier peeling,
+head flips, outdegree tallies, orientation merges, palette assembly — are
+pure-python passes over flat ``array('l')`` columns.  This package puts one
+*dispatch seam* in front of each of them: the reference implementations live in
 :mod:`repro.kernels.pure`, and :mod:`repro.kernels.numpy_backend` provides
 vectorized equivalents that are **byte-identical** on every input (same
 layers, same heads, same tallies, same error messages on the same
@@ -60,6 +60,7 @@ __all__ = [
     "count_distinct",
     "assemble_color_columns",
     "flip_repair_group",
+    "canonical_edge_columns",
     "build_csr",
     "encode_edge_keys",
     "first_monochrome",
@@ -275,6 +276,19 @@ def max_value(column, backend=None):
 def count_distinct(column, backend=None):
     """Number of distinct values in a flat column."""
     return _module(backend).count_distinct(column)
+
+
+def canonical_edge_columns(num_vertices, edges, backend=None):
+    """Sorted canonical ``(min, max)`` edge columns of ``(u, v)`` pairs.
+
+    The ``Graph`` constructor's validation: ids are read with ``int()``
+    (floats truncate toward zero) and must lie in ``0..num_vertices-1``;
+    self loops and duplicates (in either orientation) are rejected.  Raises
+    :class:`~repro.errors.GraphError` on the first offending edge in input
+    order, with the pure body's exact message on both backends.  Returns
+    ``(edge_u, edge_v)`` as ``array('l')`` columns, sorted lexicographically.
+    """
+    return _module(backend).canonical_edge_columns(num_vertices, edges)
 
 
 def build_csr(num_vertices, edge_u, edge_v, backend=None):

@@ -27,17 +27,21 @@ randomized inputs.
 from __future__ import annotations
 
 from array import array
+from itertools import chain
+from math import isqrt
 
 import numpy as np
 
 from repro.errors import GraphError, InvalidOrientationError, SimulationError
-from repro.kernels import PLACEMENT_MULTIPLIER
+from repro.kernels import PLACEMENT_MULTIPLIER, pure
 
 # array('l') is int64 on every platform this repo targets (Linux/macOS); the
 # dtype is derived rather than hard-coded so a 32-bit ``long`` would still
 # round-trip correctly.
 _ITEMSIZE = array("l").itemsize
 _DTYPE = np.dtype(f"i{_ITEMSIZE}")
+# Above this vertex count an edge key ``lo * n + hi`` may overflow the dtype.
+_MAX_KEYED_VERTICES = isqrt(int(np.iinfo(_DTYPE).max))
 
 
 def np_view(column) -> np.ndarray:
@@ -237,6 +241,54 @@ def max_value(column):
 def count_distinct(column):
     """Number of distinct values in a flat column (one ``np.unique``)."""
     return int(np.unique(np_view(column)).size)
+
+
+def canonical_edge_columns(num_vertices, edges):
+    """Validated canonical edge columns: one flat parse, masks and a key sort.
+
+    The pairs are materialised once and must all have ``len() == 2``; their
+    ids are parsed by one flat ``np.fromiter``, which converts each element
+    with ``int()`` exactly like the reference.  Range and self-loop masks,
+    then adjacent equal keys after the in-place sort, detect every offence
+    at once but not which edge offends first in input order.  So any
+    anomaly — an iteration or conversion error, a value beyond int64, a
+    mask hit or a duplicate — hands the materialised pairs to the pure body,
+    which raises the reference error on the reference offender.
+    """
+    n = num_vertices
+    pairs: list = []
+    try:
+        pairs.extend(edges)
+    except Exception as error:
+        failure = error
+    else:
+        failure = None
+    if failure is not None:
+        # The iterable broke part-way; the old loop would first have raised
+        # on an offending edge of the prefix it had already consumed.
+        pure.canonical_edge_columns(n, pairs)
+        raise failure
+    if n > _MAX_KEYED_VERTICES:
+        return pure.canonical_edge_columns(n, pairs)
+    try:
+        # Empty input and wrong arity go to the pure body too.
+        if set(map(len, pairs)) != {2}:
+            return pure.canonical_edge_columns(n, pairs)
+        flat = np.fromiter(chain.from_iterable(pairs), _DTYPE, count=2 * len(pairs))
+    except Exception:
+        # Whatever ``len()`` or ``int()`` raised here, the pure body's
+        # unpacking and ``int()`` raise it again on the first offender.
+        return pure.canonical_edge_columns(n, pairs)
+    lo = np.minimum(flat[0::2], flat[1::2])
+    hi = np.maximum(flat[0::2], flat[1::2])
+    if lo.min() < 0 or hi.max() >= n or (lo == hi).any():
+        return pure.canonical_edge_columns(n, pairs)
+    keys = lo * n
+    keys += hi
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return pure.canonical_edge_columns(n, pairs)
+    return to_array(keys // n), to_array(keys % n)
 
 
 def build_csr(num_vertices, edge_u, edge_v):

@@ -228,6 +228,36 @@ def count_distinct(column):
     return len(set(column))
 
 
+def canonical_edge_columns(num_vertices, edges):
+    """Validate ``(u, v)`` pairs into sorted canonical ``(min, max)`` columns.
+
+    The reference ``Graph`` constructor loop: each pair is unpacked, both
+    ids go through ``int()``, and the first offending edge in input order
+    raises :class:`~repro.errors.GraphError`, its checks taken in the order
+    range, self loop, duplicate.  Edges are held as ``lo * n + hi`` int keys,
+    so deduplication and the final sort work on ints, not tuples.
+    """
+    n = num_vertices
+    keys: list[int] = []
+    append = keys.append
+    seen: set[int] = set()
+    add = seen.add
+    for u, v in edges:
+        u = int(u)
+        v = int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+        if u == v:
+            raise GraphError(f"self loop ({u}, {v}) is not allowed")
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise GraphError(f"duplicate edge {_canonical(u, v)}")
+        add(key)
+        append(key)
+    keys.sort()
+    return array("l", [key // n for key in keys]), array("l", [key % n for key in keys])
+
+
 def build_csr(num_vertices, edge_u, edge_v):
     """CSR adjacency ``(indptr, indices)`` from canonical sorted edge columns.
 

@@ -3,7 +3,7 @@
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
 from repro.mpc.metrics import RoundRecord, RoundStats
-from repro.mpc.primitives import aggregate_by_key, broadcast, gather_bundles
+from repro.mpc.primitives import aggregate_by_key, gather_bundles
 
 __all__ = [
     "MPCCluster",
@@ -11,6 +11,5 @@ __all__ = [
     "RoundRecord",
     "RoundStats",
     "aggregate_by_key",
-    "broadcast",
     "gather_bundles",
 ]

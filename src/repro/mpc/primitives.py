@@ -4,7 +4,7 @@ The paper repeatedly appeals to "standard MPC primitives developed in previous
 works" ([ASS+18] Section E, [GSZ11], [Gha] lecture notes) for the plumbing of
 its algorithms: sorting, aggregation by key, broadcast trees, and the directed
 information-gathering of Lemma 4.1.  This module provides the ones the
-pipeline calls — aggregation by key, broadcast and gathering — on top of
+pipeline calls — aggregation by key and gathering — on top of
 :class:`~repro.mpc.cluster.MPCCluster`.
 
 Each primitive does the actual data manipulation centrally (the simulator is a
@@ -19,7 +19,6 @@ key column per machine in one kernel call.  The constants charged are:
 primitive                    rounds  reference
 ===========================  ======  ==========================================
 ``aggregate_by_key``         2       sort + local combine [ASS+18]
-``broadcast``                2       n^{δ/2}-ary broadcast tree [Gha §1.3.2]
 ``gather_bundles``           3       Lemma 4.1 (sort, copy via broadcast trees,
                                      match)
 ===========================  ======  ==========================================
@@ -30,13 +29,11 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from typing import TypeVar
 
-from repro.errors import SimulationError
 from repro.mpc.cluster import MPCCluster
 
 V = TypeVar("V")
 
 AGGREGATE_ROUNDS = 2
-BROADCAST_ROUNDS = 2
 GATHER_ROUNDS = 3
 
 
@@ -61,42 +58,6 @@ def aggregate_by_key(
     cluster.communication_round(keys, keys, 1, label=f"{label}:shuffle")
     cluster.charge_rounds(AGGREGATE_ROUNDS - 1, label=f"{label}:combine")
     return grouped
-
-
-def broadcast(
-    cluster: MPCCluster,
-    payload_words: int,
-    destinations: Sequence[int],
-    source_key: int = 0,
-    label: str = "broadcast",
-) -> None:
-    """Broadcast a payload of ``payload_words`` words to all ``destinations``.
-
-    Uses the standard ``n^{δ/2}``-ary broadcast tree, hence a constant number
-    of rounds; the per-round per-machine volume is bounded by the fan-out
-    times the payload, which the cluster verifies.
-    """
-    if payload_words < 0:
-        raise SimulationError("payload_words must be non-negative")
-    if not destinations:
-        cluster.charge_rounds(BROADCAST_ROUNDS, label=label)
-        return
-    fan_out = max(int(cluster.words_per_machine ** 0.5), 2)
-    frontier = [source_key]
-    remaining = list(destinations)
-    rounds_used = 0
-    while remaining:
-        # Each frontier node sends to the next ``fan_out`` destinations,
-        # taken from the end of the list.
-        reached = min(len(remaining), len(frontier) * fan_out)
-        targets = remaining[: -reached - 1 : -1]
-        del remaining[-reached:]
-        senders = [source for source in frontier for _ in range(fan_out)][:reached]
-        cluster.communication_round(senders, targets, payload_words, label=f"{label}:tree")
-        frontier = targets
-        rounds_used += 1
-    if rounds_used < BROADCAST_ROUNDS:
-        cluster.charge_rounds(BROADCAST_ROUNDS - rounds_used, label=label)
 
 
 def gather_bundles(

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import re
+from array import array
+from decimal import Decimal
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -36,15 +41,17 @@ class TestGraphConstruction:
         assert not triangle.has_edge(0, 0)
 
     def test_rejects_duplicate_edges(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=re.escape("duplicate edge (0, 1)")):
             Graph(3, [(0, 1), (1, 0)])
 
     def test_rejects_out_of_range_vertices(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(
+            GraphError, match=re.escape("edge (0, 3) references a vertex outside 0..2")
+        ):
             Graph(3, [(0, 3)])
 
     def test_rejects_self_loops(self):
-        with pytest.raises(GraphError):
+        with pytest.raises(GraphError, match=re.escape("self loop (1, 1) is not allowed")):
             Graph(3, [(1, 1)])
 
     def test_rejects_negative_vertex_count(self):
@@ -71,6 +78,113 @@ class TestGraphConstruction:
         assert (0, 7) not in triangle
         assert list(iter(triangle)) == [0, 1, 2]
         assert len(triangle) == 3
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestConstructorContract:
+    """Exact messages and the first offender in input order, on every backend.
+
+    Within one edge the checks run range, then self loop, then duplicate;
+    across edges the earliest offending edge wins whatever its offence.
+    """
+
+    @staticmethod
+    def raises(message, num_vertices, edges):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Graph(num_vertices, edges)
+
+    @pytest.mark.parametrize(
+        "num_vertices, edges, message",
+        [
+            (3, [(-1, 2)], "edge (-1, 2) references a vertex outside 0..2"),
+            (3, [(0, 1), (0, 1)], "duplicate edge (0, 1)"),
+            (3, [(2, 0), (0, 2)], "duplicate edge (0, 2)"),
+            (0, [(0, 0)], "edge (0, 0) references a vertex outside 0..-1"),
+        ],
+    )
+    def test_exact_messages(self, num_vertices, edges, message):
+        self.raises(message, num_vertices, edges)
+
+    def test_range_is_checked_before_self_loop(self):
+        self.raises("edge (5, 5) references a vertex outside 0..2", 3, [(5, 5)])
+
+    def test_earlier_self_loop_beats_later_range_error(self):
+        self.raises("self loop (1, 1) is not allowed", 3, [(0, 1), (1, 1), (0, 9)])
+
+    def test_earlier_range_error_beats_later_self_loop(self):
+        self.raises("edge (0, 9) references a vertex outside 0..2", 3, [(0, 9), (1, 1)])
+
+    def test_earlier_self_loop_beats_later_duplicate(self):
+        self.raises("self loop (2, 2) is not allowed", 3, [(0, 1), (2, 2), (1, 0)])
+
+    def test_earlier_reversed_duplicate_beats_later_range_error(self):
+        self.raises("duplicate edge (0, 1)", 3, [(0, 1), (1, 0), (5, 5)])
+
+    def test_first_duplicate_in_input_order_is_reported(self):
+        self.raises("duplicate edge (1, 2)", 4, [(1, 2), (0, 3), (2, 1), (3, 0)])
+
+    def test_ids_above_int64_are_range_errors(self):
+        self.raises(
+            f"edge (0, {2**64}) references a vertex outside 0..2", 3, [(0, 2**64)]
+        )
+
+    def test_wrong_arity_raises_instead_of_realigning(self):
+        with pytest.raises(ValueError, match="too many values to unpack"):
+            Graph(3, [(0, 1, 2), (3,)])
+        with pytest.raises(ValueError, match="not enough values to unpack"):
+            Graph(3, [(0, 1), (2,)])
+
+    def test_unconvertible_ids_raise_int_errors(self):
+        with pytest.raises(TypeError):
+            Graph(3, [(0, None)])
+        with pytest.raises(ValueError, match="cannot convert float NaN"):
+            Graph(3, [(0, float("nan"))])
+
+    def test_iterable_error_surfaces_after_the_edges_before_it(self):
+        def broken_reader(*pairs):
+            yield from pairs
+            raise KeyError("reader broke")
+
+        self.raises("duplicate edge (0, 1)", 3, broken_reader((0, 1), (1, 0)))
+        with pytest.raises(KeyError, match="reader broke"):
+            Graph(3, broken_reader((0, 1), (1, 2)))
+
+    def test_ids_are_read_with_int(self):
+        g = Graph(4, [(-0.5, 1), (2.9, "3"), (b"0", Decimal("2.5")), (Fraction(7, 2), True)])
+        assert g.edges == ((0, 1), (0, 2), (1, 3), (2, 3))
+
+    def test_empty_inputs(self):
+        assert Graph(0).num_edges == 0
+        assert Graph(0, []).num_vertices == 0
+        assert Graph(5, iter(())).edge_endpoints == (array("l"), array("l"))
+
+    def test_output_is_canonical_and_sorted(self):
+        g = Graph(5, [(4, 0), (2, 1), (0, 3), (3, 2)])
+        assert g.edges == ((0, 3), (0, 4), (1, 2), (2, 3))
+        assert all(type(c) is array and c.typecode == "l" for c in g.edge_endpoints)
+
+
+@pytest.mark.usefixtures("kernel_backend")
+class TestFromColumns:
+    def test_matches_the_pair_constructor(self):
+        us, vs = [3, 0, 2, 4], [1, 4, 0, 3]
+        g = Graph.from_columns(5, us, vs)
+        assert g == Graph(5, zip(us, vs))
+        assert g.edges == ((0, 2), (0, 4), (1, 3), (3, 4))
+
+    def test_accepts_array_columns(self):
+        g = Graph.from_columns(3, array("l", [2, 0]), array("l", [1, 1]))
+        assert g.edges == ((0, 1), (1, 2))
+
+    def test_validates_like_the_constructor(self):
+        with pytest.raises(GraphError, match=re.escape("duplicate edge (0, 1)")):
+            Graph.from_columns(3, [0, 1], [1, 0])
+        with pytest.raises(GraphError, match=re.escape("self loop (2, 2) is not allowed")):
+            Graph.from_columns(3, [2, 0], [2, 7])
+
+    def test_rejects_columns_of_different_lengths(self):
+        with pytest.raises(GraphError, match=re.escape("(2 endpoints vs 1)")):
+            Graph.from_columns(3, [0, 1], [1])
 
 
 class TestDerivedGraphs:

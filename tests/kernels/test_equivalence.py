@@ -3,17 +3,24 @@
 Every test calls the *same dispatcher* once per backend on the same inputs
 and requires exactly equal outputs — container types included (``array('l')``
 columns, tuples, python-int lists) — and, where a kernel raises, the exact
-same exception type and message.  The whole module is skipped on hosts
-without numpy: equivalence against an absent backend is vacuous (the
-fallback itself is covered by the registry tests).
+same exception type and message.  The pure ≡ numpy classes are skipped on
+hosts without numpy: equivalence against an absent backend is vacuous (the
+fallback itself is covered by the registry tests).  The edge-canonicalisation
+class also checks every available backend against the ``Graph`` constructor's
+original loop, so it runs without numpy too.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
+from decimal import Decimal
+from fractions import Fraction
+from operator import itemgetter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import kernels
 from repro.errors import GraphError, InvalidOrientationError, SimulationError
@@ -21,10 +28,11 @@ from repro.graph.generators import (
     planted_dense_subgraph,
     union_of_random_forests,
 )
+from repro.graph.graph import normalize_edge
 from repro.mpc.config import MPCConfig
 from repro.stream.updates import EdgeUpdate
 
-pytestmark = pytest.mark.skipif(
+needs_numpy = pytest.mark.skipif(
     not kernels.numpy_available(), reason="numpy not importable"
 )
 
@@ -59,6 +67,7 @@ def both_raise(kernel_name, *args, **kwargs):
     return pure_err.value, numpy_err.value
 
 
+@needs_numpy
 class TestPeel:
     @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
     @pytest.mark.parametrize("threshold", [0, 1, 3, 8, 50])
@@ -91,6 +100,7 @@ def _reference_tally(config, keys, words):
     return machines, [totals[m] for m in machines]
 
 
+@needs_numpy
 class TestTallyByMachine:
     CONFIG = MPCConfig(num_vertices=500, num_edges=1000, delta=0.5)
 
@@ -161,6 +171,7 @@ class TestTallyByMachine:
         assert str(pure_err) == str(numpy_err) == "message size must be non-negative"
 
 
+@needs_numpy
 class TestOrientAndTally:
     @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
     def test_heads_identical_for_int_and_float_ranks(self, graph):
@@ -202,6 +213,7 @@ class TestOrientAndTally:
         assert str(pure_err) == str(numpy_err)
 
 
+@needs_numpy
 class TestMerge:
     @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
     def test_disjoint_interleaved_split_merges_identically(self, graph):
@@ -244,6 +256,7 @@ def _random_words(count, seed):
     return random.Random(seed).getrandbits(32 * count).to_bytes(4 * count, "little")
 
 
+@needs_numpy
 class TestDrawsBelow:
     @pytest.mark.parametrize("bound", [1, 2, 3, 20, 32, 33, 2**31 + 1, 2**32 - 1])
     def test_random_words_identical(self, bound):
@@ -269,6 +282,7 @@ class TestDrawsBelow:
         assert len(pure) == sum(1 for w in array("I", words) if not w >> 31)
 
 
+@needs_numpy
 class TestSplitByPart:
     @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
     @pytest.mark.parametrize("num_parts", [2, 7, 20])
@@ -302,6 +316,7 @@ class TestSplitByPart:
         assert pure == vec == [empty, empty, (edge_u, edge_v), empty]
 
 
+@needs_numpy
 class TestMergePartColumns:
     @staticmethod
     def _parts(graph, num_parts, seed):
@@ -351,6 +366,7 @@ class TestMergePartColumns:
         assert pure == vec == (edge_u, edge_v, heads)
 
 
+@needs_numpy
 class TestSmallReductions:
     def test_sum_counts(self):
         rng = random.Random(2)
@@ -373,6 +389,7 @@ class TestSmallReductions:
         assert both("sum_sizes", []) == (0, 0)
 
 
+@needs_numpy
 class TestPaletteAssembly:
     def test_random_parts_identical(self):
         rng = random.Random(77)
@@ -431,6 +448,7 @@ def _random_group(rng, vertices, shard):
     return updates
 
 
+@needs_numpy
 class TestFlipRepairGroup:
     def test_random_groups_identical(self):
         rng = random.Random(123)
@@ -476,3 +494,171 @@ class TestFlipRepairGroup:
         )
         assert "cap overflow" in str(pure_err)
         assert str(pure_err) == str(numpy_err)
+
+
+def _reference_canonical_loop(num_vertices, edges):
+    """The ``Graph`` constructor loop before it became a kernel, verbatim."""
+    n = int(num_vertices)
+    canonical = []
+    seen = set()
+    for u, v in edges:
+        u = int(u)
+        v = int(v)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(
+                f"edge ({u}, {v}) references a vertex outside 0..{n - 1}"
+            )
+        e = normalize_edge(u, v)
+        if e in seen:
+            raise GraphError(f"duplicate edge {e}")
+        seen.add(e)
+        canonical.append(e)
+    canonical.sort()
+    return (
+        array("l", map(itemgetter(0), canonical)),
+        array("l", map(itemgetter(1), canonical)),
+    )
+
+
+def _outcome(build, num_vertices, edges):
+    """The columns, or the exception's exact type and message."""
+    try:
+        return build(num_vertices, edges)
+    except Exception as error:  # every error type is compared
+        return type(error), str(error)
+
+
+def _failing_after(pairs):
+    """A generator yielding ``pairs`` and then raising, like a broken reader."""
+    yield from pairs
+    raise KeyError("reader broke")
+
+
+def _id_variants():
+    """Vertex-id types ``int()`` accepts or rejects, numpy's when present."""
+    plain = st.integers(-2, 9)
+    variants = [
+        plain,
+        plain.map(float),
+        st.floats(-2.5, 9.5, allow_nan=False),
+        plain.map(str),
+        plain.map(lambda x: str(x).encode()),
+        plain.map(Decimal),
+        st.fractions(-2, 9),
+        st.booleans(),
+        st.sampled_from(
+            [None, float("nan"), float("inf"), -float("inf"), "x", "1.5", 2**63, -(2**64)]
+        ),
+    ]
+    if kernels.numpy_available():
+        import numpy as np
+
+        variants += [plain.map(np.int64), plain.map(np.float64), plain.map(np.int32)]
+    return st.one_of(*variants)
+
+
+def _accepted_ids():
+    """Conversions of a valid id that ``int()`` reads back unchanged."""
+    conversions = [int, float, str, lambda x: str(x).encode(), Decimal, Fraction]
+    if kernels.numpy_available():
+        import numpy as np
+
+        conversions += [np.int64, np.float64]
+    return conversions
+
+
+_ACCEPTED_IDS = _accepted_ids()
+
+
+def _elements(ids):
+    pairs = st.tuples(ids, ids)
+    return st.one_of(
+        pairs,
+        pairs.map(list),
+        st.lists(ids, min_size=0, max_size=3).map(tuple),
+    )
+
+
+_SIMPLE_GRAPHS = st.integers(0, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0))).filter(
+                lambda e: e[0] != e[1]
+            ),
+            unique_by=lambda e: (min(e), max(e)),
+            max_size=30,
+        )
+        if n > 1
+        else st.just([]),
+    )
+)
+
+_NOISY_INPUTS = st.tuples(
+    st.integers(0, 12),
+    st.lists(
+        st.one_of(
+            st.tuples(st.integers(-1, 12), st.integers(-1, 12)),
+            st.lists(st.integers(0, 12), max_size=3).map(tuple),
+            _elements(_id_variants()),
+        ),
+        max_size=12,
+    ),
+)
+
+
+class TestCanonicalEdgeColumns:
+    """Every backend ≡ the old constructor loop: columns, errors, first offender."""
+
+    def check(self, num_vertices, make_edges):
+        expected = _outcome(_reference_canonical_loop, num_vertices, make_edges())
+        for backend in kernels.available_backends():
+            got = _outcome(
+                lambda n, edges: kernels.canonical_edge_columns(n, edges, backend=backend),
+                num_vertices,
+                make_edges(),
+            )
+            assert got == expected, backend
+        return expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(_SIMPLE_GRAPHS, st.sampled_from(_ACCEPTED_IDS))
+    def test_simple_graphs(self, case, convert):
+        n, edges = case
+        typed = [(convert(u), convert(v)) for u, v in edges]
+        expected = self.check(n, lambda: list(typed))
+        assert expected == _reference_canonical_loop(n, edges)  # never raises
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NOISY_INPUTS)
+    @example((3, [(0, 1), (1, 0)]))  # reversed duplicate
+    @example((3, [(0, 1, 2), (3,)]))  # wrong arity must not realign
+    @example((12, [(0, 1, 2), (3,)]))
+    @example((12, [(0, 1), (2, 3, 4)]))
+    @example((3, [(0, 2**64)]))  # above int64: the range error
+    @example((3, [(2**63, 0), (1, 1)]))
+    @example((3, [(-0.5, 1), (2, 1.9)]))  # floats truncate toward zero
+    @example((0, [(0, 0)]))
+    @example((0, []))
+    def test_noisy_inputs(self, case):
+        n, edges = case
+        self.check(n, lambda: list(edges))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_NOISY_INPUTS)
+    def test_iterable_failing_part_way(self, case):
+        n, edges = case
+        self.check(n, lambda: _failing_after(edges))
+
+    @pytest.mark.parametrize(
+        "num_vertices, make_edges",
+        [
+            (3, lambda: 5),  # not iterable at all
+            (3, lambda: [3]),  # an element that is not a pair
+            (2**62, lambda: [(2**40, 7), (3, 2**61)]),  # keys beyond int64
+            (2**62, lambda: [(2**40, 7), (7, 2**40)]),
+            (4, lambda: ((u, v) for u, v in [(3, 0), (2, 1), (0, 3)])),
+        ],
+    )
+    def test_edge_cases(self, num_vertices, make_edges):
+        self.check(num_vertices, make_edges)

@@ -9,10 +9,8 @@ from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
 from repro.mpc.primitives import (
     AGGREGATE_ROUNDS,
-    BROADCAST_ROUNDS,
     GATHER_ROUNDS,
     aggregate_by_key,
-    broadcast,
     gather_bundles,
 )
 
@@ -32,20 +30,6 @@ class TestAggregate:
     def test_min_combine(self, cluster):
         result = aggregate_by_key(cluster, [(7, 4), (7, 1), (9, 2)], combine=min)
         assert result == {7: 1, 9: 2}
-
-
-class TestBroadcast:
-    def test_broadcast_charges_rounds(self, cluster):
-        broadcast(cluster, payload_words=2, destinations=list(range(50)))
-        assert cluster.stats.num_rounds >= BROADCAST_ROUNDS
-
-    def test_broadcast_empty_destinations(self, cluster):
-        broadcast(cluster, payload_words=2, destinations=[])
-        assert cluster.stats.num_rounds == BROADCAST_ROUNDS
-
-    def test_broadcast_rejects_negative_payload(self, cluster):
-        with pytest.raises(SimulationError):
-            broadcast(cluster, payload_words=-1, destinations=[1])
 
 
 class TestGather:
