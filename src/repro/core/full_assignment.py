@@ -14,8 +14,14 @@
   and layer decay ``|{v : ℓ(v) ≥ j}| ≤ 0.5^{j-1}·n``.
 
 The functions below work on *induced subgraphs* of the original input; layers
-are always reported in terms of the original vertex ids, as a flat per-vertex
-column (``UNASSIGNED`` = ``∞`` for vertices without a layer).
+are always reported in terms of the original vertex ids, as one flat
+``array('l')`` per-vertex column with ``0`` for vertices without a layer.  The
+column comes straight out of the peel kernel and is updated in place: the
+unassigned scan (:func:`repro.kernels.unassigned_positions`) and the write-back
+of a subgraph's layers (:func:`repro.kernels.scatter_layers`) are kernel
+dispatches, so a part that the Stage 1 peel finishes costs no Python pass over
+its vertices.  A Lemma 3.13 result keeps the Definition 2.1 float column
+(``UNASSIGNED`` = ``∞``) and is converted once, where it is scattered.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import math
 from array import array
 from dataclasses import dataclass, field
 
+from repro import kernels
 from repro.core.layering import UNASSIGNED
 from repro.core.parameters import loglog
 from repro.core.partial_assignment import partial_assignment_with_decay
@@ -37,12 +44,12 @@ from repro.mpc.cluster import MPCCluster
 class LayerAssignmentRun:
     """A complete (or partial) layer assignment over the original vertex ids.
 
-    ``layer_of[v]`` is the layer of vertex ``v`` as a float, or
-    :data:`UNASSIGNED`.
+    ``layer_of`` is an ``array('l')`` column: ``layer_of[v]`` is the layer
+    (``≥ 1``) of vertex ``v``, or ``0`` when ``v`` is unassigned.
     """
 
     graph: Graph
-    layer_of: list[float]
+    layer_of: array
     out_degree_bound: int
     num_layers_used: int
     phases: int
@@ -51,21 +58,22 @@ class LayerAssignmentRun:
 
     def __post_init__(self) -> None:
         n = self.graph.num_vertices
-        if len(self.layer_of) != n or min(self.layer_of, default=1) < 1:
+        column = self.layer_of
+        if len(column) != n or any(column[v] for v in kernels.unassigned_positions(column)):
             raise InvalidLayeringError(
-                f"a layer column needs {n} entries, each ≥ 1 or UNASSIGNED"
+                f"a layer column needs {n} entries, each ≥ 1 or 0 (unassigned)"
             )
 
     def is_complete(self) -> bool:
-        """Whether every vertex received a finite layer."""
-        return UNASSIGNED not in self.layer_of
+        """Whether every vertex received a layer."""
+        return not kernels.unassigned_positions(self.layer_of)
 
     def layer_column(self) -> array:
-        """The layers as an ``array('l')`` indexed by vertex (requires completeness)."""
-        missing = self.layer_of.count(UNASSIGNED)
+        """A copy of the layer column (requires completeness)."""
+        missing = len(kernels.unassigned_positions(self.layer_of))
         if missing:
             raise ParameterError(f"assignment is not complete: {missing} unassigned vertices")
-        return array("l", map(int, self.layer_of))
+        return self.layer_of[:]
 
     def to_hpartition(self) -> HPartition:
         """Convert to an :class:`HPartition` (requires completeness)."""
@@ -96,8 +104,8 @@ def iterated_partial_assignment(
     if max_iterations is None:
         max_iterations = max(2 * int(math.ceil(math.log2(max(k, 2)))) + 4, 4)
 
-    layer_of = [UNASSIGNED] * graph.num_vertices
-    unassigned = list(graph.vertices)
+    layer_of = array("l", [0]) * graph.num_vertices
+    unassigned = kernels.unassigned_positions(layer_of)
     offset = 0
     out_degree_bound = 0
     rounds_before = cluster.stats.num_rounds if cluster is not None else 0
@@ -110,8 +118,8 @@ def iterated_partial_assignment(
         result = partial_assignment_with_decay(subgraph, k=k, budget=budget, cluster=cluster)
         assignment = result.assignment
         out_degree_bound = max(out_degree_bound, assignment.out_degree)
-        newly_assigned = _scatter_layers(
-            layer_of, subgraph.parent_ids, assignment.layer_of, offset
+        newly_assigned = kernels.scatter_layers(
+            layer_of, subgraph.parent_ids, _integer_column(assignment.layer_of), offset
         )
         offset += result.params.num_layers
         phase_log.append(
@@ -122,7 +130,7 @@ def iterated_partial_assignment(
                 "layers_in_phase": float(result.params.num_layers),
             }
         )
-        unassigned = [v for v in unassigned if layer_of[v] == UNASSIGNED]
+        unassigned = kernels.unassigned_positions(layer_of)
         if newly_assigned == 0:
             # The procedure is stuck (can only happen when k is far below the
             # true arboricity); avoid an infinite loop and let the caller's
@@ -136,7 +144,7 @@ def iterated_partial_assignment(
         # (possibly larger) out-degree honestly.
         offset += 1
         for v in unassigned:
-            layer_of[v] = float(offset)
+            layer_of[v] = offset
 
     rounds_after = cluster.stats.num_rounds if cluster is not None else 0
     return LayerAssignmentRun(
@@ -155,20 +163,9 @@ def iterated_partial_assignment(
 # --------------------------------------------------------------------------- #
 
 
-def _scatter_layers(
-    layer_of: list[float], parent_ids: tuple[int, ...], local: list[float], offset: int
-) -> int:
-    """Write a subgraph's assigned layers, shifted by ``offset``, into ``layer_of``.
-
-    ``local[i]`` is the layer of local vertex ``i``, whose parent id is
-    ``parent_ids[i]``.  Returns the number of vertices written.
-    """
-    written = 0
-    for parent, layer in zip(parent_ids, local):
-        if layer != UNASSIGNED:
-            layer_of[parent] = offset + layer
-            written += 1
-    return written
+def _integer_column(layer_of) -> array:
+    """A Definition 2.1 column (``∞`` = unassigned) as an ``array('l')`` (``0``)."""
+    return array("l", [0 if layer == UNASSIGNED else int(layer) for layer in layer_of])
 
 
 def _peel_low_degree(
@@ -176,17 +173,16 @@ def _peel_low_degree(
     k: int,
     rounds: int,
     cluster: MPCCluster | None = None,
-) -> tuple[list[float], list[int], int]:
+) -> tuple[array, array, int]:
     """Stage 1 of Lemma 3.15: peel vertices of degree ≤ k for ``rounds`` rounds.
 
-    Returns the layer column (1-based layers, :data:`UNASSIGNED` for
+    Returns the peel kernel's layer column (1-based layers, ``0`` for
     survivors), the surviving vertices, and the number of peeling rounds
     actually used.  Each peeling round is one MPC round (degree
     recomputation is an aggregate-by-key, charged as part of the same round).
     """
-    layers, used_rounds = graph.peel_layers(k, max_rounds=rounds)
-    layer_of = [float(layer) if layer else UNASSIGNED for layer in layers]
-    survivors = [v for v, layer in enumerate(layers) if not layer]
+    layer_of, used_rounds = graph.peel_layers(k, max_rounds=rounds)
+    survivors = kernels.unassigned_positions(layer_of)
     if cluster is not None and used_rounds:
         cluster.charge_rounds(used_rounds, label="peel:low-degree")
     return layer_of, survivors, used_rounds
@@ -250,15 +246,15 @@ def complete_layer_assignment(
     ]
     max_phases = max(int(math.ceil(loglog(n))) + 4, 4)
 
-    remaining = list(survivors)
+    remaining = survivors
     while remaining and phases < max_phases:
         phases += 1
         subgraph = graph.induced_subgraph(remaining)
         run = iterated_partial_assignment(subgraph, k=k, budget=budget, cluster=cluster)
         out_degree_bound = max(out_degree_bound, run.out_degree_bound)
-        _scatter_layers(layer_of, subgraph.parent_ids, run.layer_of, offset)
+        kernels.scatter_layers(layer_of, subgraph.parent_ids, run.layer_of, offset)
         offset += run.num_layers_used
-        newly_remaining = [v for v in remaining if layer_of[v] == UNASSIGNED]
+        newly_remaining = kernels.unassigned_positions(layer_of)
         phase_log.append(
             {
                 "phase": float(phases),
@@ -273,7 +269,7 @@ def complete_layer_assignment(
     if remaining:
         offset += 1
         for v in remaining:
-            layer_of[v] = float(offset)
+            layer_of[v] = offset
 
     rounds_after = cluster.stats.num_rounds if cluster is not None else 0
     return LayerAssignmentRun(

@@ -14,11 +14,14 @@ Implements Section 2.1 of the paper:
 
 Storage layout: ``layer_of`` is a flat per-vertex list of floats (``∞`` =
 :data:`UNASSIGNED`) indexed by vertex id and aligned with the graph's CSR
-arrays — the same column form as :class:`~repro.graph.hpartition.HPartition`
-and :class:`~repro.core.full_assignment.LayerAssignmentRun`.  The peeling
-constructor delegates to the shared frontier kernel
-:meth:`repro.graph.graph.Graph.peel_layers`, and the path-count DPs are
-single passes over a layer-sorted vertex array.
+arrays.  It stays a float list, unlike the integer ``array('l')`` columns of
+:class:`~repro.graph.hpartition.HPartition` and
+:class:`~repro.core.full_assignment.LayerAssignmentRun` (``0`` = unassigned),
+because Definition 2.1's comparisons rely on ``∞`` ranking above every
+layer; Lemma 3.14 converts it once, where it scatters a result into its
+integer column.  The peeling constructor delegates to the shared frontier
+kernel :meth:`repro.graph.graph.Graph.peel_layers`, and the path-count DPs
+are single passes over a layer-sorted vertex array.
 """
 
 from __future__ import annotations

@@ -493,13 +493,20 @@ class InducedSubgraph(Graph):
     """An induced subgraph that remembers the mapping back to its parent.
 
     ``local`` ids are ``0 .. k-1``; :meth:`to_parent` and :meth:`to_local`
-    translate between local and parent vertex ids.
+    translate between local and parent vertex ids.  Without ``to_parent``
+    the mapping is the identity, so the inherited constructors
+    (:meth:`~Graph.empty`, :meth:`~Graph.from_edges`,
+    :meth:`~Graph.from_columns`) build a subgraph of itself.
     """
 
     __slots__ = ("_to_parent", "_to_local")
 
-    def __init__(self, num_vertices: int, edges: Iterable[Edge], to_parent: Sequence[int]) -> None:
+    def __init__(
+        self, num_vertices: int, edges: Iterable[Edge] = (), to_parent: Sequence[int] | None = None
+    ) -> None:
         super().__init__(num_vertices, edges)
+        if to_parent is None:
+            to_parent = range(self._n)
         if len(to_parent) != num_vertices:
             raise GraphError("to_parent must list exactly one parent id per local vertex")
         self._to_parent: tuple[int, ...] = tuple(int(p) for p in to_parent)

@@ -67,6 +67,8 @@ __all__ = [
     "compact_journal",
     "validate_batch",
     "tally_by_machine",
+    "unassigned_positions",
+    "scatter_layers",
 ]
 
 PURE = "pure"
@@ -360,6 +362,27 @@ def tally_by_machine(num_machines, keys, words, backend=None):
     size (so never for an empty key column).
     """
     return _module(backend).tally_by_machine(num_machines, keys, words)
+
+
+def unassigned_positions(column, backend=None):
+    """Ascending positions of the entries below 1 of a layer column, as an ``array('l')``.
+
+    In a valid integer layer column (layers ``≥ 1``, ``0`` = unassigned)
+    these are exactly the unassigned vertices; a negative entry, which no
+    valid column holds, is listed too so that callers can reject it.
+    """
+    return _module(backend).unassigned_positions(column)
+
+
+def scatter_layers(column, parent_ids, local, offset, backend=None):
+    """Write a subgraph's assigned layers, shifted by ``offset``, into ``column``.
+
+    ``local[i]`` is the layer of local vertex ``i`` (``0`` = unassigned),
+    whose id in ``column`` is ``parent_ids[i]``; each assigned one is
+    written in place as ``offset + local[i]``.  Returns the number of
+    vertices written.
+    """
+    return _module(backend).scatter_layers(column, parent_ids, local, offset)
 
 
 def flip_repair_group(shard, group_updates, cap, choose_tail, backend=None):

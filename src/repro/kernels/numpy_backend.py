@@ -10,6 +10,8 @@ in an ``np.frombuffer`` view without copying.  The rules for these views:
 
 * they alias the source buffer — treat them as **read-only** (kernels that
   need a scratch copy take one explicitly, e.g. the peel's degree vector);
+  the one exception is :func:`scatter_layers`, whose contract is to update
+  the caller's column in place;
 * they are only valid while the source object is alive (the view holds a
   reference, so ordinary usage is safe, but never stash a view beyond the
   life of a shared-memory segment's mapping);
@@ -473,6 +475,25 @@ def tally_by_machine(num_machines, keys, words):
         np.add.at(totals, machines, sizes)
     touched = np.flatnonzero(counts)
     return touched.tolist(), totals[touched].tolist()
+
+
+def unassigned_positions(column):
+    """One ``flatnonzero`` over the ``column < 1`` mask."""
+    return to_array(np.flatnonzero(np_view(column) < 1))
+
+
+def scatter_layers(column, parent_ids, local, offset):
+    """One masked fancy-index write through a view of ``column``.
+
+    The only kernel that writes through :func:`np_view`: ``column`` is the
+    caller's mutable ``array('l')``, updated in place like the reference.
+    """
+    layers = np_view(local)
+    assigned = np.flatnonzero(layers)
+    if assigned.size:
+        parents = np.asarray(parent_ids, dtype=_DTYPE)
+        np_view(column)[parents[assigned]] = layers[assigned] + offset
+    return int(assigned.size)
 
 
 def _canonical(u, v):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from itertools import compress, repeat
 from operator import sub
 
 from repro.errors import GraphError, InvalidOrientationError, SimulationError
@@ -418,6 +418,22 @@ def tally_by_machine(num_machines, keys, words):
         totals[machine] = get(machine, 0) + size
     machines = sorted(totals)
     return machines, list(map(totals.__getitem__, machines))
+
+
+def unassigned_positions(column):
+    """Ascending positions of the entries below 1 of a layer column."""
+    return array("l", compress(range(len(column)), map((1).__gt__, column)))
+
+
+def scatter_layers(column, parent_ids, local, offset):
+    """Write ``offset + local[i]`` at ``parent_ids[i]`` for every non-zero
+    ``local[i]``; returns the number written."""
+    written = 0
+    for parent, layer in zip(parent_ids, local):
+        if layer:
+            column[parent] = offset + layer
+            written += 1
+    return written
 
 
 def _canonical(u, v):

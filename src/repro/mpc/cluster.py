@@ -34,7 +34,9 @@ objects and keyed machines, never the machine count ``M``:
 * *Keyed storage* (:meth:`MPCCluster.store_at_key`,
   :meth:`MPCCluster.load_graph`, the ``store_tag`` payload of
   :meth:`MPCCluster.communication_round`) lands on the machine the placement
-  hash picks for the key, so it is recorded per machine and per tag.
+  hash picks for the key.  It is recorded as one ``{machine: words}`` record
+  per tag, so a store into a new tag is one ``dict(zip(machines, totals))``
+  of its per-machine tallies, and dropping a tag drops one record.
 * *Spread objects* (:meth:`MPCCluster.store_spread`,
   :meth:`MPCCluster.restore_spread`) are kept per tag as word totals.  A
   ``T``-word object puts ``⌈T/M⌉`` words on each machine from 0 upward and
@@ -222,9 +224,9 @@ class MPCCluster:
         self.enforce_global_memory = enforce_global_memory
         self.memory_quota = memory_quota
         self.stats = RoundStats()
-        # machine id -> tag -> keyed words (non-zero entries only; negative
+        # tag -> machine id -> keyed words (non-zero entries only; negative
         # when a keyed release took words out of a spread share).
-        self._keyed: dict[int, dict[str, int]] = {}
+        self._keyed: dict[str, dict[int, int]] = {}
         self._spread: dict[str, list[int]] = {}  # tag -> totals of its spread objects
         self._in_use = 0
         self._peak = 0
@@ -257,9 +259,14 @@ class MPCCluster:
         """The cluster as a JSON-serializable snapshot (checkpoint seam).
 
         Holds the keyed records, the spread totals per tag and the peak
-        scalar; words in use are derived on restore.  A cluster holding only
-        spread objects has no per-machine entries.
+        scalar; words in use are derived on restore.  The keyed records are
+        listed per machine, ``[[machine, {tag: words}], ...]`` in ascending
+        machine id; a cluster holding only spread objects has none.
         """
+        by_machine: dict[int, dict[str, int]] = {}
+        for tag, records in self._keyed.items():
+            for machine_id, words in records.items():
+                by_machine.setdefault(machine_id, {})[tag] = words
         return {
             "config": {
                 "num_vertices": self.config.num_vertices,
@@ -274,9 +281,7 @@ class MPCCluster:
             "stats": self.stats.state_dict(),
             "peak_machine_words": self._peak,
             "spread": {tag: list(totals) for tag, totals in self._spread.items()},
-            "keyed": [
-                [machine_id, dict(tags)] for machine_id, tags in sorted(self._keyed.items())
-            ],
+            "keyed": [[machine_id, tags] for machine_id, tags in sorted(by_machine.items())],
         }
 
     @classmethod
@@ -337,7 +342,7 @@ class MPCCluster:
         if words < 0:
             raise ValueError("words must be non-negative")
         machine_id = self.config.machine_of(key)
-        held = self._keyed.get(machine_id, {}).get(tag, 0)
+        held = self._keyed.get(tag, {}).get(machine_id, 0)
         held += sum(
             _share(total, self._num_machines, machine_id) for total in self._spread.get(tag, ())
         )
@@ -388,8 +393,11 @@ class MPCCluster:
 
     def _held(self, machine_id: int, without: str | None = None) -> int:
         """Words on ``machine_id``, ignoring everything under ``without``."""
-        tags = self._keyed.get(machine_id, {})
-        return sum(tags.values()) - tags.get(without, 0) + self._spread_words(machine_id, without)
+        keyed = 0
+        for tag, records in self._keyed.items():
+            if tag != without:
+                keyed += records.get(machine_id, 0)
+        return keyed + self._spread_words(machine_id, without)
 
     def _spread_words(self, machine_id: int, without: str | None = None) -> int:
         """Spread-object words on ``machine_id``, ignoring tag ``without``."""
@@ -403,23 +411,18 @@ class MPCCluster:
 
     def _adjust_keyed(self, machine_id: int, tag: str, delta: int) -> None:
         """Add ``delta`` keyed words of ``tag`` on one machine (ledger only)."""
-        tags = self._keyed.setdefault(machine_id, {})
-        words = tags.get(tag, 0) + delta
+        records = self._keyed.setdefault(tag, {})
+        words = records.get(machine_id, 0) + delta
         if words:
-            tags[tag] = words
+            records[machine_id] = words
         else:
-            tags.pop(tag, None)
-            if not tags:
-                del self._keyed[machine_id]
+            records.pop(machine_id, None)
+            if not records:
+                del self._keyed[tag]
 
     def _drop_keyed_tag(self, tag: str) -> int:
-        """Remove ``tag`` from every keyed record; returns the words dropped."""
-        dropped = 0
-        for machine_id, tags in list(self._keyed.items()):
-            dropped += tags.pop(tag, 0)
-            if not tags:
-                del self._keyed[machine_id]
-        return dropped
+        """Remove the keyed record of ``tag``; returns the words dropped."""
+        return sum(self._keyed.pop(tag, {}).values())
 
     def _keyed_peak(self, machines, words, keys, enforce: bool) -> int:
         """The peak after adding ``words`` to ``machines`` (ascending ids).
@@ -445,14 +448,16 @@ class MPCCluster:
 
     def _commit_keyed(self, machines, words, tag: str) -> None:
         """Add ``words`` of ``tag`` to ``machines`` (ledger records only)."""
-        keyed = self._keyed
-        for machine_id, stored in zip(machines, words):
-            if not stored:
-                continue
-            if machine_id in keyed:
-                self._adjust_keyed(machine_id, tag, stored)
-            else:
-                keyed[machine_id] = {tag: stored}
+        if tag in self._keyed:
+            for machine_id, stored in zip(machines, words):
+                if stored:
+                    self._adjust_keyed(machine_id, tag, stored)
+            return
+        records = dict(zip(machines, words))
+        if 0 in records.values():
+            records = {machine_id: stored for machine_id, stored in records.items() if stored}
+        if records:
+            self._keyed[tag] = records
 
     def _store_keyed(self, machines, words, keys, tag: str, enforce: bool) -> None:
         """Store ``words`` on ``machines`` (ascending ids) under ``tag``,
@@ -473,7 +478,7 @@ class MPCCluster:
         in_use = self._in_use + total
         if replace:
             in_use -= sum(self._spread.get(tag, ()))
-            in_use -= sum(tags.get(tag, 0) for tags in self._keyed.values())
+            in_use -= sum(self._keyed.get(tag, {}).values())
         peak = self._spread_peak(total, without) if total else self._peak
         self._check_global(in_use)
         if replace:
@@ -498,11 +503,11 @@ class MPCCluster:
         full = total // share
         remainder = total - full * share
         covered = full + (remainder > 0)
-        keyed = self._keyed
+        occupied = set().union(*self._keyed.values())
         first_plain = 0
-        while first_plain in keyed:
+        while first_plain in occupied:
             first_plain += 1
-        candidates = [machine_id for machine_id in keyed if machine_id < covered]
+        candidates = [machine_id for machine_id in occupied if machine_id < covered]
         if first_plain < covered:
             candidates.append(first_plain)
         enforce = self.enforce_limits

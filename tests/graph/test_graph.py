@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 from array import array
 from decimal import Decimal
@@ -246,6 +247,24 @@ class TestInducedSubgraphValidation:
     def test_parent_length_mismatch_rejected(self):
         with pytest.raises(GraphError):
             InducedSubgraph(2, [(0, 1)], [3])
+
+    # The inherited constructors build a subgraph of itself (identity map).
+
+    def test_empty_has_identity_parent_ids(self):
+        sub = InducedSubgraph.empty(3)
+        assert isinstance(sub, InducedSubgraph)
+        assert (sub.num_edges, sub.parent_ids, sub.to_local(2)) == (0, (0, 1, 2), 2)
+
+    def test_from_edges_has_identity_parent_ids(self):
+        sub = InducedSubgraph.from_edges([(0, 1)])
+        assert isinstance(sub, InducedSubgraph)
+        assert (sub.edges, sub.parent_ids, sub.to_parent(1)) == (((0, 1),), (0, 1), 1)
+
+    def test_from_columns_has_identity_parent_ids(self):
+        sub = InducedSubgraph.from_columns(2, [0], [1])
+        assert isinstance(sub, InducedSubgraph)
+        assert (sub.edges, sub.parent_ids) == (((0, 1),), (0, 1))
+        assert pickle.loads(pickle.dumps(sub)).parent_ids == (0, 1)
 
 
 @settings(max_examples=50, deadline=None)

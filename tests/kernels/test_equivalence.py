@@ -390,6 +390,45 @@ class TestSmallReductions:
 
 
 @needs_numpy
+class TestLayerColumns:
+    """The integer layer column kernels (``0`` = unassigned)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=-2, max_value=4), max_size=80))
+    def test_unassigned_positions_identical(self, values):
+        column = array("l", values)
+        pure, vec = both("unassigned_positions", column)
+        assert pure == vec == array("l", [v for v, layer in enumerate(values) if layer < 1])
+        assert isinstance(vec, array) and vec.typecode == "l"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_scatter_layers_identical(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=60))
+        parents = data.draw(st.lists(st.sampled_from(range(n)), unique=True) if n else st.just([]))
+        local = data.draw(st.lists(st.integers(0, 5), min_size=len(parents), max_size=len(parents)))
+        offset = data.draw(st.integers(min_value=0, max_value=9))
+        start = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        columns = {}
+        for backend in (kernels.PURE, kernels.NUMPY):
+            column = array("l", start)
+            written = kernels.scatter_layers(
+                column, tuple(parents), array("l", local), offset, backend=backend
+            )
+            columns[backend] = (written, column)
+        expected = array("l", start)
+        for parent, layer in zip(parents, local):
+            if layer:
+                expected[parent] = offset + layer
+        assert columns[kernels.PURE] == columns[kernels.NUMPY]
+        assert columns[kernels.PURE] == (sum(map(bool, local)), expected)
+
+    def test_empty_columns(self):
+        assert both("unassigned_positions", array("l")) == (array("l"), array("l"))
+        assert both("scatter_layers", array("l"), (), array("l"), 3) == (0, 0)
+
+
+@needs_numpy
 class TestPaletteAssembly:
     def test_random_parts_identical(self):
         rng = random.Random(77)
