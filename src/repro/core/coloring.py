@@ -51,6 +51,7 @@ import math
 import random
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 from repro import kernels
 from repro.core.directed_expo import directed_reachability
@@ -114,54 +115,51 @@ def _color_layered_graph(
     and the total number of LOCAL subroutine rounds consumed.
     """
     layer_of = hpartition.layer_of
-    num_layers = hpartition.num_layers
+    out_csr = hpartition.out_csr()
     colors = array("l", [-1]) * graph.num_vertices
     local_rounds = 0
 
     n = max(graph.num_vertices, 2)
     set_size_limit = max(int(math.ceil(4 * (n ** delta))), 16)
     # Batch size in layers: the paper uses Θ(δ log n / log^{2.67} log n).  The
-    # batch size is fixed: the reachability call below only charges the
-    # Lemma 4.1 gather, and its result (sets truncated at the local-memory
-    # proxy) is not used to shrink a batch.
+    # batch size is fixed: each batch's vertices walk the directed out-CSR in
+    # one reachability kernel call, whose pair columns only feed the
+    # Lemma 4.1 gather's ledger charge; the sets (truncated at the
+    # local-memory proxy) are not used to shrink a batch.
     loglog = max(math.log2(max(math.log2(n), 2.0)), 1.0)
     default_batch = max(int(math.ceil(math.log2(n) / (loglog ** 2))), 1)
 
-    highest_uncolored = num_layers
+    highest_uncolored = hpartition.num_layers
     while highest_uncolored >= 1:
         batch = min(default_batch, highest_uncolored)
         lowest_in_batch = highest_uncolored - batch + 1
-        batch_vertices = [
-            v for v in graph.vertices if lowest_in_batch <= layer_of[v] <= highest_uncolored
-        ]
-        if cluster is not None and batch_vertices:
-            max_distance = batch * 4
-            directed_reachability(
-                graph,
-                layer_of,
-                batch_vertices,
-                max_distance=max_distance,
-                cluster=cluster,
-                set_size_limit=set_size_limit,
+        if cluster is not None:
+            batch_vertices = sorted(
+                chain.from_iterable(hpartition.layers[lowest_in_batch - 1 : highest_uncolored])
             )
+            if batch_vertices:
+                directed_reachability(
+                    graph,
+                    layer_of,
+                    batch_vertices,
+                    max_distance=batch * 4,
+                    cluster=cluster,
+                    set_size_limit=set_size_limit,
+                    out_csr=out_csr,
+                )
 
         # Color the batch layer by layer (highest first); each layer is a
-        # degree+1 list coloring on the graph induced by that layer.
+        # degree+1 list coloring on the graph induced by that layer.  A
+        # member's out-CSR row is exactly its neighbors in layers ≥ its own,
+        # so its palette is the full one minus the colors on that row.
         for layer_index in range(highest_uncolored, lowest_in_batch - 1, -1):
             members = hpartition.layer(layer_index)
             if not members:
                 continue
             induced = graph.induced_subgraph(members)
-            palettes: list[list[int]] = []
-            for v in induced.parent_ids:
-                taken = {
-                    colors[w]
-                    for w in graph.neighbors(v)
-                    if colors[w] >= 0 and layer_of[w] >= layer_index
-                }
-                palettes.append(
-                    [palette_base + c for c in range(palette_size) if palette_base + c not in taken]
-                )
+            palettes = kernels.layer_palettes(
+                induced.parent_ids, *out_csr, colors, palette_base, palette_size
+            )
             result = random_list_coloring(induced, palettes, rng=rng)
             local_rounds += result.rounds
             for local_v, color in result.colors.items():

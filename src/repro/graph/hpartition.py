@@ -17,6 +17,7 @@ from array import array
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from repro import kernels
 from repro.errors import InvalidLayeringError
 from repro.graph.graph import Graph
 from repro.graph.orientation import Orientation
@@ -39,6 +40,9 @@ class HPartition:
     graph: Graph
     layer_of: array
     _layers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False, default=())
+    _out_csr: tuple[array, array] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
 
     def __post_init__(self) -> None:
         n = self.graph.num_vertices
@@ -96,9 +100,28 @@ class HPartition:
         mine = self.layer_of[v]
         return sum(1 for w in self.graph.neighbors(v) if self.layer_of[w] >= mine)
 
+    def out_csr(self) -> tuple[array, array]:
+        """The directed out-CSR ``(out_indptr, out_indices)``, built once.
+
+        Row ``v`` lists, ascending, the neighbors of ``v`` in layers
+        ``≥ ℓ(v)``: same-layer edges point both ways, cross-layer edges
+        toward the higher layer (the directions of Lemma 4.1).
+        """
+        if self._out_csr is None:
+            graph = self.graph
+            csr = kernels.directed_out_csr(
+                graph.num_vertices, graph.csr_indptr, graph.csr_indices, self.layer_of
+            )
+            object.__setattr__(self, "_out_csr", csr)
+        return self._out_csr
+
+    def out_degrees(self) -> array:
+        """Per-vertex out-degree column: the row lengths of :meth:`out_csr`."""
+        return kernels.row_lengths(self.out_csr()[0])
+
     def max_out_degree(self) -> int:
         """``max_v |{u ∈ N(v) : ℓ(u) ≥ ℓ(v)}|`` — the H-partition's out-degree."""
-        return max((self.out_degree_of(v) for v in self.graph.vertices), default=0)
+        return max(self.out_degrees(), default=0)
 
     def to_orientation(self) -> Orientation:
         """Orient every edge toward the strictly higher layer (ties toward larger id)."""
@@ -110,13 +133,10 @@ class HPartition:
 
     def validate_out_degree(self, bound: int) -> None:
         """Raise unless every vertex has ≤ ``bound`` neighbors in layers ≥ its own."""
-        worst = self.max_out_degree()
+        degrees = self.out_degrees()
+        worst = max(degrees, default=0)
         if worst > bound:
-            offenders = [
-                v
-                for v in self.graph.vertices
-                if self.out_degree_of(v) > bound
-            ]
+            offenders = [v for v, degree in enumerate(degrees) if degree > bound]
             raise InvalidLayeringError(
                 f"H-partition out-degree {worst} exceeds bound {bound} "
                 f"({len(offenders)} offenders, e.g. {offenders[:5]})"

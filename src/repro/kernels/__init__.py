@@ -1,7 +1,8 @@
 """Pluggable kernel backends for the CSR hot paths.
 
 The graph core's inner loops — edge canonicalisation, frontier peeling,
-head flips, outdegree tallies, orientation merges, palette assembly — are
+head flips, outdegree tallies, orientation merges, palette assembly, the
+Lemma 4.1 directed reachability — are
 pure-python passes over flat ``array('l')`` columns.  This package puts one
 *dispatch seam* in front of each of them: the reference implementations live in
 :mod:`repro.kernels.pure`, and :mod:`repro.kernels.numpy_backend` provides
@@ -69,6 +70,10 @@ __all__ = [
     "tally_by_machine",
     "unassigned_positions",
     "scatter_layers",
+    "directed_out_csr",
+    "row_lengths",
+    "directed_reach",
+    "layer_palettes",
 ]
 
 PURE = "pure"
@@ -383,6 +388,54 @@ def scatter_layers(column, parent_ids, local, offset, backend=None):
     vertices written.
     """
     return _module(backend).scatter_layers(column, parent_ids, local, offset)
+
+
+def directed_out_csr(num_vertices, indptr, indices, layer_of, backend=None):
+    """The directed out-CSR ``(out_indptr, out_indices)`` of a layered graph.
+
+    Row ``u`` keeps, in CSR order, the neighbors ``w`` of ``u`` with
+    ``layer_of[w] ≥ layer_of[u]``: edges inside a layer point both ways and
+    edges across layers point toward the higher layer.  Both columns are
+    ``array('l')``.
+    """
+    return _module(backend).directed_out_csr(num_vertices, indptr, indices, layer_of)
+
+
+def row_lengths(indptr, backend=None):
+    """Row lengths ``indptr[v + 1] - indptr[v]`` of a CSR, as an ``array('l')``."""
+    return _module(backend).row_lengths(indptr)
+
+
+def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit, backend=None):
+    """Bounded BFS from every start over a directed out-CSR, as pair columns.
+
+    Every entry of ``starts`` (vertex ids) is walked on its own, a repeated
+    one again.  Start ``s`` reaches the vertices at distance
+    ``≤ max_distance`` in BFS order: by level, and inside a level in
+    frontier order, then CSR order.  With ``set_size_limit`` (an
+    int ``≥ 1``, or ``None`` for no limit) each start keeps only the first
+    ``set_size_limit + 1`` of them.  Returns ``(owners, requesters, sizes)``
+    as ``array('l')`` columns: ``requesters[i]`` reached ``owners[i]``, the
+    pairs grouped by start in the order of ``starts``, each group in BFS
+    order (the start first), and ``sizes[j]`` the group size of
+    ``starts[j]``.
+    """
+    return _module(backend).directed_reach(
+        out_indptr, out_indices, starts, max_distance, set_size_limit
+    )
+
+
+def layer_palettes(
+    members, out_indptr, out_indices, colors, palette_base, palette_size, backend=None
+):
+    """Free colors of each member: ``palette_base .. palette_base+palette_size-1``
+    minus the colors (``≥ 0``) of its out-CSR row.
+
+    Returns one ascending python-int list per member, in ``members`` order.
+    """
+    return _module(backend).layer_palettes(
+        members, out_indptr, out_indices, colors, palette_base, palette_size
+    )
 
 
 def flip_repair_group(shard, group_updates, cap, choose_tail, backend=None):

@@ -496,6 +496,146 @@ def scatter_layers(column, parent_ids, local, offset):
     return int(assigned.size)
 
 
+def _gather_rows(indptr, rows):
+    """Positions of the CSR entries of ``rows``, row after row, and the
+    row lengths."""
+    begins = indptr[rows]
+    lens = indptr[rows + 1] - begins
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    positions = np.arange(total, dtype=_DTYPE) + np.repeat(begins - (ends - lens), lens)
+    return positions, lens
+
+
+def directed_out_csr(num_vertices, indptr, indices, layer_of):
+    """One mask ``layer[w] ≥ layer[u]`` over the CSR entries, then a
+    ``bincount`` of the kept entries' rows."""
+    ptr = np_view(indptr)
+    nbr = np_view(indices)
+    layer = _int_column(layer_of)
+    rows = np.repeat(np.arange(num_vertices, dtype=_DTYPE), ptr[1:] - ptr[:-1])
+    keep = layer[nbr] >= layer[rows]
+    out_indptr = np.zeros(num_vertices + 1, dtype=_DTYPE)
+    np.cumsum(np.bincount(rows[keep], minlength=num_vertices), out=out_indptr[1:])
+    return to_array(out_indptr), to_array(nbr[keep])
+
+
+def row_lengths(indptr):
+    """One ``np.diff``."""
+    return to_array(np.diff(np_view(indptr)))
+
+
+# Starts per block of the reachability expansion: ``block · n`` cells bound
+# the dense per-block tables.
+_REACH_BLOCK_CELLS = 1 << 18
+_NO_POSITION = np.iinfo(_DTYPE).max
+
+
+def _reach_block(indptr, indices, n, starts, max_distance, cap, first):
+    """Level-synchronous BFS of one block of starts as ``(slot, vertex)`` pairs.
+
+    ``slot`` is the start's position in the block and ``slot * n + vertex``
+    a cell of the dense tables.  ``first`` is the first-position table, all
+    :data:`_NO_POSITION` on entry and again on return.  The frontier stays
+    sorted by slot (the starts come in slot order and every level keeps its
+    candidates' order), so a pair's rank inside its start's level is its
+    offset from the start of its slot run.  Returns the owner column grouped
+    by slot, each group in BFS order, and the group sizes.
+    """
+    b = starts.size
+    seen = np.zeros(b * n, dtype=bool)
+    slot = np.arange(b, dtype=_DTYPE)
+    vertex = starts
+    seen[slot * n + vertex] = True
+    sizes = np.ones(b, dtype=_DTYPE)
+    # (slot, vertex, position in the start's set) per level.
+    levels = [(slot, vertex, np.zeros(b, dtype=_DTYPE))]
+    distance = 0
+    while vertex.size and distance < max_distance:
+        entries, lens = _gather_rows(indptr, vertex)
+        keys = np.repeat(slot * n, lens) + indices[entries]
+        keys = keys[~seen[keys]]
+        # A pair reached twice in this level keeps its first position
+        # (frontier order, then CSR order): the minimum position per cell.
+        position = np.arange(keys.size, dtype=_DTYPE)
+        np.minimum.at(first, keys, position)
+        keys = keys[first[keys] == position]
+        first[keys] = _NO_POSITION
+        slot, vertex = np.divmod(keys, n)
+        counts = np.bincount(slot, minlength=b)
+        run_starts = np.repeat(np.cumsum(counts) - counts, counts)
+        rank = np.arange(keys.size, dtype=_DTYPE) - run_starts + sizes[slot]
+        keep = rank < cap
+        if not keep.all():
+            keys, slot, vertex, rank = keys[keep], slot[keep], vertex[keep], rank[keep]
+            counts = np.bincount(slot, minlength=b)
+        seen[keys] = True
+        sizes += counts
+        levels.append((slot, vertex, rank))
+        # A start that reached its cap expands no further.
+        expand = sizes[slot] < cap
+        slot, vertex = slot[expand], vertex[expand]
+        distance += 1
+    offsets = np.cumsum(sizes) - sizes
+    owners = np.empty(int(sizes.sum()), dtype=_DTYPE)
+    for slot, vertex, rank in levels:
+        owners[offsets[slot] + rank] = vertex
+    return owners, sizes
+
+
+def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit):
+    """Frontier expansion of a block of starts at once, per level.
+
+    Each level gathers the out-rows of every frontier pair, drops the pairs
+    already in the block's dense seen table, keeps the first of the pairs
+    reached twice (``np.minimum.at`` on a dense first-position table, never
+    the write order of a repeated fancy index), and truncates each start at
+    its cap with per-start ranks from ``bincount``/``cumsum``.
+    """
+    indptr = np_view(out_indptr)
+    indices = np_view(out_indices)
+    n = indptr.size - 1
+    start_column = _int_column(starts)
+    cap = n + 1 if set_size_limit is None else set_size_limit + 1
+    block = max(1, _REACH_BLOCK_CELLS // max(n, 1))
+    first = np.full(min(block, start_column.size) * n, _NO_POSITION, dtype=_DTYPE)
+    owners, requesters, sizes = [], [], []
+    for lo in range(0, start_column.size, block):
+        block_starts = start_column[lo : lo + block]
+        block_owners, block_sizes = _reach_block(
+            indptr, indices, n, block_starts, max_distance, cap, first
+        )
+        owners.append(block_owners)
+        requesters.append(np.repeat(block_starts, block_sizes))
+        sizes.append(block_sizes)
+    if not owners:
+        return array("l"), array("l"), array("l")
+    return (
+        to_array(np.concatenate(owners)),
+        to_array(np.concatenate(requesters)),
+        to_array(np.concatenate(sizes)),
+    )
+
+
+def layer_palettes(members, out_indptr, out_indices, colors, palette_base, palette_size):
+    """One gather of the members' out-rows into an ``available[member, colour]``
+    mask, read back row-major and cut into one list per member."""
+    rows = _int_column(members)
+    if not rows.size:
+        return []
+    positions, lens = _gather_rows(np_view(out_indptr), rows)
+    member = np.repeat(np.arange(rows.size, dtype=_DTYPE), lens)
+    color = np_view(colors)[np_view(out_indices)[positions]]
+    taken = color - palette_base
+    hit = (color >= 0) & (taken >= 0) & (taken < palette_size)
+    available = np.ones((rows.size, palette_size), dtype=bool)
+    available[member[hit], taken[hit]] = False
+    free = np.nonzero(available)[1]
+    flat = (free + palette_base).tolist()
+    ends = np.cumsum(available.sum(axis=1)).tolist()
+    return [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+
 def _canonical(u, v):
     return (u, v) if u < v else (v, u)
 

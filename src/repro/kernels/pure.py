@@ -436,6 +436,65 @@ def scatter_layers(column, parent_ids, local, offset):
     return written
 
 
+def directed_out_csr(num_vertices, indptr, indices, layer_of):
+    """Keep each CSR row's neighbors in the same or a higher layer."""
+    out_indptr = array("l", [0])
+    out_indices = array("l")
+    for u in range(num_vertices):
+        mine = layer_of[u]
+        row = indices[indptr[u] : indptr[u + 1]]
+        out_indices.extend([w for w in row if layer_of[w] >= mine])
+        out_indptr.append(len(out_indices))
+    return out_indptr, out_indices
+
+
+def row_lengths(indptr):
+    """``indptr[v + 1] - indptr[v]`` for every row."""
+    return array("l", map(sub, indptr[1:], indptr))
+
+
+def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit):
+    """One BFS per start, stopped at ``max_distance`` levels or when the
+    start has ``set_size_limit + 1`` vertices."""
+    cap = sys.maxsize if set_size_limit is None else set_size_limit + 1
+    owners = array("l")
+    requesters = array("l")
+    sizes = array("l")
+    for start in starts:
+        seen = {start}
+        order = [start]
+        frontier = [start]
+        distance = 0
+        while frontier and distance < max_distance and len(order) < cap:
+            level = len(order)
+            for u in frontier:
+                for w in out_indices[out_indptr[u] : out_indptr[u + 1]]:
+                    if w not in seen:
+                        seen.add(w)
+                        order.append(w)
+                        if len(order) == cap:
+                            break
+                if len(order) == cap:
+                    break
+            frontier = order[level:]
+            distance += 1
+        owners.extend(order)
+        requesters.extend(repeat(start, len(order)))
+        sizes.append(len(order))
+    return owners, requesters, sizes
+
+
+def layer_palettes(members, out_indptr, out_indices, colors, palette_base, palette_size):
+    """Per member, the palette minus the non-negative colors of its out-row."""
+    palette = range(palette_base, palette_base + palette_size)
+    palettes = []
+    for v in members:
+        row = out_indices[out_indptr[v] : out_indptr[v + 1]]
+        taken = {c for c in map(colors.__getitem__, row) if c >= 0}
+        palettes.append([c for c in palette if c not in taken])
+    return palettes
+
+
 def _canonical(u, v):
     # Inline normalize_edge: kernels must not import repro.graph (the graph
     # core imports this package), and the message only needs the tuple repr.

@@ -2,23 +2,105 @@
 
 from __future__ import annotations
 
-from repro.core.directed_expo import directed_reachability, out_neighbors_by_layer
+from array import array
+from contextlib import ExitStack
+from unittest import mock
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
+from repro.core.directed_expo import directed_reachability
+from repro.errors import GraphError, ParameterError
 from repro.graph import generators
 from repro.graph.graph import Graph
 from repro.local.peeling import peeling_layers_reference
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
+from repro.mpc.primitives import gather_bundles
 
 
-class TestOutNeighborsByLayer:
-    def test_cross_layer_edges_point_up(self, small_path):
-        layer_of = [1, 2, 3, 3, 1]
-        out = out_neighbors_by_layer(small_path, layer_of)
-        assert out[0] == [1]          # 1 is in a higher layer
-        assert out[1] == [2]
-        assert 2 in out[3] and 3 in out[2]  # same layer: bidirectional
-        assert out[4] == [3]          # 3 is higher, so the edge points 4 -> 3
-        assert 4 not in out[3]
+def _reference_reachability(
+    graph, layer_of, start_vertices, max_distance, cluster, set_size_limit
+):
+    """The dict-of-lists BFS that ``directed_reachability`` replaced.
+
+    Returns ``(reachable, max_set_size, rounds_charged)`` and charges
+    ``cluster`` exactly as the old code did.
+    """
+    out = {v: [] for v in graph.vertices}
+    for (u, v) in graph.edges:
+        if layer_of[u] == layer_of[v]:
+            out[u].append(v)
+            out[v].append(u)
+        elif layer_of[u] < layer_of[v]:
+            out[u].append(v)
+        else:
+            out[v].append(u)
+    reachable = {}
+    max_size = 0
+    for start in list(start_vertices):
+        seen = {start}
+        frontier = [start]
+        distance = 0
+        while frontier and distance < max_distance:
+            next_frontier = []
+            for u in frontier:
+                for w in out[u]:
+                    if w not in seen:
+                        seen.add(w)
+                        next_frontier.append(w)
+                        if set_size_limit is not None and len(seen) > set_size_limit:
+                            break
+                if set_size_limit is not None and len(seen) > set_size_limit:
+                    break
+            frontier = next_frontier
+            distance += 1
+            if set_size_limit is not None and len(seen) > set_size_limit:
+                break
+        reachable[start] = seen
+        max_size = max(max_size, len(seen))
+    rounds = 0
+    if cluster is not None:
+        doubling_rounds = max(max_distance.bit_length(), 1)
+        cluster.charge_rounds(doubling_rounds, label="directed-expo:doubling")
+        owners = array("l")
+        requesters = array("l")
+        for start, seen in reachable.items():
+            owners.extend(seen)
+            requesters.extend(array("l", [start]) * len(seen))
+        rounds = doubling_rounds + gather_bundles(
+            cluster, owners, requesters, 1, label="directed-expo:gather"
+        )
+    return reachable, max_size, rounds
+
+
+def _block_cells(cells):
+    """Shrink the numpy body's block size (a no-op without numpy)."""
+    stack = ExitStack()
+    if kernels.numpy_available():
+        from repro.kernels import numpy_backend
+
+        stack.enter_context(mock.patch.object(numpy_backend, "_REACH_BLOCK_CELLS", cells))
+    return stack
+
+
+@st.composite
+def _layered_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=24))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = {(min(u, v), max(u, v)) for u, v in draw(st.lists(pairs, max_size=60)) if u != v}
+    layers = draw(st.integers(min_value=1, max_value=4))
+    layer_of = draw(st.lists(st.integers(1, layers), min_size=n, max_size=n))
+    starts = draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+    return Graph(n, sorted(edges)), layer_of, starts
+
+
+# A diamond in one layer: 0 reaches 3 from both 1 and 2 at distance 2.
+_DIAMOND = (Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]), [1, 1, 1, 1], [0, 0, 3])
+# Isolated vertices 3 and 4 next to a three-layer path 0 - 1 - 2.
+_ISOLATED = (Graph(5, [(0, 1), (1, 2)]), [1, 2, 3, 1, 2], [3, 0, 4, 2])
 
 
 class TestDirectedReachability:
@@ -42,7 +124,15 @@ class TestDirectedReachability:
         graph = generators.complete_graph(30)
         layer_of = [1] * graph.num_vertices
         result = directed_reachability(graph, layer_of, [0], max_distance=3, set_size_limit=5)
-        assert result.max_set_size >= 5
+        assert result.max_set_size == 6
+        assert result.reachable[0] == {0, 1, 2, 3, 4, 5}
+
+    def test_pair_columns_are_grouped_by_start_in_bfs_order(self, small_path):
+        layer_of = [1, 1, 1, 1, 1]
+        result = directed_reachability(small_path, layer_of, [2, 0, 2], max_distance=2)
+        assert list(result.requesters) == [2, 2, 2, 2, 2, 0, 0, 0]
+        assert list(result.owners) == [2, 1, 3, 0, 4, 0, 1, 2]
+        assert result.max_set_size == 5
 
     def test_cluster_rounds_charged(self, union_forest_graph):
         partition = peeling_layers_reference(union_forest_graph, threshold=6)
@@ -80,13 +170,128 @@ class TestDirectedReachability:
         partition = peeling_layers_reference(union_forest_graph, threshold=6)
         layer_of = partition.layer_of
         result = directed_reachability(union_forest_graph, layer_of, [0], max_distance=3)
-        # Every reached vertex (other than the start) must be reachable along
-        # edges that never decrease the layer except inside a layer.
+        # Every step goes to the same or a higher layer, so nothing reached
+        # lies below the start's layer.
         for w in result.reachable[0]:
-            assert w == 0 or layer_of[w] >= 1
+            assert layer_of[w] >= layer_of[0]
 
     def test_empty_start_set(self):
         graph = Graph(3, [(0, 1)])
         result = directed_reachability(graph, [1, 1, 1], [], max_distance=2)
         assert result.reachable == {}
         assert result.max_set_size == 0
+
+    def test_a_given_out_csr_is_used(self, union_forest_graph):
+        partition = peeling_layers_reference(union_forest_graph, threshold=6)
+        starts = list(range(0, 128, 7))
+        given_csr = directed_reachability(
+            union_forest_graph,
+            partition.layer_of,
+            starts,
+            max_distance=3,
+            out_csr=partition.out_csr(),
+        )
+        built = directed_reachability(
+            union_forest_graph, partition.layer_of, starts, max_distance=3
+        )
+        assert (given_csr.owners, given_csr.requesters) == (built.owners, built.requesters)
+
+
+class TestInputValidation:
+    """Inputs the old dict BFS mishandled (a bare ``KeyError``, or a set
+    larger than the limit) are refused up front."""
+
+    @pytest.fixture
+    def graph(self):
+        return Graph(4, [(0, 1), (1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("start", [7, 4, -1])
+    def test_start_outside_the_graph_raises(self, graph, start):
+        with pytest.raises(GraphError, match=f"start vertex {start} is outside 0..3"):
+            directed_reachability(graph, [1, 1, 1, 1], [0, start], max_distance=2)
+
+    @pytest.mark.parametrize("length", [3, 5])
+    def test_layer_column_of_the_wrong_length_raises(self, graph, length):
+        with pytest.raises(GraphError, match=f"layer column has {length} entries for 4 vertices"):
+            directed_reachability(graph, [1] * length, [0], max_distance=2)
+
+    @pytest.mark.parametrize("limit", [0, -3])
+    def test_set_size_limit_below_one_raises(self, graph, limit):
+        with pytest.raises(ParameterError, match="set_size_limit must be at least 1"):
+            directed_reachability(graph, [1, 1, 1, 1], [0], max_distance=2, set_size_limit=limit)
+
+    def test_negative_max_distance_raises(self, graph):
+        with pytest.raises(ParameterError, match="max_distance must be at least 0"):
+            directed_reachability(graph, [1, 1, 1, 1], [0], max_distance=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_distance": True}, {"max_distance": 2, "set_size_limit": True}],
+    )
+    def test_bools_are_refused(self, graph, kwargs):
+        with pytest.raises(ParameterError, match="must be an integer, not a bool"):
+            directed_reachability(graph, [1, 1, 1, 1], [0], **kwargs)
+
+    def test_limit_one_keeps_the_start_and_one_more(self, graph):
+        result = directed_reachability(graph, [1, 1, 1, 1], [1], max_distance=2, set_size_limit=1)
+        assert result.reachable == {1: {0, 1}}
+        assert result.max_set_size == 2
+
+
+class TestMatchesTheDictBfs:
+    """Every backend equals the replaced dict-of-lists BFS: sets, sizes,
+    rounds and the whole ledger."""
+
+    @staticmethod
+    def _check(graph, layer_of, starts, max_distance, set_size_limit, cells=1 << 18):
+        reference_cluster = MPCCluster(MPCConfig.for_graph(graph))
+        reference = _reference_reachability(
+            graph, layer_of, starts, max_distance, reference_cluster, set_size_limit
+        )
+        for backend in kernels.available_backends():
+            cluster = MPCCluster(MPCConfig.for_graph(graph))
+            with kernels.use_backend(backend), _block_cells(cells):
+                result = directed_reachability(
+                    graph,
+                    layer_of,
+                    starts,
+                    max_distance=max_distance,
+                    cluster=cluster,
+                    set_size_limit=set_size_limit,
+                )
+            assert result.reachable == reference[0], backend
+            assert result.max_set_size == reference[1], backend
+            assert result.rounds_charged == reference[2], backend
+            assert cluster.ledger_state() == reference_cluster.ledger_state(), backend
+            assert cluster.stats == reference_cluster.stats, backend
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        _layered_graphs(),
+        st.integers(min_value=0, max_value=5),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=8)),
+        st.sampled_from([1, 5, 1 << 18]),
+    )
+    @example(_DIAMOND, 2, None, 1 << 18)
+    @example(_DIAMOND, 2, 2, 1)
+    @example(_ISOLATED, 3, 1, 5)
+    @example(_ISOLATED, 0, None, 1 << 18)
+    @example((Graph(3, [(0, 1)]), [1, 1, 1], []), 2, 1, 1 << 18)
+    def test_random_layered_graphs(self, case, max_distance, set_size_limit, cells):
+        graph, layer_of, starts = case
+        self._check(graph, layer_of, starts, max_distance, set_size_limit, cells)
+
+    def test_same_level_duplicate_keeps_the_first_discovery(self):
+        # With a limit of 3 the start 0 keeps {0, 1, 2}; 3 is reached twice
+        # at distance 2 and must be taken once, after the whole first level.
+        graph, layer_of, _starts = _DIAMOND
+        result = directed_reachability(graph, layer_of, [0], max_distance=2, set_size_limit=3)
+        assert list(result.owners) == [0, 1, 2, 3]
+        self._check(graph, layer_of, [0], 2, 3)
+
+    def test_more_starts_than_one_block(self):
+        # 2**18 // 600 = 436 starts per block, so 600 starts take two blocks.
+        graph = generators.union_of_random_forests(600, arboricity=4, seed=3)
+        partition = peeling_layers_reference(graph, threshold=8)
+        self._check(graph, partition.layer_of, list(graph.vertices), 4, 40)
+        self._check(graph, partition.layer_of, list(graph.vertices), 3, None)

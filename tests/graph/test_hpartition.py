@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import kernels
 from repro.errors import InvalidLayeringError
 from repro.graph import generators
 from repro.graph.graph import Graph
@@ -72,6 +77,37 @@ class TestOutDegreeAndDecay:
         partition.validate_out_degree(2)
         with pytest.raises(InvalidLayeringError):
             partition.validate_out_degree(1)
+
+    def test_validate_out_degree_names_the_offenders(self):
+        # K4 with layers 1, 1, 2, 2: vertices 0 and 1 see all three others.
+        partition = HPartition(generators.complete_graph(4), [1, 1, 2, 2])
+        message = "H-partition out-degree 3 exceeds bound 1 (2 offenders, e.g. [0, 1])"
+        with pytest.raises(InvalidLayeringError, match=re.escape(message)):
+            partition.validate_out_degree(1)
+
+    def test_out_csr_is_built_once(self, small_path):
+        partition = HPartition(small_path, [1, 2, 3, 3, 1])
+        assert partition.out_csr() is partition.out_csr()
+        indptr, indices = partition.out_csr()
+        assert list(indptr) == [0, 1, 2, 3, 4, 5]
+        assert list(indices) == [1, 2, 3, 2, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_column_out_degree_matches_the_neighbor_scan(self, data):
+        n = data.draw(st.integers(min_value=1, max_value=25))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        drawn = data.draw(st.lists(pairs, max_size=70))
+        edges = {(min(u, v), max(u, v)) for u, v in drawn if u != v}
+        graph = Graph(n, sorted(edges))
+        layers = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        partition = HPartition(graph, layers)
+        per_vertex = [partition.out_degree_of(v) for v in graph.vertices]
+        for backend in kernels.available_backends():
+            with kernels.use_backend(backend):
+                fresh = HPartition(graph, partition.layer_of)
+                assert list(fresh.out_degrees()) == per_vertex
+                assert fresh.max_out_degree() == max(per_vertex)
 
     def test_validate_decay(self, small_path):
         partition = HPartition(small_path, [1, 1, 1, 2, 3])

@@ -17,6 +17,7 @@ from array import array
 from decimal import Decimal
 from fractions import Fraction
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,7 +29,7 @@ from repro.graph.generators import (
     planted_dense_subgraph,
     union_of_random_forests,
 )
-from repro.graph.graph import normalize_edge
+from repro.graph.graph import Graph, normalize_edge
 from repro.mpc.config import MPCConfig
 from repro.stream.updates import EdgeUpdate
 
@@ -426,6 +427,173 @@ class TestLayerColumns:
     def test_empty_columns(self):
         assert both("unassigned_positions", array("l")) == (array("l"), array("l"))
         assert both("scatter_layers", array("l"), (), array("l"), 3) == (0, 0)
+
+
+@st.composite
+def _layered_csr(draw, max_vertices=30):
+    """A random graph's CSR and a random layer column (any int layers)."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    edges = []
+    if n > 1:
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        drawn = draw(st.lists(pairs, max_size=80))
+        edges = sorted({normalize_edge(u, v) for u, v in drawn if u != v})
+    indptr, indices = kernels.build_csr(
+        n,
+        array("l", [u for u, _ in edges]),
+        array("l", [v for _, v in edges]),
+        backend=kernels.PURE,
+    )
+    layers = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    return n, edges, indptr, indices, array("l", layers)
+
+
+def _reference_out_rows(n, edges, layer_of):
+    """The Lemma 4.1 directions from the edge list: same layer both ways,
+    across layers toward the higher one."""
+    out = {v: [] for v in range(n)}
+    for u, v in edges:
+        if layer_of[u] == layer_of[v]:
+            out[u].append(v)
+            out[v].append(u)
+        elif layer_of[u] < layer_of[v]:
+            out[u].append(v)
+        else:
+            out[v].append(u)
+    return [out[v] for v in range(n)]
+
+
+def _rows(indptr, indices):
+    return [list(indices[indptr[v] : indptr[v + 1]]) for v in range(len(indptr) - 1)]
+
+
+class TestDirectedOutCsr:
+    """The directed out-CSR of Lemma 4.1 (every available backend against
+    the edge-list directions; pure ≡ numpy when numpy is present)."""
+
+    def test_cross_layer_edges_point_up(self, small_path):
+        layer_of = [1, 2, 3, 3, 1]
+        for backend in kernels.available_backends():
+            out = _rows(
+                *kernels.directed_out_csr(
+                    5, small_path.csr_indptr, small_path.csr_indices, layer_of, backend=backend
+                )
+            )
+            assert out[0] == [1]          # 1 is in a higher layer
+            assert out[1] == [2]
+            assert 2 in out[3] and 3 in out[2]  # same layer: bidirectional
+            assert out[4] == [3]          # 3 is higher, so the edge points 4 -> 3
+            assert 4 not in out[3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(_layered_csr())
+    def test_rows_match_the_edge_list_directions(self, case):
+        n, edges, indptr, indices, layer_of = case
+        expected = _reference_out_rows(n, edges, layer_of)
+        for backend in kernels.available_backends():
+            out_indptr, out_indices = kernels.directed_out_csr(
+                n, indptr, indices, layer_of, backend=backend
+            )
+            assert isinstance(out_indptr, array) and out_indptr.typecode == "l"
+            assert isinstance(out_indices, array) and out_indices.typecode == "l"
+            assert _rows(out_indptr, out_indices) == expected
+
+    @needs_numpy
+    @settings(max_examples=60, deadline=None)
+    @given(_layered_csr())
+    def test_identical(self, case):
+        n, _edges, indptr, indices, layer_of = case
+        pure, vec = both("directed_out_csr", n, indptr, indices, layer_of)
+        assert pure == vec
+        # A list layer column gives the same CSR as an array one.
+        assert both("directed_out_csr", n, indptr, indices, list(layer_of)) == (pure, pure)
+
+
+@needs_numpy
+class TestRowLengths:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.integers(0, 6), max_size=40))
+    def test_identical(self, lengths):
+        indptr = array("l", [0])
+        for length in lengths:
+            indptr.append(indptr[-1] + length)
+        pure, vec = both("row_lengths", indptr)
+        assert pure == vec == array("l", lengths)
+
+
+@needs_numpy
+class TestDirectedReach:
+    """The multi-start bounded BFS: columns, order and truncation."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        _layered_csr(),
+        st.data(),
+        st.integers(min_value=0, max_value=5),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=7)),
+        st.sampled_from([1, 3, 1 << 18]),
+    )
+    def test_identical(self, case, data, max_distance, limit, cells):
+        from repro.kernels import numpy_backend
+
+        n, _edges, indptr, indices, layer_of = case
+        out_csr = kernels.directed_out_csr(n, indptr, indices, layer_of, backend=kernels.PURE)
+        starts = data.draw(st.lists(st.integers(0, n - 1), max_size=n) if n else st.just([]))
+        with mock.patch.object(numpy_backend, "_REACH_BLOCK_CELLS", cells):
+            pure, vec = both("directed_reach", *out_csr, array("l", starts), max_distance, limit)
+        assert pure == vec
+        owners, requesters, sizes = vec
+        assert all(isinstance(column, array) and column.typecode == "l" for column in vec)
+        assert list(requesters) == [s for s, size in zip(starts, sizes) for _ in range(size)]
+        assert sum(sizes) == len(owners)
+        if limit is not None:
+            assert max(sizes, default=0) <= limit + 1
+
+    def test_no_starts(self):
+        assert both("directed_reach", array("l", [0]), array("l"), array("l"), 3, 2) == (
+            (array("l"), array("l"), array("l")),
+        ) * 2
+
+
+class TestLayerPalettes:
+    """Per-layer palettes from the out-CSR equal the set-and-comprehension
+    lists ``_color_layered_graph`` built before."""
+
+    @staticmethod
+    def _reference(graph, layer_of, layer_index, members, colors, base, size):
+        palettes = []
+        for v in members:
+            taken = {
+                colors[w]
+                for w in graph.neighbors(v)
+                if colors[w] >= 0 and layer_of[w] >= layer_index
+            }
+            palettes.append([base + c for c in range(size) if base + c not in taken])
+        return palettes
+
+    @settings(max_examples=60, deadline=None)
+    @given(_layered_csr(), st.data())
+    def test_matches_the_comprehension(self, case, data):
+        n, edges, indptr, indices, layer_of = case
+        graph = Graph(n, edges)
+        out_csr = kernels.directed_out_csr(n, indptr, indices, layer_of, backend=kernels.PURE)
+        layer_index = data.draw(st.integers(0, 4))
+        members = tuple(v for v in range(n) if layer_of[v] == layer_index)
+        colors = array("l", data.draw(st.lists(st.integers(-1, 9), min_size=n, max_size=n)))
+        base = data.draw(st.integers(0, 4))
+        size = data.draw(st.integers(0, 8))
+        expected = self._reference(graph, layer_of, layer_index, members, colors, base, size)
+        for backend in kernels.available_backends():
+            palettes = kernels.layer_palettes(
+                members, *out_csr, colors, base, size, backend=backend
+            )
+            assert palettes == expected
+            assert all(type(c) is int for palette in palettes for c in palette)
+
+    @needs_numpy
+    def test_identical_without_members(self):
+        out_csr = (array("l", [0, 0]), array("l"))
+        assert both("layer_palettes", (), *out_csr, array("l", [-1]), 0, 3) == ([], [])
 
 
 @needs_numpy
