@@ -8,10 +8,14 @@
 * **Lemma 3.15** (:func:`complete_layer_assignment`) first peels the graph for
   ``O(log k)`` rounds (removing vertices of degree ≤ k — each such round
   removes at least half the remaining vertices because ``k ≥ 2λ``), then runs
-  Lemma 3.14 phases with *budget boosting* (``B ← min(B², n^δ·c)``) until every
-  vertex is assigned.  The outcome is a complete layer assignment — the
-  H-partition used by Theorems 1.1 and 1.2 — with out-degree ``O(k·log log n)``
-  and layer decay ``|{v : ℓ(v) ≥ j}| ≤ 0.5^{j-1}·n``.
+  one Lemma 3.14 call on the survivors.  The paper repeats Lemma 3.14 phases
+  with *budget boosting* (``B ← min(B², n^δ·c)``) until every vertex is
+  assigned; here that loop would never reach a second phase, because
+  :func:`iterated_partial_assignment` ends with a catch-all layer that takes
+  every vertex its iterations left, so its column is always complete.  The
+  outcome is a complete layer assignment — the H-partition used by Theorems
+  1.1 and 1.2 — with out-degree ``O(k·log log n)`` and layer decay
+  ``|{v : ℓ(v) ≥ j}| ≤ 0.5^{j-1}·n``.
 
 The functions below work on *induced subgraphs* of the original input; layers
 are always reported in terms of the original vertex ids, as one flat
@@ -32,12 +36,13 @@ from dataclasses import dataclass, field
 
 from repro import kernels
 from repro.core.layering import UNASSIGNED
-from repro.core.parameters import loglog
+from repro.core.parameters import refuse_bools
 from repro.core.partial_assignment import partial_assignment_with_decay
 from repro.errors import InvalidLayeringError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
 from repro.mpc.cluster import MPCCluster
+from repro.mpc.config import check_delta
 
 
 @dataclass
@@ -90,20 +95,17 @@ def iterated_partial_assignment(
     k: int,
     budget: int,
     cluster: MPCCluster | None = None,
-    max_iterations: int | None = None,
 ) -> LayerAssignmentRun:
     """Lemma 3.14: iterate the Lemma 3.13 partial assignment on the residue.
 
     Each iteration runs on the subgraph induced by the still-unassigned
     vertices, and the layers produced by iteration ``i`` are offset by the
     total number of layers used by iterations ``1..i-1``.  The number of
-    iterations needed is ``O(log k)``; we cap it explicitly and then force the
-    (typically empty) remainder into one final layer so callers always get a
-    complete assignment over the vertices they passed in.
+    iterations needed is ``O(log k)``; we cap it at ``2·⌈log2 k⌉ + 4`` and
+    then force the (typically empty) remainder into one final layer, so the
+    returned column is always complete over the vertices passed in.
     """
-    if max_iterations is None:
-        max_iterations = max(2 * int(math.ceil(math.log2(max(k, 2)))) + 4, 4)
-
+    max_iterations = max(2 * int(math.ceil(math.log2(max(k, 2)))) + 4, 4)
     layer_of = array("l", [0]) * graph.num_vertices
     unassigned = kernels.unassigned_positions(layer_of)
     offset = 0
@@ -133,8 +135,8 @@ def iterated_partial_assignment(
         unassigned = kernels.unassigned_positions(layer_of)
         if newly_assigned == 0:
             # The procedure is stuck (can only happen when k is far below the
-            # true arboricity); avoid an infinite loop and let the caller's
-            # completion step handle the rest.
+            # true arboricity); avoid an infinite loop and let the catch-all
+            # layer below take the rest.
             break
 
     if unassigned:
@@ -193,8 +195,6 @@ def complete_layer_assignment(
     k: int,
     delta: float = 0.5,
     cluster: MPCCluster | None = None,
-    initial_budget: int | None = None,
-    budget_cap: int | None = None,
 ) -> LayerAssignmentRun:
     """Lemma 3.15: compute a complete layer assignment (H-partition).
 
@@ -206,22 +206,25 @@ def complete_layer_assignment(
         Arboricity proxy; the lemma requires ``k ≥ c·λ(G)`` (the paper uses
         ``c = 100``; we default to the caller's choice, typically ``2λ``).
     delta:
-        Memory exponent used for the budget cap ``n^δ``.
+        Memory exponent; a positive finite number.  The tree-view budget is
+        ``B = max(min(k², max(⌈4·n^δ⌉, 64)), 64)``.
     cluster:
         Optional MPC cluster for round/memory accounting.
-    initial_budget / budget_cap:
-        Override the starting budget ``B_0`` and its cap (defaults:
-        ``max(k², 64)`` and ``4·n^δ``).
+
+    Stage 1 peels vertices of degree ≤ ``k``; Stage 2 is one
+    :func:`iterated_partial_assignment` call on the survivors, if any.  The
+    paper's budget boosting between repeated Stage 2 phases is unnecessary
+    here: that call's catch-all layer already assigns every survivor, so a
+    second phase would never start.  ``phases`` is therefore 0 or 1.
 
     Returns a :class:`LayerAssignmentRun` whose ``layer_of`` is complete.
     """
+    refuse_bools(k=k)
+    check_delta(delta)
     if k < 1:
         raise ParameterError("k must be at least 1")
     n = max(graph.num_vertices, 2)
-    if budget_cap is None:
-        budget_cap = max(int(math.ceil(4 * (n ** delta))), 64)
-    if initial_budget is None:
-        initial_budget = max(min(k * k, budget_cap), 64)
+    budget = max(min(k * k, max(int(math.ceil(4 * (n ** delta))), 64)), 64)
 
     rounds_before = cluster.stats.num_rounds if cluster is not None else 0
 
@@ -231,10 +234,6 @@ def complete_layer_assignment(
         graph, k, peel_rounds, cluster=cluster
     )
     offset = used_peel_rounds
-
-    # Stage 2: iterated partial assignment with budget boosting.
-    budget = initial_budget
-    phases = 0
     out_degree_bound = k  # the peeled prefix has out-degree ≤ k by construction
     phase_log: list[dict[str, float]] = [
         {
@@ -244,38 +243,30 @@ def complete_layer_assignment(
             "layers_in_phase": float(used_peel_rounds),
         }
     ]
-    max_phases = max(int(math.ceil(loglog(n))) + 4, 4)
 
-    remaining = survivors
-    while remaining and phases < max_phases:
-        phases += 1
-        subgraph = graph.induced_subgraph(remaining)
+    # Stage 2: one Lemma 3.14 call, which assigns every survivor.
+    phases = 0
+    if survivors:
+        phases = 1
+        subgraph = graph.induced_subgraph(survivors)
         run = iterated_partial_assignment(subgraph, k=k, budget=budget, cluster=cluster)
         out_degree_bound = max(out_degree_bound, run.out_degree_bound)
         kernels.scatter_layers(layer_of, subgraph.parent_ids, run.layer_of, offset)
         offset += run.num_layers_used
-        newly_remaining = kernels.unassigned_positions(layer_of)
         phase_log.append(
             {
-                "phase": float(phases),
-                "assigned": float(len(remaining) - len(newly_remaining)),
-                "remaining": float(len(newly_remaining)),
+                "phase": 1.0,
+                "assigned": float(len(survivors)),
+                "remaining": 0.0,
                 "layers_in_phase": float(run.num_layers_used),
             }
         )
-        remaining = newly_remaining
-        budget = min(budget * budget, budget_cap) if budget < budget_cap else budget_cap
-
-    if remaining:
-        offset += 1
-        for v in remaining:
-            layer_of[v] = offset
 
     rounds_after = cluster.stats.num_rounds if cluster is not None else 0
     return LayerAssignmentRun(
         graph=graph,
         layer_of=layer_of,
-        out_degree_bound=max(out_degree_bound, k),
+        out_degree_bound=out_degree_bound,
         num_layers_used=int(offset),
         phases=phases,
         rounds_charged=rounds_after - rounds_before,

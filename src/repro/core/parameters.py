@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
+from repro.mpc.config import check_delta
 
 
 @dataclass(frozen=True)
@@ -103,7 +104,6 @@ def choose_parameters(
     arboricity_bound: int,
     delta: float = 0.5,
     k_factor: float = 2.0,
-    budget_cap: int | None = None,
 ) -> Parameters:
     """Select ``(k, B, s, L)`` for a graph of ``num_vertices`` and arboricity ≤ ``arboricity_bound``.
 
@@ -111,7 +111,7 @@ def choose_parameters(
 
     * ``k = max(2, ⌈k_factor · arboricity_bound⌉)``
       (paper: ``k ∈ [100λ, 200λ]``),
-    * ``B = min(max(k², 64), ⌈n^δ⌉, budget_cap)``
+    * ``B = min(max(k², 64), max(4·⌈n^δ⌉, 64))``
       (paper: ``k^100 ≤ B ≤ n^{δ/100}``),
     * ``L = max(1, ⌈c_L · log_k B⌉)`` with ``c_L = 1``
       (paper: ``⌈0.1 log_k B⌉``),
@@ -122,16 +122,11 @@ def choose_parameters(
         raise ParameterError("num_vertices must be at least 1")
     if arboricity_bound < 0:
         raise ParameterError("arboricity_bound must be non-negative")
-    if not 0 < delta:
-        raise ParameterError("delta must be positive")
+    check_delta(delta)
 
     k = max(2, int(math.ceil(k_factor * max(arboricity_bound, 1))))
     machine_budget = int(math.ceil(max(num_vertices, 2) ** delta)) * 4
-    budget = max(k * k, 64)
-    budget = min(budget, max(machine_budget, 64))
-    if budget_cap is not None:
-        budget = min(budget, max(budget_cap, 64))
-    budget = max(budget, 16)
+    budget = min(max(k * k, 64), max(machine_budget, 64))
 
     if budget > k:
         num_layers = max(1, int(math.ceil(math.log(budget) / math.log(max(k, 2)))))

@@ -31,12 +31,12 @@ cap, so violating it raises an exception rather than going unnoticed.  The
 ledger keeps two kinds of storage, and its cost follows the number of
 objects and keyed machines, never the machine count ``M``:
 
-* *Keyed storage* (:meth:`MPCCluster.store_at_key`,
-  :meth:`MPCCluster.load_graph`, the ``store_tag`` payload of
-  :meth:`MPCCluster.communication_round`) lands on the machine the placement
-  hash picks for the key.  It is recorded as one ``{machine: words}`` record
-  per tag, so a store into a new tag is one ``dict(zip(machines, totals))``
-  of its per-machine tallies, and dropping a tag drops one record.
+* *Keyed storage* is written by :meth:`MPCCluster.load_graph` only: each
+  vertex and edge lands on the machine the placement hash picks for its key.
+  It is recorded as one ``{machine: words}`` record per tag, every entry
+  positive, so a load into a new tag is one ``dict(zip(machines, totals))``
+  of its per-machine tallies, a load into a loaded tag adds to its entries,
+  and dropping a tag drops one record.
 * *Spread objects* (:meth:`MPCCluster.store_spread`,
   :meth:`MPCCluster.restore_spread`) are kept per tag as word totals.  A
   ``T``-word object puts ``⌈T/M⌉`` words on each machine from 0 upward and
@@ -48,11 +48,12 @@ across the cluster and the largest per-machine value ever stored (the peak).
 After a spread store only the first machine without keyed storage and the
 keyed machines inside the covered prefix can set a new peak or be the first
 capacity offender, so only those are checked.  A store that raises —
-per-machine cap, communication cap, global budget — changes nothing.
+per-machine cap or global budget — changes nothing, and neither does a
+round that breaks the communication cap.
 A round's messages arrive as columns (source keys, destination keys,
 words); :func:`repro.kernels.tally_by_machine` turns each key column into
-per-machine word totals in one call, so no per-message object is built, and
-the tallies never create storage records.
+per-machine word totals in one call, so no per-message object is built.
+Rounds only move words: they never create storage records.
 
 **Dynamic update batches** (:mod:`repro.stream`) extend the same accounting
 to streaming workloads.  A batch of edge insertions/deletions is charged as
@@ -171,7 +172,6 @@ observation.
 from __future__ import annotations
 
 from array import array
-from typing import Optional
 
 from repro import kernels
 from repro.errors import (
@@ -224,8 +224,7 @@ class MPCCluster:
         self.enforce_global_memory = enforce_global_memory
         self.memory_quota = memory_quota
         self.stats = RoundStats()
-        # tag -> machine id -> keyed words (non-zero entries only; negative
-        # when a keyed release took words out of a spread share).
+        # tag -> machine id -> keyed words (positive entries only).
         self._keyed: dict[str, dict[int, int]] = {}
         self._spread: dict[str, list[int]] = {}  # tag -> totals of its spread objects
         self._in_use = 0
@@ -301,7 +300,7 @@ class MPCCluster:
             cluster._in_use += sum(totals)
         for machine_id, tags in state["keyed"]:
             for tag, words in tags.items():
-                cluster._adjust_keyed(machine_id, str(tag), words)
+                cluster._keyed.setdefault(str(tag), {})[machine_id] = words
                 cluster._in_use += words
         return cluster
 
@@ -324,36 +323,6 @@ class MPCCluster:
         if not 0 <= machine_id < self._num_machines:
             raise SimulationError(f"machine id {machine_id} out of range 0..{self._num_machines - 1}")
         return self._held(machine_id)
-
-    def store_at_key(self, key: int, words: int, tag: str = "data") -> None:
-        """Store ``words`` words on the machine owning ``key``."""
-        if words < 0:
-            raise ValueError("words must be non-negative")
-        machine_id = self.config.machine_of(key)
-        self._store_keyed((machine_id,), (words,), (key,), tag, self.enforce_limits)
-
-    def release_at_key(self, key: int, words: int, tag: str = "data") -> None:
-        """Release ``words`` words of ``tag`` on the machine owning ``key``.
-
-        Raises :class:`~repro.errors.SimulationError`, changing nothing, when
-        the machine holds fewer than ``words`` words under ``tag`` (keyed
-        words plus its share of the tag's spread objects).
-        """
-        if words < 0:
-            raise ValueError("words must be non-negative")
-        machine_id = self.config.machine_of(key)
-        held = self._keyed.get(tag, {}).get(machine_id, 0)
-        held += sum(
-            _share(total, self._num_machines, machine_id) for total in self._spread.get(tag, ())
-        )
-        if words > held:
-            raise SimulationError(
-                f"cannot release {words} words of tag {tag!r} on machine "
-                f"{machine_id}: it holds {held}"
-            )
-        if words:
-            self._adjust_keyed(machine_id, tag, -words)
-            self._in_use -= words
 
     def release_tag_everywhere(self, tag: str) -> None:
         """Drop all storage registered under ``tag`` on every machine."""
@@ -409,26 +378,15 @@ class MPCCluster:
             for total in totals
         )
 
-    def _adjust_keyed(self, machine_id: int, tag: str, delta: int) -> None:
-        """Add ``delta`` keyed words of ``tag`` on one machine (ledger only)."""
-        records = self._keyed.setdefault(tag, {})
-        words = records.get(machine_id, 0) + delta
-        if words:
-            records[machine_id] = words
-        else:
-            records.pop(machine_id, None)
-            if not records:
-                del self._keyed[tag]
-
     def _drop_keyed_tag(self, tag: str) -> int:
         """Remove the keyed record of ``tag``; returns the words dropped."""
         return sum(self._keyed.pop(tag, {}).values())
 
-    def _keyed_peak(self, machines, words, keys, enforce: bool) -> int:
+    def _keyed_peak(self, machines, words, keys) -> int:
         """The peak after adding ``words`` to ``machines`` (ascending ids).
 
-        With ``enforce`` set, raises the first machine over capacity in the
-        order its first key appears in the ``keys`` column.
+        Under ``enforce_limits``, raises the first machine over capacity in
+        the order its first key appears in the ``keys`` column.
         """
         if self._keyed or self._spread:
             held = self._held
@@ -437,7 +395,7 @@ class MPCCluster:
             after = words
         top = max(after, default=0)
         capacity = self._capacity
-        if enforce and top > capacity:
+        if self.enforce_limits and top > capacity:
             stored_on = dict(zip(machines, after))
             machine_of = self.config.machine_of
             for key in keys:
@@ -445,30 +403,6 @@ class MPCCluster:
                 if stored_on[machine_id] > capacity:
                     raise MemoryLimitExceeded(machine_id, stored_on[machine_id], capacity)
         return max(self._peak, top)
-
-    def _commit_keyed(self, machines, words, tag: str) -> None:
-        """Add ``words`` of ``tag`` to ``machines`` (ledger records only)."""
-        if tag in self._keyed:
-            for machine_id, stored in zip(machines, words):
-                if stored:
-                    self._adjust_keyed(machine_id, tag, stored)
-            return
-        records = dict(zip(machines, words))
-        if 0 in records.values():
-            records = {machine_id: stored for machine_id, stored in records.items() if stored}
-        if records:
-            self._keyed[tag] = records
-
-    def _store_keyed(self, machines, words, keys, tag: str, enforce: bool) -> None:
-        """Store ``words`` on ``machines`` (ascending ids) under ``tag``,
-        atomically; ``keys`` orders the capacity check (see _keyed_peak)."""
-        peak = self._keyed_peak(machines, words, keys, enforce)
-        in_use = self._in_use + sum(words)
-        self._check_global(in_use)
-        self._commit_keyed(machines, words, tag)
-        self._in_use = in_use
-        self._peak = peak
-        self._observe_memory()
 
     def _place_spread(self, total: int, tag: str, replace: bool) -> None:
         """Add (or, with ``replace``, substitute) a spread object, atomically."""
@@ -540,7 +474,6 @@ class MPCCluster:
         destinations,
         words,
         label: str = "round",
-        store_tag: Optional[str] = None,
         split_oversized: bool = True,
     ) -> int:
         """Execute one (or more) synchronous rounds exchanging a column of messages.
@@ -551,11 +484,9 @@ class MPCCluster:
         machine owning its source key and incoming traffic on the machine
         owning its destination key; both sides are tallied per machine by
         :func:`repro.kernels.tally_by_machine`.  Columns of different lengths
-        raise :class:`~repro.errors.SimulationError`.  If ``store_tag`` is
-        given, received words are additionally stored on the destination
-        machine under that tag (modelling that the payload is kept for later
-        rounds, e.g. learned neighborhood views); a machine reached only by
-        zero-word messages takes part in that store's capacity check.
+        raise :class:`~repro.errors.SimulationError`.  The round stores
+        nothing: memory the payload occupies afterwards is the caller's to
+        register (as a spread object).
 
         In the MPC model a machine can move at most ``S`` words per round.
         When the requested exchange would exceed that on some machine, the
@@ -565,10 +496,8 @@ class MPCCluster:
         ``split_oversized=False`` a violation raises
         :class:`~repro.errors.CommunicationLimitExceeded` (used by tests that
         check an exchange fits in exactly one round), naming the lowest
-        machine id that moved the largest volume.  The stored payload is
-        capacity-checked only in that strict mode, destination machines in
-        order of their first message.  Any raise leaves the ledger and the
-        round stats untouched.
+        machine id that moved the largest volume.  Any raise leaves the
+        ledger and the round stats untouched.
 
         Returns the number of rounds charged.
         """
@@ -585,18 +514,12 @@ class MPCCluster:
         total_words = sum(sent)
 
         capacity = self._capacity
-        strict = self.enforce_limits and not split_oversized
-        peak = self._peak
-        in_use = self._in_use
-        if store_tag is not None:
-            peak = self._keyed_peak(receivers, received, destinations, enforce=strict)
-            in_use += total_words
         max_sent = max(sent, default=0)
         max_received = max(received, default=0)
         max_volume = max(max_sent, max_received)
         rounds_needed = 1
         if max_volume > capacity:
-            if strict:
+            if self.enforce_limits and not split_oversized:
                 if max_sent >= max_received:
                     direction, ids, volumes = "sent", senders, sent
                 else:
@@ -604,19 +527,13 @@ class MPCCluster:
                 offender = ids[volumes.index(max_volume)]
                 raise CommunicationLimitExceeded(offender, direction, max_volume, capacity)
             rounds_needed = -(-max_volume // capacity)
-        self._check_global(in_use)
 
-        if store_tag is not None:
-            self._commit_keyed(receivers, received, store_tag)
-            self._in_use = in_use
-            self._peak = peak
         self.stats.record_round(label, total_words, max_sent, max_received)
         if self._tracer.enabled:
             self._tracer.metrics.inc("mpc.rounds")
             self._tracer.metrics.inc("mpc.words_sent", total_words)
         if rounds_needed > 1:
             self.charge_rounds(rounds_needed - 1, label=f"{label}:oversized-split")
-        self._observe_memory()
         return rounds_needed
 
     def charge_rounds(self, count: int, label: str) -> None:
@@ -713,14 +630,27 @@ class MPCCluster:
         Models the arbitrary initial distribution of the input: vertex ``v``
         (one word) is stored on the machine owning key ``v``, and edge ``i``
         (two words) on the machine owning key ``n + i``.  The key column is
-        tallied per machine in one kernel call and stored as one atomic keyed
-        store; the first machine over capacity in key order raises.
+        tallied per machine in one kernel call and stored atomically under
+        ``tag``, adding to what the tag already holds; the first machine over
+        capacity in key order raises.  This is the ledger's only keyed store.
         """
         n, m = graph.num_vertices, graph.num_edges
         keys = range(n + m)
         words = array("l", [1]) * n + array("l", [2]) * m
         machines, totals = kernels.tally_by_machine(self._num_machines, keys, words)
-        self._store_keyed(machines, totals, keys, tag, self.enforce_limits)
+        peak = self._keyed_peak(machines, totals, keys)
+        in_use = self._in_use + n + 2 * m
+        self._check_global(in_use)
+        records = self._keyed.get(tag)
+        if records is None:
+            if machines:
+                self._keyed[tag] = dict(zip(machines, totals))
+        else:
+            for machine_id, stored in zip(machines, totals):
+                records[machine_id] = records.get(machine_id, 0) + stored
+        self._in_use = in_use
+        self._peak = peak
+        self._observe_memory()
 
     def snapshot(self) -> dict[str, float]:
         """Summary of the execution so far (for the experiment harness)."""

@@ -19,6 +19,13 @@ from repro import kernels
 from repro.errors import ParameterError
 
 
+def check_delta(delta: float) -> None:
+    """Raise :class:`ParameterError` unless the memory exponent ``δ`` is a
+    positive finite number, so ``nan`` and ``inf`` are refused too."""
+    if not (delta > 0 and math.isfinite(delta)):
+        raise ParameterError(f"delta must be a positive finite number (got {delta!r})")
+
+
 @dataclass(frozen=True)
 class MPCConfig:
     """Resource parameters of a simulated MPC cluster.
@@ -52,8 +59,7 @@ class MPCConfig:
             raise ParameterError("num_vertices must be at least 1")
         if self.num_edges < 0:
             raise ParameterError("num_edges must be non-negative")
-        if self.delta <= 0:
-            raise ParameterError("delta must be positive")
+        check_delta(self.delta)
         if self.memory_constant <= 0 or self.global_memory_factor <= 0:
             raise ParameterError("constants must be positive")
         # Derived once: placement reads it per key.  Not a field, so equality,

@@ -66,7 +66,6 @@ def gather_bundles(
     requesters: Sequence[int],
     words,
     label: str = "gather",
-    store_tag: str | None = None,
 ) -> int:
     """Lemma 4.1: every node ``u`` receives the information bundles of ``L_u``.
 
@@ -85,5 +84,5 @@ def gather_bundles(
     """
     cluster.charge_rounds(GATHER_ROUNDS, label=f"{label}:plumbing")
     return GATHER_ROUNDS + cluster.communication_round(
-        owners, requesters, words, label=f"{label}:deliver", store_tag=store_tag
+        owners, requesters, words, label=f"{label}:deliver"
     )

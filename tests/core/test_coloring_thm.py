@@ -36,6 +36,11 @@ class TestBasicCorrectness:
         with pytest.raises(ParameterError, match="workers must be an integer, not a bool"):
             color(small_forest, workers=True)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_delta(self, small_forest, delta):
+        with pytest.raises(ParameterError, match="delta must be a positive finite number"):
+            color(small_forest, delta=delta)
+
     def test_always_proper(self, union_forest_graph):
         run = color(union_forest_graph, seed=0)
         run.coloring.validate_proper()

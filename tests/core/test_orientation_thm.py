@@ -41,6 +41,11 @@ class TestBasicCorrectness:
         with pytest.raises(ParameterError, match="workers must be an integer, not a bool"):
             orient(union_forest_graph, workers=True)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_delta(self, union_forest_graph, delta):
+        with pytest.raises(ParameterError, match="delta must be a positive finite number"):
+            orient(union_forest_graph, delta=delta)
+
     def test_deterministic_given_seed(self, union_forest_graph):
         a = orient(union_forest_graph, seed=5)
         b = orient(union_forest_graph, seed=5)

@@ -58,6 +58,11 @@ class TestChooseParameters:
         with pytest.raises(ParameterError):
             choose_parameters(10, 1, delta=0.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_delta(self, delta):
+        with pytest.raises(ParameterError, match="delta must be a positive finite number"):
+            choose_parameters(10, 1, delta=delta)
+
     def test_k_scales_with_arboricity(self):
         low = choose_parameters(1024, 2)
         high = choose_parameters(1024, 16)
@@ -65,9 +70,10 @@ class TestChooseParameters:
         assert low.k >= 2 * 2
         assert high.k >= 2 * 16
 
-    def test_budget_cap_respected(self):
-        params = choose_parameters(1024, 4, budget_cap=128)
-        assert params.budget <= 128
+    def test_budget_is_capped_by_the_machine_memory(self):
+        # k = 32, k² = 1024, 4·⌈1024^0.5⌉ = 128.
+        assert choose_parameters(1024, 16).budget == 128
+        assert choose_parameters(1024, 2).budget == 64
 
     @settings(max_examples=40, deadline=None)
     @given(

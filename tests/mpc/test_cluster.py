@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 from array import array
 
@@ -15,6 +16,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.graph import generators
+from repro.graph.graph import Graph
 from repro.mpc.cluster import MPCCluster
 from repro.mpc.config import MPCConfig
 from repro.mpc.metrics import RoundStats
@@ -60,19 +62,12 @@ class TestRounds:
                 [0], [1], capacity * 3, label="big", split_oversized=False
             )
 
-    def test_store_tag_keeps_received_payload(self):
-        cluster = make_cluster()
-        cluster.communication_round([0], [1], 5, store_tag="views")
-        assert cluster.global_memory_in_use() == 5
-        cluster.release_tag_everywhere("views")
-        assert cluster.global_memory_in_use() == 0
-
     def test_uniform_words_equal_a_words_column(self):
         uniform, column = make_cluster(), make_cluster()
         sources, destinations = array("l", range(50)), array("l", range(50, 0, -1))
-        assert uniform.communication_round(sources, destinations, 3, store_tag="v") == 1
+        assert uniform.communication_round(sources, destinations, 3) == 1
         assert column.communication_round(
-            list(sources), range(50, 0, -1), array("l", [3]) * 50, store_tag="v"
+            list(sources), range(50, 0, -1), array("l", [3]) * 50
         ) == 1
         assert uniform.ledger_state() == column.ledger_state()
 
@@ -90,34 +85,15 @@ class TestRounds:
             cluster.communication_round(sources, destinations, words)
         assert cluster.stats.num_rounds == 0
 
-    def test_zero_word_message_takes_part_in_the_store_check(self):
-        cluster = make_cluster()
-        capacity = cluster.words_per_machine
-        cluster.communication_round([7], [0], capacity + 5, store_tag="views")
-        with pytest.raises(MemoryLimitExceeded) as excinfo:
-            cluster.communication_round([3], [0], 0, store_tag="more", split_oversized=False)
-        assert excinfo.value.machine_id == cluster.config.machine_of(0)
-        assert excinfo.value.used_words == capacity + 5
-
-    def test_store_offender_is_the_first_in_message_order(self):
-        cluster = make_cluster()
-        capacity = cluster.words_per_machine
-        keys = sorted(range(1, 40), key=cluster.config.machine_of)[:2]
-        for order in (keys, keys[::-1]):
-            with pytest.raises(MemoryLimitExceeded) as excinfo:
-                cluster.communication_round(
-                    [0, 0], order, capacity + 1, store_tag="v", split_oversized=False
-                )
-            assert excinfo.value.machine_id == cluster.config.machine_of(order[0])
-
 
 class TestStorage:
-    def test_store_and_release_at_key(self):
+    def test_load_and_release_a_tag(self):
         cluster = make_cluster()
-        cluster.store_at_key(7, 10, tag="x")
-        assert cluster.global_memory_in_use() == 10
-        cluster.release_at_key(7, 10, tag="x")
+        cluster.load_graph(Graph(7, [(0, 1), (2, 3)]), tag="x")
+        assert cluster.global_memory_in_use() == 7 + 2 * 2
+        cluster.release_tag_everywhere("x")
         assert cluster.global_memory_in_use() == 0
+        assert cluster.ledger_state()["keyed"] == []
 
     def test_store_spread_divides_evenly(self):
         cluster = make_cluster()
@@ -171,10 +147,20 @@ class TestStorage:
 
     def test_peak_memory_tracked(self):
         cluster = make_cluster()
-        cluster.store_at_key(1, 7)
-        cluster.release_at_key(1, 7)
-        assert cluster.stats.peak_global_memory_words >= 7
-        assert cluster.peak_machine_memory() >= 7
+        cluster.load_graph(Graph(7), tag="x")
+        cluster.release_tag_everywhere("x")
+        assert cluster.stats.peak_global_memory_words == 7
+        assert cluster.peak_machine_memory() >= 1
+
+    def test_spread_only_ledger_state_has_no_per_machine_entries(self):
+        cluster = make_cluster()
+        cluster.restore_spread(5 * cluster.num_machines + 3, tag="live")
+        cluster.store_spread(40, tag="views")
+        cluster.communication_round([0, 2], [1, 3], [4, 6])
+        state = cluster.ledger_state()
+        assert state["keyed"] == []
+        assert state["spread"] == {"live": [5 * cluster.num_machines + 3], "views": [40]}
+        assert state["peak_machine_words"] == 6 + 1
 
     def test_machine_id_out_of_range(self):
         cluster = make_cluster()
@@ -196,13 +182,8 @@ def _global_only(**kwargs) -> MPCCluster:
 
 
 #: ``(cluster factory, failing call, exception)``; every cluster first holds
-#: a spread object and a keyed store, so "nothing changed" has content.
+#: a spread object and a loaded graph, so "nothing changed" has content.
 RAISING_STORES = {
-    "store_at_key": (
-        make_cluster,
-        lambda c: c.store_at_key(3, c.words_per_machine + 1, tag="x"),
-        MemoryLimitExceeded,
-    ),
     "store_spread": (
         make_cluster,
         lambda c: c.store_spread(c.num_machines * (c.words_per_machine + 1), tag="big"),
@@ -218,10 +199,10 @@ RAISING_STORES = {
         lambda c: c.load_graph(generators.union_of_random_forests(200, arboricity=10, seed=1)),
         MemoryLimitExceeded,
     ),
-    "communication_round-store": (
-        make_cluster,
-        lambda c: c.communication_round(
-            [0], [1], c.words_per_machine + 1, store_tag="views", split_oversized=False
+    "load_graph-into-a-loaded-tag": (
+        lambda: make_cluster(n=16, m=16),
+        lambda c: c.load_graph(
+            generators.union_of_random_forests(200, arboricity=10, seed=1), tag="x"
         ),
         MemoryLimitExceeded,
     ),
@@ -237,22 +218,15 @@ RAISING_STORES = {
         lambda c: c.store_spread(c.config.global_memory_words(), tag="big"),
         GlobalMemoryExceeded,
     ),
-    "store_at_key-global": (
+    "load_graph-global": (
         _global_only,
-        lambda c: c.store_at_key(9, c.config.global_memory_words(), tag="x"),
+        lambda c: c.load_graph(Graph(c.config.global_memory_words()), tag="x"),
         GlobalMemoryExceeded,
     ),
     "communication_round-lengths": (
         make_cluster,
-        lambda c: c.communication_round([0, 1], [1], [2, 2], store_tag="views"),
+        lambda c: c.communication_round([0, 1], [1], [2, 2]),
         SimulationError,
-    ),
-    "communication_round-global": (
-        _global_only,
-        lambda c: c.communication_round(
-            [0], [1], c.config.global_memory_words(), store_tag="views"
-        ),
-        GlobalMemoryExceeded,
     ),
 }
 
@@ -278,27 +252,28 @@ class TestAtomicStores:
         factory, call, error = RAISING_STORES[case]
         cluster = factory()
         cluster.restore_spread(3 * cluster.num_machines, tag="live")
-        cluster.store_at_key(5, 2, tag="x")
+        cluster.load_graph(Graph(2, [(0, 1)]), tag="x")
         before = _ledger_view(cluster)
         with pytest.raises(error):
             call(cluster)
         assert _ledger_view(cluster) == before
 
-    def test_spread_onto_a_machine_a_split_payload_overfilled_raises(self):
-        """A non-strict payload store may exceed the cap; a later enforced
-        spread covering that machine must still name it, even when the
-        peak (set by a released payload) is above every current value."""
-        cluster = make_cluster()
+    def test_spread_onto_a_loaded_machine_below_a_released_peak_raises(self):
+        """A spread covering a loaded machine must name it as the offender,
+        even when the peak (set by a released load) is above every current
+        value."""
+        cluster = make_cluster(n=16, m=16)
         capacity = cluster.words_per_machine
-        cluster.communication_round([7], [0], 2 * capacity, store_tag="views")
-        cluster.communication_round([7], [1], 3 * capacity, store_tag="spike")
+        cluster.load_graph(Graph(600), tag="views")
+        cluster.load_graph(Graph(300), tag="spike")
         cluster.release_tag_everywhere("spike")
-        machine = cluster.config.machine_of(0)
-        assert cluster.peak_machine_memory() == 3 * capacity
+        held = [cluster.machine_words(m) for m in range(cluster.num_machines)]
+        assert cluster.peak_machine_memory() > max(held)
+        share = capacity + 1 - max(held)
         with pytest.raises(MemoryLimitExceeded) as excinfo:
-            cluster.store_spread(cluster.num_machines, tag="small")
-        assert excinfo.value.machine_id == machine
-        assert excinfo.value.used_words == 2 * capacity + 1
+            cluster.store_spread(share * cluster.num_machines, tag="small")
+        assert excinfo.value.machine_id == held.index(max(held))
+        assert excinfo.value.used_words == capacity + 1
 
     def test_traffic_offender_is_the_lowest_machine_at_the_largest_volume(self):
         cluster = make_cluster()
@@ -318,63 +293,14 @@ class TestAtomicStores:
         assert excinfo.value.machine_id == cluster.config.machine_of(keys[0])
 
 
-class TestRelease:
-    def test_over_release_raises_and_changes_nothing(self):
-        cluster = make_cluster()
-        cluster.store_at_key(7, 10, tag="a")
-        cluster.store_at_key(7, 10, tag="b")
-        before = _ledger_view(cluster)
-        machine = cluster.config.machine_of(7)
-        with pytest.raises(SimulationError, match=f"machine {machine}: it holds 10"):
-            cluster.release_at_key(7, 15, tag="a")
-        with pytest.raises(SimulationError, match="it holds 0"):
-            cluster.release_at_key(7, 1, tag="unknown")
-        assert _ledger_view(cluster) == before
-        cluster.release_at_key(7, 10, tag="a")
-        assert cluster.global_memory_in_use() == 10
-        assert cluster.machine_words(machine) == 10
-
-    def test_release_at_key_may_take_words_from_a_spread_share(self):
-        cluster = make_cluster()
-        cluster.store_spread(2 * cluster.num_machines, tag="s")
-        cluster.release_at_key(7, 2, tag="s")
-        assert cluster.machine_words(cluster.config.machine_of(7)) == 0
-        assert cluster.global_memory_in_use() == 2 * cluster.num_machines - 2
-        with pytest.raises(SimulationError):
-            cluster.release_at_key(7, 1, tag="s")
-
-    @pytest.mark.parametrize("enforce", [True, False])
-    def test_restore_over_a_released_spread_share_is_checked_exactly(self, enforce):
-        # The release leaves machine_of(7) with a negative keyed entry under
-        # "t"; re-registering "t" drops it, so the machine ends at 62 + 3.
-        cluster = make_cluster(enforce_limits=enforce)
-        machines = cluster.num_machines
-        machine = cluster.config.machine_of(7)
-        cluster.store_spread(3 * machines, tag="t")
-        cluster.release_at_key(7, 3, tag="t")
-        cluster.store_at_key(7, 62, tag="a")
-        assert cluster.peak_machine_memory() == 62
-        if enforce:
-            before = _ledger_view(cluster)
-            with pytest.raises(MemoryLimitExceeded) as excinfo:
-                cluster.restore_spread(3 * machines, tag="t")
-            assert (excinfo.value.machine_id, excinfo.value.used_words) == (machine, 65)
-            assert _ledger_view(cluster) == before
-        else:
-            cluster.restore_spread(3 * machines, tag="t")
-            assert cluster.machine_words(machine) == 65
-            assert cluster.peak_machine_memory() == 65
-            assert cluster.stats.peak_machine_memory_words == 65
-
-    def test_spread_only_ledger_state_has_no_per_machine_entries(self):
-        cluster = make_cluster()
-        cluster.restore_spread(5 * cluster.num_machines + 3, tag="live")
-        cluster.store_spread(40, tag="views")
-        cluster.communication_round([0, 2], [1, 3], [4, 6])
-        state = cluster.ledger_state()
-        assert state["keyed"] == []
-        assert state["spread"] == {"live": [5 * cluster.num_machines + 3], "views": [40]}
-        assert state["peak_machine_words"] == 6 + 1
+def _load_words(cluster: MPCCluster, graph: Graph, into: dict[int, int]) -> dict[int, int]:
+    """Add the words ``load_graph(graph)`` puts on each machine to ``into``,
+    one key at a time (vertex keys first, then edge keys)."""
+    n = graph.num_vertices
+    for key in range(n + graph.num_edges):
+        machine_id = cluster.config.machine_of(key)
+        into[machine_id] = into.get(machine_id, 0) + (1 if key < n else 2)
+    return into
 
 
 class TestGraphLoading:
@@ -384,6 +310,34 @@ class TestGraphLoading:
         cluster.load_graph(graph)
         expected = graph.num_vertices + 2 * graph.num_edges
         assert cluster.global_memory_in_use() == expected
+
+    def test_a_second_load_merges_per_machine_records(self):
+        first, second = Graph(40, [(0, 1), (5, 6)]), Graph(25, [(v, v + 1) for v in range(24)])
+        cluster = make_cluster()
+        cluster.load_graph(first)
+        cluster.load_graph(second)
+        expected = _load_words(cluster, second, _load_words(cluster, first, {}))
+        assert cluster.ledger_state()["keyed"] == [
+            [machine_id, {"input": words}] for machine_id, words in sorted(expected.items())
+        ]
+        assert cluster.global_memory_in_use() == 40 + 2 * 2 + 25 + 2 * 24
+        clone = MPCCluster.from_ledger_state(json.loads(json.dumps(cluster.ledger_state())))
+        assert _ledger_view(clone) == _ledger_view(cluster)
+        for machine_id in range(cluster.num_machines):
+            assert clone.machine_words(machine_id) == cluster.machine_words(machine_id)
+
+    def test_load_offender_is_the_first_machine_over_capacity_in_key_order(self):
+        cluster = make_cluster(n=16, m=16)
+        graph = generators.union_of_random_forests(200, arboricity=10, seed=1)
+        words = _load_words(cluster, graph, {})
+        first = next(
+            cluster.config.machine_of(key)
+            for key in range(graph.num_vertices + graph.num_edges)
+            if words[cluster.config.machine_of(key)] > cluster.words_per_machine
+        )
+        with pytest.raises(MemoryLimitExceeded) as excinfo:
+            cluster.load_graph(graph)
+        assert (excinfo.value.machine_id, excinfo.value.used_words) == (first, words[first])
 
     def test_snapshot_reports_configuration(self):
         cluster = make_cluster()
@@ -401,12 +355,12 @@ class TestSnapshotAccounting:
 
     def test_snapshot_tracks_peak_memory_observation(self):
         cluster = make_cluster()
-        cluster.store_at_key(3, 40, tag="spike")
-        cluster.release_at_key(3, 40, tag="spike")
-        cluster.store_at_key(3, 5, tag="steady")
+        cluster.store_spread(40 * cluster.num_machines, tag="spike")
+        cluster.release_tag_everywhere("spike")
+        cluster.load_graph(Graph(5), tag="steady")
         snap = cluster.snapshot()
         assert snap["peak_machine_memory_words"] == 40.0
-        assert snap["peak_global_memory_words"] == 40.0
+        assert snap["peak_global_memory_words"] == 40.0 * cluster.num_machines
         assert snap["global_budget_words"] == float(cluster.config.global_memory_words())
 
     def test_oversized_split_charges_extra_labelled_rounds(self):
@@ -545,7 +499,7 @@ class TestClusterForkAndMerge:
     def test_fork_round_trips_through_pickle(self):
         child = make_cluster().fork()
         child.charge_rounds(2, label="work")
-        child.store_at_key(5, 7, tag="part")
+        child.load_graph(Graph(7), tag="part")
         clone = pickle.loads(pickle.dumps(child))
         assert clone.stats.num_rounds == 2
         assert clone.global_memory_in_use() == 7

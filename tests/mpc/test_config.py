@@ -23,6 +23,11 @@ class TestValidation:
         with pytest.raises(ParameterError):
             MPCConfig(num_vertices=10, num_edges=0, memory_constant=0.0)
 
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_a_non_finite_delta(self, delta):
+        with pytest.raises(ParameterError, match="delta must be a positive finite number"):
+            MPCConfig(num_vertices=10, num_edges=0, delta=delta)
+
 
 class TestDerivedQuantities:
     def test_strongly_sublinear_flag(self):

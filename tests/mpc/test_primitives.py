@@ -39,10 +39,6 @@ class TestGather:
         assert rounds == cluster.stats.num_rounds == GATHER_ROUNDS + 1
         assert cluster.stats.total_words_sent == 3 + 2 + 1
 
-    def test_gather_with_storage(self, cluster):
-        gather_bundles(cluster, [0], [1], 4, store_tag="bundle")
-        assert cluster.global_memory_in_use() == 4
-
     def test_gather_returns_the_split_delivery_rounds(self, cluster):
         oversized = 3 * cluster.words_per_machine
         rounds = gather_bundles(cluster, [0], [1], oversized)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import main
+from repro.errors import ParameterError
 from repro.graph import generators
 from repro.graph.io import read_edge_list, write_edge_list
 
@@ -82,6 +83,11 @@ class TestLayersAndCoreness:
         assert main(["layers", str(path), "--k", "8"]) == 0
         err = capsys.readouterr().err
         assert "k=8" in err
+
+    def test_layers_rejects_a_nan_delta(self, graph_file):
+        path, _graph = graph_file
+        with pytest.raises(ParameterError, match="delta must be a positive finite number"):
+            main(["layers", str(path), "--delta", "nan"])
 
     def test_coreness_command(self, graph_file, capsys):
         path, graph = graph_file
