@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass, field
 
 from repro.core.layering import PartialLayerAssignment
-from repro.core.parameters import Parameters
+from repro.core.parameters import Parameters, density_bound, loglog
 from repro.core.tree_view import TreeView
 from repro.errors import ReproError
 from repro.graph.coloring import Coloring
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
 from repro.graph.orientation import Orientation
+from repro.mpc.config import local_memory
 from repro.mpc.metrics import RoundStats
 
 
@@ -61,15 +62,14 @@ def validate_orientation_quality(
     orientation: Orientation, arboricity: int, num_vertices: int, constant: float = 8.0
 ) -> ValidationReport:
     """Theorem 1.1: max outdegree ≤ constant · λ · log log n."""
-    loglog = max(math.log2(max(math.log2(max(num_vertices, 4)), 2.0)), 1.0)
-    allowed = constant * max(arboricity, 1) * loglog
+    allowed = density_bound(arboricity, num_vertices, constant)
     measured = orientation.max_outdegree()
     return ValidationReport(
         name="theorem-1.1-outdegree",
         passed=measured <= allowed,
         measured=float(measured),
         allowed=float(allowed),
-        details={"arboricity": float(arboricity), "loglog_n": loglog},
+        details={"arboricity": float(arboricity), "loglog_n": loglog(num_vertices)},
     )
 
 
@@ -77,8 +77,7 @@ def validate_coloring_quality(
     coloring: Coloring, arboricity: int, num_vertices: int, constant: float = 24.0
 ) -> ValidationReport:
     """Theorem 1.2: proper coloring with ≤ constant · λ · log log n colors."""
-    loglog = max(math.log2(max(math.log2(max(num_vertices, 4)), 2.0)), 1.0)
-    allowed = constant * max(arboricity, 1) * loglog
+    allowed = density_bound(arboricity, num_vertices, constant)
     measured = coloring.num_colors()
     proper = coloring.is_proper()
     return ValidationReport(
@@ -94,14 +93,14 @@ def validate_round_complexity(
     rounds: int, num_vertices: int, constant: float = 40.0, exponent: float = 3.0
 ) -> ValidationReport:
     """poly(log log n) round complexity: rounds ≤ constant · (log log n)^exponent."""
-    loglog = max(math.log2(max(math.log2(max(num_vertices, 4)), 2.0)), 1.0)
-    allowed = constant * (loglog ** exponent)
+    loglog_n = loglog(num_vertices)
+    allowed = constant * (loglog_n ** exponent)
     return ValidationReport(
         name="round-complexity",
         passed=rounds <= allowed,
         measured=float(rounds),
         allowed=float(allowed),
-        details={"loglog_n": loglog},
+        details={"loglog_n": loglog_n},
     )
 
 
@@ -204,14 +203,13 @@ def validate_streaming_outdegree(
     tighter run-time invariant ``max_outdegree ≤ flip_slack · λ̂`` is enforced
     directly by :meth:`repro.stream.service.StreamingService.verify`.
     """
-    loglog = max(math.log2(max(math.log2(max(num_vertices, 4)), 2.0)), 1.0)
-    allowed = constant * max(arboricity, 1) * loglog
+    allowed = density_bound(arboricity, num_vertices, constant)
     return ValidationReport(
         name="streaming-outdegree",
         passed=max_outdegree <= allowed,
         measured=float(max_outdegree),
         allowed=float(allowed),
-        details={"arboricity": float(arboricity), "loglog_n": loglog},
+        details={"arboricity": float(arboricity), "loglog_n": loglog(num_vertices)},
     )
 
 
@@ -224,7 +222,7 @@ def validate_local_memory(
     stats: RoundStats, num_vertices: int, budget: int, delta: float, constant: float = 16.0
 ) -> ValidationReport:
     """Claims 3.5 / 3.11: peak per-machine memory ≤ constant · (n^δ + B) words."""
-    allowed = constant * ((max(num_vertices, 2) ** delta) + budget)
+    allowed = constant * (local_memory(max(num_vertices, 2), delta) + budget)
     measured = stats.peak_machine_memory_words
     return ValidationReport(
         name="local-memory",

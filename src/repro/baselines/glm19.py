@@ -28,6 +28,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
+from repro.core.parameters import log_n
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
@@ -53,8 +54,7 @@ class GLM19Result:
 
 def phase_length_for(num_vertices: int) -> int:
     """The phase length ``T' = ⌈√(log2 n)⌉`` of the sparsification approach."""
-    log_n = max(math.log2(max(num_vertices, 2)), 1.0)
-    return max(int(math.ceil(math.sqrt(log_n))), 1)
+    return max(int(math.ceil(math.sqrt(log_n(num_vertices)))), 1)
 
 
 def glm19_orientation(

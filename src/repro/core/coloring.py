@@ -24,22 +24,18 @@ Pipeline (see Section 4 of the paper):
 The number of colors is at most ``3·d = O(λ log log n)`` per part, and the
 coloring is proper by construction (validated, not assumed).
 
-**Parallel execution.**  The Lemma 2.2 parts are *independent*: the paper
-colors them simultaneously on the shared cluster, so their layering and
-list-coloring rounds coincide rather than add.  The large-λ branch therefore
-fans the parts out through the worker pool (:class:`repro.engine.WorkerPool`)
-— each part layers and colors against its own sub-ledger
-(:meth:`repro.mpc.cluster.MPCCluster.fork`) and the fold charges rounds as
-max-over-parts — and combines the per-part colorings with a disjoint
-color-offset scheme: part ``i``'s colors are shifted by the sum of the
-palette sizes of parts ``0..i-1`` (a prefix-sum broadcast, charged as one
-``palette-offsets`` round).  Results are byte-identical for any worker
-count: the partition is fixed by the parent RNG before the fan-out, each
-part draws only from its own seed stream (:func:`repro.engine.derive_seed`
-by part position), and the offsets depend only on the fixed part order.
-Shipping is lean both ways: each task carries its part (a pickled pair of
-edge columns plus the parent-id map), and the result ships back as flat
-``array('l')`` color/layer columns instead of per-vertex dicts.
+**Parallel execution.**  The arboricity guess, the ``k > 4·log n`` branch
+rule and the fan-out of the Lemma 2.2 parts are the job skeleton Theorem 1.1
+shares (:mod:`repro.core._job`).  Both branches run one layer-and-color
+body.  The per-part colorings combine with a disjoint color-offset scheme:
+part ``i``'s colors are shifted by the sum of the palette sizes of parts
+``0..i-1`` (a prefix-sum broadcast, charged as one ``palette-offsets``
+round).  Each part draws only from its own seed stream
+(:func:`repro.engine.derive_seed` by part position) and the offsets depend
+only on the fixed part order, so results are byte-identical for any worker
+count.  Each task carries its part (a pickled pair of edge columns plus the
+parent-id map), and the result ships back as flat ``array('l')``
+color/layer columns.
 
 The output's color count is ``O(λ · log log n)`` — experiment E2 measures
 the realised constant.
@@ -54,20 +50,19 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from repro import kernels
+from repro.core._job import fan_out, set_up_job
 from repro.core.directed_expo import directed_reachability
 from repro.core.full_assignment import complete_layer_assignment
-from repro.core.parameters import refuse_bools
+from repro.core.parameters import density_bound, log_n, loglog
 from repro.core.partitioning import random_vertex_partition
-from repro.engine import WorkerPool, seed_stream
+from repro.engine import seed_stream
 from repro.errors import ParameterError
-from repro.graph.arboricity import arboricity_upper_bound
 from repro.graph.coloring import Coloring
 from repro.graph.graph import Graph, InducedSubgraph
 from repro.graph.hpartition import HPartition
 from repro.local.list_coloring import random_list_coloring
 from repro.mpc.cluster import MPCCluster
-from repro.mpc.config import MPCConfig
-from repro.obs.tracer import NULL_TRACER
+from repro.mpc.config import local_memory
 
 
 @dataclass
@@ -75,10 +70,8 @@ class ColoringRun:
     """Output of the Theorem 1.2 pipeline, with measurements.
 
     ``part_rounds`` records, for every (non-empty) Lemma 2.2 part, the rounds
-    the part charged on its own sub-ledger — the quantity the old sequential
-    loop summed into ``rounds`` and the parallel fold replaces with the max
-    (regression-tested: ``rounds`` stays strictly below ``sum(part_rounds)``
-    whenever there is more than one part).
+    the part charged on its own sub-ledger; ``rounds`` folds them as their
+    max, not their sum.
     """
 
     coloring: Coloring
@@ -101,9 +94,8 @@ class ColoringRun:
 def _color_layered_graph(
     graph: Graph,
     hpartition: HPartition,
-    palette_base: int,
     palette_size: int,
-    cluster: MPCCluster | None,
+    cluster: MPCCluster,
     rng: random.Random,
     delta: float,
 ) -> tuple[array, int]:
@@ -111,7 +103,7 @@ def _color_layered_graph(
 
     Layers are processed from the deepest to the shallowest in batches whose
     directed-reachability sets stay below the local-memory proxy ``n^δ``.
-    Returns the per-vertex color column (colors offset by ``palette_base``)
+    Returns the per-vertex color column (colors in ``0 .. palette_size-1``)
     and the total number of LOCAL subroutine rounds consumed.
     """
     layer_of = hpartition.layer_of
@@ -120,33 +112,31 @@ def _color_layered_graph(
     local_rounds = 0
 
     n = max(graph.num_vertices, 2)
-    set_size_limit = max(int(math.ceil(4 * (n ** delta))), 16)
+    set_size_limit = max(int(math.ceil(local_memory(n, delta, 4))), 16)
     # Batch size in layers: the paper uses Θ(δ log n / log^{2.67} log n).  The
     # batch size is fixed: each batch's vertices walk the directed out-CSR in
     # one reachability kernel call, whose pair columns only feed the
     # Lemma 4.1 gather's ledger charge; the sets (truncated at the
     # local-memory proxy) are not used to shrink a batch.
-    loglog = max(math.log2(max(math.log2(n), 2.0)), 1.0)
-    default_batch = max(int(math.ceil(math.log2(n) / (loglog ** 2))), 1)
+    default_batch = max(int(math.ceil(log_n(n) / (loglog(n) ** 2))), 1)
 
     highest_uncolored = hpartition.num_layers
     while highest_uncolored >= 1:
         batch = min(default_batch, highest_uncolored)
         lowest_in_batch = highest_uncolored - batch + 1
-        if cluster is not None:
-            batch_vertices = sorted(
-                chain.from_iterable(hpartition.layers[lowest_in_batch - 1 : highest_uncolored])
+        batch_vertices = sorted(
+            chain.from_iterable(hpartition.layers[lowest_in_batch - 1 : highest_uncolored])
+        )
+        if batch_vertices:
+            directed_reachability(
+                graph,
+                layer_of,
+                batch_vertices,
+                max_distance=batch * 4,
+                cluster=cluster,
+                set_size_limit=set_size_limit,
+                out_csr=out_csr,
             )
-            if batch_vertices:
-                directed_reachability(
-                    graph,
-                    layer_of,
-                    batch_vertices,
-                    max_distance=batch * 4,
-                    cluster=cluster,
-                    set_size_limit=set_size_limit,
-                    out_csr=out_csr,
-                )
 
         # Color the batch layer by layer (highest first); each layer is a
         # degree+1 list coloring on the graph induced by that layer.  A
@@ -158,7 +148,7 @@ def _color_layered_graph(
                 continue
             induced = graph.induced_subgraph(members)
             palettes = kernels.layer_palettes(
-                induced.parent_ids, *out_csr, colors, palette_base, palette_size
+                induced.parent_ids, *out_csr, colors, 0, palette_size
             )
             result = random_list_coloring(induced, palettes, rng=rng)
             local_rounds += result.rounds
@@ -167,6 +157,29 @@ def _color_layered_graph(
         highest_uncolored = lowest_in_batch - 1
 
     return colors, local_rounds
+
+
+def _layer_and_color(
+    graph: Graph,
+    k: int,
+    delta: float,
+    palette_slack: int,
+    cluster: MPCCluster,
+    rng: random.Random,
+) -> tuple[HPartition, array, int, int]:
+    """Layer ``graph`` (Lemma 3.15) and color it layer by layer (Lemma 4.1).
+
+    The palette is ``palette_slack · d`` colors, ``d`` the H-partition's
+    out-degree.  Returns the H-partition, the color column, the palette size
+    and the LOCAL subroutine rounds.
+    """
+    run = complete_layer_assignment(graph, k=k, delta=delta, cluster=cluster)
+    hpartition = run.to_hpartition()
+    palette_size = palette_slack * max(hpartition.max_out_degree(), 1)
+    colors, local_rounds = _color_layered_graph(
+        graph, hpartition, palette_size, cluster=cluster, rng=rng, delta=delta
+    )
+    return hpartition, colors, palette_size, local_rounds
 
 
 def _color_part_task(
@@ -186,18 +199,8 @@ def _color_part_task(
     sub-ledger's stats; the parent rebuilds the HPartition from the layer
     column.
     """
-    run = complete_layer_assignment(part, k=k, delta=delta, cluster=ledger)
-    hpartition = run.to_hpartition()
-    out_degree = max(hpartition.max_out_degree(), 1)
-    palette_size = palette_slack * out_degree
-    part_colors, local_rounds = _color_layered_graph(
-        part,
-        hpartition,
-        palette_base=0,
-        palette_size=palette_size,
-        cluster=ledger,
-        rng=random.Random(seed),
-        delta=delta,
+    hpartition, part_colors, palette_size, local_rounds = _layer_and_color(
+        part, k, delta, palette_slack, ledger, random.Random(seed)
     )
     return part_colors, hpartition.layer_of, palette_size, local_rounds, ledger.stats
 
@@ -226,13 +229,14 @@ def color(
     palette union) with their ledger deltas — observation only, results are
     identical with tracing on or off.
     """
-    refuse_bools(k=k, workers=workers)
-    if workers < 1:
-        raise ParameterError("workers must be at least 1")
-    if graph.num_vertices == 0:
-        empty = Coloring(graph, {})
+    if palette_slack < 2:
+        raise ParameterError("palette_slack must be at least 2 for a degree+1 list coloring")
+    job = set_up_job(
+        graph, delta, k, k_factor, seed, cluster, force_vertex_partitioning, workers, tracer
+    )
+    if job is None:
         return ColoringRun(
-            coloring=empty,
+            coloring=Coloring(graph, {}),
             num_colors=0,
             palette_size=0,
             arboricity_proxy=0,
@@ -241,68 +245,34 @@ def color(
             num_parts=1,
             local_subroutine_rounds=0,
         )
-    if palette_slack < 2:
-        raise ParameterError("palette_slack must be at least 2 for a degree+1 list coloring")
+    cluster, tracer = job.cluster, job.tracer
 
-    if cluster is None:
-        cluster = MPCCluster(MPCConfig.for_graph(graph, delta=delta))
-        cluster.load_graph(graph)
-    tracer = NULL_TRACER if tracer is None else tracer
-    if tracer.enabled:
-        cluster.instrument(tracer)
-    rng = random.Random(seed)
-
-    if k is None:
-        estimate = max(arboricity_upper_bound(graph), 1)
-        k = max(2, int(math.ceil(k_factor * estimate)))
-        cluster.charge_rounds(1, label="arboricity-guess")
-    arboricity_proxy = max(1, int(math.ceil(k / max(k_factor, 1.0))))
-
-    log_n = max(math.log2(max(graph.num_vertices, 2)), 1.0)
-    large_lambda = k > 4 * log_n
-    if force_vertex_partitioning is not None:
-        large_lambda = force_vertex_partitioning
-
-    hpartitions: list[HPartition] = []
-
-    if not large_lambda:
+    if not job.large_lambda:
         # Small-λ branch: one part, colored in place on the parent ledger.
         with tracer.span("color:layers", cat="kernel", cluster=cluster):
-            run = complete_layer_assignment(graph, k=k, delta=delta, cluster=cluster)
-            hpartition = run.to_hpartition()
-            hpartitions.append(hpartition)
-            out_degree = max(hpartition.max_out_degree(), 1)
-            palette_size = palette_slack * out_degree
-            colors, local_rounds = _color_layered_graph(
-                graph,
-                hpartition,
-                palette_base=0,
-                palette_size=palette_size,
-                cluster=cluster,
-                rng=rng,
-                delta=delta,
+            hpartition, colors, palette_size, local_rounds = _layer_and_color(
+                graph, job.k, delta, palette_slack, cluster, job.rng
             )
         coloring = Coloring.from_column(graph, colors)
         return ColoringRun(
             coloring=coloring,
             num_colors=coloring.num_colors(),
             palette_size=palette_size,
-            arboricity_proxy=arboricity_proxy,
+            arboricity_proxy=job.arboricity_proxy,
             rounds=cluster.stats.num_rounds,
             used_vertex_partitioning=False,
             num_parts=1,
             local_subroutine_rounds=local_rounds,
-            hpartitions=hpartitions,
+            hpartitions=[hpartition],
             cluster=cluster,
         )
 
     # Large-λ branch: Lemma 2.2 vertex partitioning, layer and color all
     # parts in parallel supersteps (each on its own sub-ledger), then union
     # the per-part colorings under disjoint palette offsets.
-    vertex_partition = random_vertex_partition(graph, arboricity_bound=k, rng=rng)
+    vertex_partition = random_vertex_partition(graph, arboricity_bound=job.k, rng=job.rng)
     cluster.charge_rounds(1, label="vertex-partition")
     num_parts = vertex_partition.num_parts
-    per_part_k = max(2, int(math.ceil(2 * log_n)))
     # Per-part seeds are derived from the *part position*, so any worker
     # count (and the serial loop) replays identical randomness; empty parts
     # contribute nothing but keep their seed-stream slot so the part count
@@ -313,20 +283,16 @@ def color(
         for index, part in enumerate(vertex_partition.parts)
         if part.num_vertices
     ]
-    with WorkerPool(workers) as pool:
-        if tracer.enabled:
-            pool.instrument(tracer)
-        with tracer.span(
-            "color:fanout", cat="kernel", cluster=cluster, parts=len(nonempty)
-        ):
-            results = pool.map(
-                _color_part_task,
-                [
-                    (part, per_part_k, delta, palette_slack, part_seeds[index], cluster.fork())
-                    for index, part in nonempty
-                ],
-                total_work=vertex_partition.total_edges + graph.num_vertices,
-            )
+    results = fan_out(
+        "color",
+        _color_part_task,
+        [
+            (part, job.per_part_k, delta, palette_slack, part_seeds[index], cluster.fork())
+            for index, part in nonempty
+        ],
+        total_work=vertex_partition.total_edges + graph.num_vertices,
+        job=job,
+    )
 
     with tracer.span("color:merge", cat="kernel", cluster=cluster):
         cluster.merge_parallel([stats for *_rest, stats in results])
@@ -335,10 +301,7 @@ def color(
         cluster.charge_rounds(1, label="palette-offsets")
 
         # The prefix-sum offsets and the shifted per-part color scatters run
-        # as one kernel pass over the flat columns (vectorized on the numpy
-        # backend); the per-vertex mapping materialises once, in vertex
-        # order, inside ``Coloring.from_column`` — byte-identical to the old
-        # per-part dict accumulation.
+        # as one kernel pass over the flat columns.
         column, offsets = kernels.assemble_color_columns(
             graph.num_vertices,
             [
@@ -346,6 +309,7 @@ def color(
                 for (_index, part), result in zip(nonempty, results)
             ],
         )
+        hpartitions: list[HPartition] = []
         local_rounds = 0
         part_rounds: list[int] = []
         for (_index, part), result in zip(nonempty, results):
@@ -353,14 +317,13 @@ def color(
             hpartitions.append(HPartition(part, layer_column))
             local_rounds += part_local_rounds
             part_rounds.append(stats.num_rounds)
-        palette_base = offsets[-1]
 
     coloring = Coloring.from_column(graph, column)
     return ColoringRun(
         coloring=coloring,
         num_colors=coloring.num_colors(),
-        palette_size=palette_base,
-        arboricity_proxy=arboricity_proxy,
+        palette_size=offsets[-1],
+        arboricity_proxy=job.arboricity_proxy,
         rounds=cluster.stats.num_rounds,
         used_vertex_partitioning=True,
         num_parts=num_parts,
@@ -374,8 +337,7 @@ def color(
 def coloring_palette_bound(arboricity: int, num_vertices: int, constant: float = 24.0) -> int:
     """The Theorem 1.2 target bound ``O(λ · log log n)`` with an explicit constant.
 
-    Used by tests and the E2 benchmark: ``num_colors ≤ constant · max(λ, 1) ·
-    max(log2 log2 n, 1)``.
+    Used by tests and the E2 benchmark: ``num_colors ≤ ⌈constant · max(λ, 1) ·
+    max(log2 log2 n, 1)⌉``.
     """
-    loglog = max(math.log2(max(math.log2(max(num_vertices, 4)), 2.0)), 1.0)
-    return int(math.ceil(constant * max(arboricity, 1) * loglog))
+    return int(math.ceil(density_bound(arboricity, num_vertices, constant)))

@@ -42,7 +42,7 @@ from repro.errors import InvalidLayeringError, ParameterError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
 from repro.mpc.cluster import MPCCluster
-from repro.mpc.config import check_delta
+from repro.mpc.config import check_delta, local_memory
 
 
 @dataclass
@@ -224,7 +224,7 @@ def complete_layer_assignment(
     if k < 1:
         raise ParameterError("k must be at least 1")
     n = max(graph.num_vertices, 2)
-    budget = max(min(k * k, max(int(math.ceil(4 * (n ** delta))), 64)), 64)
+    budget = max(min(k * k, max(int(math.ceil(local_memory(n, delta, 4))), 64)), 64)
 
     rounds_before = cluster.stats.num_rounds if cluster is not None else 0
 

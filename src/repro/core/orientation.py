@@ -2,32 +2,23 @@
 
 Pipeline (see the proof of Theorem 1.1):
 
-1. Obtain an arboricity proxy ``k`` with ``k ∈ [c·λ, 2c·λ]`` (the paper guesses
-   it by running every ``(1+ε)^i`` estimate in parallel at an ``O(log n)``
-   global-memory premium; we compute the degeneracy, which is a 2-approximation
-   of λ, and scale it — same outcome, one extra "round" charged for the guess).
-2. If ``k`` is already ``O(log n)``-ish, run the Lemma 3.15 complete layer
-   assignment directly and orient every edge toward the strictly higher layer
-   (ties toward the higher id).
+1. Obtain an arboricity proxy ``k`` and pick the branch: the job skeleton
+   shared with Theorem 1.2 (:mod:`repro.core._job`).
+2. If ``k ≤ 4·log n``, run the Lemma 3.15 complete layer assignment directly
+   and orient every edge toward the strictly higher layer (ties toward the
+   higher id).
 3. Otherwise apply Lemma 2.1: randomly partition the edges into
    ``⌈k / log n⌉`` parts, orient each part with the layering pipeline (each
-   part has arboricity ``O(log n)`` w.h.p.), and merge the orientations.
+   part has arboricity ``O(log n)`` w.h.p.) in the skeleton's fan-out, and
+   merge the orientations.
 
-The Lemma 2.1 parts are *independent*: the paper orients them simultaneously
-on the shared cluster, so their layering rounds coincide rather than add.
-The large-λ branch therefore fans the parts out through the worker pool
-(:class:`repro.engine.WorkerPool`); each task carries its part, a pickled
-pair of edge columns.  Each part runs against its own sub-ledger
-(:meth:`repro.mpc.cluster.MPCCluster.fork`), the fold charges rounds as
-max-over-parts, and each part returns only its heads column.  The part
-columns combine in a single L-way merge — concatenated, ordered once by edge
-key and compared with the input graph's own columns, which is the exact
-coverage check of Lemma 2.1 — and the outdegrees are tallied once.  The
-model's merge is a balanced aggregation tree, so it is still charged
-``⌈log2 L⌉`` rounds (label ``merge-orientations``, one round per tree level).
-Results are identical for any worker count: the parts are fixed by the
-partition RNG before the fan-out and each part's layering pipeline is
-deterministic.
+Each part task carries its part, a pickled pair of edge columns, and
+returns only its heads column.  The part columns combine in a single L-way
+merge — concatenated, ordered once by edge key and compared with the input
+graph's own columns, which is the exact coverage check of Lemma 2.1 — and
+the outdegrees are tallied once.  The model's merge is a balanced
+aggregation tree, so it is still charged ``⌈log2 L⌉`` rounds (label
+``merge-orientations``, one round per tree level).
 
 The output's maximum outdegree is ``O(λ · log log n)`` — experiment E1
 measures the realised constant.
@@ -36,23 +27,19 @@ measures the realised constant.
 from __future__ import annotations
 
 import math
-import random
 from array import array
 from dataclasses import dataclass, field
 
 from repro import kernels
+from repro.core._job import fan_out, set_up_job
 from repro.core.full_assignment import LayerAssignmentRun, complete_layer_assignment
-from repro.core.parameters import refuse_bools
+from repro.core.parameters import density_bound
 from repro.core.partitioning import random_edge_partition
-from repro.engine import WorkerPool
-from repro.errors import GraphError, ParameterError
-from repro.graph.arboricity import arboricity_upper_bound
+from repro.errors import GraphError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
 from repro.graph.orientation import Orientation
 from repro.mpc.cluster import MPCCluster
-from repro.mpc.config import MPCConfig
-from repro.obs.tracer import NULL_TRACER
 
 
 @dataclass
@@ -75,7 +62,7 @@ class OrientationRun:
 
 
 def _orient_part_task(
-    part: Graph, k: int, delta: float, ledger: MPCCluster | None
+    part: Graph, k: int, delta: float, ledger: MPCCluster
 ) -> tuple[LayerAssignmentRun, array, object]:
     """Orient one Lemma 2.1 part against its own sub-ledger.
 
@@ -87,7 +74,7 @@ def _orient_part_task(
     run = complete_layer_assignment(part, k=k, delta=delta, cluster=ledger)
     edge_u, edge_v = part.edge_endpoints
     heads = kernels.orient_by_rank(edge_u, edge_v, run.layer_column())
-    return run, heads, (ledger.stats if ledger is not None else None)
+    return run, heads, ledger.stats
 
 
 def _merge_part_heads(
@@ -191,84 +178,52 @@ def orient(
         ledger delta each charged.  Observation only — results and round
         counts are byte-identical with tracing on or off.
     """
-    refuse_bools(k=k, workers=workers)
-    if workers < 1:
-        raise ParameterError("workers must be at least 1")
-    if graph.num_vertices == 0:
-        empty = Orientation(graph, {})
+    job = set_up_job(
+        graph, delta, k, k_factor, seed, cluster, force_edge_partitioning, workers, tracer
+    )
+    if job is None:
         return OrientationRun(
-            orientation=empty,
+            orientation=Orientation(graph, {}),
             max_outdegree=0,
             arboricity_proxy=0,
             rounds=0,
             used_edge_partitioning=False,
             num_parts=1,
         )
+    cluster, tracer = job.cluster, job.tracer
 
-    if cluster is None:
-        cluster = MPCCluster(MPCConfig.for_graph(graph, delta=delta))
-        cluster.load_graph(graph)
-    tracer = NULL_TRACER if tracer is None else tracer
-    if tracer.enabled:
-        cluster.instrument(tracer)
-
-    rng = random.Random(seed)
-    if k is None:
-        estimate = max(arboricity_upper_bound(graph), 1)
-        k = max(2, int(math.ceil(k_factor * estimate)))
-        # The paper obtains k by running all (1+eps)^i guesses in parallel,
-        # which costs a constant number of extra rounds and an O(log n) factor
-        # of global memory; we charge the rounds explicitly.
-        cluster.charge_rounds(1, label="arboricity-guess")
-    if k < 1:
-        raise ParameterError("k must be at least 1")
-    arboricity_proxy = max(1, int(math.ceil(k / max(k_factor, 1.0))))
-
-    log_n = max(math.log2(max(graph.num_vertices, 2)), 1.0)
-    large_lambda = k > 4 * log_n
-    if force_edge_partitioning is not None:
-        large_lambda = force_edge_partitioning
-
-    partition_runs: list[LayerAssignmentRun] = []
-    if not large_lambda:
+    if not job.large_lambda:
         with tracer.span("orient:layers", cat="kernel", cluster=cluster):
-            run = complete_layer_assignment(graph, k=k, delta=delta, cluster=cluster)
+            run = complete_layer_assignment(graph, k=job.k, delta=delta, cluster=cluster)
             hpartition = run.to_hpartition()
             orientation = hpartition.to_orientation()
-        partition_runs.append(run)
         return OrientationRun(
             orientation=orientation,
             max_outdegree=orientation.max_outdegree(),
-            arboricity_proxy=arboricity_proxy,
+            arboricity_proxy=job.arboricity_proxy,
             rounds=cluster.stats.num_rounds,
             used_edge_partitioning=False,
             num_parts=1,
-            partition_runs=partition_runs,
+            partition_runs=[run],
             hpartition=hpartition,
             cluster=cluster,
         )
 
     # Large-λ branch: Lemma 2.1 edge partitioning, orient all parts in
     # parallel supersteps (each on its own sub-ledger), one L-way merge.
-    edge_partition = random_edge_partition(graph, arboricity_bound=k, rng=rng)
+    edge_partition = random_edge_partition(graph, arboricity_bound=job.k, rng=job.rng)
     cluster.charge_rounds(1, label="edge-partition")
-    per_part_k = max(2, int(math.ceil(2 * log_n)))
     # Empty parts happen whenever the part count exceeds the edge count;
     # they contribute nothing and are simply skipped.
     parts = [part for part in edge_partition.parts if part.num_edges]
-    with WorkerPool(workers) as pool:
-        if tracer.enabled:
-            pool.instrument(tracer)
-        with tracer.span(
-            "orient:fanout", cat="kernel", cluster=cluster, parts=len(parts)
-        ):
-            results = pool.map(
-                _orient_part_task,
-                [(part, per_part_k, delta, cluster.fork()) for part in parts],
-                total_work=sum(part.num_edges for part in parts),
-            )
+    results = fan_out(
+        "orient",
+        _orient_part_task,
+        [(part, job.per_part_k, delta, cluster.fork()) for part in parts],
+        total_work=sum(part.num_edges for part in parts),
+        job=job,
+    )
     with tracer.span("orient:merge", cat="kernel", cluster=cluster):
-        partition_runs.extend(run for run, _heads, _stats in results)
         cluster.merge_parallel([stats for _run, _heads, stats in results])
         merged = _merge_part_heads(
             graph.num_vertices, parts, [heads for _run, heads, _stats in results], cluster
@@ -278,11 +233,11 @@ def orient(
     return OrientationRun(
         orientation=merged,
         max_outdegree=merged.max_outdegree(),
-        arboricity_proxy=arboricity_proxy,
+        arboricity_proxy=job.arboricity_proxy,
         rounds=cluster.stats.num_rounds,
         used_edge_partitioning=True,
         num_parts=edge_partition.num_parts,
-        partition_runs=partition_runs,
+        partition_runs=[run for run, _heads, _stats in results],
         cluster=cluster,
     )
 
@@ -293,7 +248,6 @@ def orientation_outdegree_bound(
     """The Theorem 1.1 target bound ``O(λ · log log n)`` with an explicit constant.
 
     Used by tests and the E1 benchmark to check the *shape* of the guarantee:
-    ``max_outdegree ≤ constant · max(λ, 1) · max(log2 log2 n, 1)``.
+    ``max_outdegree ≤ ⌈constant · max(λ, 1) · max(log2 log2 n, 1)⌉``.
     """
-    loglog = max(math.log2(max(math.log2(max(num_vertices, 4)), 2.0)), 1.0)
-    return int(math.ceil(constant * max(arboricity, 1) * loglog))
+    return int(math.ceil(density_bound(arboricity, num_vertices, constant)))

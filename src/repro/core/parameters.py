@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from repro.errors import ParameterError
-from repro.mpc.config import check_delta
+from repro.mpc.config import check_delta, local_memory
 
 
 @dataclass(frozen=True)
@@ -92,11 +92,23 @@ def log2_ceil(x: float) -> int:
     return int(math.ceil(math.log2(x)))
 
 
+def log_n(n: int) -> float:
+    """``log2 n`` clamped below at 1.0: the ``log n`` of the large-λ branch
+    rule, the Lemma 2.1/2.2 part count and the per-part ``k``."""
+    return max(math.log2(max(n, 2)), 1.0)
+
+
 def loglog(n: int) -> float:
     """``log2 log2 n`` clamped below at 1.0 (the paper's ubiquitous quantity)."""
     if n < 4:
         return 1.0
     return max(math.log2(math.log2(n)), 1.0)
+
+
+def density_bound(arboricity: int, n: int, constant: float) -> float:
+    """``constant · max(λ, 1) · log log n``: the shape of the ``O(λ log log n)``
+    outdegree and color bounds of Theorems 1.1 and 1.2."""
+    return constant * max(arboricity, 1) * loglog(n)
 
 
 def choose_parameters(
@@ -125,7 +137,7 @@ def choose_parameters(
     check_delta(delta)
 
     k = max(2, int(math.ceil(k_factor * max(arboricity_bound, 1))))
-    machine_budget = int(math.ceil(max(num_vertices, 2) ** delta)) * 4
+    machine_budget = int(math.ceil(local_memory(max(num_vertices, 2), delta))) * 4
     budget = min(max(k * k, 64), max(machine_budget, 64))
 
     if budget > k:

@@ -29,7 +29,7 @@ from array import array
 from dataclasses import dataclass
 
 from repro import kernels
-from repro.core.parameters import refuse_bools
+from repro.core.parameters import log_n, refuse_bools
 from repro.errors import ParameterError
 from repro.graph.graph import Graph, InducedSubgraph
 
@@ -38,8 +38,7 @@ def number_of_parts(arboricity_bound: int, num_vertices: int) -> int:
     """The paper's part count ``L = ⌈k / log n⌉`` (at least 1)."""
     if arboricity_bound < 0:
         raise ParameterError("arboricity_bound must be non-negative")
-    log_n = max(math.log2(max(num_vertices, 2)), 1.0)
-    return max(1, int(math.ceil(arboricity_bound / log_n)))
+    return max(1, int(math.ceil(arboricity_bound / log_n(num_vertices))))
 
 
 #: Largest part count one 32-bit draw word can serve (``L.bit_length() ≤ 32``).

@@ -26,6 +26,20 @@ def check_delta(delta: float) -> None:
         raise ParameterError(f"delta must be a positive finite number (got {delta!r})")
 
 
+def local_memory(n: int, delta: float, constant: float = 1.0) -> float:
+    """``constant · n^δ``: the scale of every ``n^δ``-sized quantity.  A δ
+    so large that this overflows a float is refused with ParameterError."""
+    try:
+        words = constant * (n ** delta)
+    except OverflowError:
+        words = math.inf
+    if math.isinf(words):
+        raise ParameterError(
+            f"delta={delta!r} is too large: the local memory n^delta overflows for n={n}"
+        )
+    return words
+
+
 @dataclass(frozen=True)
 class MPCConfig:
     """Resource parameters of a simulated MPC cluster.
@@ -80,18 +94,13 @@ class MPCConfig:
     @property
     def words_per_machine(self) -> int:
         """Local memory capacity ``S`` in words."""
-        capacity = self.memory_constant * (self.num_vertices ** self.delta)
+        capacity = local_memory(self.num_vertices, self.delta, self.memory_constant)
         return max(int(math.ceil(capacity)), 16)
 
     @property
     def log_n(self) -> float:
         """``log2 n`` (at least 1.0 to avoid degenerate parameters on tiny inputs)."""
         return max(math.log2(self.num_vertices), 1.0)
-
-    @property
-    def log_log_n(self) -> float:
-        """``log2 log2 n`` (at least 1.0)."""
-        return max(math.log2(self.log_n), 1.0)
 
     def global_memory_words(self) -> int:
         """Global memory budget, ``Õ(m + n)`` words.

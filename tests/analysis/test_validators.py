@@ -23,6 +23,7 @@ from repro.analysis.validators import (
 from repro.core.layering import UNASSIGNED, PartialLayerAssignment
 from repro.core.parameters import Parameters
 from repro.core.tree_view import TreeView
+from repro.errors import ParameterError
 from repro.graph import generators
 from repro.graph.coloring import Coloring
 from repro.graph.hpartition import HPartition
@@ -93,6 +94,10 @@ class TestResourceValidators:
         assert validate_local_memory(stats, num_vertices=1024, budget=64, delta=0.5).passed
         stats.observe_memory(10**9, 10**9)
         assert not validate_local_memory(stats, num_vertices=1024, budget=64, delta=0.5).passed
+
+    def test_local_memory_refuses_a_delta_whose_power_overflows(self):
+        with pytest.raises(ParameterError, match=r"delta=.* is too large"):
+            validate_local_memory(RoundStats(), num_vertices=10, budget=64, delta=400.0)
 
     def test_global_memory(self):
         stats = RoundStats()

@@ -106,6 +106,10 @@ class TestCompleteLayerAssignment:
         with pytest.raises(ParameterError, match="delta must be a positive finite number"):
             complete_layer_assignment(small_forest, k=2, delta=delta)
 
+    def test_rejects_a_delta_whose_power_overflows(self, small_forest):
+        with pytest.raises(ParameterError, match=r"delta=.* is too large"):
+            complete_layer_assignment(small_forest, k=2, delta=400.0)
+
     def test_rejects_bool_k(self, small_forest):
         with pytest.raises(ParameterError, match="k must be an integer, not a bool"):
             complete_layer_assignment(small_forest, k=True)

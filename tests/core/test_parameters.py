@@ -5,10 +5,17 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core.parameters import Parameters, choose_parameters, log2_ceil, loglog
+from repro.core.parameters import (
+    Parameters,
+    choose_parameters,
+    density_bound,
+    log2_ceil,
+    log_n,
+    loglog,
+)
 from repro.errors import ParameterError
 
 
@@ -49,6 +56,51 @@ class TestHelpers:
         assert loglog(2**16) == pytest.approx(4.0)
 
 
+def _reference_log_n(n):
+    """The inline ``log n`` of the branch rule, the part count and GLM19."""
+    return max(math.log2(max(n, 2)), 1.0)
+
+
+def _reference_loglogs(n):
+    """The inline ``log log n`` copies that ``loglog`` replaced: the Theorem
+    1.1/1.2 bounds and validators, the Lemma 4.1 batch size (on
+    ``max(n, 2)``) and the deleted ``MPCConfig.log_log_n`` (on ``n ≥ 1``)."""
+    bounds = max(math.log2(max(math.log2(max(n, 4)), 2.0)), 1.0)
+    batch_n = max(n, 2)
+    batch = max(math.log2(max(math.log2(batch_n), 2.0)), 1.0)
+    config_n = max(n, 1)
+    config = max(math.log2(max(math.log2(config_n), 1.0)), 1.0)
+    return bounds, batch, config
+
+
+class TestOneLogAndLogLog:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(min_value=-4, max_value=2**20),
+            st.integers(min_value=10**7, max_value=10**39),
+        )
+    )
+    @example(0)
+    @example(3)
+    @example(4)
+    @example(5)
+    @example(2**16)
+    def test_equal_the_replaced_inline_formulas(self, n):
+        assert log_n(n) == _reference_log_n(n)
+        for reference in _reference_loglogs(n):
+            assert loglog(n) == reference
+
+    @given(
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=2**20),
+        st.sampled_from([8.0, 24.0, 2.5]),
+    )
+    def test_density_bound_is_the_bounds_expression(self, arboricity, n, constant):
+        reference = constant * max(arboricity, 1) * _reference_loglogs(n)[0]
+        assert density_bound(arboricity, n, constant) == reference
+
+
 class TestChooseParameters:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ParameterError):
@@ -62,6 +114,10 @@ class TestChooseParameters:
     def test_rejects_a_non_finite_delta(self, delta):
         with pytest.raises(ParameterError, match="delta must be a positive finite number"):
             choose_parameters(10, 1, delta=delta)
+
+    def test_rejects_a_delta_whose_power_overflows(self):
+        with pytest.raises(ParameterError, match=r"delta=.* is too large"):
+            choose_parameters(10, 1, delta=400.0)
 
     def test_k_scales_with_arboricity(self):
         low = choose_parameters(1024, 2)

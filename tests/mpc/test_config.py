@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 
 import pytest
 
+from repro.core.parameters import loglog
 from repro.errors import ParameterError
 from repro.graph import generators
-from repro.mpc.config import MPCConfig
+from repro.mpc.config import MPCConfig, local_memory
 
 
 class TestValidation:
@@ -27,6 +29,30 @@ class TestValidation:
     def test_rejects_a_non_finite_delta(self, delta):
         with pytest.raises(ParameterError, match="delta must be a positive finite number"):
             MPCConfig(num_vertices=10, num_edges=0, delta=delta)
+
+    @pytest.mark.parametrize("delta", [400.0, 308.0])
+    def test_rejects_a_delta_whose_local_memory_overflows(self, delta):
+        # 10 ** 400.0 overflows outright; 4.0 · 10 ** 308.0 overflows to inf.
+        with pytest.raises(ParameterError, match=r"delta=.* is too large"):
+            MPCConfig(num_vertices=10, num_edges=0, delta=delta)
+
+    def test_a_large_delta_that_fits_still_provisions(self):
+        config = MPCConfig(num_vertices=10, num_edges=0, delta=300.0)
+        assert config.words_per_machine == int(math.ceil(4.0 * 10**300.0))
+        assert config.num_machines() == 1
+
+
+class TestLocalMemory:
+    def test_is_the_scaled_power(self):
+        assert local_memory(1024, 0.5) == 32.0
+        assert local_memory(1024, 0.5, 4) == 4 * (1024**0.5)
+
+    @pytest.mark.parametrize(
+        "n, delta, constant", [(10, 400.0, 1.0), (10, 308.0, 4.0), (2, 1e6, 1.0)]
+    )
+    def test_refuses_an_overflow(self, n, delta, constant):
+        with pytest.raises(ParameterError, match=r"delta=.* is too large"):
+            local_memory(n, delta, constant)
 
 
 class TestDerivedQuantities:
@@ -90,4 +116,4 @@ class TestDerivedQuantities:
     def test_log_helpers(self):
         config = MPCConfig(num_vertices=2, num_edges=0)
         assert config.log_n >= 1.0
-        assert config.log_log_n >= 1.0
+        assert loglog(config.num_vertices) >= 1.0

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.coloring import color
 from repro.core.orientation import orient
 from repro.graph.generators import union_of_random_forests
 from repro.obs import Tracer
@@ -132,6 +133,36 @@ class TestLaminarNesting:
                 open_ends.append(end)
 
 
+def _assert_worker_spans_stitched(tracer, job: str) -> None:
+    """The ``<job>:fanout``/``<job>:merge`` spans, ``map:`` spans with the
+    process workers' ``task:`` spans under them, and the pool histograms."""
+    names = [record.name for record in tracer.records]
+    assert any(name == f"{job}:fanout" for name in names)
+    assert any(name == f"{job}:merge" for name in names)
+    assert any(name.startswith("map:") for name in names)
+    task_records = [
+        record for record in tracer.records if record.name.startswith("task:")
+    ]
+    assert task_records
+    map_ids = {
+        record.span_id
+        for record in tracer.records
+        if record.name.startswith("map:")
+    }
+    worker_pids = set()
+    for record in task_records:
+        assert record.cat == "worker"
+        assert record.parent_id in map_ids
+        worker_pids.add(record.tid)
+    # Process-backend task spans are keyed by worker pid, not our threads.
+    import os
+
+    assert os.getpid() not in worker_pids
+    histograms = tracer.metrics.snapshot()["histograms"]
+    assert any(name.startswith("pool.queue_wait_ns.") for name in histograms)
+    assert any(name.startswith("pool.run_ns.") for name in histograms)
+
+
 class TestWorkerStitching:
     def test_process_fanout_records_worker_spans_and_queue_metrics(self, force_process):
         graph = union_of_random_forests(200, arboricity=4, seed=11)
@@ -144,28 +175,19 @@ class TestWorkerStitching:
             tracer=tracer,
         )
         assert run.used_edge_partitioning
-        names = [record.name for record in tracer.records]
-        assert any(name == "orient:fanout" for name in names)
-        assert any(name == "orient:merge" for name in names)
-        assert any(name.startswith("map:") for name in names)
-        task_records = [
-            record for record in tracer.records if record.name.startswith("task:")
-        ]
-        assert task_records
-        map_ids = {
-            record.span_id
-            for record in tracer.records
-            if record.name.startswith("map:")
-        }
-        worker_pids = set()
-        for record in task_records:
-            assert record.cat == "worker"
-            assert record.parent_id in map_ids
-            worker_pids.add(record.tid)
-        # Process-backend task spans are keyed by worker pid, not our threads.
-        import os
+        _assert_worker_spans_stitched(tracer, "orient")
 
-        assert os.getpid() not in worker_pids
-        histograms = tracer.metrics.snapshot()["histograms"]
-        assert any(name.startswith("pool.queue_wait_ns.") for name in histograms)
-        assert any(name.startswith("pool.run_ns.") for name in histograms)
+    def test_color_process_fanout_records_worker_spans_and_queue_metrics(
+        self, force_process
+    ):
+        graph = union_of_random_forests(200, arboricity=4, seed=11)
+        tracer = Tracer()
+        run = color(
+            graph,
+            seed=11,
+            workers=2,
+            force_vertex_partitioning=True,
+            tracer=tracer,
+        )
+        assert run.used_vertex_partitioning and run.num_parts > 1
+        _assert_worker_spans_stitched(tracer, "color")

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import math
 import random
 
 import pytest
 
+from repro.core.parameters import loglog
 from repro.errors import GraphError
 from repro.graph.arboricity import arboricity_bounds
 from repro.graph.generators import complete_graph, union_of_random_forests
@@ -198,7 +198,7 @@ class TestBoundProperty:
         orientation = IncrementalOrientation(dynamic, quality_interval=64)
         mirror = set(base.edges)
         pool = sorted(mirror)
-        loglog = max(math.log2(max(math.log2(n), 2.0)), 1.0)
+        loglog_n = loglog(n)
         for step in range(1100):
             if mirror and rng.random() < 0.5:
                 e = pool[rng.randrange(len(pool))]
@@ -227,6 +227,6 @@ class TestBoundProperty:
         # Theorem 1.1 fallback may have realised its O(λ log log n) bound.
         orientation.ensure_quality(force=True)
         bounds = arboricity_bounds(dynamic.snapshot(), exact_density=False)
-        envelope = 16 * max(1, bounds.upper) * loglog
+        envelope = 16 * max(1, bounds.upper) * loglog_n
         assert orientation.max_outdegree() <= envelope
         assert orientation.outdegree_cap <= envelope
