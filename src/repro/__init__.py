@@ -5,7 +5,7 @@ The package is organised as:
 * :mod:`repro.graph` — graph substrate (graphs, generators, density estimation,
   orientation / H-partition / coloring value objects).
 * :mod:`repro.mpc` — simulated MPC cluster with round and memory accounting.
-* :mod:`repro.local` — LOCAL-model simulator and subroutines.
+* :mod:`repro.local` — LOCAL-model subroutines.
 * :mod:`repro.core` — the paper's algorithms (Theorems 1.1 and 1.2 and all the
   machinery of Sections 2–4).
 * :mod:`repro.baselines` — prior-work baselines used for comparison.

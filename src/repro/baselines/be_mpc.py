@@ -12,10 +12,10 @@ sparsification baseline and our poly(log log n) pipeline.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 
+from repro.core.parameters import peeling_round_cap
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
@@ -53,6 +53,13 @@ def barenboim_elkin_in_mpc(
     the notification fit in a constant number of MPC rounds; we charge one
     round per iteration, which only makes the baseline *stronger* in the
     comparison.
+
+    The iterations are those of the shared frontier kernel
+    :meth:`~repro.graph.graph.Graph.peel_layers`, capped at ``max_rounds``
+    (default :func:`~repro.core.parameters.peeling_round_cap`); survivors
+    (threshold below ``2λ``) go one layer past the last iteration.  In
+    iteration ``r`` each layer-``r`` vertex sends one word to each neighbor
+    still present: its row of the partition's out-CSR (layers ``≥ r``).
     """
     if arboricity < 0:
         raise ParameterError("arboricity must be non-negative")
@@ -61,43 +68,21 @@ def barenboim_elkin_in_mpc(
         cluster = MPCCluster(MPCConfig.for_graph(graph, delta=delta))
     threshold = peeling_threshold(arboricity, epsilon)
     if max_rounds is None:
-        max_rounds = 4 * max(int(math.ceil(math.log2(max(n, 2)))), 1) + 8
+        max_rounds = peeling_round_cap(n)
 
-    degree = list(graph.degrees)
-    removed = [False] * n
-    layer_of = [0] * n
-    rounds = 0
-    remaining = n
-    while remaining > 0 and rounds < max_rounds:
-        peel = [v for v in range(n) if not removed[v] and degree[v] <= threshold]
-        if not peel:
-            break
-        rounds += 1
+    layers, rounds_used = graph.peel_layers(threshold, max_rounds)
+    survivors = rounds_used + 1
+    partition = HPartition(graph, [layer or survivors for layer in layers])
+    out_indptr, out_indices = partition.out_csr()
+    for peeled in partition.layers[:rounds_used]:
         notifiers = array("l")
         notified = array("l")
-        for v in peel:
-            alive = [w for w in graph.neighbors(v) if not removed[w]]
-            notifiers.extend(array("l", [v]) * len(alive))
-            notified.extend(alive)
+        for v in peeled:
+            start, end = out_indptr[v], out_indptr[v + 1]
+            notifiers.extend(array("l", [v]) * (end - start))
+            notified.extend(out_indices[start:end])
         cluster.communication_round(notifiers, notified, 1, label="be-peeling:notify")
-        for v in peel:
-            removed[v] = True
-            layer_of[v] = rounds
-        remaining -= len(peel)
-        for v in peel:
-            for w in graph.neighbors(v):
-                if not removed[w]:
-                    degree[w] -= 1
 
-    # Any survivors (threshold below 2λ) get a final layer.
-    if remaining > 0:
-        rounds += 1
-        final_layer = rounds
-        for v in range(n):
-            if not removed[v]:
-                layer_of[v] = final_layer
-
-    partition = HPartition(graph, layer_of)
     orientation = partition.to_orientation()
     return BEMpcResult(
         orientation=orientation,

@@ -28,10 +28,10 @@ random forests.
 
 from __future__ import annotations
 
-import math
 from array import array
 from dataclasses import dataclass
 
+from repro.core.parameters import log2_ceil
 from repro.errors import ParameterError
 from repro.graph.coloring import Coloring
 from repro.graph.graph import Graph
@@ -82,7 +82,7 @@ def forest_orient_and_color(
 
     # Round accounting: compressing `rounds_used` peeling steps takes
     # O(log(rounds_used)) = O(log log n) exponentiation rounds.
-    compressed_rounds = max(int(math.ceil(math.log2(max(rounds_used, 2)))), 1) + 2
+    compressed_rounds = log2_ceil(max(rounds_used, 2)) + 2
     cluster.charge_rounds(compressed_rounds, label="forest:orientation")
 
     # Coloring: process layers from the deepest down; each vertex has at most

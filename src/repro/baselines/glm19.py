@@ -28,7 +28,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-from repro.core.parameters import log_n
+from repro.core.parameters import log2_ceil, log_n, peeling_round_cap
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
@@ -65,7 +65,16 @@ def glm19_orientation(
     cluster: MPCCluster | None = None,
     max_local_rounds: int | None = None,
 ) -> GLM19Result:
-    """Orient ``graph`` with the GLM19-style phase/sparsification round structure."""
+    """Orient ``graph`` with the GLM19-style phase/sparsification round structure.
+
+    The LOCAL rounds are those of the shared frontier kernel
+    :meth:`~repro.graph.graph.Graph.peel_layers`, capped at
+    ``max_local_rounds`` (default
+    :func:`~repro.core.parameters.peeling_round_cap`); the phases are
+    replayed over its layer column.  A phase runs ``T'`` rounds but ends
+    early after an empty one, so a run that gets stuck spends one empty
+    round per phase until the cap, and its survivors go one layer past it.
+    """
     if arboricity < 0:
         raise ParameterError("arboricity must be non-negative")
     n = graph.num_vertices
@@ -73,54 +82,39 @@ def glm19_orientation(
         cluster = MPCCluster(MPCConfig.for_graph(graph, delta=delta))
     threshold = peeling_threshold(arboricity, epsilon)
     if max_local_rounds is None:
-        max_local_rounds = 4 * max(int(math.ceil(math.log2(max(n, 2)))), 1) + 8
+        max_local_rounds = peeling_round_cap(n)
     phase_length = phase_length_for(n)
 
-    degree = list(graph.degrees)
-    removed = [False] * n
-    layer_of = [0] * n
-    local_rounds = 0
-    phases = 0
-    remaining = n
+    layers, rounds_used = graph.peel_layers(threshold, max_local_rounds)
+    finished = 0 not in layers
+    # The LOCAL rounds the phases run: the peeling ones, then, when the peel
+    # is stuck, empty ones up to the cap.
+    phase_rounds = rounds_used if finished else max(max_local_rounds, 0)
+    survivors = phase_rounds + 1
+    layer_of = array("l", [layer or survivors for layer in layers])
+    edge_u, edge_v = graph.edge_endpoints
+    lowest = [min(layer_of[u], layer_of[v]) for u, v in zip(edge_u, edge_v)]
+    exponentiation_rounds = log2_ceil(max(phase_length, 2)) + 2
 
-    while remaining > 0 and local_rounds < max_local_rounds:
+    done = 0
+    phases = 0
+    while done < phase_rounds:
         phases += 1
         # One phase: T' LOCAL peeling iterations, realised in MPC by collecting
         # the sparsified T'-hop neighborhoods via exponentiation.
-        exponentiation_rounds = max(int(math.ceil(math.log2(max(phase_length, 2)))), 1) + 2
         cluster.charge_rounds(exponentiation_rounds, label="glm19:exponentiation")
         # The data shipped per phase is proportional to the sparsified
         # neighborhoods; we charge one explicit round carrying one word per
         # remaining incident edge as a conservative stand-in.
-        edge_u, edge_v = graph.edge_endpoints
-        alive = [not (removed[u] or removed[v]) for u, v in zip(edge_u, edge_v)]
+        alive = [low > done for low in lowest]
         cluster.communication_round(
             array("l", compress(edge_u, alive)),
             array("l", compress(edge_v, alive)),
             1,
             label="glm19:sparsified-gather",
         )
-        for _ in range(phase_length):
-            if remaining == 0 or local_rounds >= max_local_rounds:
-                break
-            peel = [v for v in range(n) if not removed[v] and degree[v] <= threshold]
-            local_rounds += 1
-            if not peel:
-                break
-            for v in peel:
-                removed[v] = True
-                layer_of[v] = local_rounds
-            remaining -= len(peel)
-            for v in peel:
-                for w in graph.neighbors(v):
-                    if not removed[w]:
-                        degree[w] -= 1
-
-    if remaining > 0:
-        local_rounds += 1
-        for v in range(n):
-            if not removed[v]:
-                layer_of[v] = local_rounds
+        # T' rounds, ending early after the first empty one (past rounds_used).
+        done = min(done + phase_length, max(done, rounds_used) + 1, phase_rounds)
 
     partition = HPartition(graph, layer_of)
     orientation = partition.to_orientation()
@@ -130,7 +124,7 @@ def glm19_orientation(
         max_outdegree=orientation.max_outdegree(),
         rounds=cluster.stats.num_rounds,
         phases=phases,
-        local_rounds_simulated=local_rounds,
+        local_rounds_simulated=phase_rounds if finished else survivors,
         phase_length=phase_length,
         cluster=cluster,
     )

@@ -90,10 +90,11 @@ def directed_reachability(
     set_size_limit:
         When given (an int ``≥ 1``), each reachability set is truncated at
         ``set_size_limit + 1`` vertices in BFS order, so a set over the
-        limit shows as ``max_set_size`` exceeding it — callers use this to
-        detect that a batch was too ambitious for the local-memory
-        constraint (and must shrink the batch), mirroring the
-        ``j - j' = O(δ log n / log^{2.67} log n)`` batch-size condition.
+        limit shows as ``max_set_size`` exceeding it, and the gather charge
+        stays within the local-memory proxy.  ``color()`` passes that
+        proxy here but does not read ``max_set_size``: its batch size is fixed
+        (the ``j - j' = O(δ log n / log^{2.67} log n)`` condition), not
+        shrunk when a set overflows.
     out_csr:
         The directed out-CSR of ``(graph, layer_of)`` when the caller holds
         it already (:meth:`~repro.graph.hpartition.HPartition.out_csr`);

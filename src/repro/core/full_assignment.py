@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from repro import kernels
 from repro.core.layering import UNASSIGNED
-from repro.core.parameters import refuse_bools
+from repro.core.parameters import log2_ceil, refuse_bools
 from repro.core.partial_assignment import partial_assignment_with_decay
 from repro.errors import InvalidLayeringError, ParameterError
 from repro.graph.graph import Graph
@@ -105,7 +105,7 @@ def iterated_partial_assignment(
     then force the (typically empty) remainder into one final layer, so the
     returned column is always complete over the vertices passed in.
     """
-    max_iterations = max(2 * int(math.ceil(math.log2(max(k, 2)))) + 4, 4)
+    max_iterations = 2 * log2_ceil(max(k, 2)) + 4
     layer_of = array("l", [0]) * graph.num_vertices
     unassigned = kernels.unassigned_positions(layer_of)
     offset = 0
@@ -229,7 +229,7 @@ def complete_layer_assignment(
     rounds_before = cluster.stats.num_rounds if cluster is not None else 0
 
     # Stage 1: initial peeling for O(log k) rounds.
-    peel_rounds = max(int(math.ceil(math.log2(max(k, 2)))) + 2, 2)
+    peel_rounds = log2_ceil(max(k, 2)) + 2
     layer_of, survivors, used_peel_rounds = _peel_low_degree(
         graph, k, peel_rounds, cluster=cluster
     )

@@ -92,6 +92,12 @@ def log2_ceil(x: float) -> int:
     return int(math.ceil(math.log2(x)))
 
 
+def peeling_round_cap(n: int) -> int:
+    """``4·⌈log2 n⌉ + 8``: the safety cap on the Barenboim–Elkin peeling's
+    rounds, far above its ``O(log n)`` bound for a correct arboricity."""
+    return 4 * log2_ceil(max(n, 2)) + 8
+
+
 def log_n(n: int) -> float:
     """``log2 n`` clamped below at 1.0: the ``log n`` of the large-λ branch
     rule, the Lemma 2.1/2.2 part count and the per-part ``k``."""
@@ -125,10 +131,7 @@ def choose_parameters(
       (paper: ``k ∈ [100λ, 200λ]``),
     * ``B = min(max(k², 64), max(4·⌈n^δ⌉, 64))``
       (paper: ``k^100 ≤ B ≤ n^{δ/100}``),
-    * ``L = max(1, ⌈c_L · log_k B⌉)`` with ``c_L = 1``
-      (paper: ``⌈0.1 log_k B⌉``),
-    * ``s = ⌈log2 L⌉ + ⌈log2 log2 n⌉ + 1``
-      (paper: ``⌈10 log log n⌉``; the relation that matters is ``s > log2 L``).
+    * ``(L, s)`` from ``(k, B)`` by :func:`layers_and_steps`.
     """
     if num_vertices < 1:
         raise ParameterError("num_vertices must be at least 1")
@@ -139,12 +142,25 @@ def choose_parameters(
     k = max(2, int(math.ceil(k_factor * max(arboricity_bound, 1))))
     machine_budget = int(math.ceil(local_memory(max(num_vertices, 2), delta))) * 4
     budget = min(max(k * k, 64), max(machine_budget, 64))
-
-    if budget > k:
-        num_layers = max(1, int(math.ceil(math.log(budget) / math.log(max(k, 2)))))
-    else:
-        num_layers = 1
-    # Lemma 3.7 only needs s > log2(L); see partial_assignment_with_decay for
-    # why we do not inflate s with the paper's extra log log n factor.
-    steps = max(log2_ceil(max(num_layers, 2)) + 1, 2)
+    num_layers, steps = layers_and_steps(k, budget)
     return Parameters(k=k, budget=budget, steps=steps, num_layers=num_layers)
+
+
+def layers_and_steps(k: int, budget: int, num_layers: int | None = None) -> tuple[int, int]:
+    """Lemma 3.13's ``(L, s)`` for pruning parameter ``k`` and budget ``B``.
+
+    * ``L = max(1, ⌈c_L · log_k B⌉)`` with ``c_L = 1`` when ``B > k``, else 1
+      (paper: ``⌈0.1 log_k B⌉``); a given ``num_layers`` is kept;
+    * ``s = max(⌈log2 L⌉, 1) + 1`` (paper: ``⌈10 log log n⌉``).
+
+    Lemma 3.7 only needs ``s > log2 L``; the paper's ``⌈10 log log n⌉`` is a
+    proof-friendly overshoot (its ``L`` is itself ``Θ(log log n)``-sized), so
+    the least admissible step count keeps the round constant small without
+    changing the structure.
+    """
+    if num_layers is None:
+        if budget > k:
+            num_layers = max(1, int(math.ceil(math.log(budget) / math.log(max(k, 2)))))
+        else:
+            num_layers = 1
+    return num_layers, log2_ceil(max(num_layers, 2)) + 1

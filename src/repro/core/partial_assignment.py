@@ -18,13 +18,12 @@ Guarantees reproduced and tested:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.core.assign_tree import partial_layer_assignment_tree
 from repro.core.exponentiate import ExponentiationResult, exponentiate_and_local_prune
 from repro.core.layering import UNASSIGNED, PartialLayerAssignment
-from repro.core.parameters import Parameters, choose_parameters
+from repro.core.parameters import Parameters, choose_parameters, layers_and_steps
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.mpc.cluster import MPCCluster
@@ -97,24 +96,18 @@ def partial_assignment_with_decay(
 ) -> DecayingAssignmentResult:
     """Lemma 3.13: one shot of Algorithm 4 with parameters giving geometric decay.
 
-    Parameters mirror the lemma: ``L = ⌈c_L · log_k(B)⌉`` layers and
-    ``s = Θ(log log n)`` steps, producing a partial assignment with out-degree
-    at most ``O(k log log n)`` and ``|{v : ℓ(v) ≥ j}| ≤ 0.5^{j-1}·|V|`` — the
-    decay is validated empirically by the E5 benchmark rather than assumed.
+    Parameters mirror the lemma: ``L = ⌈c_L · log_k(B)⌉`` layers (unless
+    ``num_layers`` is given) and the least ``s > log2 L`` steps
+    (:func:`~repro.core.parameters.layers_and_steps`), producing a partial
+    assignment with out-degree at most ``O(k log log n)`` and
+    ``|{v : ℓ(v) ≥ j}| ≤ 0.5^{j-1}·|V|`` — the decay is validated
+    empirically by the E5 benchmark rather than assumed.
     """
     if k < 1:
         raise ParameterError("k must be at least 1")
     if budget < 4:
         raise ParameterError("budget B must be at least 4")
-    if num_layers is None:
-        if budget > k:
-            num_layers = max(1, int(math.ceil(math.log(budget) / math.log(max(k, 2)))))
-        else:
-            num_layers = 1
-    # Lemma 3.7 needs s > log2(L); the paper's ⌈10 log log n⌉ is a proof-friendly
-    # overshoot (its L is itself Θ(log log n)-sized), so the minimal admissible
-    # step count keeps the round constant small without changing the structure.
-    steps = max(int(math.ceil(math.log2(max(num_layers, 2)))) + 1, 2)
+    num_layers, steps = layers_and_steps(k, budget, num_layers)
     params = Parameters(k=k, budget=budget, steps=steps, num_layers=num_layers)
 
     before = cluster.stats.num_rounds if cluster is not None else 0

@@ -1,4 +1,4 @@
-"""LOCAL model substrate: synchronous network simulator and LOCAL subroutines."""
+"""LOCAL-model subroutines: the Barenboim–Elkin peeling and degree+1 list coloring."""
 
 from repro.local.list_coloring import (
     ListColoringResult,
@@ -6,7 +6,6 @@ from repro.local.list_coloring import (
     random_list_coloring,
     validate_lists,
 )
-from repro.local.network import LocalNetwork, LocalRunResult, VertexAlgorithm
 from repro.local.peeling import (
     PeelingResult,
     barenboim_elkin_peeling,
@@ -16,10 +15,7 @@ from repro.local.peeling import (
 
 __all__ = [
     "ListColoringResult",
-    "LocalNetwork",
-    "LocalRunResult",
     "PeelingResult",
-    "VertexAlgorithm",
     "barenboim_elkin_peeling",
     "greedy_list_coloring",
     "peeling_layers_reference",

@@ -8,21 +8,23 @@ higher identifier.  The process terminates in ``O(log n)`` rounds because a
 graph of arboricity λ always has at least half of its vertices with degree
 ``≤ (2+ε)λ`` — in fact at least an ``ε/(2+ε)`` fraction.
 
-Outputs both the resulting :class:`~repro.graph.hpartition.HPartition` and the
-LOCAL round count, which baseline E3 compares against the MPC algorithms.
+The rounds are those of the shared frontier kernel
+:meth:`~repro.graph.graph.Graph.peel_layers`; this module reads the LOCAL
+round count off its ``(layers, rounds_used)``.  Outputs both the resulting
+:class:`~repro.graph.hpartition.HPartition` and that round count, which
+baseline E3 compares against the MPC algorithms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping
 
+from repro.core.parameters import peeling_round_cap
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.graph.hpartition import HPartition
 from repro.graph.orientation import Orientation
-from repro.local.network import LocalNetwork, VertexAlgorithm
 
 
 @dataclass
@@ -33,46 +35,6 @@ class PeelingResult:
     orientation: Orientation
     rounds: int
     threshold: int
-
-
-class _PeelingState:
-    __slots__ = ("layer", "remaining_degree", "removed_neighbors")
-
-    def __init__(self, degree: int) -> None:
-        self.layer: int | None = None
-        self.remaining_degree = degree
-        self.removed_neighbors: set[int] = set()
-
-
-class _PeelingAlgorithm(VertexAlgorithm):
-    """Vertex program implementing the peeling process with threshold ``d``."""
-
-    def __init__(self, threshold: int) -> None:
-        self.threshold = threshold
-        self.current_round = 0
-
-    def init(self, vertex: int, graph: Graph) -> _PeelingState:
-        return _PeelingState(graph.degree(vertex))
-
-    def message(self, vertex: int, state: _PeelingState, neighbor: int) -> Any:
-        # A vertex announces the round in which it was removed (or None).
-        return state.layer
-
-    def update(self, vertex: int, state: _PeelingState, inbox: Mapping[int, Any]) -> _PeelingState:
-        # First, account for neighbors removed in the previous round.
-        for neighbor, neighbor_layer in inbox.items():
-            if neighbor_layer is not None and neighbor not in state.removed_neighbors:
-                state.removed_neighbors.add(neighbor)
-                state.remaining_degree -= 1
-        if state.layer is None and state.remaining_degree <= self.threshold:
-            state.layer = self.current_round
-        return state
-
-    def is_halted(self, vertex: int, state: _PeelingState) -> bool:
-        return state.layer is not None
-
-    def output(self, vertex: int, state: _PeelingState) -> int:
-        return state.layer if state.layer is not None else -1
 
 
 def peeling_threshold(arboricity: int, epsilon: float = 0.5) -> int:
@@ -101,8 +63,9 @@ def barenboim_elkin_peeling(
     epsilon:
         Slack constant of the threshold.
     max_rounds:
-        Safety cap; defaults to ``4·⌈log2 n⌉ + 8`` which is far above the
-        theoretical bound for correct parameters.
+        Cap on the LOCAL rounds; defaults to
+        :func:`~repro.core.parameters.peeling_round_cap`, far above the
+        theoretical bound for correct parameters.  Round 0 always runs.
 
     The resulting H-partition has out-degree at most the threshold, and the
     derived orientation therefore has max outdegree ≤ ``(2+ε)·λ``.
@@ -113,55 +76,28 @@ def barenboim_elkin_peeling(
         return PeelingResult(empty, empty.to_orientation(), 0, 0)
     threshold = peeling_threshold(arboricity, epsilon)
     if max_rounds is None:
-        max_rounds = 4 * max(int(math.ceil(math.log2(max(n, 2)))), 1) + 8
-
-    # The simulator drives the vertex program; the program needs to know the
-    # current round index to stamp layers, so we advance it manually.
-    algorithm = _PeelingAlgorithm(threshold)
-    network = LocalNetwork(graph)
-
-    # We cannot use network.run directly because the algorithm's notion of the
-    # current round must advance in lockstep; drive rounds explicitly.
-    states = {v: algorithm.init(v, graph) for v in graph.vertices}
-    rounds = 0
-    # Round 0: vertices with initial degree below the threshold join layer 1.
-    for v in graph.vertices:
-        if states[v].remaining_degree <= threshold:
-            states[v].layer = 0
-    rounds += 1
-    while any(states[v].layer is None for v in graph.vertices) and rounds < max_rounds:
-        algorithm.current_round = rounds
-        inboxes: dict[int, dict[int, Any]] = {v: {} for v in graph.vertices}
-        for v in graph.vertices:
-            payload = states[v].layer
-            for w in graph.neighbors(v):
-                inboxes[w][v] = payload
-        for v in graph.vertices:
-            if states[v].layer is None:
-                states[v] = algorithm.update(v, states[v], inboxes[v])
-        rounds += 1
-
-    layer_of: list[int] = []
-    deepest = max((states[v].layer for v in graph.vertices if states[v].layer is not None), default=0)
-    for v in graph.vertices:
-        layer = states[v].layer
-        if layer is None:
-            # Did not terminate within max_rounds (threshold too small);
-            # dump survivors into one final layer so the output is complete.
-            layer = deepest + 1
-        layer_of.append(layer + 1)  # 1-based layers
-    partition = HPartition(graph, layer_of)
-    orientation = partition.to_orientation()
-    del network  # the explicit loop above replaced network.run
-    return PeelingResult(partition, orientation, rounds, threshold)
+        max_rounds = peeling_round_cap(n)
+    # LOCAL round r is the kernel's round r + 1; round 0 (every vertex checks
+    # its initial degree) always runs.
+    cap = max(max_rounds, 1)
+    layers, rounds_used = graph.peel_layers(threshold, cap)
+    if 0 in layers:
+        # Did not terminate within the cap (threshold too small): the LOCAL
+        # run spends every round, and the survivors go one layer past the
+        # deepest peeled one (past layer 1 when nothing peeled).
+        rounds = cap
+        survivors = max(rounds_used, 1) + 1
+        layers = [layer or survivors for layer in layers]
+    else:
+        rounds = rounds_used
+    partition = HPartition(graph, layers)
+    return PeelingResult(partition, partition.to_orientation(), rounds, threshold)
 
 
 def peeling_layers_reference(graph: Graph, threshold: int) -> HPartition:
-    """Centralised reference implementation of the same peeling process.
+    """The same peeling process, uncapped, as an H-partition.
 
-    Used by tests to check that the LOCAL simulation and the direct
-    computation agree, and by the analysis of Lemma 3.13 (the auxiliary
-    assignment ``ℓ_G``).  Delegates to the shared frontier peeling kernel;
+    The auxiliary assignment ``ℓ_G`` behind the analysis of Lemma 3.13.  Delegates to the shared frontier peeling kernel;
     vertices the process never removes (threshold too small) are dumped into
     one final layer so the output is complete.
     """

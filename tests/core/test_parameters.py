@@ -12,9 +12,11 @@ from repro.core.parameters import (
     Parameters,
     choose_parameters,
     density_bound,
+    layers_and_steps,
     log2_ceil,
     log_n,
     loglog,
+    peeling_round_cap,
 )
 from repro.errors import ParameterError
 
@@ -73,6 +75,23 @@ def _reference_loglogs(n):
     return bounds, batch, config
 
 
+def _reference_peeling_round_cap(n):
+    """The Barenboim–Elkin safety cap the LOCAL peeling, BE-MPC and GLM19
+    each wrote out inline before ``peeling_round_cap``."""
+    return 4 * max(int(math.ceil(math.log2(max(n, 2)))), 1) + 8
+
+
+def _reference_layers_and_steps(k, budget, num_layers):
+    """The ``(L, s)`` rule ``choose_parameters`` and
+    ``partial_assignment_with_decay`` each computed inline."""
+    if num_layers is None:
+        if budget > k:
+            num_layers = max(1, int(math.ceil(math.log(budget) / math.log(max(k, 2)))))
+        else:
+            num_layers = 1
+    return num_layers, max(int(math.ceil(math.log2(max(num_layers, 2)))) + 1, 2)
+
+
 class TestOneLogAndLogLog:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -90,6 +109,19 @@ class TestOneLogAndLogLog:
         assert log_n(n) == _reference_log_n(n)
         for reference in _reference_loglogs(n):
             assert loglog(n) == reference
+        assert peeling_round_cap(n) == _reference_peeling_round_cap(n)
+
+    @given(
+        st.integers(min_value=1, max_value=10**6),
+        st.integers(min_value=4, max_value=10**15),
+        st.one_of(st.none(), st.integers(min_value=1, max_value=10**6)),
+    )
+    @example(2, 64, None)
+    @example(64, 64, None)
+    @example(3, 2**40, None)
+    def test_layers_and_steps_equal_the_replaced_inline_rule(self, k, budget, num_layers):
+        reference = _reference_layers_and_steps(k, budget, num_layers)
+        assert layers_and_steps(k, budget, num_layers) == reference
 
     @given(
         st.integers(min_value=0, max_value=10**6),
