@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress
 
+from repro import kernels
 from repro.core.parameters import log2_ceil, log_n, peeling_round_cap
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
@@ -92,8 +92,19 @@ def glm19_orientation(
     phase_rounds = rounds_used if finished else max(max_local_rounds, 0)
     survivors = phase_rounds + 1
     layer_of = array("l", [layer or survivors for layer in layers])
+    # A phase that starts after round ``done`` still has the edges whose lower
+    # endpoint layer is past ``done``.  Ordered by that layer, highest first,
+    # they are a prefix: ``present[done]`` edges long.
     edge_u, edge_v = graph.edge_endpoints
-    lowest = [min(layer_of[u], layer_of[v]) for u, v in zip(edge_u, edge_v)]
+    lowest = kernels.edge_minimum(edge_u, edge_v, layer_of)
+    groups = kernels.split_by_part(lowest, survivors + 1, (edge_u, edge_v))
+    present_u, present_v = array("l"), array("l")
+    present = [0] * survivors
+    for layer in range(survivors, 0, -1):
+        group_u, group_v = groups[layer]
+        present_u.extend(group_u)
+        present_v.extend(group_v)
+        present[layer - 1] = len(present_u)
     exponentiation_rounds = log2_ceil(max(phase_length, 2)) + 2
 
     done = 0
@@ -106,10 +117,9 @@ def glm19_orientation(
         # The data shipped per phase is proportional to the sparsified
         # neighborhoods; we charge one explicit round carrying one word per
         # remaining incident edge as a conservative stand-in.
-        alive = [low > done for low in lowest]
         cluster.communication_round(
-            array("l", compress(edge_u, alive)),
-            array("l", compress(edge_v, alive)),
+            present_u[: present[done]],
+            present_v[: present[done]],
             1,
             label="glm19:sparsified-gather",
         )

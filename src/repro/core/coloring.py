@@ -115,9 +115,10 @@ def _color_layered_graph(
     set_size_limit = max(int(math.ceil(local_memory(n, delta, 4))), 16)
     # Batch size in layers: the paper uses Θ(δ log n / log^{2.67} log n).  The
     # batch size is fixed: each batch's vertices walk the directed out-CSR in
-    # one reachability kernel call, whose pair columns only feed the
-    # Lemma 4.1 gather's ledger charge; the sets (truncated at the
-    # local-memory proxy) are not used to shrink a batch.
+    # one reachability kernel call, whose count columns (set sizes, and how
+    # many sets hold each vertex, truncated at the local-memory proxy) only
+    # feed the Lemma 4.1 gather's ledger charge; they are not used to shrink
+    # a batch.
     default_batch = max(int(math.ceil(log_n(n) / (loglog(n) ** 2))), 1)
 
     highest_uncolored = hpartition.num_layers

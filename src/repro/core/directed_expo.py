@@ -9,14 +9,17 @@ colors of the already-colored, higher-layer vertices in it).
 
 :func:`directed_reachability` walks the directed out-CSR
 (:meth:`repro.graph.hpartition.HPartition.out_csr`) from every start vertex
-with one kernel call, :func:`repro.kernels.directed_reach`, and gets the
-reachability sets back as two pair columns: ``requesters[i]`` reached
-``owners[i]``.  Those columns are exactly the Lemma 4.1 interest lists, so
-they go to :func:`~repro.mpc.primitives.gather_bundles` unchanged.  The MPC
-charge is ``O(log(max_distance))`` rounds of doubling plus the gather.  Each
-set is truncated at ``set_size_limit + 1`` vertices, so the caller sees a
-set over the local-memory bound ``n^δ`` in ``max_set_size`` instead of
-paying for all of it.
+with one kernel call, :func:`repro.kernels.reach_counts`, and gets the
+reachability sets back as two count columns: the size of each start's set,
+and per vertex the number of sets it is in.  Those are exactly the two sides
+of the Lemma 4.1 delivery — vertex ``v`` sends its one-word bundle once per
+set it is in, start ``s`` receives one word per vertex of its set — so they
+go to :func:`~repro.mpc.primitives.gather_bundles` as per-key volumes and no
+(owner, requester) pair is ever listed.  The MPC charge is
+``O(log(max_distance))`` rounds of doubling plus the gather.  Each set is
+truncated at ``set_size_limit + 1`` vertices in BFS order, so a set over the
+local-memory bound ``n^δ`` shows in ``max_set_size`` and its charge stops at
+the truncation.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from array import array
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro import kernels
 from repro.core.parameters import refuse_bools
@@ -36,26 +38,19 @@ from repro.mpc.primitives import gather_bundles
 
 @dataclass
 class ReachabilityResult:
-    """Directed-reachability sets for a batch of start vertices.
+    """Directed-reachability counts for a batch of start vertices.
 
-    ``owners`` and ``requesters`` are the pair columns: ``requesters[i]``
-    reached ``owners[i]``.  The pairs come grouped by start, in the order the
-    starts were first given, and each start's vertices in BFS order with the
-    start first.
+    ``starts`` lists each start once, in the order first given, and
+    ``sizes[j]`` is the size of the truncated reachability set of
+    ``starts[j]`` (the start included).  ``hits[v]`` is the number of those
+    sets that contain vertex ``v``, one entry per vertex of the graph.
     """
 
-    owners: array
-    requesters: array
+    starts: array
+    sizes: array
+    hits: array
     max_set_size: int
     rounds_charged: int
-
-    @cached_property
-    def reachable(self) -> dict[int, set[int]]:
-        """``{start: its reachability set}``, built from the pair columns on first read."""
-        reachable: dict[int, set[int]] = {}
-        for start, vertex in zip(self.requesters, self.owners):
-            reachable.setdefault(start, set()).add(vertex)
-        return reachable
 
 
 def directed_reachability(
@@ -83,18 +78,19 @@ def directed_reachability(
         Maximum number of directed steps (an int ``≥ 0``).
     cluster:
         Optional MPC cluster; when given, ``⌈log2(max_distance)⌉ + 1`` doubling
-        rounds plus one Lemma 4.1 gather are charged, and every vertex of a
-        start's set is one one-word message to that start.
+        rounds plus one Lemma 4.1 gather are charged.  The gather delivers one
+        word per vertex of each start's set: vertex ``v`` sends ``hits[v]``
+        words and start ``s`` receives its set's size.
         ``rounds_charged`` reports every round charged, including the
         delivery's oversized-split rounds.
     set_size_limit:
         When given (an int ``≥ 1``), each reachability set is truncated at
         ``set_size_limit + 1`` vertices in BFS order, so a set over the
-        limit shows as ``max_set_size`` exceeding it, and the gather charge
-        stays within the local-memory proxy.  ``color()`` passes that
-        proxy here but does not read ``max_set_size``: its batch size is fixed
-        (the ``j - j' = O(δ log n / log^{2.67} log n)`` condition), not
-        shrunk when a set overflows.
+        limit shows as ``max_set_size`` exceeding it, and both its count and
+        its gather charge stop at the truncation.  ``color()`` passes the
+        local-memory proxy here and reads nothing back: its batch size is
+        fixed (the ``j - j' = O(δ log n / log^{2.67} log n)`` condition),
+        not shrunk when a set overflows.
     out_csr:
         The directed out-CSR of ``(graph, layer_of)`` when the caller holds
         it already (:meth:`~repro.graph.hpartition.HPartition.out_csr`);
@@ -114,22 +110,21 @@ def directed_reachability(
         raise GraphError(f"start vertex {offender} is outside 0..{n - 1}")
     if out_csr is None:
         out_csr = kernels.directed_out_csr(n, graph.csr_indptr, graph.csr_indices, layer_of)
-    owners, requesters, sizes = kernels.directed_reach(
-        *out_csr, starts, max_distance, set_size_limit
-    )
+    sizes, hits = kernels.reach_counts(*out_csr, starts, max_distance, set_size_limit)
 
     rounds = 0
     if cluster is not None:
         doubling_rounds = max(max_distance.bit_length(), 1)
         cluster.charge_rounds(doubling_rounds, label="directed-expo:doubling")
-        # Every vertex's bundle is one word; start ``s`` requests the bundle
-        # of each vertex in its reachability set.
+        # Every vertex's bundle is one word: vertex ``v`` sends it once per
+        # set it is in, and each start receives one word per vertex of its set.
         rounds = doubling_rounds + gather_bundles(
-            cluster, owners, requesters, 1, label="directed-expo:gather"
+            cluster, (range(n), hits), (starts, sizes), label="directed-expo:gather"
         )
     return ReachabilityResult(
-        owners=owners,
-        requesters=requesters,
+        starts=starts,
+        sizes=sizes,
+        hits=hits,
         max_set_size=max(sizes, default=0),
         rounds_charged=rounds,
     )

@@ -48,6 +48,7 @@ __all__ = [
     "use_backend",
     "peel_layers",
     "orient_by_rank",
+    "edge_minimum",
     "tally_outdegrees",
     "merge_oriented_columns",
     "merge_part_columns",
@@ -72,7 +73,7 @@ __all__ = [
     "scatter_layers",
     "directed_out_csr",
     "row_lengths",
-    "directed_reach",
+    "reach_counts",
     "layer_palettes",
 ]
 
@@ -196,6 +197,11 @@ def peel_layers(num_vertices, indptr, indices, threshold, max_rounds=None, backe
 def orient_by_rank(edge_u, edge_v, ranks, backend=None):
     """Heads column: each edge points at the higher-ranked endpoint (ties → v)."""
     return _module(backend).orient_by_rank(edge_u, edge_v, ranks)
+
+
+def edge_minimum(edge_u, edge_v, column, backend=None):
+    """Per edge, the smaller of its endpoints' entries in ``column``, as an ``array('l')``."""
+    return _module(backend).edge_minimum(edge_u, edge_v, column)
 
 
 def tally_outdegrees(num_vertices, edge_u, edge_v, heads, backend=None):
@@ -406,21 +412,20 @@ def row_lengths(indptr, backend=None):
     return _module(backend).row_lengths(indptr)
 
 
-def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit, backend=None):
-    """Bounded BFS from every start over a directed out-CSR, as pair columns.
+def reach_counts(out_indptr, out_indices, starts, max_distance, set_size_limit, backend=None):
+    """Bounded BFS from every start over a directed out-CSR, as two count columns.
 
     Every entry of ``starts`` (vertex ids) is walked on its own, a repeated
     one again.  Start ``s`` reaches the vertices at distance
     ``≤ max_distance`` in BFS order: by level, and inside a level in
     frontier order, then CSR order.  With ``set_size_limit`` (an
     int ``≥ 1``, or ``None`` for no limit) each start keeps only the first
-    ``set_size_limit + 1`` of them.  Returns ``(owners, requesters, sizes)``
-    as ``array('l')`` columns: ``requesters[i]`` reached ``owners[i]``, the
-    pairs grouped by start in the order of ``starts``, each group in BFS
-    order (the start first), and ``sizes[j]`` the group size of
-    ``starts[j]``.
+    ``set_size_limit + 1`` of them.  Returns ``(sizes, hits)`` as
+    ``array('l')`` columns: ``sizes[j]`` is the size of the truncated set
+    of ``starts[j]``, and ``hits[v]`` (one entry per CSR row) the number of
+    truncated sets that contain ``v``.
     """
-    return _module(backend).directed_reach(
+    return _module(backend).reach_counts(
         out_indptr, out_indices, starts, max_distance, set_size_limit
     )
 

@@ -115,6 +115,12 @@ def orient_by_rank(edge_u, edge_v, ranks):
     return to_array(np.where(rank[eu] <= rank[ev], ev, eu))
 
 
+def edge_minimum(edge_u, edge_v, column):
+    """One ``np.minimum`` of the two endpoint gathers."""
+    values = _int_column(column)
+    return to_array(np.minimum(values[np_view(edge_u)], values[np_view(edge_v)]))
+
+
 def draws_below(words, shift, bound):
     """Shift a run of MT words into ``randrange`` candidates and keep those < ``bound``."""
     candidates = np.frombuffer(words, dtype="<u4") >> shift
@@ -526,71 +532,88 @@ def row_lengths(indptr):
 
 
 # Starts per block of the reachability expansion: ``block · n`` cells bound
-# the dense per-block tables.
-_REACH_BLOCK_CELLS = 1 << 18
-_NO_POSITION = np.iinfo(_DTYPE).max
+# the dense per-block seen table, one byte per cell.
+_REACH_BLOCK_CELLS = 1 << 24
 
 
-def _reach_block(indptr, indices, n, starts, max_distance, cap, first):
-    """Level-synchronous BFS of one block of starts as ``(slot, vertex)`` pairs.
+def _reach_block(indptr, indices, n, starts, max_distance, cap, seen):
+    """Level-synchronous BFS of one block of starts, one frontier row per
+    start at a time; returns the set sizes and the kept vertices.
 
-    ``slot`` is the start's position in the block and ``slot * n + vertex``
-    a cell of the dense tables.  ``first`` is the first-position table, all
-    :data:`_NO_POSITION` on entry and again on return.  The frontier stays
-    sorted by slot (the starts come in slot order and every level keeps its
-    candidates' order), so a pair's rank inside its start's level is its
-    offset from the start of its slot run.  Returns the owner column grouped
-    by slot, each group in BFS order, and the group sizes.
+    Start ``slot`` of the block owns the cells ``slot * n + vertex`` of the
+    dense ``seen`` table, clear on entry and again on return.  A level's
+    frontier is stored start by start: ``frontier[offsets[s] : offsets[s] +
+    counts[s]]`` in BFS order.  Round ``r`` of a level expands the ``r``-th
+    frontier row of every start that has one and still has room.  A round
+    takes at most one row per start and a row lists distinct vertices, so no
+    round reaches a cell twice, and the seen table alone keeps BFS order
+    (frontier order, then CSR order).  A start keeps the first unseen
+    vertices of the row that fills its ``cap`` and never expands the rows
+    after it.
     """
     b = starts.size
-    seen = np.zeros(b * n, dtype=bool)
-    slot = np.arange(b, dtype=_DTYPE)
-    vertex = starts
-    seen[slot * n + vertex] = True
+    base = np.arange(b, dtype=_DTYPE) * n
+    seen[base + starts] = True
     sizes = np.ones(b, dtype=_DTYPE)
-    # (slot, vertex, position in the start's set) per level.
-    levels = [(slot, vertex, np.zeros(b, dtype=_DTYPE))]
-    distance = 0
-    while vertex.size and distance < max_distance:
-        entries, lens = _gather_rows(indptr, vertex)
-        keys = np.repeat(slot * n, lens) + indices[entries]
-        keys = keys[~seen[keys]]
-        # A pair reached twice in this level keeps its first position
-        # (frontier order, then CSR order): the minimum position per cell.
-        position = np.arange(keys.size, dtype=_DTYPE)
-        np.minimum.at(first, keys, position)
-        keys = keys[first[keys] == position]
-        first[keys] = _NO_POSITION
-        slot, vertex = np.divmod(keys, n)
-        counts = np.bincount(slot, minlength=b)
-        run_starts = np.repeat(np.cumsum(counts) - counts, counts)
-        rank = np.arange(keys.size, dtype=_DTYPE) - run_starts + sizes[slot]
-        keep = rank < cap
-        if not keep.all():
-            keys, slot, vertex, rank = keys[keep], slot[keep], vertex[keep], rank[keep]
-            counts = np.bincount(slot, minlength=b)
-        seen[keys] = True
-        sizes += counts
-        levels.append((slot, vertex, rank))
-        # A start that reached its cap expands no further.
-        expand = sizes[slot] < cap
-        slot, vertex = slot[expand], vertex[expand]
-        distance += 1
-    offsets = np.cumsum(sizes) - sizes
-    owners = np.empty(int(sizes.sum()), dtype=_DTYPE)
-    for slot, vertex, rank in levels:
-        owners[offsets[slot] + rank] = vertex
-    return owners, sizes
+    kept = [starts]
+    frontier, offsets, counts = starts, np.arange(b, dtype=_DTYPE), np.ones(b, dtype=_DTYPE)
+    for _level in range(max_distance):
+        row_begins = indptr[frontier]
+        row_lens = indptr[frontier + 1] - row_begins
+        entries = np.concatenate(([0], np.cumsum(row_lens)))
+        # A start adds at most its budget, and at most one vertex per entry.
+        room = np.minimum(cap - sizes, entries[offsets + counts] - entries[offsets])
+        found_at = np.cumsum(room) - room
+        found = np.empty(int(room.sum()), dtype=_DTYPE)
+        added = np.zeros(b, dtype=_DTYPE)
+        r = 0
+        while True:
+            active = np.flatnonzero((counts > r) & (added < room))
+            if not active.size:
+                break
+            at = offsets[active] + r
+            lens = row_lens[at]
+            row_ends = np.cumsum(lens)
+            row_starts = row_ends - lens
+            positions = np.arange(int(row_ends[-1]), dtype=_DTYPE) + np.repeat(
+                row_begins[at] - row_starts, lens
+            )
+            vertices = indices[positions]
+            cells = np.repeat(base[active], lens) + vertices
+            fresh = ~seen[cells]
+            # ``rank``: 1-based position of a fresh vertex among its row's.
+            run = np.concatenate(([0], np.cumsum(fresh)))
+            before = run[row_starts]
+            rank = run[1:] - np.repeat(before, lens)
+            left = room[active] - added[active]
+            keep = fresh & (rank <= np.repeat(left, lens))
+            got = np.minimum(run[row_ends] - before, left)
+            seen[cells[keep]] = True
+            vertices = vertices[keep]
+            found[np.repeat(found_at[active] + added[active] - 1, got) + rank[keep]] = vertices
+            added[active] += got
+            kept.append(vertices)
+            r += 1
+        sizes += added
+        # A full start expands no further.
+        counts = np.where(sizes < cap, added, 0)
+        offsets = np.cumsum(counts) - counts
+        frontier = found[
+            np.arange(int(counts.sum()), dtype=_DTYPE) + np.repeat(found_at - offsets, counts)
+        ]
+    seen[: b * n] = False
+    return sizes, np.concatenate(kept)
 
 
-def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit):
-    """Frontier expansion of a block of starts at once, per level.
+def reach_counts(out_indptr, out_indices, starts, max_distance, set_size_limit):
+    """Frontier expansion of a block of starts at once, one row per start
+    per round.
 
-    Each level gathers the out-rows of every frontier pair, drops the pairs
-    already in the block's dense seen table, keeps the first of the pairs
-    reached twice (``np.minimum.at`` on a dense first-position table, never
-    the write order of a repeated fancy index), and truncates each start at
-    its cap with per-start ranks from ``bincount``/``cumsum``.
+    Each round gathers one out-row per start, drops the pairs already in the
+    block's dense seen table, and ranks the rest inside their row with one
+    ``cumsum``, so a start's truncation at its cap happens inside the row
+    that fills it.  ``hits`` is one ``bincount`` of the kept vertices per
+    block.
     """
     indptr = np_view(out_indptr)
     indices = np_view(out_indices)
@@ -598,23 +621,16 @@ def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit
     start_column = _int_column(starts)
     cap = n + 1 if set_size_limit is None else set_size_limit + 1
     block = max(1, _REACH_BLOCK_CELLS // max(n, 1))
-    first = np.full(min(block, start_column.size) * n, _NO_POSITION, dtype=_DTYPE)
-    owners, requesters, sizes = [], [], []
+    seen = np.zeros(min(block, start_column.size) * n, dtype=bool)
+    hits = np.zeros(n, dtype=_DTYPE)
+    sizes = [np.zeros(0, dtype=_DTYPE)]
     for lo in range(0, start_column.size, block):
-        block_starts = start_column[lo : lo + block]
-        block_owners, block_sizes = _reach_block(
-            indptr, indices, n, block_starts, max_distance, cap, first
+        block_sizes, kept = _reach_block(
+            indptr, indices, n, start_column[lo : lo + block], max_distance, cap, seen
         )
-        owners.append(block_owners)
-        requesters.append(np.repeat(block_starts, block_sizes))
+        hits += np.bincount(kept, minlength=n)
         sizes.append(block_sizes)
-    if not owners:
-        return array("l"), array("l"), array("l")
-    return (
-        to_array(np.concatenate(owners)),
-        to_array(np.concatenate(requesters)),
-        to_array(np.concatenate(sizes)),
-    )
+    return to_array(np.concatenate(sizes)), to_array(hits)
 
 
 def layer_palettes(members, out_indptr, out_indices, colors, palette_base, palette_size):

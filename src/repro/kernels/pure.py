@@ -70,6 +70,13 @@ def orient_by_rank(edge_u, edge_v, ranks):
     return heads
 
 
+def edge_minimum(edge_u, edge_v, column):
+    """``min(column[u], column[v])`` per edge."""
+    lookup = column.__getitem__
+    pairs = zip(map(lookup, edge_u), map(lookup, edge_v))
+    return array("l", [a if a < b else b for a, b in pairs])
+
+
 def draws_below(words, shift, bound):
     """Accepted draws of ``randrange(bound)`` from a run of 32-bit MT words.
 
@@ -92,16 +99,13 @@ def split_by_part(labels, num_parts, columns):
     within a part the rows keep their input order, so slices of canonical
     sorted edge columns stay canonical sorted.
     """
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    grouped = [array("l", map(column.__getitem__, order)) for column in columns]
-    sorted_labels = array("l", map(labels.__getitem__, order))
-    parts = []
-    start = 0
-    for part in range(num_parts):
-        end = bisect_right(sorted_labels, part, start)
-        parts.append(tuple(column[start:end] for column in grouped))
-        start = end
-    return parts
+    rows: list[list[int]] = [[] for _ in range(num_parts)]
+    for row, label in enumerate(labels):
+        rows[label].append(row)
+    return [
+        tuple(array("l", map(column.__getitem__, part_rows)) for column in columns)
+        for part_rows in rows
+    ]
 
 
 def merge_part_columns(num_vertices, parts):
@@ -453,12 +457,12 @@ def row_lengths(indptr):
     return array("l", map(sub, indptr[1:], indptr))
 
 
-def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit):
+def reach_counts(out_indptr, out_indices, starts, max_distance, set_size_limit):
     """One BFS per start, stopped at ``max_distance`` levels or when the
-    start has ``set_size_limit + 1`` vertices."""
+    start has ``set_size_limit + 1`` vertices; each vertex kept adds one
+    to its ``hits`` entry."""
     cap = sys.maxsize if set_size_limit is None else set_size_limit + 1
-    owners = array("l")
-    requesters = array("l")
+    hits = array("l", [0]) * (len(out_indptr) - 1)
     sizes = array("l")
     for start in starts:
         seen = {start}
@@ -478,10 +482,10 @@ def directed_reach(out_indptr, out_indices, starts, max_distance, set_size_limit
                     break
             frontier = order[level:]
             distance += 1
-        owners.extend(order)
-        requesters.extend(repeat(start, len(order)))
+        for v in order:
+            hits[v] += 1
         sizes.append(len(order))
-    return owners, requesters, sizes
+    return sizes, hits
 
 
 def layer_palettes(members, out_indptr, out_indices, colors, palette_base, palette_size):

@@ -38,15 +38,20 @@ class ListColoringResult:
 
 def validate_lists(graph: Graph, palettes: Palettes) -> None:
     """Check the degree+1 precondition: ``|palette(v)| ≥ deg(v) + 1`` for all v."""
-    for v in graph.vertices:
+    for v, degree in zip(graph.vertices, graph.degrees):
         try:
             palette = palettes[v]
         except (KeyError, IndexError):
             raise ParameterError(f"vertex {v} has no palette") from None
-        if len(set(palette)) < graph.degree(v) + 1:
-            raise ParameterError(
-                f"vertex {v} has {len(set(palette))} colors but degree {graph.degree(v)}"
-            )
+        distinct = len(set(palette))
+        if distinct < degree + 1:
+            raise ParameterError(f"vertex {v} has {distinct} colors but degree {degree}")
+
+
+def _strike(options: list[int], color: int) -> None:
+    """Remove every copy of ``color`` from an available list."""
+    while color in options:
+        options.remove(color)
 
 
 def random_list_coloring(
@@ -65,6 +70,11 @@ def random_list_coloring(
     ≥ 1/2 (since its palette exceeds its degree), so the process finishes in
     ``O(log n)`` rounds with high probability.
 
+    Each vertex's available list is kept incrementally, in palette order:
+    fixing a color strikes it from the lists of the vertex's uncolored
+    neighbors, and a round finds its conflicts in one scan of the induced
+    edges whose endpoints are both still uncolored.
+
     Returns the coloring and the number of synchronous rounds used.
     """
     rng = rng if rng is not None else random.Random(seed)
@@ -73,33 +83,45 @@ def random_list_coloring(
     if max_rounds is None:
         max_rounds = 16 * max(n.bit_length(), 4)
 
+    available = [list(palettes[v]) for v in graph.vertices]
+    # The edges whose endpoints are both uncolored, as two endpoint columns.
+    live_u, live_v = graph.edge_endpoints
     colors: dict[int, int] = {}
     uncolored = set(graph.vertices)
+    proposal = [0] * n
     rounds = 0
     while uncolored and rounds < max_rounds:
         rounds += 1
-        proposals: dict[int, int] = {}
         for v in uncolored:
-            taken = {colors[w] for w in graph.neighbors(v) if w in colors}
-            available = [c for c in palettes[v] if c not in taken]
-            if not available:
+            options = available[v]
+            if not options:
                 # Cannot happen under the degree+1 precondition, but guard
                 # against caller errors with a clear message.
                 raise InvalidColoringError(
                     f"vertex {v} ran out of available colors during list coloring"
                 )
-            proposals[v] = rng.choice(available)
-        newly_colored = []
-        for v in uncolored:
-            conflict = any(
-                w in proposals and proposals[w] == proposals[v]
-                for w in graph.neighbors(v)
-            )
-            if not conflict:
-                newly_colored.append(v)
+            proposal[v] = rng.choice(options)
+        conflicted = set()
+        for u, w in zip(live_u, live_v):
+            if proposal[u] == proposal[w]:
+                conflicted.add(u)
+                conflicted.add(w)
+        newly_colored = [v for v in uncolored if v not in conflicted]
         for v in newly_colored:
-            colors[v] = proposals[v]
+            colors[v] = proposal[v]
         uncolored.difference_update(newly_colored)
+        still_u: list[int] = []
+        still_v: list[int] = []
+        for u, w in zip(live_u, live_v):
+            if u in uncolored:
+                if w in uncolored:
+                    still_u.append(u)
+                    still_v.append(w)
+                else:
+                    _strike(available[u], colors[w])
+            elif w in uncolored:
+                _strike(available[w], colors[u])
+        live_u, live_v = still_u, still_v
 
     if uncolored:
         # Deterministic clean-up: color the stragglers greedily.  They are few
@@ -107,15 +129,21 @@ def random_list_coloring(
         # real LOCAL algorithm would finish them with a deterministic
         # O(Δ + log* n) routine; we count one extra round per vertex colored
         # to stay conservative.
+        neighbors: dict[int, list[int]] = {v: [] for v in uncolored}
+        for u, w in zip(live_u, live_v):
+            neighbors[u].append(w)
+            neighbors[w].append(u)
         for v in sorted(uncolored):
-            taken = {colors[w] for w in graph.neighbors(v) if w in colors}
-            available = [c for c in palettes[v] if c not in taken]
-            if not available:
+            options = available[v]
+            if not options:
                 raise InvalidColoringError(
                     f"vertex {v} ran out of available colors during clean-up"
                 )
-            colors[v] = available[0]
+            color = colors[v] = options[0]
             rounds += 1
+            for w in neighbors[v]:
+                if w not in colors:
+                    _strike(available[w], color)
 
     return ListColoringResult(colors=colors, rounds=rounds)
 

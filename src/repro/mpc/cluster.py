@@ -51,7 +51,8 @@ capacity offender, so only those are checked.  A store that raises —
 per-machine cap or global budget — changes nothing, and neither does a
 round that breaks the communication cap.
 A round's messages arrive as columns (source keys, destination keys,
-words); :func:`repro.kernels.tally_by_machine` turns each key column into
+words), or as per-key volumes (sent and received ``(keys, words)``);
+:func:`repro.kernels.tally_by_machine` turns each key column into
 per-machine word totals in one call, so no per-message object is built.
 Rounds only move words: they never create storage records.
 
@@ -482,11 +483,12 @@ class MPCCluster:
         and carries ``words`` words (one int for every message) or
         ``words[i]`` (a column).  It is charged as outgoing traffic on the
         machine owning its source key and incoming traffic on the machine
-        owning its destination key; both sides are tallied per machine by
-        :func:`repro.kernels.tally_by_machine`.  Columns of different lengths
-        raise :class:`~repro.errors.SimulationError`.  The round stores
-        nothing: memory the payload occupies afterwards is the caller's to
-        register (as a spread object).
+        owning its destination key: the round is :meth:`volume_round` with
+        ``(sources, words)`` sent and ``(destinations, words)`` received.
+        Columns of different lengths raise
+        :class:`~repro.errors.SimulationError`.  The round stores nothing:
+        memory the payload occupies afterwards is the caller's to register
+        (as a spread object).
 
         In the MPC model a machine can move at most ``S`` words per round.
         When the requested exchange would exceed that on some machine, the
@@ -508,10 +510,46 @@ class MPCCluster:
             if sized:
                 lengths += f", {len(words)} words"
             raise SimulationError(f"message columns differ in length: {lengths}")
+        return self.volume_round(
+            (sources, words), (destinations, words), label=label, split_oversized=split_oversized
+        )
+
+    def volume_round(
+        self,
+        sent,
+        received,
+        label: str = "round",
+        split_oversized: bool = True,
+    ) -> int:
+        """Execute one (or more) synchronous rounds given per-key volumes.
+
+        ``sent`` and ``received`` are ``(keys, words)`` pairs: key
+        ``keys[i]`` sends (or receives) ``words`` words in total (one int for
+        every key) or ``words[i]`` (a column).  Each side is tallied per
+        machine by :func:`repro.kernels.tally_by_machine`, so an exchange
+        whose messages are only counted never has to be listed message by
+        message.  A side whose columns differ in length, or two sides whose
+        totals differ, raise :class:`~repro.errors.SimulationError`.  Caps,
+        splitting and the round stats are those of
+        :meth:`communication_round`, which charges through this method.
+
+        Returns the number of rounds charged.
+        """
+        for side, (keys, words) in (("sent", sent), ("received", received)):
+            if not isinstance(words, int) and len(words) != len(keys):
+                raise SimulationError(
+                    f"{side} volume columns differ in length: "
+                    f"{len(keys)} keys, {len(words)} words"
+                )
         machines = self._num_machines
-        senders, sent = kernels.tally_by_machine(machines, sources, words)
-        receivers, received = kernels.tally_by_machine(machines, destinations, words)
+        senders, sent = kernels.tally_by_machine(machines, *sent)
+        receivers, received = kernels.tally_by_machine(machines, *received)
         total_words = sum(sent)
+        if sum(received) != total_words:
+            raise SimulationError(
+                f"sent and received volumes differ: {total_words} words sent, "
+                f"{sum(received)} received"
+            )
 
         capacity = self._capacity
         max_sent = max(sent, default=0)

@@ -10,10 +10,12 @@ pipeline calls — aggregation by key and gathering — on top of
 Each primitive does the actual data manipulation centrally (the simulator is a
 single process) but charges the documented number of MPC rounds and routes the
 data volume through the cluster so memory/communication constraints are
-enforced.  Every exchange reaches the cluster as message columns — source
-keys, destination keys, word sizes — for
-:meth:`~repro.mpc.cluster.MPCCluster.communication_round`, which tallies each
-key column per machine in one kernel call.  The constants charged are:
+enforced.  Every exchange reaches the cluster as columns — message columns
+(source keys, destination keys, word sizes) for
+:meth:`~repro.mpc.cluster.MPCCluster.communication_round`, or per-key
+volumes for :meth:`~repro.mpc.cluster.MPCCluster.volume_round` — and the
+cluster tallies each key column per machine in one kernel call.  The
+constants charged are:
 
 ===========================  ======  ==========================================
 primitive                    rounds  reference
@@ -26,7 +28,7 @@ primitive                    rounds  reference
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import TypeVar
 
 from repro.mpc.cluster import MPCCluster
@@ -62,27 +64,25 @@ def aggregate_by_key(
 
 def gather_bundles(
     cluster: MPCCluster,
-    owners: Sequence[int],
-    requesters: Sequence[int],
-    words,
+    sent,
+    received,
     label: str = "gather",
 ) -> int:
     """Lemma 4.1: every node ``u`` receives the information bundles of ``L_u``.
 
-    The requests come as columns: ``requesters[i]`` wants the bundle of
-    ``owners[i]``, whose size is ``words`` (one int for every bundle) or
-    ``words[i]`` words.  Listing ``u`` once per node of ``L_u`` gives the
-    lemma's interest lists.  The lemma requires ``|B_v| ≤ n^{δ/2}``,
-    ``|L_u| ≤ n^{δ/2}`` and the total delivered volume to be ``O(m + n)``;
-    the cluster's communication accounting enforces the per-machine
-    consequences of these bounds.
+    The delivery comes as per-key volumes, ``(keys, words)`` pairs: ``sent``
+    gives each owner the words it sends in total (its bundle size times the
+    number of interest lists it is on), ``received`` each requester the
+    words it receives (the bundle sizes of its list summed).  The lemma
+    requires ``|B_v| ≤ n^{δ/2}``, ``|L_u| ≤ n^{δ/2}`` and the total
+    delivered volume to be ``O(m + n)``; the cluster's communication
+    accounting enforces the per-machine consequences of these bounds.
 
     Charges :data:`GATHER_ROUNDS` rounds (sort + copy + match, as in the
-    lemma's proof sketch) plus the delivery round carrying the actual volume,
-    and returns the rounds charged in total — more than ``GATHER_ROUNDS + 1``
-    when the delivery is split into several rounds.
+    lemma's proof sketch) plus the delivery round carrying the actual volume
+    (:meth:`~repro.mpc.cluster.MPCCluster.volume_round`), and returns the
+    rounds charged in total — more than ``GATHER_ROUNDS + 1`` when the
+    delivery is split into several rounds.
     """
     cluster.charge_rounds(GATHER_ROUNDS, label=f"{label}:plumbing")
-    return GATHER_ROUNDS + cluster.communication_round(
-        owners, requesters, words, label=f"{label}:deliver"
-    )
+    return GATHER_ROUNDS + cluster.volume_round(sent, received, label=f"{label}:deliver")

@@ -189,6 +189,18 @@ class TestOrientAndTally:
             assert isinstance(vec, array) and vec.typecode == "l"
 
     @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
+    def test_edge_minimum_identical(self, graph):
+        edge_u, edge_v = graph.edge_endpoints
+        rng = random.Random(37)
+        values = [rng.randrange(-5, 20) for _ in range(graph.num_vertices)]
+        for column in (values, array("l", values)):
+            pure, vec = both("edge_minimum", edge_u, edge_v, column)
+            assert pure == vec == array(
+                "l", [min(values[u], values[v]) for u, v in zip(edge_u, edge_v)]
+            )
+        assert both("edge_minimum", array("l"), array("l"), values) == (array("l"),) * 2
+
+    @pytest.mark.parametrize("graph", GRAPHS, ids=["forests", "dense"])
     def test_tallies_identical(self, graph):
         edge_u, edge_v = graph.edge_endpoints
         heads = kernels.orient_by_rank(
@@ -522,8 +534,9 @@ class TestRowLengths:
 
 
 @needs_numpy
-class TestDirectedReach:
-    """The multi-start bounded BFS: columns, order and truncation."""
+class TestReachCounts:
+    """The multi-start bounded BFS as counts: set sizes, the number of sets
+    holding each vertex, and truncation inside a row."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -540,18 +553,25 @@ class TestDirectedReach:
         out_csr = kernels.directed_out_csr(n, indptr, indices, layer_of, backend=kernels.PURE)
         starts = data.draw(st.lists(st.integers(0, n - 1), max_size=n) if n else st.just([]))
         with mock.patch.object(numpy_backend, "_REACH_BLOCK_CELLS", cells):
-            pure, vec = both("directed_reach", *out_csr, array("l", starts), max_distance, limit)
+            pure, vec = both("reach_counts", *out_csr, array("l", starts), max_distance, limit)
         assert pure == vec
-        owners, requesters, sizes = vec
+        sizes, hits = vec
         assert all(isinstance(column, array) and column.typecode == "l" for column in vec)
-        assert list(requesters) == [s for s, size in zip(starts, sizes) for _ in range(size)]
-        assert sum(sizes) == len(owners)
+        assert len(sizes) == len(starts) and len(hits) == n
+        # Every start is in its own set, and a repeated start is walked again.
+        assert sum(sizes) == sum(hits)
+        assert all(hits[s] >= starts.count(s) for s in starts)
         if limit is not None:
             assert max(sizes, default=0) <= limit + 1
+        if max_distance == 0:
+            assert list(sizes) == [1] * len(starts)
 
     def test_no_starts(self):
-        assert both("directed_reach", array("l", [0]), array("l"), array("l"), 3, 2) == (
-            (array("l"), array("l"), array("l")),
+        assert both("reach_counts", array("l", [0]), array("l"), array("l"), 3, 2) == (
+            (array("l"), array("l")),
+        ) * 2
+        assert both("reach_counts", array("l", [0, 0, 0]), array("l"), array("l"), 3, 2) == (
+            (array("l"), array("l", [0, 0])),
         ) * 2
 
 

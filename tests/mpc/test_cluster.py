@@ -86,6 +86,60 @@ class TestRounds:
         assert cluster.stats.num_rounds == 0
 
 
+class TestVolumeRound:
+    """Per-key volumes charge through the same body as message columns."""
+
+    def test_equals_the_message_round_it_counts(self):
+        sources = array("l", [i * 7 % 61 for i in range(300)])
+        destinations = array("l", [i * 13 % 47 for i in range(300)])
+        words = array("l", [i % 5 for i in range(300)])
+        sent: dict[int, int] = {}
+        received: dict[int, int] = {}
+        for source, destination, size in zip(sources, destinations, words):
+            sent[source] = sent.get(source, 0) + size
+            received[destination] = received.get(destination, 0) + size
+        for n, m in ((256, 512), (16, 16)):
+            messages, volumes = make_cluster(n, m), make_cluster(n, m)
+            rounds = messages.communication_round(sources, destinations, words, label="x")
+            assert rounds == volumes.volume_round(
+                (list(sent), list(sent.values())),
+                (array("l", received), list(received.values())),
+                label="x",
+            )
+            assert messages.ledger_state() == volumes.ledger_state()
+            assert messages.stats == volumes.stats
+
+    def test_zero_volume_keys_change_nothing(self):
+        bare, padded = make_cluster(), make_cluster()
+        bare.volume_round(([3], [5]), ([9], 5))
+        padded.volume_round((range(40), [5 if k == 3 else 0 for k in range(40)]), ([9, 1], [5, 0]))
+        assert bare.ledger_state() == padded.ledger_state()
+
+    def test_oversized_volume_names_the_same_offender(self):
+        messages, volumes = make_cluster(n=64, m=64), make_cluster(n=64, m=64)
+        big = 3 * messages.words_per_machine
+        with pytest.raises(CommunicationLimitExceeded) as by_messages:
+            messages.communication_round([0], [1], big, split_oversized=False)
+        with pytest.raises(CommunicationLimitExceeded) as by_volumes:
+            volumes.volume_round(([0], big), ([1], big), split_oversized=False)
+        assert str(by_messages.value) == str(by_volumes.value)
+
+    @pytest.mark.parametrize(
+        "sent, received, message",
+        [
+            (([0, 1], [2]), ([1], 2), "sent volume columns differ in length: 2 keys, 1 words"),
+            (([0], 2), ([1], [1, 1]), "received volume columns differ in length: 1 keys, 2 words"),
+            (([0], 3), ([1], 2), "sent and received volumes differ: 3 words sent, 2 received"),
+            (([0], [-1]), ([1], [-1]), "message size must be non-negative"),
+        ],
+    )
+    def test_bad_volumes_raise_and_charge_nothing(self, sent, received, message):
+        cluster = make_cluster()
+        with pytest.raises(SimulationError, match=f"^{message}$"):
+            cluster.volume_round(sent, received)
+        assert cluster.stats.num_rounds == 0
+
+
 class TestStorage:
     def test_load_and_release_a_tag(self):
         cluster = make_cluster()

@@ -135,6 +135,37 @@ class ReferenceLedger:
             destination = self.config.machine_of(destination_key)
             sent[source] = sent.get(source, 0) + words
             received[destination] = received.get(destination, 0) + words
+        return self._charge(sent, received, label, split_oversized)
+
+    def volume_round(self, sent_side, received_side, label, split_oversized):
+        """Tally each side key by key; both sides must move the same words."""
+        sides = []
+        for name, (keys, words) in (("sent", sent_side), ("received", received_side)):
+            sizes = [words] * len(keys) if isinstance(words, int) else list(words)
+            if len(sizes) != len(keys):
+                raise SimulationError(
+                    f"{name} volume columns differ in length: "
+                    f"{len(keys)} keys, {len(sizes)} words"
+                )
+            sides.append(list(zip(keys, sizes)))
+        tallies = []
+        for pairs in sides:
+            tally: dict[int, int] = {}
+            for key, words in pairs:
+                if words < 0:
+                    raise SimulationError("message size must be non-negative")
+                machine_id = self.config.machine_of(key)
+                tally[machine_id] = tally.get(machine_id, 0) + words
+            tallies.append(tally)
+        sent, received = tallies
+        if sum(sent.values()) != sum(received.values()):
+            raise SimulationError(
+                f"sent and received volumes differ: {sum(sent.values())} words sent, "
+                f"{sum(received.values())} received"
+            )
+        return self._charge(sent, received, label, split_oversized)
+
+    def _charge(self, sent, received, label, split_oversized):
         max_sent = max(sent.values(), default=0)
         max_received = max(received.values(), default=0)
         volume = max(max_sent, max_received)
@@ -174,12 +205,30 @@ message_columns = st.one_of(
     ),
 )
 
+# A round's per-key volumes: the two sides of one message list (equal
+# totals), or two independent sides (usually unequal, or of mismatched
+# column lengths).
+volume_sides = st.one_of(
+    st.lists(st.tuples(keys, keys, sizes), max_size=6).map(
+        lambda batch: (
+            ([s for s, _d, _w in batch], array("l", [w for _s, _d, w in batch])),
+            ([d for _s, d, _w in batch], [w for _s, _d, w in batch]),
+        )
+    ),
+    st.tuples(st.lists(keys, max_size=4), sizes).map(lambda side: (side, side)),
+    st.tuples(
+        st.tuples(st.lists(keys, max_size=3), st.one_of(sizes, st.lists(sizes, max_size=3))),
+        st.tuples(st.lists(keys, max_size=3), st.one_of(sizes, st.lists(sizes, max_size=3))),
+    ),
+)
+
 steps = st.one_of(
     st.tuples(st.just("release_tag_everywhere"), tags),
     st.tuples(st.just("store_spread"), totals, tags),
     st.tuples(st.just("restore_spread"), totals, tags),
     st.tuples(st.just("load_graph"), st.integers(1, 25), st.integers(0, 24), tags),
     st.tuples(st.just("communication_round"), message_columns, st.booleans()),
+    st.tuples(st.just("volume_round"), volume_sides, st.booleans()),
     st.tuples(st.just("roundtrip")),
 )
 
@@ -199,6 +248,9 @@ def _run(target, step):
         return target.communication_round(
             sources, destinations, words, label="x", split_oversized=split
         )
+    if kind == "volume_round":
+        (sent, received), split = args
+        return target.volume_round(sent, received, label="v", split_oversized=split)
     if kind in ("store_spread", "restore_spread"):
         total, tag = args
         return getattr(target, kind)(total, tag=tag)
