@@ -520,22 +520,12 @@ class InducedSubgraph(Graph):
         if kept and (kept[0] < 0 or kept[-1] >= parent.num_vertices):
             offender = kept[0] if kept[0] < 0 else kept[-1]
             raise GraphError(f"vertex {offender} is not a vertex of the parent graph")
-        local_of = [-1] * parent.num_vertices
-        for i, p in enumerate(kept):
-            local_of[p] = i
-        indptr = parent.csr_indptr
-        indices = parent.csr_indices
-        # Walk only the kept vertices' adjacency slices; each kept edge is
-        # seen once from its smaller endpoint, already in canonical order.
-        edges: list[Edge] = []
-        append = edges.append
-        for i, p in enumerate(kept):
-            for w in indices[indptr[p] : indptr[p + 1]]:
-                if w > p:
-                    lw = local_of[w]
-                    if lw >= 0:
-                        append((i, lw))
-        sub = cls._from_canonical_sorted(len(kept), edges)
+        sub = cls._from_columns(
+            len(kept),
+            *kernels.induced_edge_columns(
+                parent.num_vertices, parent.csr_indptr, parent.csr_indices, kept
+            ),
+        )
         sub._to_parent = tuple(kept)
         sub._to_local = {p: i for i, p in enumerate(kept)}
         return sub

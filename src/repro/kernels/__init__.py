@@ -64,6 +64,7 @@ __all__ = [
     "flip_repair_group",
     "canonical_edge_columns",
     "build_csr",
+    "induced_edge_columns",
     "encode_edge_keys",
     "first_monochrome",
     "compact_journal",
@@ -313,6 +314,17 @@ def build_csr(num_vertices, edge_u, edge_v, backend=None):
     journal compaction, so it dispatches like any other kernel.
     """
     return _module(backend).build_csr(num_vertices, edge_u, edge_v)
+
+
+def induced_edge_columns(num_vertices, indptr, indices, kept, backend=None):
+    """The edges of the subgraph induced by ``kept``, in its local ids.
+
+    ``kept`` lists distinct vertex ids of the CSR ``(indptr, indices)`` in
+    ascending order; local id ``i`` is ``kept[i]``.  Returns ``(edge_u,
+    edge_v)`` as ``array('l')`` columns, canonical (``u < v``) and sorted,
+    ready for :meth:`~repro.graph.graph.Graph._from_columns`.
+    """
+    return _module(backend).induced_edge_columns(num_vertices, indptr, indices, kept)
 
 
 def encode_edge_keys(num_vertices, edge_u, edge_v, backend=None):

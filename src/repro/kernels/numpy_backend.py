@@ -321,6 +321,19 @@ def build_csr(num_vertices, edge_u, edge_v):
     return to_array(indptr), to_array(dst[order])
 
 
+def induced_edge_columns(num_vertices, indptr, indices, kept):
+    """One gather of the kept rows, masked to the kept heads above their row."""
+    rows = _int_column(kept)
+    local_of = np.full(num_vertices, -1, dtype=_DTYPE)
+    local_of[rows] = np.arange(rows.size, dtype=_DTYPE)
+    positions, lens = _gather_rows(np_view(indptr), rows)
+    heads = np_view(indices)[positions]
+    keep = heads > np.repeat(rows, lens)
+    keep[keep] = local_of[heads[keep]] >= 0
+    tails = np.repeat(np.arange(rows.size, dtype=_DTYPE), lens)
+    return to_array(tails[keep]), to_array(local_of[heads[keep]])
+
+
 def encode_edge_keys(num_vertices, edge_u, edge_v):
     """Sorted ``u * stride + v`` edge keys (see the pure reference)."""
     stride = max(num_vertices, 1)
@@ -532,16 +545,17 @@ def row_lengths(indptr):
 
 
 # Starts per block of the reachability expansion: ``block · n`` cells bound
-# the dense per-block seen table, one byte per cell.
+# the dense seen table, one byte per cell.
 _REACH_BLOCK_CELLS = 1 << 24
 
 
-def _reach_block(indptr, indices, n, starts, max_distance, cap, seen):
+def _reach_block(indptr, indices, n, starts, max_distance, cap, seen, mark):
     """Level-synchronous BFS of one block of starts, one frontier row per
     start at a time; returns the set sizes and the kept vertices.
 
     Start ``slot`` of the block owns the cells ``slot * n + vertex`` of the
-    dense ``seen`` table, clear on entry and again on return.  A level's
+    dense ``seen`` table; a cell is seen when it holds ``mark``, which no
+    cell holds on entry.  A level's
     frontier is stored start by start: ``frontier[offsets[s] : offsets[s] +
     counts[s]]`` in BFS order.  Round ``r`` of a level expands the ``r``-th
     frontier row of every start that has one and still has room.  A round
@@ -553,7 +567,7 @@ def _reach_block(indptr, indices, n, starts, max_distance, cap, seen):
     """
     b = starts.size
     base = np.arange(b, dtype=_DTYPE) * n
-    seen[base + starts] = True
+    seen[base + starts] = mark
     sizes = np.ones(b, dtype=_DTYPE)
     kept = [starts]
     frontier, offsets, counts = starts, np.arange(b, dtype=_DTYPE), np.ones(b, dtype=_DTYPE)
@@ -580,17 +594,19 @@ def _reach_block(indptr, indices, n, starts, max_distance, cap, seen):
             )
             vertices = indices[positions]
             cells = np.repeat(base[active], lens) + vertices
-            fresh = ~seen[cells]
-            # ``rank``: 1-based position of a fresh vertex among its row's.
-            run = np.concatenate(([0], np.cumsum(fresh)))
+            fresh = seen[cells] != mark
+            # ``run[i + 1]``: fresh entries up to entry i; a row keeps its
+            # fresh entries while their rank in the row is within ``left``.
+            run = np.zeros(cells.size + 1, dtype=_DTYPE)
+            np.cumsum(fresh, out=run[1:])
             before = run[row_starts]
-            rank = run[1:] - np.repeat(before, lens)
             left = room[active] - added[active]
-            keep = fresh & (rank <= np.repeat(left, lens))
+            keep = fresh & (run[1:] <= np.repeat(before + left, lens))
             got = np.minimum(run[row_ends] - before, left)
-            seen[cells[keep]] = True
+            seen[cells[keep]] = mark
             vertices = vertices[keep]
-            found[np.repeat(found_at[active] + added[active] - 1, got) + rank[keep]] = vertices
+            at_row = found_at[active] + added[active] - 1 - before
+            found[np.repeat(at_row, got) + run[1:][keep]] = vertices
             added[active] += got
             kept.append(vertices)
             r += 1
@@ -601,7 +617,6 @@ def _reach_block(indptr, indices, n, starts, max_distance, cap, seen):
         frontier = found[
             np.arange(int(counts.sum()), dtype=_DTYPE) + np.repeat(found_at - offsets, counts)
         ]
-    seen[: b * n] = False
     return sizes, np.concatenate(kept)
 
 
@@ -621,12 +636,17 @@ def reach_counts(out_indptr, out_indices, starts, max_distance, set_size_limit):
     start_column = _int_column(starts)
     cap = n + 1 if set_size_limit is None else set_size_limit + 1
     block = max(1, _REACH_BLOCK_CELLS // max(n, 1))
-    seen = np.zeros(min(block, start_column.size) * n, dtype=bool)
+    seen = np.zeros(min(block, start_column.size) * n, dtype=np.uint8)
     hits = np.zeros(n, dtype=_DTYPE)
     sizes = [np.zeros(0, dtype=_DTYPE)]
-    for lo in range(0, start_column.size, block):
+    for index, lo in enumerate(range(0, start_column.size, block)):
+        # Block k marks its cells k mod 255 + 1, so the table is cleared once
+        # every 255 blocks rather than after each one.
+        mark = index % 255 + 1
+        if mark == 1 and index:
+            seen.fill(0)
         block_sizes, kept = _reach_block(
-            indptr, indices, n, start_column[lo : lo + block], max_distance, cap, seen
+            indptr, indices, n, start_column[lo : lo + block], max_distance, cap, seen, mark
         )
         hits += np.bincount(kept, minlength=n)
         sizes.append(block_sizes)

@@ -295,6 +295,24 @@ def build_csr(num_vertices, edge_u, edge_v):
     return array("l", indptr), array("l", indices)
 
 
+def induced_edge_columns(num_vertices, indptr, indices, kept):
+    """Walk the kept rows; each kept edge is seen once from its smaller
+    endpoint, already in canonical order."""
+    local_of = [-1] * num_vertices
+    for i, p in enumerate(kept):
+        local_of[p] = i
+    edge_u = array("l")
+    edge_v = array("l")
+    for i, p in enumerate(kept):
+        for w in indices[indptr[p] : indptr[p + 1]]:
+            if w > p:
+                lw = local_of[w]
+                if lw >= 0:
+                    edge_u.append(i)
+                    edge_v.append(lw)
+    return edge_u, edge_v
+
+
 def encode_edge_keys(num_vertices, edge_u, edge_v):
     """Encode canonical sorted edge columns as sorted ``u * stride + v`` keys.
 

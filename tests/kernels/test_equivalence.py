@@ -534,6 +534,26 @@ class TestRowLengths:
 
 
 @needs_numpy
+class TestInducedEdgeColumns:
+    """The induced subgraph's local edge columns, canonical and sorted."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    def test_identical(self, seed, share):
+        rng = random.Random(seed)
+        graph = GRAPHS[seed % len(GRAPHS)]
+        kept = [v for v in graph.vertices if rng.random() < share]
+        pure, vec = both(
+            "induced_edge_columns", graph.num_vertices, graph.csr_indptr, graph.csr_indices, kept
+        )
+        assert pure == vec
+        local = {p: i for i, p in enumerate(kept)}
+        assert list(zip(*vec)) == sorted(
+            (local[u], local[v]) for u, v in graph.edges if u in local and v in local
+        )
+
+
+@needs_numpy
 class TestReachCounts:
     """The multi-start bounded BFS as counts: set sizes, the number of sets
     holding each vertex, and truncation inside a row."""
@@ -565,6 +585,23 @@ class TestReachCounts:
             assert max(sizes, default=0) <= limit + 1
         if max_distance == 0:
             assert list(sizes) == [1] * len(starts)
+
+    def test_more_blocks_than_seen_marks(self):
+        # One start per block, so the seen table's 255 marks wrap: the path
+        # 0 - ... - 9 is walked in blocks 0 and 255, which share a mark, with
+        # only the isolated vertex 10 walked in between.
+        from repro.kernels import numpy_backend
+
+        graph = Graph(11, [(v, v + 1) for v in range(9)])
+        out_csr = kernels.directed_out_csr(
+            11, graph.csr_indptr, graph.csr_indices, array("l", [1] * 11)
+        )
+        starts = array("l", [0] + [10] * 254 + [0] + [10] * 300 + [5])
+        for limit in (None, 4):
+            with mock.patch.object(numpy_backend, "_REACH_BLOCK_CELLS", 1):
+                pure, vec = both("reach_counts", *out_csr, starts, 9, limit)
+            assert pure == vec
+            assert vec[0][255] == vec[0][0] == (10 if limit is None else 5)
 
     def test_no_starts(self):
         assert both("reach_counts", array("l", [0]), array("l"), array("l"), 3, 2) == (
