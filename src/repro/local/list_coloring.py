@@ -18,6 +18,7 @@ account for the subroutine's rounds explicitly (see DESIGN.md, substitutions).
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
@@ -48,12 +49,6 @@ def validate_lists(graph: Graph, palettes: Palettes) -> None:
             raise ParameterError(f"vertex {v} has {distinct} colors but degree {degree}")
 
 
-def _strike(options: list[int], color: int) -> None:
-    """Remove every copy of ``color`` from an available list."""
-    while color in options:
-        options.remove(color)
-
-
 def random_list_coloring(
     graph: Graph,
     palettes: Palettes,
@@ -71,9 +66,10 @@ def random_list_coloring(
     ``O(log n)`` rounds with high probability.
 
     Each vertex's available list is kept incrementally, in palette order:
-    fixing a color strikes it from the lists of the vertex's uncolored
-    neighbors, and a round finds its conflicts in one scan of the induced
-    edges whose endpoints are both still uncolored.
+    a round collects, per uncolored vertex, the colors its neighbors fixed,
+    and filters the vertex's list once before its next proposal.  A round
+    finds its conflicts in one scan of the induced edges whose endpoints
+    are both still uncolored.
 
     Returns the coloring and the number of synchronous rounds used.
     """
@@ -112,15 +108,18 @@ def random_list_coloring(
         uncolored.difference_update(newly_colored)
         still_u: list[int] = []
         still_v: list[int] = []
+        struck: defaultdict[int, set[int]] = defaultdict(set)
         for u, w in zip(live_u, live_v):
             if u in uncolored:
                 if w in uncolored:
                     still_u.append(u)
                     still_v.append(w)
                 else:
-                    _strike(available[u], colors[w])
+                    struck[u].add(colors[w])
             elif w in uncolored:
-                _strike(available[w], colors[u])
+                struck[w].add(colors[u])
+        for v, gone in struck.items():
+            available[v] = [c for c in available[v] if c not in gone]
         live_u, live_v = still_u, still_v
 
     if uncolored:
@@ -143,7 +142,7 @@ def random_list_coloring(
             rounds += 1
             for w in neighbors[v]:
                 if w not in colors:
-                    _strike(available[w], color)
+                    available[w] = [c for c in available[w] if c != color]
 
     return ListColoringResult(colors=colors, rounds=rounds)
 

@@ -21,6 +21,7 @@ palette at O(n + m) amortised cost.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 
 from repro import kernels
 from repro.baselines.greedy import degeneracy_order_coloring
@@ -41,11 +42,18 @@ class IncrementalColoring:
         snapshot = dynamic.snapshot()
         if snapshot.num_edges:
             self._install(degeneracy_order_coloring(snapshot))
+        self._count_colors()
 
     def _install(self, coloring: Coloring) -> None:
         colors = self._colors
         for v, c in coloring.as_dict().items():
             colors[v] = c
+
+    def _count_colors(self) -> None:
+        """Derive the running color histogram (color -> vertices) from the
+        column.  It is not checkpointed; :meth:`handle_insert` keeps it
+        current, and only colors in use have an entry."""
+        self._color_counts = Counter(self._colors)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -56,12 +64,8 @@ class IncrementalColoring:
         return self._colors[v]
 
     def num_colors(self) -> int:
-        """Number of distinct colors currently in use."""
-        return kernels.count_distinct(self._colors)
-
-    def max_color(self) -> int:
-        """Largest color index in use (palette-size proxy)."""
-        return kernels.max_value(self._colors)
+        """Number of distinct colors currently in use (running state, O(1))."""
+        return len(self._color_counts)
 
     def is_proper(self) -> bool:
         """Whether no live edge is monochromatic (one kernel scan over a
@@ -86,6 +90,13 @@ class IncrementalColoring:
         fresh = 0
         while fresh in taken:
             fresh += 1
+        counts = self._color_counts
+        stale = colors[victim]
+        if counts[stale] == 1:
+            del counts[stale]
+        else:
+            counts[stale] -= 1
+        counts[fresh] += 1
         colors[victim] = fresh
         self.recolors += 1
         return True
@@ -93,21 +104,16 @@ class IncrementalColoring:
     def handle_insert_batch(self, us, vs) -> int:
         """Repair after a column of insertions; returns vertices recolored.
 
-        Equivalent to calling :meth:`handle_insert` per edge in order: the
-        kernel scan finds the next monochromatic edge, the repair runs in
-        python (it mutates colors, which later comparisons must see), and
-        the scan resumes just past it — so each edge is still examined
-        exactly once against the colors as of its turn.
+        One loop over the insert columns, calling :meth:`handle_insert` for
+        each monochromatic edge in order, so each edge is examined exactly
+        once against the colors as of its turn.  A batch recolors a few
+        vertices, so a kernel scan per recolor costs more than the loop.
         """
         before = self.recolors
-        start = 0
         colors = self._colors
-        while True:
-            i = kernels.first_monochrome(colors, us, vs, start)
-            if i < 0:
-                break
-            self.handle_insert(us[i], vs[i])
-            start = i + 1
+        for u, v in zip(us, vs):
+            if colors[u] == colors[v]:
+                self.handle_insert(u, v)
         return self.recolors - before
 
     def refresh(self, snapshot: Graph | None = None) -> None:
@@ -119,6 +125,7 @@ class IncrementalColoring:
         self._colors = array("l", [0]) * self._dynamic.num_vertices
         if snapshot.num_edges:
             self._install(degeneracy_order_coloring(snapshot))
+        self._count_colors()
         self.refreshes += 1
 
     # ------------------------------------------------------------------ #
@@ -139,6 +146,7 @@ class IncrementalColoring:
         coloring = object.__new__(cls)
         coloring._dynamic = dynamic
         coloring._colors = array("l", state["colors"])
+        coloring._count_colors()
         coloring.recolors = state["recolors"]
         coloring.refreshes = state["refreshes"]
         return coloring

@@ -38,13 +38,24 @@ the MPC loaders) keeps working unchanged on the compacted :meth:`snapshot`.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from collections.abc import Iterator
 
 from repro import kernels
 from repro.errors import GraphError
 from repro.graph.graph import Edge, Graph, normalize_edge
 from repro.obs.tracer import NULL_TRACER
+
+
+def _has_key(keys: array, key: int) -> bool:
+    """Membership of ``key`` in a sorted key column (one C-level bisect)."""
+    i = bisect_left(keys, key)
+    return i < len(keys) and keys[i] == key
+
+
+def _drop_key(keys: array, key: int) -> None:
+    """Delete ``key`` (known to be present) from a sorted key column."""
+    del keys[bisect_left(keys, key)]
 
 
 class DynamicGraph:
@@ -81,8 +92,8 @@ class DynamicGraph:
         "_snapshot_cache",
         "_snapshot_version",
         "_base_keys",
-        "_overlay_keys",
-        "_overlay_keys_version",
+        "_added_keys",
+        "_removed_keys",
         "_tracer",
         "snapshot_caching",
         "compaction_fraction",
@@ -119,8 +130,10 @@ class DynamicGraph:
         self._snapshot_cache: Graph | None = None
         self._snapshot_version = -1
         self._base_keys: array | None = None
-        self._overlay_keys: tuple[array, array] | None = None
-        self._overlay_keys_version = -1
+        # The overlay's additions and tombstones as sorted key columns, kept
+        # sorted at every overlay change (bisect insert/delete).
+        self._added_keys = array("l")
+        self._removed_keys = array("l")
         self._tracer = NULL_TRACER
         self.snapshot_caching = snapshot_caching
         self.compaction_fraction = compaction_fraction
@@ -190,10 +203,7 @@ class DynamicGraph:
         already maintained for batch validation, so membership is one
         C-level bisect.
         """
-        keys = self.base_edge_keys()
-        key = e[0] * max(self._n, 1) + e[1]
-        i = bisect_left(keys, key)
-        return i < len(keys) and keys[i] == key
+        return _has_key(self.base_edge_keys(), e[0] * max(self._n, 1) + e[1])
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether the edge ``{u, v}`` is currently live."""
@@ -214,7 +224,7 @@ class DynamicGraph:
         if removed:
             base_part = [
                 w for w in self._base.neighbors(v)
-                if (normalize_edge(v, w)) not in removed
+                if ((v, w) if v < w else (w, v)) not in removed
             ]
         else:
             base_part = list(self._base.neighbors(v))
@@ -258,14 +268,13 @@ class DynamicGraph:
         return self._base_keys
 
     def overlay_edge_keys(self) -> tuple[array, array]:
-        """``(added_keys, removed_keys)`` sorted key columns (cached per version)."""
-        if self._overlay_keys is None or self._overlay_keys_version != self._version:
-            stride = max(self._n, 1)
-            added = array("l", (u * stride + v for u, v in sorted(self._added)))
-            removed = array("l", (u * stride + v for u, v in sorted(self._removed)))
-            self._overlay_keys = (added, removed)
-            self._overlay_keys_version = self._version
-        return self._overlay_keys
+        """``(added_keys, removed_keys)`` as sorted key columns.
+
+        The columns are maintained sorted as the overlay changes, so a read
+        is one copy of each (the copies stay valid, and hold no buffer of
+        the live columns, after the graph moves on).
+        """
+        return self._added_keys[:], self._removed_keys[:]
 
     # ------------------------------------------------------------------ #
     # Write path
@@ -319,22 +328,25 @@ class DynamicGraph:
             ops.append(0)
             edge_u.append(u)
             edge_v.append(v)
-        self._journal_ops = ops
-        self._journal_u = edge_u
-        self._journal_v = edge_v
+        self._journal_ops[:] = ops
+        self._journal_u[:] = edge_u
+        self._journal_v[:] = edge_v
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert the edge ``{u, v}``; raises :class:`GraphError` if already live."""
         self._check_vertex_range(u, v)
         e = normalize_edge(u, v)
+        key = e[0] * max(self._n, 1) + e[1]
         if e in self._removed:
             self._removed.discard(e)
+            _drop_key(self._removed_keys, key)
         elif e in self._added or self._base_has(e):
             raise GraphError(f"edge {e} is already present")
         else:
             self._added[e] = None
             self._added_adj.setdefault(e[0], set()).add(e[1])
             self._added_adj.setdefault(e[1], set()).add(e[0])
+            insort(self._added_keys, key)
         self._bump_degree(e[0], e[1], 1)
         self._num_edges += 1
         self._record(1, e)
@@ -344,12 +356,15 @@ class DynamicGraph:
         """Delete the edge ``{u, v}``; raises :class:`GraphError` if not live."""
         self._check_vertex_range(u, v)
         e = normalize_edge(u, v)
+        key = e[0] * max(self._n, 1) + e[1]
         if e in self._added:
             del self._added[e]
             self._added_adj[e[0]].discard(e[1])
             self._added_adj[e[1]].discard(e[0])
+            _drop_key(self._added_keys, key)
         elif e not in self._removed and self._base_has(e):
             self._removed.add(e)
+            insort(self._removed_keys, key)
         else:
             raise GraphError(f"edge {e} is not present")
         self._bump_degree(e[0], e[1], -1)
@@ -360,19 +375,83 @@ class DynamicGraph:
     def apply_ops(self, ops, us, vs) -> None:
         """Absorb a columnar op batch (op 1 = insert, 0 = delete), in order.
 
-        Exactly equivalent to calling :meth:`add_edge`/:meth:`remove_edge`
-        per op — including the per-op compaction-threshold check, which the
-        deterministic round accounting pins — just without building update
-        objects.  The service feeds pre-validated batch columns through
-        here.
+        One loop with :meth:`add_edge`/:meth:`remove_edge` inlined: the same
+        checks and errors, the same overlay, key-column and journal updates,
+        and the same per-op compaction-threshold check (the deterministic
+        round accounting pins it).  The service feeds pre-validated batch
+        columns through here.
         """
-        add = self.add_edge
-        remove = self.remove_edge
+        n = self._n
+        stride = max(n, 1)
+        added = self._added
+        added_adj = self._added_adj
+        removed = self._removed
+        added_keys = self._added_keys
+        removed_keys = self._removed_keys
+        delta_degree = self._delta_degree
+        # The journal columns keep their identity: compression and
+        # compaction rewrite them in place.
+        journal_ops = self._journal_ops
+        journal_u = self._journal_u
+        journal_v = self._journal_v
+        min_journal = self.min_compaction_journal
+        fraction = self.compaction_fraction
         for op, u, v in zip(ops, us, vs):
+            if not (0 <= u < n and 0 <= v < n):
+                self._check_vertex_range(u, v)
+            e = (u, v) if u < v else normalize_edge(u, v)
+            a, b = e
+            key = a * stride + b
             if op:
-                add(u, v)
+                op = step = 1
+                if e in removed:
+                    removed.discard(e)
+                    _drop_key(removed_keys, key)
+                elif e in added or _has_key(self.base_edge_keys(), key):
+                    raise GraphError(f"edge {e} is already present")
+                else:
+                    added[e] = None
+                    for x, y in ((a, b), (b, a)):
+                        adjacent = added_adj.get(x)
+                        if adjacent is None:
+                            added_adj[x] = {y}
+                        else:
+                            adjacent.add(y)
+                    insort(added_keys, key)
             else:
-                remove(u, v)
+                op = 0
+                step = -1
+                if e in added:
+                    del added[e]
+                    added_adj[a].discard(b)
+                    added_adj[b].discard(a)
+                    _drop_key(added_keys, key)
+                elif e not in removed and _has_key(self.base_edge_keys(), key):
+                    removed.add(e)
+                    insort(removed_keys, key)
+                else:
+                    raise GraphError(f"edge {e} is not present")
+            for x in e:
+                degree = delta_degree.get(x, 0) + step
+                if degree:
+                    delta_degree[x] = degree
+                else:
+                    del delta_degree[x]
+            self._num_edges += step
+            # _record, inlined
+            journal_ops.append(op)
+            journal_u.append(a)
+            journal_v.append(b)
+            self._version += 1
+            self.total_updates += 1
+            overlay = len(added) + len(removed)
+            if overlay == 0:
+                del journal_ops[:], journal_u[:], journal_v[:]
+            elif len(journal_ops) > 2 * overlay + min_journal:
+                self._compress_journal()
+            # _maybe_compact, inlined: overlay > max(min_journal, fraction * m)
+            if overlay > min_journal and overlay > int(fraction * max(self._num_edges, 1)):
+                self.compact()
 
     # ------------------------------------------------------------------ #
     # Compaction / snapshots
@@ -446,8 +525,7 @@ class DynamicGraph:
             self._snapshot_cache = None
             self._snapshot_version = -1
             self._base_keys = None
-            self._overlay_keys = None
-            self._overlay_keys_version = -1
+            del self._added_keys[:], self._removed_keys[:]
             self.num_compactions += 1
             metrics = self._tracer.metrics
             if metrics.enabled:
@@ -536,6 +614,9 @@ class DynamicGraph:
                     graph._removed.add(e)
                 graph._bump_degree(u, v, -1)
                 graph._num_edges -= 1
+        stride = max(graph._n, 1)
+        graph._added_keys = array("l", sorted(u * stride + v for u, v in graph._added))
+        graph._removed_keys = array("l", sorted(u * stride + v for u, v in graph._removed))
         graph._journal_ops = ops
         graph._journal_u = edge_u
         graph._journal_v = edge_v

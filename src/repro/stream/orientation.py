@@ -52,7 +52,7 @@ test.
 from __future__ import annotations
 
 from array import array
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
@@ -74,28 +74,30 @@ def plan_conflict_groups(updates: Sequence) -> list[list[int]]:
     batch order, with groups ordered by their first update's index — a
     deterministic plan for any input.
     """
-    parent: dict[int, int] = {}
+    parent: dict[int, int] = {}  # a vertex without an entry is a root
+    up = parent.get
 
     def find(x: int) -> int:
         root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
+        above = up(root, root)
+        while above != root:
+            root = above
+            above = up(root, root)
+        while x != root:
             parent[x], x = root, parent[x]
         return root
 
     for update in updates:
-        for endpoint in (update.u, update.v):
-            if endpoint not in parent:
-                parent[endpoint] = endpoint
         ru, rv = find(update.u), find(update.v)
         if ru != rv:
             parent[rv] = ru
 
+    # A group's list is created at its first update, so the dict's order is
+    # the groups' first-index order.
     groups: dict[int, list[int]] = {}
     for index, update in enumerate(updates):
         groups.setdefault(find(update.u), []).append(index)
-    return sorted(groups.values(), key=lambda group: group[0])
+    return list(groups.values())
 
 
 def _choose_tail(u: int, v: int, outdeg_u: int, outdeg_v: int) -> int:
@@ -172,11 +174,7 @@ class IncrementalOrientation:
         self._delta = delta
         self._seed = seed
         self._cluster = cluster
-        self._out: list[set[int]] = [set() for _ in range(dynamic.num_vertices)]
-        # Flat outdegree column mirroring len(self._out[v]) at every mutation
-        # site, so max_outdegree() — read per tenant per tick by the engine's
-        # aggregate report — is one kernel scan instead of n len() calls.
-        self._outdeg: array = array("l", [0]) * dynamic.num_vertices
+        self._set_heads([set() for _ in range(dynamic.num_vertices)])
         self.flips = 0
         self.opportunistic_flips = 0
         self.rebuilds = 0
@@ -200,9 +198,8 @@ class IncrementalOrientation:
         return len(self._out[v])
 
     def max_outdegree(self) -> int:
-        """Maximum outdegree over all vertices (one kernel scan of the
-        maintained outdegree column)."""
-        return kernels.max_value(self._outdeg)
+        """Maximum outdegree over all vertices (running state, O(1))."""
+        return self._max_outdeg
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         """Sorted heads of the edges oriented out of ``v``."""
@@ -240,6 +237,55 @@ class IncrementalOrientation:
     # there is exactly one definition).
     _choose_tail = staticmethod(_choose_tail)
 
+    # ------------------------------------------------------------------ #
+    # Running outdegree state
+    # ------------------------------------------------------------------ #
+
+    def _set_heads(self, out: list[set[int]]) -> None:
+        """Install a heads table and derive the running state from it.
+
+        Beside ``out`` the maintainer keeps three running values, updated at
+        every mutation site through :meth:`_grow`/:meth:`_shrink`: the flat
+        outdegree column ``_outdeg`` (``len(out[v])``), the outdegree
+        histogram ``_outdeg_hist`` (vertices per outdegree) and its maximum
+        ``_max_outdeg``.  None of them is checkpointed; construction,
+        rebuilds and restores derive them here at C speed.
+        """
+        self._out = out
+        self._outdeg = outdeg = array("l", map(len, out))
+        counts = Counter(outdeg)
+        top = max(counts, default=0)
+        hist = [0] * (top + 1)
+        for degree, count in counts.items():
+            hist[degree] = count
+        self._outdeg_hist = hist
+        self._max_outdeg = top
+
+    def _grow(self, v: int) -> None:
+        """Record that ``out[v]`` gained one head."""
+        outdeg = self._outdeg
+        degree = outdeg[v] + 1
+        outdeg[v] = degree
+        hist = self._outdeg_hist
+        hist[degree - 1] -= 1
+        if degree == len(hist):
+            hist.append(1)
+        else:
+            hist[degree] += 1
+        if degree > self._max_outdeg:
+            self._max_outdeg = degree
+
+    def _shrink(self, v: int) -> None:
+        """Record that ``out[v]`` lost one head."""
+        outdeg = self._outdeg
+        degree = outdeg[v]
+        outdeg[v] = degree - 1
+        hist = self._outdeg_hist
+        hist[degree] -= 1
+        hist[degree - 1] += 1
+        if degree == self._max_outdeg and not hist[degree]:
+            self._max_outdeg = degree - 1
+
     def _proactive_flip(self, freed: int) -> None:
         """Flip one in-edge of an at-cap in-neighbor toward a freed out-slot.
 
@@ -253,14 +299,15 @@ class IncrementalOrientation:
         """
         out = self._out
         cap = self.outdegree_cap
-        if len(out[freed]) >= cap:
+        if self._max_outdeg < cap or len(out[freed]) >= cap:
+            # Below-cap maximum: no vertex sits at the cap, nothing to flip.
             return
         for w in self._dynamic.neighbors(freed):
             if freed in out[w] and len(out[w]) >= cap:
                 out[w].discard(freed)
                 out[freed].add(w)
-                self._outdeg[w] -= 1
-                self._outdeg[freed] += 1
+                self._shrink(w)
+                self._grow(freed)
                 self.flips += 1
                 self.opportunistic_flips += 1
                 return
@@ -278,7 +325,14 @@ class IncrementalOrientation:
         The batch is split by :func:`plan_conflict_groups` and the groups run
         in-process in a fixed order: groups whose updates provably stay under
         the outdegree cap first, then groups that may need a flip path, each
-        in group order.  Deferred proactive flips are swept at the end.
+        in group order.  Deferred proactive flips are swept at the end, in
+        group order.
+
+        When a replay of the whole batch proves every group cap-safe
+        (:meth:`_cap_safe_tails`), the batch is applied in one pass in batch
+        order.  Groups are vertex-disjoint, so that pass touches each out-set
+        with the same operations in the same order as the group-order run.
+        Any other batch takes the per-group path (:meth:`_apply_groups`).
 
         A mid-batch Theorem 1.1 rebuild (saturated flip search in a flip-prone
         group) re-orients the *final* batch state in one stroke — the
@@ -289,29 +343,29 @@ class IncrementalOrientation:
         if not updates:
             return GroupedApplyReport(0, 0, 0, 0, 0)
         groups = plan_conflict_groups(updates)
-        grouped = [[updates[index] for index in group] for group in groups]
-        safe_set = {
-            position
-            for position, group_updates in enumerate(grouped)
-            if self._group_is_cap_safe(group_updates)
-        }
-        safe = sorted(safe_set)
-        unsafe = [position for position in range(len(grouped)) if position not in safe_set]
-
-        rebuilds_before = self.rebuilds
-        freed_by_group: dict[int, list[int]] = {}
-        for position in safe:
-            freed_by_group[position] = self._apply_group(
-                grouped[position], False, rebuilds_before
-            )
-        for position in unsafe:
-            freed_by_group[position] = self._apply_group(
-                grouped[position], True, rebuilds_before
-            )
+        is_insert = [update.is_insert for update in updates]
+        tails = self._cap_safe_tails(updates, is_insert)
+        if tails is None:
+            freed_by_group, num_safe = self._apply_groups(updates, groups)
+        else:
+            out = self._out
+            for update, insert, tail in zip(updates, is_insert, tails):
+                head = update.v if tail == update.u else update.u
+                if insert:
+                    out[tail].add(head)
+                    self._grow(tail)
+                else:
+                    out[tail].discard(head)
+                    self._shrink(tail)
+            freed_by_group = [
+                [tails[index] for index in group if not is_insert[index]]
+                for group in groups
+            ]
+            num_safe = len(groups)
 
         opportunistic_before = self.opportunistic_flips
-        for position in range(len(grouped)):
-            for freed in freed_by_group[position]:
+        for freed_tails in freed_by_group:
+            for freed in freed_tails:
                 self._proactive_flip(freed)
 
         self._updates_since_check += len(updates)
@@ -319,11 +373,93 @@ class IncrementalOrientation:
             self.ensure_quality()
         return GroupedApplyReport(
             num_updates=len(updates),
-            num_groups=len(grouped),
-            parallel_groups=len(safe),
-            serial_groups=len(unsafe),
+            num_groups=len(groups),
+            parallel_groups=num_safe,
+            serial_groups=len(groups) - num_safe,
             proactive_flips=self.opportunistic_flips - opportunistic_before,
         )
+
+    def _cap_safe_tails(self, updates: list, is_insert: list[bool]) -> list[int] | None:
+        """The tail of every update if the whole batch is cap-safe, else ``None``.
+
+        Replays the tail rule over the batch in batch order against the
+        current outdegrees plus in-batch deltas.  A vertex's replayed degree
+        moves only with the updates of its own conflict group, so this is
+        :meth:`_group_is_cap_safe` for every group at once: no insertion
+        passes the cap iff every group is cap-safe.  The replay also tracks
+        each edge's in-batch state and gives up on a delete of an unoriented
+        edge or an insert of an oriented one, so such a batch takes the
+        per-group path and fails there exactly as before.
+        """
+        out = self._out
+        cap = self.outdegree_cap
+        choose_tail = self._choose_tail
+        degree: dict[int, int] = {}
+        # edge -> tail while inserted in this batch, -1 once deleted in it
+        touched: dict[tuple[int, int], int] = {}
+        tails: list[int] = []
+        for update, insert in zip(updates, is_insert):
+            u, v = update.u, update.v
+            edge = (u, v) if u < v else (v, u)
+            tail = touched.get(edge)
+            if insert:
+                if tail is None:
+                    if v in out[u] or u in out[v]:
+                        return None
+                elif tail >= 0:
+                    return None
+                outdeg_u = degree.get(u)
+                if outdeg_u is None:
+                    outdeg_u = len(out[u])
+                outdeg_v = degree.get(v)
+                if outdeg_v is None:
+                    outdeg_v = len(out[v])
+                tail = choose_tail(u, v, outdeg_u, outdeg_v)
+                grown = (outdeg_u if tail == u else outdeg_v) + 1
+                if grown > cap:
+                    return None
+                degree[tail] = grown
+                touched[edge] = tail
+            else:
+                if tail is None:
+                    forward = v in out[u]
+                    if forward == (u in out[v]):
+                        return None
+                    tail = u if forward else v
+                elif tail < 0:
+                    return None
+                shrunk = degree.get(tail)
+                degree[tail] = (len(out[tail]) if shrunk is None else shrunk) - 1
+                touched[edge] = -1
+            tails.append(tail)
+        return tails
+
+    def _apply_groups(
+        self, updates: list, groups: list[list[int]]
+    ) -> tuple[list[list[int]], int]:
+        """The per-group path: cap-safe groups first, then flip-prone ones.
+
+        Returns each group's freed tails (in group order) and the number of
+        cap-safe groups.
+        """
+        grouped = [[updates[index] for index in group] for group in groups]
+        safe_set = {
+            position
+            for position, group_updates in enumerate(grouped)
+            if self._group_is_cap_safe(group_updates)
+        }
+        rebuilds_before = self.rebuilds
+        freed_by_group: list[list[int]] = [[] for _ in grouped]
+        for position in sorted(safe_set):
+            freed_by_group[position] = self._apply_group(
+                grouped[position], False, rebuilds_before
+            )
+        for position in range(len(grouped)):
+            if position not in safe_set:
+                freed_by_group[position] = self._apply_group(
+                    grouped[position], True, rebuilds_before
+                )
+        return freed_by_group, len(safe_set)
 
     def _group_is_cap_safe(self, group_updates: list) -> bool:
         """Whether a conflict group can never trigger a flip search.
@@ -394,7 +530,7 @@ class IncrementalOrientation:
                 tail = self._choose_tail(u, v, len(out[u]), len(out[v]))
                 head = v if tail == u else u
                 out[tail].add(head)
-                self._outdeg[tail] += 1
+                self._grow(tail)
                 if len(out[tail]) > self.outdegree_cap:
                     if not allow_repair:
                         raise GraphError(
@@ -405,11 +541,11 @@ class IncrementalOrientation:
             else:
                 if v in out[u]:
                     out[u].discard(v)
-                    self._outdeg[u] -= 1
+                    self._shrink(u)
                     freed.append(u)
                 elif u in out[v]:
                     out[v].discard(u)
-                    self._outdeg[v] -= 1
+                    self._shrink(v)
                     freed.append(v)
                 elif self.rebuilds == rebuilds_before:
                     raise GraphError(
@@ -449,14 +585,13 @@ class IncrementalOrientation:
             self._rebuild(reason="saturated", lambda_bound=max(fresh, self.lambda_bound + 1))
             return
         length = 0
-        outdeg = self._outdeg
         x = target
         while x != overloaded:
             p = parent[x]
             out[p].discard(x)
             out[x].add(p)
-            outdeg[p] -= 1
-            outdeg[x] += 1
+            self._shrink(p)
+            self._grow(x)
             x = p
             length += 1
         self.flips += length
@@ -516,8 +651,7 @@ class IncrementalOrientation:
         out: list[set[int]] = [set() for _ in range(self._dynamic.num_vertices)]
         for tail, head in run.orientation.iter_directed_edges():
             out[tail].add(head)
-        self._out = out
-        self._outdeg = array("l", (len(heads) for heads in out))
+        self._set_heads(out)
         # The static pipeline guarantees O(λ log log n), which can exceed the
         # flip cap on small graphs; widen the cap so the invariant holds.
         self.outdegree_cap = max(self.outdegree_cap, run.max_outdegree)
@@ -570,13 +704,10 @@ class IncrementalOrientation:
         orientation._cluster = cluster
         indptr = state["indptr"]
         heads = state["heads"]
-        orientation._out = [
+        orientation._set_heads([
             set(heads[indptr[v] : indptr[v + 1]])
             for v in range(dynamic.num_vertices)
-        ]
-        orientation._outdeg = array(
-            "l", (indptr[v + 1] - indptr[v] for v in range(dynamic.num_vertices))
-        )
+        ])
         orientation.flips = state["flips"]
         orientation.opportunistic_flips = state["opportunistic_flips"]
         orientation.rebuilds = state["rebuilds"]

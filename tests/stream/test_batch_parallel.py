@@ -28,6 +28,17 @@ from repro.stream.workloads import (
 from tests.conftest import apply_one
 
 
+def install_heads(orientation, directed_edges):
+    """Hand-build state: add each ``(tail, head)`` edge to the dynamic graph,
+    orient it ``tail -> head``, and derive every piece of the orientation's
+    running state (outdegree column, histogram, maximum) from the heads."""
+    out = [set(heads) for heads in orientation._out]
+    for tail, head in directed_edges:
+        orientation._dynamic.add_edge(tail, head)
+        out[tail].add(head)
+    orientation._set_heads(out)
+
+
 class TestConflictGroupPlanning:
     def test_disjoint_updates_get_singleton_groups(self):
         batch = UpdateBatch.from_ops([("+", 0, 1), ("+", 2, 3), ("+", 4, 5)])
@@ -133,10 +144,7 @@ class TestApplyBatch:
             dynamic = DynamicGraph.empty(10)
             orientation = IncrementalOrientation(dynamic, lambda_bound=1, flip_slack=2)
             assert orientation.outdegree_cap == 2
-            for tail, head in ((0, 1), (0, 2), (3, 4), (3, 5)):
-                dynamic.add_edge(tail, head)
-                orientation._out[tail].add(head)
-                orientation._outdeg[tail] += 1
+            install_heads(orientation, ((0, 1), (0, 2), (3, 4), (3, 5)))
             batch = UpdateBatch.from_ops([("+", 0, 3), ("+", 1, 9)])
             for update in batch.updates:
                 dynamic.add_edge(update.u, update.v)
@@ -356,16 +364,12 @@ class TestProactiveFlips:
         dynamic = DynamicGraph.empty(n)
         orientation = IncrementalOrientation(dynamic, lambda_bound=2, flip_slack=2)
         cap = orientation.outdegree_cap
-        out = orientation._out
         # Hand-build the state (legal: edge-set matches, caps respected).
-        # w = 0 at cap: 0 -> 1, 0 -> 2, 0 -> 3, 0 -> 4 (cap = 4)
-        for w in range(1, cap + 1):
-            dynamic.add_edge(0, w)
-            out[0].add(w)
+        # w = 0 at cap: 0 -> 1, 0 -> 2, 0 -> 3, 0 -> 4 (cap = 4);
         # t = 1 owns one extra edge 1 -> 5.
-        dynamic.add_edge(1, 5)
-        out[1].add(5)
+        install_heads(orientation, [(0, w) for w in range(1, cap + 1)] + [(1, 5)])
         assert orientation.outdegree(0) == cap
+        assert orientation.max_outdegree() == cap
         # Deleting {1, 5} frees a slot at 1; 0 is an at-cap in-neighbor of 1.
         dynamic.remove_edge(1, 5)
         apply_one(orientation, "-", 1, 5)
