@@ -10,13 +10,19 @@ the columnar rework the journal has two synchronized representations:
   insert, 0 = delete, endpoints canonical) recording every update since the
   last compaction.  This is what the kernel layer consumes: snapshot builds
   and compaction run :func:`repro.kernels.compact_journal` over the columns
-  (vectorized on the numpy backend), and batch validation reads the derived
-  key columns.  The log is periodically *compressed* back to its canonical
-  form (one op per surviving overlay entry) so cancelling churn cannot grow
-  it without bound;
+  (vectorized on the numpy backend).  The log is periodically *compressed*
+  back to its canonical form (one op per surviving overlay entry) so
+  cancelling churn cannot grow it without bound;
 * **O(1) read-path indexes** — the added-edge dict, tombstone set, delta
   adjacency and delta degrees that back ``has_edge``/``degree``/``neighbors``
-  in O(overlay) extra work, exactly as before.
+  in O(overlay) extra work, exactly as before — plus the additions and
+  tombstones as two **sorted key columns**, kept sorted by a bisect insert
+  or delete at every overlay change.  Batch validation reads them (and the
+  base graph's key column) without sorting anything.
+
+A batch is absorbed by :meth:`DynamicGraph.apply_ops`, one loop with the
+per-edge insert and delete inlined, so an update costs O(log overlay) index
+work plus its share of compaction.
 
 Reads that need a full CSR go through :meth:`snapshot`, which is now backed
 by a **generation-tagged cache**: every mutation bumps an internal version,
@@ -292,21 +298,6 @@ class DynamicGraph:
             else:
                 self._delta_degree.pop(x, None)
 
-    def _record(self, op: int, e: Edge) -> None:
-        """Append one op to the columnar log and advance the generation."""
-        self._journal_ops.append(op)
-        self._journal_u.append(e[0])
-        self._journal_v.append(e[1])
-        self._version += 1
-        self.total_updates += 1
-        overlay = len(self._added) + len(self._removed)
-        if overlay == 0:
-            # The overlay cancelled out: the state *is* the base again, so
-            # the log carries no information.
-            del self._journal_ops[:], self._journal_u[:], self._journal_v[:]
-        elif len(self._journal_ops) > 2 * overlay + self.min_compaction_journal:
-            self._compress_journal()
-
     def _compress_journal(self) -> None:
         """Rewrite the op log in canonical form (one op per overlay entry).
 
@@ -334,52 +325,23 @@ class DynamicGraph:
 
     def add_edge(self, u: int, v: int) -> None:
         """Insert the edge ``{u, v}``; raises :class:`GraphError` if already live."""
-        self._check_vertex_range(u, v)
-        e = normalize_edge(u, v)
-        key = e[0] * max(self._n, 1) + e[1]
-        if e in self._removed:
-            self._removed.discard(e)
-            _drop_key(self._removed_keys, key)
-        elif e in self._added or self._base_has(e):
-            raise GraphError(f"edge {e} is already present")
-        else:
-            self._added[e] = None
-            self._added_adj.setdefault(e[0], set()).add(e[1])
-            self._added_adj.setdefault(e[1], set()).add(e[0])
-            insort(self._added_keys, key)
-        self._bump_degree(e[0], e[1], 1)
-        self._num_edges += 1
-        self._record(1, e)
-        self._maybe_compact()
+        self.apply_ops((1,), (u,), (v,))
 
     def remove_edge(self, u: int, v: int) -> None:
         """Delete the edge ``{u, v}``; raises :class:`GraphError` if not live."""
-        self._check_vertex_range(u, v)
-        e = normalize_edge(u, v)
-        key = e[0] * max(self._n, 1) + e[1]
-        if e in self._added:
-            del self._added[e]
-            self._added_adj[e[0]].discard(e[1])
-            self._added_adj[e[1]].discard(e[0])
-            _drop_key(self._added_keys, key)
-        elif e not in self._removed and self._base_has(e):
-            self._removed.add(e)
-            insort(self._removed_keys, key)
-        else:
-            raise GraphError(f"edge {e} is not present")
-        self._bump_degree(e[0], e[1], -1)
-        self._num_edges -= 1
-        self._record(0, e)
-        self._maybe_compact()
+        self.apply_ops((0,), (u,), (v,))
 
     def apply_ops(self, ops, us, vs) -> None:
         """Absorb a columnar op batch (op 1 = insert, 0 = delete), in order.
 
-        One loop with :meth:`add_edge`/:meth:`remove_edge` inlined: the same
-        checks and errors, the same overlay, key-column and journal updates,
-        and the same per-op compaction-threshold check (the deterministic
-        round accounting pins it).  The service feeds pre-validated batch
-        columns through here.
+        The one write path: :meth:`add_edge` and :meth:`remove_edge` are
+        one-op batches.  Each op is checked (vertex range, self loop, insert
+        of a live edge, delete of a dead one; an offending op raises
+        :class:`GraphError` with the ops before it applied), updates the
+        overlay indexes and sorted key columns, is appended to the journal,
+        and is followed by the compaction-threshold check, which the
+        deterministic round accounting pins per op.  The service feeds
+        pre-validated batch columns through here.
         """
         n = self._n
         stride = max(n, 1)
@@ -438,7 +400,6 @@ class DynamicGraph:
                 else:
                     del delta_degree[x]
             self._num_edges += step
-            # _record, inlined
             journal_ops.append(op)
             journal_u.append(a)
             journal_v.append(b)
@@ -446,10 +407,12 @@ class DynamicGraph:
             self.total_updates += 1
             overlay = len(added) + len(removed)
             if overlay == 0:
+                # The overlay cancelled out: the state *is* the base again,
+                # so the log carries no information.
                 del journal_ops[:], journal_u[:], journal_v[:]
             elif len(journal_ops) > 2 * overlay + min_journal:
                 self._compress_journal()
-            # _maybe_compact, inlined: overlay > max(min_journal, fraction * m)
+            # Compact once the overlay exceeds max(min_journal, fraction · m).
             if overlay > min_journal and overlay > int(fraction * max(self._num_edges, 1)):
                 self.compact()
 
@@ -531,14 +494,6 @@ class DynamicGraph:
             if metrics.enabled:
                 metrics.inc("stream.graph_compactions")
         return self._base
-
-    def _maybe_compact(self) -> None:
-        threshold = max(
-            self.min_compaction_journal,
-            int(self.compaction_fraction * max(self._num_edges, 1)),
-        )
-        if self.journal_size > threshold:
-            self.compact()
 
     # ------------------------------------------------------------------ #
     # Checkpoint seam

@@ -46,7 +46,13 @@ runs in-process, one after another, in a fixed order: cap-safe groups first,
 then flip-prone groups, each in group order, then the proactive-flip sweep.
 That order is part of the determinism contract (a flip path can reach into a
 later group's vertices and change its tail choices), so it is pinned by a
-test.
+test.  When every group of a batch is cap-safe — the common case — the
+batch is applied in one pass in batch order instead, which gives every
+out-set the same operations in the same order.
+
+The maintainer keeps the outdegree column, its histogram and its maximum as
+running state next to the heads, so :meth:`IncrementalOrientation.max_outdegree`
+is O(1) and a batch costs O(batch) outside flip searches and rebuilds.
 """
 
 from __future__ import annotations

@@ -145,10 +145,12 @@ class StreamingService:
         """Reject the whole batch (before any mutation) if any update is illegal.
 
         Runs as one ``validate_batch`` kernel call over the batch's columns
-        and the dynamic graph's cached key columns (base edges, overlay
-        additions, tombstones) — endpoint range, duplicate-insert and
-        dead-delete checks vectorized on the numpy backend, with the exact
-        first-offender order and messages of the reference loop.
+        and the dynamic graph's key columns — the base edges (cached per
+        base) and the overlay additions and tombstones (kept sorted as the
+        overlay changes, so reading them is a copy, not a sort) — with
+        endpoint range, duplicate-insert and dead-delete checks vectorized
+        on the numpy backend, and the exact first-offender order and
+        messages of the reference loop.
         """
         ops, us, vs = batch.columns()
         added_keys, removed_keys = self.dynamic.overlay_edge_keys()
