@@ -20,9 +20,10 @@ the columnar rework the journal has two synchronized representations:
   or delete at every overlay change.  Batch validation reads them (and the
   base graph's key column) without sorting anything.
 
-A batch is absorbed by :meth:`DynamicGraph.apply_ops`, one loop with the
-per-edge insert and delete inlined, so an update costs O(log overlay) index
-work plus its share of compaction.
+Every write goes through :meth:`DynamicGraph.apply_ops`, one loop over the
+op columns (:meth:`~DynamicGraph.add_edge` and
+:meth:`~DynamicGraph.remove_edge` are one-op batches), so an update costs
+O(log overlay) index work plus its share of compaction.
 
 Reads that need a full CSR go through :meth:`snapshot`, which is now backed
 by a **generation-tagged cache**: every mutation bumps an internal version,
