@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from repro.core.assign_tree import partial_layer_assignment_tree
 from repro.core.exponentiate import ExponentiationResult, exponentiate_and_local_prune
 from repro.core.layering import UNASSIGNED, PartialLayerAssignment
-from repro.core.parameters import Parameters, choose_parameters, layers_and_steps
+from repro.core.parameters import Parameters, layers_and_steps
 from repro.errors import ParameterError
 from repro.graph.graph import Graph
 from repro.mpc.cluster import MPCCluster
@@ -117,13 +117,4 @@ def partial_assignment_with_decay(
         assignment=result.assignment,
         params=params,
         rounds_charged=after - before,
-    )
-
-
-def default_parameters_for(graph: Graph, arboricity_bound: int, delta: float = 0.5) -> Parameters:
-    """Convenience wrapper over :func:`repro.core.parameters.choose_parameters`."""
-    return choose_parameters(
-        num_vertices=max(graph.num_vertices, 1),
-        arboricity_bound=arboricity_bound,
-        delta=delta,
     )

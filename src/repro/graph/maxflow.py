@@ -51,10 +51,6 @@ class FlowNetwork:
         self._head[v].append(index + 1)
         return index
 
-    def edge_capacity(self, edge_index: int) -> float:
-        """Remaining capacity of an edge (after any max-flow computation)."""
-        return self._cap[edge_index]
-
     # ------------------------------------------------------------------ #
     # Dinic
     # ------------------------------------------------------------------ #

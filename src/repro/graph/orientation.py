@@ -212,11 +212,6 @@ class Orientation:
         return self
 
     @classmethod
-    def from_head_map(cls, graph: Graph, head_of: Mapping[Edge, int]) -> "Orientation":
-        """Build from a mapping of canonical edge -> head vertex."""
-        return cls(graph, head_of)
-
-    @classmethod
     def from_vertex_order(cls, graph: Graph, rank: Sequence[int]) -> "Orientation":
         """Orient every edge from the lower-ranked endpoint to the higher-ranked one.
 

@@ -462,9 +462,11 @@ def flip_repair_group(shard, group_updates, cap, choose_tail, backend=None):
     ``choose_tail`` is the caller's tail-selection rule (injected so the
     stream module keeps exactly one definition of it).  Returns
     ``(new_shard, freed)`` with sorted python-int head lists and the freed
-    tails in deletion order.  No library code calls it any more (batch
-    repair runs in-process through ``IncrementalOrientation._apply_group``);
-    it stays only because ``perfbench/tracing.py`` wraps every dispatcher by
-    name, and goes once the benchmark drops it.
+    tails in deletion order.  No library code calls it any more:
+    ``IncrementalOrientation.apply_batch`` has one in-process path, in which
+    one replay of the batch sorts the conflict groups, every cap-safe group
+    is applied in one pass with the replayed tails, and only the flip-prone
+    groups run one by one.  It stays only because ``perfbench/tracing.py``
+    wraps every dispatcher by name, and goes once the benchmark drops it.
     """
     return _module(backend).flip_repair_group(shard, group_updates, cap, choose_tail)

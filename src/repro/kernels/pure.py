@@ -530,11 +530,11 @@ def flip_repair_group(shard, group_updates, cap, choose_tail):
     the updates are applied against the shard alone, and the mutated shard plus
     the freed tails (deletion order) are returned.  ``choose_tail`` is the
     stream module's single tail-selection rule — injected rather than
-    duplicated, so the safety precheck and both kernel backends replay the
-    exact same decisions.  Cap-safety was proved by the precheck, so an
-    overflow — or an insert/delete that does not match the shard — means the
-    precheck or the shard extraction is broken, and the kernel raises rather
-    than returning a corrupt shard.
+    duplicated, so the stream's batch replay and both kernel backends make
+    the exact same decisions.  The group is meant to be proved cap-safe
+    first, so an overflow — or an insert/delete that does not match the
+    shard — means that proof or the shard extraction is broken, and the
+    kernel raises rather than returning a corrupt shard.
     """
     out = {vertex: set(heads) for vertex, heads in shard.items()}
     freed: list[int] = []

@@ -157,30 +157,6 @@ class RoundStats:
         )
         return depth
 
-    def merge(self, other: "RoundStats") -> "RoundStats":
-        """Combine statistics of two sequential executions (rounds add up)."""
-        merged = RoundStats()
-        merged.rounds = list(self.rounds)
-        offset = len(merged.rounds)
-        for record in other.rounds:
-            merged.rounds.append(
-                RoundRecord(
-                    index=offset + record.index,
-                    label=record.label,
-                    words_sent=record.words_sent,
-                    max_machine_sent=record.max_machine_sent,
-                    max_machine_received=record.max_machine_received,
-                )
-            )
-        merged.rounds_by_label = self.rounds_by_label + other.rounds_by_label
-        merged.peak_machine_memory_words = max(
-            self.peak_machine_memory_words, other.peak_machine_memory_words
-        )
-        merged.peak_global_memory_words = max(
-            self.peak_global_memory_words, other.peak_global_memory_words
-        )
-        return merged
-
     def state_dict(self) -> dict:
         """The ledger as JSON-serializable columns (the checkpoint seam).
 

@@ -175,9 +175,13 @@ class _Tenant:
     final_summary: StreamSummary | None = None
     """Snapshot of the per-batch summary taken at retirement (the service
     itself is closed and dropped when a tenant retires)."""
+    queued_updates: int = field(init=False)
+    """Updates across the queued batches, kept running wherever the queue
+    changes; derived from the queue at construction, so a checkpoint never
+    stores it."""
 
-    def backlog_updates(self) -> int:
-        return sum(len(batch) for batch in self.queue)
+    def __post_init__(self) -> None:
+        self.queued_updates = sum(len(batch) for batch in self.queue)
 
 
 @dataclass(frozen=True)
@@ -463,6 +467,7 @@ class StreamEngine:
             self._transition(tenant, TenantState.RETIRED)
             dropped = len(tenant.queue)
             tenant.queue.clear()
+            tenant.queued_updates = 0
             tenant.final_summary = tenant.service.summary
             tenant.service = None
             metrics = self.tracer.metrics
@@ -572,6 +577,7 @@ class StreamEngine:
             if tenant.state is TenantState.RETIRED:
                 raise GraphError(f"tenant {name!r} is retired; cannot submit")
             tenant.queue.append(batch)
+            tenant.queued_updates += len(batch)
         if self._ticker is not None:
             self._wake.set()
 
@@ -581,7 +587,9 @@ class StreamEngine:
             tenant = self._tenant(name)
             if tenant.state is TenantState.RETIRED:
                 raise GraphError(f"tenant {name!r} is retired; cannot submit")
+            batches = tuple(batches)
             tenant.queue.extend(batches)
+            tenant.queued_updates += sum(map(len, batches))
         if self._ticker is not None:
             self._wake.set()
 
@@ -610,7 +618,7 @@ class StreamEngine:
                     name=tenant.name,
                     index=tenant.index,
                     backlog_batches=len(tenant.queue),
-                    backlog_updates=tenant.backlog_updates(),
+                    backlog_updates=tenant.queued_updates,
                     head_updates=len(head),
                     estimated_rounds=estimate_batch_rounds(
                         len(head),
@@ -734,7 +742,7 @@ class StreamEngine:
                 if tenant.service.summary.num_batches > applied_before[tenant.name]
             ]
             for tenant in applied:
-                tenant.queue.popleft()
+                tenant.queued_updates -= len(tenant.queue.popleft())
                 if tenant.state is TenantState.LIFTED:
                     # First successful post-lift service: fully re-admitted.
                     self._transition(tenant, TenantState.ACTIVE)
@@ -773,7 +781,7 @@ class StreamEngine:
                 tenant.name: tenant.service.summary.reports[-1] for tenant in applied
             }
             backlog = sum(
-                tenant.backlog_updates()
+                tenant.queued_updates
                 for tenant in self._tenants.values()
                 if tenant.state in _SCHEDULABLE
             )

@@ -41,14 +41,14 @@ sharing an endpoint (:func:`plan_conflict_groups`).  Distinct groups touch
 disjoint vertices.  Groups whose updates provably never overflow the cap (no
 flip path can start) mutate only their own out-sets, so in the MPC model
 they resolve in one superstep; groups that may need a flip path — which can
-roam anywhere along out-edges — resolve after them.  On the host every group
-runs in-process, one after another, in a fixed order: cap-safe groups first,
-then flip-prone groups, each in group order, then the proactive-flip sweep.
-That order is part of the determinism contract (a flip path can reach into a
-later group's vertices and change its tail choices), so it is pinned by a
-test.  When every group of a batch is cap-safe — the common case — the
-batch is applied in one pass in batch order instead, which gives every
-out-set the same operations in the same order.
+roam anywhere along out-edges — resolve after them.  On the host there is
+one path: a single replay of the tail rule in batch order sorts the groups
+into cap-safe and flip-prone; all cap-safe groups are applied in one pass in
+batch order (each out-set sees the same operations in the same order as a
+group-order run); the flip-prone groups then run in group order, and the
+proactive-flip sweep runs last, in group order.  That order is part of the
+determinism contract (a flip path can reach into a later group's vertices
+and change its tail choices), so it is pinned by a test.
 
 The maintainer keeps the outdegree column, its histogram and its maximum as
 running state next to the heads, so :meth:`IncrementalOrientation.max_outdegree`
@@ -80,6 +80,12 @@ def plan_conflict_groups(updates: Sequence) -> list[list[int]]:
     batch order, with groups ordered by their first update's index — a
     deterministic plan for any input.
     """
+    return list(_conflict_groups(updates)[0].values())
+
+
+def _conflict_groups(updates: Sequence) -> tuple[dict[int, list[int]], list[int]]:
+    """:func:`plan_conflict_groups` keyed by each group's union–find root,
+    plus the root of every update (its group label)."""
     parent: dict[int, int] = {}  # a vertex without an entry is a root
     up = parent.get
 
@@ -100,18 +106,19 @@ def plan_conflict_groups(updates: Sequence) -> list[list[int]]:
 
     # A group's list is created at its first update, so the dict's order is
     # the groups' first-index order.
+    roots = [find(update.u) for update in updates]
     groups: dict[int, list[int]] = {}
-    for index, update in enumerate(updates):
-        groups.setdefault(find(update.u), []).append(index)
-    return list(groups.values())
+    for index, root in enumerate(roots):
+        groups.setdefault(root, []).append(index)
+    return groups, roots
 
 
 def _choose_tail(u: int, v: int, outdeg_u: int, outdeg_v: int) -> int:
     """The insertion rule: orient out of the smaller outdegree, ``u`` on ties.
 
-    One definition shared by the cap-safety precheck and the group
-    execution: the precheck proves a group cap-safe by replaying the exact
-    decisions the execution will make, so the rule must not be duplicated.
+    One definition shared by the batch replay and the flip-prone group
+    execution: the replay proves a group cap-safe by making the exact
+    decisions the execution would make, so the rule must not be duplicated.
     """
     return u if outdeg_u <= outdeg_v else v
 
@@ -328,17 +335,18 @@ class IncrementalOrientation:
         The caller must have applied every update of the batch to the
         dynamic graph already (the :class:`~repro.stream.service.StreamingService`
         sequences exactly that); this method only maintains the orientation.
-        The batch is split by :func:`plan_conflict_groups` and the groups run
-        in-process in a fixed order: groups whose updates provably stay under
-        the outdegree cap first, then groups that may need a flip path, each
-        in group order.  Deferred proactive flips are swept at the end, in
-        group order.
+        The batch is split by :func:`plan_conflict_groups`, and one replay of
+        the tail rule (:meth:`_replay_tails`) sorts the groups: a group is
+        cap-safe iff none of its insertions passes the outdegree cap and its
+        updates agree with the orientation, and flip-prone otherwise.  Then,
+        on one path:
 
-        When a replay of the whole batch proves every group cap-safe
-        (:meth:`_cap_safe_tails`), the batch is applied in one pass in batch
-        order.  Groups are vertex-disjoint, so that pass touches each out-set
-        with the same operations in the same order as the group-order run.
-        Any other batch takes the per-group path (:meth:`_apply_groups`).
+        1. every cap-safe group is applied in one pass in batch order with
+           the replayed tails — groups are vertex-disjoint, so each out-set
+           sees the same operations in the same order as a group-order run;
+        2. the flip-prone groups run in group order through
+           :meth:`_apply_group`, which repairs on overflow;
+        3. the deferred proactive flips are swept in group order.
 
         A mid-batch Theorem 1.1 rebuild (saturated flip search in a flip-prone
         group) re-orients the *final* batch state in one stroke — the
@@ -348,26 +356,28 @@ class IncrementalOrientation:
         updates = list(updates)
         if not updates:
             return GroupedApplyReport(0, 0, 0, 0, 0)
-        groups = plan_conflict_groups(updates)
+        groups, roots = _conflict_groups(updates)
         is_insert = [update.is_insert for update in updates]
-        tails = self._cap_safe_tails(updates, is_insert)
-        if tails is None:
-            freed_by_group, num_safe = self._apply_groups(updates, groups)
-        else:
-            out = self._out
-            for update, insert, tail in zip(updates, is_insert, tails):
-                head = update.v if tail == update.u else update.u
-                if insert:
-                    out[tail].add(head)
-                    self._grow(tail)
-                else:
-                    out[tail].discard(head)
-                    self._shrink(tail)
-            freed_by_group = [
-                [tails[index] for index in group if not is_insert[index]]
-                for group in groups
-            ]
-            num_safe = len(groups)
+        tails, flip_prone = self._replay_tails(updates, is_insert, roots)
+        out = self._out
+        for update, insert, tail, root in zip(updates, is_insert, tails, roots):
+            if flip_prone and root in flip_prone:
+                continue
+            head = update.v if tail == update.u else update.u
+            if insert:
+                out[tail].add(head)
+                self._grow(tail)
+            else:
+                out[tail].discard(head)
+                self._shrink(tail)
+        rebuilds_before = self.rebuilds
+        # The flip-prone groups run here, in group order, after the pass.
+        freed_by_group = [
+            self._apply_group([updates[index] for index in group], rebuilds_before)
+            if root in flip_prone
+            else [tails[index] for index in group if not is_insert[index]]
+            for root, group in groups.items()
+        ]
 
         opportunistic_before = self.opportunistic_flips
         for freed_tails in freed_by_group:
@@ -380,145 +390,82 @@ class IncrementalOrientation:
         return GroupedApplyReport(
             num_updates=len(updates),
             num_groups=len(groups),
-            parallel_groups=num_safe,
-            serial_groups=len(groups) - num_safe,
+            parallel_groups=len(groups) - len(flip_prone),
+            serial_groups=len(flip_prone),
             proactive_flips=self.opportunistic_flips - opportunistic_before,
         )
 
-    def _cap_safe_tails(self, updates: list, is_insert: list[bool]) -> list[int] | None:
-        """The tail of every update if the whole batch is cap-safe, else ``None``.
+    def _replay_tails(
+        self, updates: list, is_insert: list[bool], roots: list[int]
+    ) -> tuple[list[int], set[int]]:
+        """Each update's tail and the roots of the flip-prone groups.
 
         Replays the tail rule over the batch in batch order against the
         current outdegrees plus in-batch deltas.  A vertex's replayed degree
-        moves only with the updates of its own conflict group, so this is
-        :meth:`_group_is_cap_safe` for every group at once: no insertion
-        passes the cap iff every group is cap-safe.  The replay also tracks
-        each edge's in-batch state and gives up on a delete of an unoriented
-        edge or an insert of an oriented one, so such a batch takes the
-        per-group path and fails there exactly as before.
+        moves only with the updates of its own conflict group, so each
+        group's replay is independent of the others.  An insertion that
+        passes the cap marks its group flip-prone, and the group's later
+        updates are skipped.  So does an update that disagrees with the
+        orientation (a delete of an unoriented edge, an insert of an oriented
+        one): the group then runs through :meth:`_apply_group`, which raises
+        there.  A flip-prone group's tails are not used.
         """
         out = self._out
         cap = self.outdegree_cap
         choose_tail = self._choose_tail
+        flip_prone: set[int] = set()
         degree: dict[int, int] = {}
         # edge -> tail while inserted in this batch, -1 once deleted in it
         touched: dict[tuple[int, int], int] = {}
         tails: list[int] = []
-        for update, insert in zip(updates, is_insert):
+        for update, insert, root in zip(updates, is_insert, roots):
+            if flip_prone and root in flip_prone:
+                tails.append(-1)
+                continue
             u, v = update.u, update.v
             edge = (u, v) if u < v else (v, u)
             tail = touched.get(edge)
             if insert:
-                if tail is None:
-                    if v in out[u] or u in out[v]:
-                        return None
-                elif tail >= 0:
-                    return None
-                outdeg_u = degree.get(u)
-                if outdeg_u is None:
-                    outdeg_u = len(out[u])
-                outdeg_v = degree.get(v)
-                if outdeg_v is None:
-                    outdeg_v = len(out[v])
-                tail = choose_tail(u, v, outdeg_u, outdeg_v)
-                grown = (outdeg_u if tail == u else outdeg_v) + 1
-                if grown > cap:
-                    return None
-                degree[tail] = grown
-                touched[edge] = tail
+                if (v in out[u] or u in out[v]) if tail is None else tail >= 0:
+                    tail = -1
+                else:
+                    outdeg_u = degree.get(u)
+                    if outdeg_u is None:
+                        outdeg_u = len(out[u])
+                    outdeg_v = degree.get(v)
+                    if outdeg_v is None:
+                        outdeg_v = len(out[v])
+                    tail = choose_tail(u, v, outdeg_u, outdeg_v)
+                    grown = (outdeg_u if tail == u else outdeg_v) + 1
+                    if grown > cap:
+                        tail = -1
+                    else:
+                        degree[tail] = grown
+                        touched[edge] = tail
             else:
                 if tail is None:
                     forward = v in out[u]
-                    if forward == (u in out[v]):
-                        return None
-                    tail = u if forward else v
-                elif tail < 0:
-                    return None
-                shrunk = degree.get(tail)
-                degree[tail] = (len(out[tail]) if shrunk is None else shrunk) - 1
-                touched[edge] = -1
+                    tail = -1 if forward == (u in out[v]) else (u if forward else v)
+                if tail >= 0:
+                    shrunk = degree.get(tail)
+                    degree[tail] = (len(out[tail]) if shrunk is None else shrunk) - 1
+                    touched[edge] = -1
+            if tail < 0:
+                flip_prone.add(root)
             tails.append(tail)
-        return tails
+        return tails, flip_prone
 
-    def _apply_groups(
-        self, updates: list, groups: list[list[int]]
-    ) -> tuple[list[list[int]], int]:
-        """The per-group path: cap-safe groups first, then flip-prone ones.
+    def _apply_group(self, group_updates: list, rebuilds_before: int) -> list[int]:
+        """Apply one flip-prone group's updates; returns freed tails in order.
 
-        Returns each group's freed tails (in group order) and the number of
-        cap-safe groups.
-        """
-        grouped = [[updates[index] for index in group] for group in groups]
-        safe_set = {
-            position
-            for position, group_updates in enumerate(grouped)
-            if self._group_is_cap_safe(group_updates)
-        }
-        rebuilds_before = self.rebuilds
-        freed_by_group: list[list[int]] = [[] for _ in grouped]
-        for position in sorted(safe_set):
-            freed_by_group[position] = self._apply_group(
-                grouped[position], False, rebuilds_before
-            )
-        for position in range(len(grouped)):
-            if position not in safe_set:
-                freed_by_group[position] = self._apply_group(
-                    grouped[position], True, rebuilds_before
-                )
-        return freed_by_group, len(safe_set)
-
-    def _group_is_cap_safe(self, group_updates: list) -> bool:
-        """Whether a conflict group can never trigger a flip search.
-
-        Replays the group's tail-selection rule against the *current*
-        out-degrees plus in-group deltas (groups are vertex-disjoint, so no
-        other group can move these degrees): if no insertion ever pushes its
-        tail past the cap, repair is impossible and the group's pointer work
-        stays inside its own vertex set — the group runs in the cap-safe
-        phase, before any flip-prone group.
-        """
-        out = self._out
-        cap = self.outdegree_cap
-        delta: dict[int, int] = {}
-        owner: dict[tuple[int, int], int] = {}
-        for update in group_updates:
-            u, v = update.u, update.v
-            edge = normalize_edge(u, v)
-            if update.is_insert:
-                tail = self._choose_tail(
-                    u, v, len(out[u]) + delta.get(u, 0), len(out[v]) + delta.get(v, 0)
-                )
-                delta[tail] = delta.get(tail, 0) + 1
-                owner[edge] = tail
-                if len(out[tail]) + delta[tail] > cap:
-                    return False
-            else:
-                tail = owner.pop(edge, None)
-                if tail is None:
-                    if edge[1] in out[edge[0]]:
-                        tail = edge[0]
-                    elif edge[0] in out[edge[1]]:
-                        tail = edge[1]
-                    else:
-                        return False  # inconsistent state: leave to the flip-prone phase
-                delta[tail] = delta.get(tail, 0) - 1
-        return True
-
-    def _apply_group(
-        self, group_updates: list, allow_repair: bool, rebuilds_before: int
-    ) -> list[int]:
-        """Apply one conflict group's updates; returns freed tails in order.
-
-        With ``allow_repair=False`` (cap-safe phase) the group was proved
-        cap-safe, so an overflow would mean the precheck is broken — it
-        raises rather than starting a flip search.  Proactive flips are
-        deferred to the caller's final sweep because they touch neighbors
-        outside the group.  Inserts of already-oriented edges and
-        deletes of already-unoriented ones are legal only after a mid-batch
-        rebuild fast-forwarded the orientation to the batch-final state
-        (``self.rebuilds > rebuilds_before``); without one they mean the
-        orientation drifted from the live edge set, and they raise
-        :class:`~repro.errors.GraphError`.
+        An insertion that passes the cap starts a flip search
+        (:meth:`_repair`).  Proactive flips are deferred to the caller's
+        final sweep because they touch neighbors outside the group.  Inserts
+        of already-oriented edges and deletes of already-unoriented ones are
+        legal only after a mid-batch rebuild fast-forwarded the orientation
+        to the batch-final state (``self.rebuilds > rebuilds_before``);
+        without one they mean the orientation drifted from the live edge
+        set, and they raise :class:`~repro.errors.GraphError`.
         """
         freed: list[int] = []
         for update in group_updates:
@@ -538,11 +485,6 @@ class IncrementalOrientation:
                 out[tail].add(head)
                 self._grow(tail)
                 if len(out[tail]) > self.outdegree_cap:
-                    if not allow_repair:
-                        raise GraphError(
-                            f"cap overflow at vertex {tail} inside a conflict-free "
-                            f"group — the safety precheck is broken"
-                        )
                     self._repair(tail)
             else:
                 if v in out[u]:

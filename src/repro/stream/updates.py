@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from itertools import compress
 
 from repro.errors import GraphError
 
@@ -63,14 +64,12 @@ class UpdateBatch:
         """
         cached = self._columns
         if cached is None:
-            ops = array("l")
-            us = array("l")
-            vs = array("l")
-            for update in self.updates:
-                ops.append(1 if update.is_insert else 0)
-                us.append(update.u)
-                vs.append(update.v)
-            cached = (ops, us, vs)
+            updates = self.updates
+            cached = (
+                array("l", [update.op == INSERT for update in updates]),
+                array("l", [update.u for update in updates]),
+                array("l", [update.v for update in updates]),
+            )
             object.__setattr__(self, "_columns", cached)
         return cached
 
@@ -83,13 +82,8 @@ class UpdateBatch:
         """
         cached = self._insert_columns
         if cached is None:
-            us = array("l")
-            vs = array("l")
-            for update in self.updates:
-                if update.is_insert:
-                    us.append(update.u)
-                    vs.append(update.v)
-            cached = (us, vs)
+            ops, us, vs = self.columns()
+            cached = (array("l", compress(us, ops)), array("l", compress(vs, ops)))
             object.__setattr__(self, "_insert_columns", cached)
         return cached
 

@@ -25,21 +25,6 @@ class TestRoundStats:
         assert stats.peak_machine_memory_words == 5
         assert stats.peak_global_memory_words == 200
 
-    def test_merge_concatenates_and_maxes(self):
-        a = RoundStats()
-        a.record_round("x", 1, 1, 1)
-        a.observe_memory(10, 50)
-        b = RoundStats()
-        b.record_round("y", 2, 2, 2)
-        b.record_round("y", 3, 3, 3)
-        b.observe_memory(4, 80)
-        merged = a.merge(b)
-        assert merged.num_rounds == 3
-        assert merged.rounds[2].index == 2
-        assert merged.rounds_by_label == {"x": 1, "y": 2}
-        assert merged.peak_machine_memory_words == 10
-        assert merged.peak_global_memory_words == 80
-
     def test_summary_keys(self):
         stats = RoundStats()
         stats.record_round("a", 1, 1, 1)
@@ -80,18 +65,6 @@ class TestRoundStats:
         assert stats.total_words_sent == 0
         assert stats.max_round_volume == 0
         assert stats.summary()["rounds"] == 0.0
-
-    def test_merge_is_non_destructive(self):
-        a = RoundStats()
-        a.record_round("x", 1, 1, 1)
-        b = RoundStats()
-        b.record_round("y", 2, 2, 2)
-        merged = a.merge(b)
-        merged.record_round("z", 3, 3, 3)
-        assert a.num_rounds == 1
-        assert b.num_rounds == 1
-        assert a.rounds_by_label == {"x": 1}
-        assert merged.num_rounds == 3
 
 
 class TestEmptyParallelFolds:

@@ -152,7 +152,7 @@ class TestApplyBatch:
 
         plain, batch = build()
         for group in plan_conflict_groups(batch.updates):
-            plain._apply_group([batch.updates[i] for i in group], True, plain.rebuilds)
+            plain._apply_group([batch.updates[i] for i in group], plain.rebuilds)
         assert plain.head(1, 9) == 1
 
         orientation, batch = build()

@@ -10,8 +10,9 @@ recomputed from the columns, and that a rejected batch moves none of them.
 The second part replays batches through a copy of the per-group
 ``apply_batch`` (every conflict group checked and applied on its own,
 cap-safe groups first), kept here as a reference, and checks that the
-library's one-pass path for all-cap-safe batches lands on the same heads,
-outdegrees, flips and report.
+library's single path — one replay, then all cap-safe groups in one pass,
+then the flip-prone groups — lands on the same heads, outdegrees, flips and
+report, and fails a drifted batch with the same error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.errors import GraphError
 from repro.graph.generators import grid_2d, random_forest, union_of_random_forests
+from repro.graph.graph import normalize_edge
 from repro.stream.dynamic_graph import DynamicGraph
 from repro.stream.orientation import (
     GroupedApplyReport,
@@ -201,7 +203,7 @@ def test_the_driver_reaches_every_maintenance_path(backend):
 
 
 # --------------------------------------------------------------------------- #
-# The one-pass path against the per-group reference
+# The single batch path against the per-group reference
 # --------------------------------------------------------------------------- #
 
 
@@ -222,6 +224,82 @@ def _reference_proactive_flip(orientation, freed):
             return
 
 
+def _reference_group_is_cap_safe(orientation, group_updates) -> bool:
+    """The per-group precheck: replays one group's tail rule against the
+    current outdegrees plus in-group deltas; ``False`` if an insertion
+    passes the cap or a delete finds its edge unoriented."""
+    out = orientation._out
+    cap = orientation.outdegree_cap
+    delta: dict[int, int] = {}
+    owner: dict[tuple[int, int], int] = {}
+    for update in group_updates:
+        u, v = update.u, update.v
+        edge = normalize_edge(u, v)
+        if update.is_insert:
+            tail = orientation._choose_tail(
+                u, v, len(out[u]) + delta.get(u, 0), len(out[v]) + delta.get(v, 0)
+            )
+            delta[tail] = delta.get(tail, 0) + 1
+            owner[edge] = tail
+            if len(out[tail]) + delta[tail] > cap:
+                return False
+        else:
+            tail = owner.pop(edge, None)
+            if tail is None:
+                if edge[1] in out[edge[0]]:
+                    tail = edge[0]
+                elif edge[0] in out[edge[1]]:
+                    tail = edge[1]
+                else:
+                    return False  # inconsistent state: leave to the flip-prone phase
+            delta[tail] = delta.get(tail, 0) - 1
+    return True
+
+
+def _reference_apply_group(orientation, group_updates, allow_repair, rebuilds_before):
+    """One group's updates applied on their own; returns freed tails in order.
+
+    A prechecked (``allow_repair=False``) group that overflows raises; a
+    drifted insert or delete raises unless a mid-batch rebuild happened.
+    """
+    freed: list[int] = []
+    for update in group_updates:
+        out = orientation._out  # re-read: a repair may have rebuilt the table
+        u, v = update.u, update.v
+        if update.is_insert:
+            if v in out[u] or u in out[v]:
+                if orientation.rebuilds == rebuilds_before:
+                    raise GraphError(
+                        f"insert of already-oriented edge {normalize_edge(u, v)} "
+                        f"without a mid-batch rebuild: orientation drifted from "
+                        f"the live edge set"
+                    )
+                continue
+            tail = orientation._choose_tail(u, v, len(out[u]), len(out[v]))
+            head = v if tail == u else u
+            out[tail].add(head)
+            orientation._grow(tail)
+            if len(out[tail]) > orientation.outdegree_cap:
+                if not allow_repair:
+                    raise GraphError(
+                        f"cap overflow at vertex {tail} inside a conflict-free "
+                        f"group — the safety precheck is broken"
+                    )
+                orientation._repair(tail)
+        else:
+            if v in out[u]:
+                out[u].discard(v)
+                orientation._shrink(u)
+                freed.append(u)
+            elif u in out[v]:
+                out[v].discard(u)
+                orientation._shrink(v)
+                freed.append(v)
+            elif orientation.rebuilds == rebuilds_before:
+                raise GraphError(f"edge {normalize_edge(u, v)} is not oriented")
+    return freed
+
+
 def reference_apply_batch(orientation, updates) -> GroupedApplyReport:
     """Per-group ``apply_batch``: every group prechecked and applied on its
     own, cap-safe groups first, then the proactive sweep in group order."""
@@ -233,19 +311,19 @@ def reference_apply_batch(orientation, updates) -> GroupedApplyReport:
     safe_set = {
         position
         for position, group_updates in enumerate(grouped)
-        if orientation._group_is_cap_safe(group_updates)
+        if _reference_group_is_cap_safe(orientation, group_updates)
     }
     safe = sorted(safe_set)
     unsafe = [position for position in range(len(grouped)) if position not in safe_set]
     rebuilds_before = orientation.rebuilds
     freed_by_group = {}
     for position in safe:
-        freed_by_group[position] = orientation._apply_group(
-            grouped[position], False, rebuilds_before
+        freed_by_group[position] = _reference_apply_group(
+            orientation, grouped[position], False, rebuilds_before
         )
     for position in unsafe:
-        freed_by_group[position] = orientation._apply_group(
-            grouped[position], True, rebuilds_before
+        freed_by_group[position] = _reference_apply_group(
+            orientation, grouped[position], True, rebuilds_before
         )
     opportunistic_before = orientation.opportunistic_flips
     for position in range(len(grouped)):
@@ -345,9 +423,9 @@ def test_one_pass_matches_the_per_group_reference(family, seed, kernel_backend):
 
 
 def test_reference_batches_cover_every_path():
-    """The comparison is only meaningful if it sees cap-safe batches (the
-    one-pass path), flip-prone ones (the per-group path) and batches that
-    start with a vertex at the cap and flip proactively."""
+    """The comparison is only meaningful if it sees all-cap-safe batches,
+    batches with flip-prone groups and batches that start with a vertex at
+    the cap and flip proactively."""
     seen = set()
     for family in REFERENCE_GRAPHS:
         for seed in range(3):
@@ -359,3 +437,36 @@ def test_reference_batches_cover_every_path():
                     if at_cap and report.proactive_flips:
                         seen.add("at-cap")
     assert seen == {"cap-safe", "flip-prone", "at-cap"}
+
+
+@pytest.mark.parametrize("drift_first", [False, True])
+@pytest.mark.parametrize("drift", ["insert-oriented", "delete-unoriented"])
+def test_drifted_group_fails_like_the_reference(drift, drift_first):
+    """A batch with a cap-safe group and a hand-drifted group (an insert of
+    an already-oriented edge, or a delete of an unoriented live edge) raises
+    the reference's :class:`GraphError`, whichever group comes first."""
+
+    def build():
+        dynamic = DynamicGraph.empty(8)
+        orientation = IncrementalOrientation(dynamic)
+        out = [set() for _ in range(8)]
+        if drift == "insert-oriented":
+            out[2].add(3)  # phantom orientation of a dead edge
+            ops = [("+", 2, 3)]
+        else:
+            dynamic.add_edge(2, 3)  # live edge that nothing orients
+            ops = [("-", 2, 3)]
+        orientation._set_heads(out)
+        ops = ops + [("+", 0, 1)] if drift_first else [("+", 0, 1)] + ops
+        batch = UpdateBatch.from_ops(ops)
+        dynamic.apply_ops(*batch.columns())
+        return orientation, batch
+
+    messages = []
+    for apply in (reference_apply_batch, IncrementalOrientation.apply_batch):
+        orientation, batch = build()
+        with pytest.raises(GraphError) as caught:
+            apply(orientation, batch.updates)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "(2, 3)" in messages[1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from array import array
+
 import pytest
 
 from repro.errors import GraphError
@@ -26,6 +28,32 @@ class TestUpdateObjects:
         assert len(batch) == 3
         assert batch.num_inserts == 2
         assert batch.num_deletes == 1
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            [],
+            [("-", 0, 1), ("-", 5, 2), ("-", 3, 4)],
+            [("+", 0, 1), ("+", 7, 3)],
+            [("+", 0, 1), ("-", 9, 2), ("+", 4, 3), ("-", 0, 1), ("+", 2, 8)],
+        ],
+        ids=["empty", "all-delete", "all-insert", "mixed"],
+    )
+    def test_columns_match_the_per_update_loop(self, ops):
+        batch = UpdateBatch.from_ops(ops)
+        expected = (array("l"), array("l"), array("l"))
+        inserts = (array("l"), array("l"))
+        for update in batch.updates:
+            expected[0].append(1 if update.is_insert else 0)
+            expected[1].append(update.u)
+            expected[2].append(update.v)
+            if update.is_insert:
+                inserts[0].append(update.u)
+                inserts[1].append(update.v)
+        assert batch.columns() == expected
+        assert batch.insert_columns() == inserts
+        assert all(column.typecode == "l" for column in batch.columns() + batch.insert_columns())
+        assert batch.num_inserts == len(inserts[0])
 
 
 class TestServiceApply:

@@ -16,7 +16,7 @@ from repro.errors import GraphError, QuotaExceededError
 from repro.graph.generators import union_of_random_forests
 from repro.graph.graph import Graph
 from repro.mpc.config import MPCConfig
-from repro.stream.engine import StreamEngine
+from repro.stream.engine import StreamEngine, TenantState
 from repro.stream.scheduler import POLICIES
 from repro.stream.service import StreamingService
 from repro.stream.updates import UpdateBatch
@@ -491,3 +491,60 @@ class TestEngineDeterminism:
             engine.tenant_service("t").verify = boom
             with pytest.raises(GraphError, match=r"^tenant 't': invariant broken$"):
                 engine.verify()
+
+
+class TestBacklogCount:
+    """Each tenant's running queued-update count equals the sum over its
+    queue after every engine step that can change a queue."""
+
+    @staticmethod
+    def _check(engine, tick=None):
+        for tenant in engine._tenants.values():
+            assert tenant.queued_updates == sum(len(batch) for batch in tenant.queue)
+        if tick is not None:
+            assert tick.backlog_updates == sum(
+                sum(len(batch) for batch in tenant.queue)
+                for tenant in engine._tenants.values()
+                if tenant.state in (TenantState.ACTIVE, TenantState.LIFTED)
+            )
+
+    def _tick(self, engine):
+        try:
+            tick = engine.tick()
+        except GraphError:
+            tick = None  # the poison batch stays queued
+        self._check(engine, tick)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_running_count_tracks_the_queue(self, policy, tmp_path):
+        traces = _fleet(num_tenants=3, num_batches=4, batch_size=20)
+        engine = StreamEngine(seed=9, planner=policy)
+        for trace in traces:
+            engine.add_tenant(trace.name, trace.initial)
+            self._check(engine)
+        first, second, third = (trace.name for trace in traces)
+        engine.submit(first, traces[0].batches[0])
+        self._check(engine)
+        engine.submit_all(second, iter(traces[1].batches))  # a one-shot iterable
+        self._check(engine)
+        engine.submit_all(third, traces[2].batches[:2])
+        engine.submit(first, UpdateBatch.from_ops([("+", 0, 10**6)]))  # poison
+        self._check(engine)
+        for _ in range(2):
+            self._tick(engine)
+        engine.checkpoint(tmp_path / "ck.json")
+        engine.close()
+        engine = StreamEngine.restore(tmp_path / "ck.json")
+        self._check(engine)
+        engine.submit_all(third, traces[2].batches[2:])
+        self._check(engine)
+        for _ in range(3):
+            self._tick(engine)
+        assert engine._tenants[first].queued_updates == 1  # the poison batch
+        engine.retire_tenant(first)
+        self._check(engine)
+        assert engine._tenants[first].queued_updates == 0
+        summary = engine.run_until_drained()
+        self._check(engine)
+        assert summary.max_backlog_updates > 0
+        engine.close()
