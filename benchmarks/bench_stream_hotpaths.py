@@ -6,16 +6,18 @@ Two acceptance bars for the columnar streaming rework (see ROADMAP):
   × 500 mixed updates against a ~300k-edge base) is streamed through a full
   :class:`~repro.stream.service.StreamingService` — kernel-validated
   batches, columnar absorb, batch recolor scan, per-tick palette/outdegree
-  stats, and real mid-batch compactions (the journal threshold is tightened
-  so every tick compacts, exercising the ``compact_journal`` kernel at full
-  base size).  The numpy backend must finish the identical trace ≥ 3×
+  stats, and real mid-batch compactions (the compaction threshold is
+  tightened so every tick compacts, exercising the ``compact_journal``
+  overlay merge at full base size).  The numpy backend must finish the identical trace ≥ 3×
   faster than ``pure``, with byte-identical outputs (reports, colors,
   outdegree column, snapshot edge columns).
 * **Snapshot-cache microbench ≥ 5×.**  Between compactions, repeated
   snapshot consumers (quality checks, properness scans, exports) must not
-  each replay the journal: with the generation-tagged cache on, a tick that
-  reads the snapshot 6 times replays the journal once, so the cache must
-  cut journal-replay ops per tick by ≥ 5× versus ``snapshot_caching=False``.
+  each rebuild the snapshot: with the generation-tagged cache on, a tick
+  that reads the snapshot 6 times builds it once, so the cache must cut
+  journal-replay ops per tick (``DynamicGraph.journal_replay_ops``, the
+  running op-journal length summed over builds) by ≥ 5× versus
+  ``snapshot_caching=False``.
 
 Methodology matches ``bench_kernels.py``: both backends run the *same*
 pre-generated batch sequence from identically constructed services, trials
@@ -111,7 +113,7 @@ def _build_service(graph) -> StreamingService:
     with kernels.use_backend(kernels.NUMPY):
         service = StreamingService(graph)
     # Tighten the compaction threshold so the trace exercises the
-    # compact_journal kernel at full base size every tick (the default
+    # compact_journal overlay merge at full base size every tick (the default
     # fraction would never trip at this journal/edge ratio).  Both backends
     # get the same threshold, so compaction timing is identical.
     service.dynamic.min_compaction_journal = COMPACT_JOURNAL

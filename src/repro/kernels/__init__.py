@@ -346,16 +346,17 @@ def first_monochrome(colors, us, vs, start=0, backend=None):
     return _module(backend).first_monochrome(colors, us, vs, start)
 
 
-def compact_journal(num_vertices, base_u, base_v, ops, journal_u, journal_v, backend=None):
-    """Merge a columnar op journal over base edge columns; ``(edge_u, edge_v)``.
+def compact_journal(num_vertices, base_u, base_v, added_keys, removed_keys, backend=None):
+    """Merge the sorted overlay key columns over base edge columns; ``(edge_u, edge_v)``.
 
-    The journal columns record inserts (op 1) and deletes (op 0) of
-    canonical edges in arrival order; each edge's *final* op decides whether
-    it is added to, tombstoned from, or collapsed back onto the base.  The
-    output columns are canonical sorted, ready for ``Graph._from_columns``.
+    ``added_keys`` and ``removed_keys`` are the overlay's additions and
+    tombstones as ascending keys in the ``encode_edge_keys`` encoding (an
+    addition is never a base edge, a tombstone always is).  The output is
+    the base edges minus the tombstones plus the additions, canonical
+    sorted, ready for ``Graph._from_columns``.
     """
     return _module(backend).compact_journal(
-        num_vertices, base_u, base_v, ops, journal_u, journal_v
+        num_vertices, base_u, base_v, added_keys, removed_keys
     )
 
 

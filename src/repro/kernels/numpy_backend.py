@@ -352,38 +352,25 @@ def first_monochrome(colors, us, vs, start):
     return start + i if same[i] else -1
 
 
-def _last_ops_per_key(keys, ops):
-    """Unique journal keys (ascending) with each key's final op."""
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    last = np.empty(sorted_keys.size, dtype=bool)
-    last[:-1] = sorted_keys[:-1] != sorted_keys[1:]
-    last[-1] = True
-    return sorted_keys[last], ops[order][last]
+def compact_journal(num_vertices, base_u, base_v, added_keys, removed_keys):
+    """Vectorized overlay merge (see the pure reference for the semantics).
 
-
-def compact_journal(num_vertices, base_u, base_v, ops, journal_u, journal_v):
-    """Vectorized journal merge (see the pure reference for the semantics).
-
-    Keys encode edges as ``u * stride + v``; the per-key final op falls out
-    of one stable argsort (last occurrence per key run), tombstones and
-    additions are boolean masks, and the merged output is the same
-    searchsorted permutation scatter as :func:`merge_oriented_columns`.
+    The tombstones are located in the base keys by one ``searchsorted``
+    (O(r log m) for r tombstones, both columns ascending) and masked out;
+    the additions then go in by the same searchsorted permutation scatter
+    as :func:`merge_oriented_columns`.
     """
-    if not len(ops):
+    if not len(added_keys) and not len(removed_keys):
         return array("l", base_u), array("l", base_v)
     eu, ev = np_view(base_u), np_view(base_v)
     stride = max(num_vertices, 1)
-    journal_keys = np_view(journal_u) * stride + np_view(journal_v)
-    keys, final_op = _last_ops_per_key(journal_keys, np_view(ops))
     base_keys = eu * stride + ev
-    in_base = np.isin(keys, base_keys, assume_unique=True)
-    tombstones = keys[(final_op == 0) & in_base]
-    additions = keys[(final_op == 1) & ~in_base]
-    keep = ~np.isin(base_keys, tombstones, assume_unique=True)
+    keep = np.ones(base_keys.size, dtype=bool)
+    keep[np.searchsorted(base_keys, np_view(removed_keys))] = False
     kept_keys = base_keys[keep]
     kept_u = eu[keep]
     kept_v = ev[keep]
+    additions = np_view(added_keys)
     added_u = additions // stride
     added_v = additions % stride
     nk, na = kept_keys.size, additions.size

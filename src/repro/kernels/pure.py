@@ -339,48 +339,39 @@ def first_monochrome(colors, us, vs, start):
     return -1
 
 
-def compact_journal(num_vertices, base_u, base_v, ops, journal_u, journal_v):
-    """Merge a columnar op journal into sorted canonical edge columns.
+def compact_journal(num_vertices, base_u, base_v, added_keys, removed_keys):
+    """Merge the sorted overlay key columns into the base edge columns.
 
     ``base_u``/``base_v`` are the frozen base graph's canonical sorted edge
-    columns; the journal columns record the ops since the last compaction in
-    arrival order (op 1 = insert, 0 = delete, endpoints canonical ``u < v``).
-    The final state of each touched edge is its **last** journal op: a final
-    insert of a non-base edge adds it, a final delete of a base edge
-    tombstones it, and everything else (delete of a journal-only edge,
-    re-insert of a base edge) collapses back onto the base.  Returns fresh
-    ``(edge_u, edge_v)`` columns, canonical sorted — exactly the edge set the
-    overlay semantics of ``DynamicGraph`` describe.
+    columns; ``added_keys`` (edges absent from the base) and
+    ``removed_keys`` (tombstoned base edges) are ascending
+    ``u * stride + v`` key columns, ``stride = max(num_vertices, 1)``.  The
+    keys are decoded to ``(u, v)`` pairs (which sort the same way), then one
+    linear merge drops the tombstones and splices in the additions; returns
+    fresh ``(edge_u, edge_v)`` columns, canonical sorted — exactly the edge
+    set the overlay semantics of ``DynamicGraph`` describe.
     """
-    last: dict[tuple, int] = {}
-    for op, u, v in zip(ops, journal_u, journal_v):
-        last[(u, v)] = op
-    changed = sorted(last)
+    stride = max(num_vertices, 1)
+    added = [divmod(key, stride) for key in added_keys]
+    removed = [divmod(key, stride) for key in removed_keys]
     out_u = array("l")
     out_v = array("l")
-    i = 0
-    num_changed = len(changed)
+    i = j = 0
+    num_added = len(added)
+    num_removed = len(removed)
     for e in zip(base_u, base_v):
-        while i < num_changed and changed[i] < e:
-            added = changed[i]
-            if last[added] == 1:
-                out_u.append(added[0])
-                out_v.append(added[1])
+        while i < num_added and added[i] < e:
+            out_u.append(added[i][0])
+            out_v.append(added[i][1])
             i += 1
-        if i < num_changed and changed[i] == e:
-            if last[e] == 1:  # deleted then re-inserted: still live
-                out_u.append(e[0])
-                out_v.append(e[1])
-            i += 1  # final op 0 on a base edge: tombstoned, skip
-        else:
-            out_u.append(e[0])
-            out_v.append(e[1])
-    while i < num_changed:
-        added = changed[i]
-        if last[added] == 1:
-            out_u.append(added[0])
-            out_v.append(added[1])
-        i += 1
+        if j < num_removed and removed[j] == e:
+            j += 1
+            continue
+        out_u.append(e[0])
+        out_v.append(e[1])
+    for a, b in added[i:]:
+        out_u.append(a)
+        out_v.append(b)
     return out_u, out_v
 
 

@@ -1,18 +1,18 @@
-"""Journal-based checkpoint/restore for the resident :class:`StreamEngine`.
+"""Checkpoint/restore for the resident :class:`StreamEngine`.
 
 The byte-identical determinism contract (same seed ⇒ identical heads, colors
 and rounds for either kernel backend) makes *exact* checkpointing
 both implementable and testable to equality: serialize every
-behavior-affecting column — each tenant's ``DynamicGraph`` base + journal
-columns, orientation heads/λ̂/cap, coloring column, sub-ledger
-``RoundStats``, queue, lifecycle state, plus the shared ledger, planner
-credits, and tick history — and a restored engine is indistinguishable from
-one that never stopped.  The tracer is deliberately **not** state: it is
+behavior-affecting column — each tenant's ``DynamicGraph`` base edge
+columns + sorted overlay key columns, orientation heads/λ̂/cap, coloring
+column, sub-ledger ``RoundStats``, queue, lifecycle state, plus the shared
+ledger, planner credits, and tick history — and a restored engine is
+indistinguishable from one that never stopped.  The tracer is deliberately **not** state: it is
 re-attached on restore and cannot influence simulated outcomes.
 
 File format (version |VERSION|): one header line, then the body::
 
-    {"checksum":...,"format":"repro-stream-checkpoint","payload_bytes":...,"version":4}
+    {"checksum":...,"format":"repro-stream-checkpoint","payload_bytes":...,"version":5}
     {"delta":...,"engine_ledger":...,"fingerprint":...,...}
 
 The body is the canonical encoding of the payload (sorted keys, compact
@@ -25,11 +25,15 @@ temp file behind).  Reading validates the format, the version, the body
 length against ``payload_bytes`` (truncation) and the checksum against the
 body bytes as read, then parses the body once; any mismatch raises
 :class:`~repro.errors.CheckpointError`.  Version 1 and 2 files (one JSON
-object with the payload inline) and version 3 files (this layout, but an
-orientation state that still carried a ``proactive_flips`` switch) are
-refused by version.  Restoring re-derives the engine fingerprint and
-compares it against the one recorded at checkpoint time, so a
-corrupted-but-checksummed (hand-edited) payload cannot silently produce a
+object with the payload inline), version 3 files (this layout, but an
+orientation state that still carried a ``proactive_flips`` switch) and
+version 4 files (a ``DynamicGraph`` op-log journal in place of the overlay
+key columns ``added_keys``/``removed_keys`` and ``journal_length``) are
+refused by version.  A malformed overlay column (not strictly ascending, out
+of range, an added key that is a base edge, a removed key that is not) is
+refused by ``DynamicGraph.from_state``.  Restoring re-derives the engine
+fingerprint and compares it against the one recorded at checkpoint time, so
+a corrupted-but-checksummed (hand-edited) payload cannot silently produce a
 divergent engine.  Restore is all-or-nothing: on any failure the partially
 built engine is closed before the error propagates.
 
@@ -60,7 +64,7 @@ from repro.stream.service import StreamingService, _report_state, _restore_repor
 from repro.stream.updates import StreamSummary, UpdateBatch
 
 CHECKPOINT_FORMAT = "repro-stream-checkpoint"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 __all__ = [
     "CHECKPOINT_FORMAT",

@@ -3,50 +3,53 @@
 The CSR :class:`~repro.graph.graph.Graph` is deliberately immutable — the
 simulators rely on algorithms producing explicit outputs rather than editing
 their input.  Streaming workloads still need mutation, so
-:class:`DynamicGraph` layers a journal on top of a frozen base graph.  Since
-the columnar rework the journal has two synchronized representations:
+:class:`DynamicGraph` layers an overlay on top of a frozen base graph.  The
+overlay is recorded once:
 
-* a **columnar op log** — three flat ``array('l')`` columns (op, u, v; op 1 =
-  insert, 0 = delete, endpoints canonical) recording every update since the
-  last compaction.  This is what the kernel layer consumes: snapshot builds
-  and compaction run :func:`repro.kernels.compact_journal` over the columns
-  (vectorized on the numpy backend).  The log is periodically *compressed*
-  back to its canonical form (one op per surviving overlay entry) so
-  cancelling churn cannot grow it without bound;
-* **O(1) read-path indexes** — the added-edge dict, tombstone set, delta
-  adjacency and delta degrees that back ``has_edge``/``degree``/``neighbors``
-  in O(overlay) extra work, exactly as before — plus the additions and
-  tombstones as two **sorted key columns**, kept sorted by a bisect insert
-  or delete at every overlay change.  Batch validation reads them (and the
-  base graph's key column) without sorting anything.
+* the added-edge and tombstone **sets** — the O(1) membership index behind
+  ``has_edge`` — next to the delta adjacency and delta degrees that back
+  ``degree``/``neighbors`` in O(overlay) extra work;
+* the same additions and tombstones as two **sorted key columns**
+  (``u * max(n, 1) + v``), kept sorted by a bisect insert or delete at
+  every overlay change.  Batch validation reads them (and the base graph's
+  key column) without sorting anything, and snapshot builds and compaction
+  merge them into the base edge columns with
+  :func:`repro.kernels.compact_journal` (vectorized on the numpy backend).
 
 Every write goes through :meth:`DynamicGraph.apply_ops`, one loop over the
 op columns (:meth:`~DynamicGraph.add_edge` and
 :meth:`~DynamicGraph.remove_edge` are one-op batches), so an update costs
 O(log overlay) index work plus its share of compaction.
 
-Reads that need a full CSR go through :meth:`snapshot`, which is now backed
-by a **generation-tagged cache**: every mutation bumps an internal version,
-and a snapshot is rebuilt from the journal only when the version moved —
+Reads that need a full CSR go through :meth:`snapshot`, which is backed by
+a **generation-tagged cache**: every mutation bumps an internal version,
+and a snapshot is rebuilt from the overlay only when the version moved —
 repeated snapshot consumers between compactions (quality checks, properness
-scans, exports) share one build instead of forcing a replay each.
-``journal_replay_ops`` counts the ops actually replayed, which is what the
-snapshot-cache microbench in ``benchmarks/bench_stream_hotpaths.py`` pins.
+scans, exports) share one build.  ``journal_length`` is the running length
+of the op journal the overlay stands for (one entry per update, reset when
+the overlay cancels out, cut back to one entry per overlay key once it
+exceeds ``2 · overlay + min_compaction_journal``); every snapshot build adds
+it to ``journal_replay_ops``, which the snapshot-cache microbench in
+``benchmarks/bench_stream_hotpaths.py`` pins and the checkpoint fingerprint
+records.
 
-Once the journal grows past ``compaction_fraction · m`` (at least
-``min_compaction_journal`` entries), the overlay is **compacted**: the
-surviving edge set becomes the new frozen base (reusing a fresh cached
-snapshot when one exists) and the journal resets.  Compaction is therefore
-amortised O(1) words of CSR rebuild per update, and every existing read-path
-kernel (``peel_layers``, ``induced_subgraph``, degeneracy, orientation merge,
-the MPC loaders) keeps working unchanged on the compacted :meth:`snapshot`.
+Once the overlay grows past ``compaction_fraction · m`` (at least
+``min_compaction_journal`` entries), it is **compacted**: the surviving
+edge set becomes the new frozen base (reusing a fresh cached snapshot when
+one exists) and the overlay resets.  Compaction is therefore amortised O(1)
+words of CSR rebuild per update, and every existing read-path kernel
+(``peel_layers``, ``induced_subgraph``, degeneracy, orientation merge, the
+MPC loaders) keeps working unchanged on the compacted :meth:`snapshot`.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
+from collections import Counter
 from collections.abc import Iterator
+from itertools import chain
 
 from repro import kernels
 from repro.errors import GraphError
@@ -73,14 +76,15 @@ class DynamicGraph:
     base:
         Initial (immutable) graph; the vertex universe is fixed to its size.
     compaction_fraction:
-        Compact once the journal exceeds this fraction of the current edge
-        count (amortises the CSR rebuild over the updates that caused it).
+        Compact once the overlay exceeds this fraction of the current edge
+        count (amortises the CSR rebuild over the updates that caused it);
+        a finite positive number.
     min_compaction_journal:
-        Never compact before the journal has at least this many entries
-        (avoids thrashing on tiny graphs).
+        Never compact before the overlay has more than this many entries
+        (avoids thrashing on tiny graphs); an integer ≥ 1.
     snapshot_caching:
         Keep the generation-tagged snapshot cache (default).  Disabling it
-        forces every :meth:`snapshot` call to replay the journal — the
+        forces every :meth:`snapshot` call to rebuild from the overlay — the
         baseline the snapshot-cache microbench measures against.
     """
 
@@ -92,9 +96,6 @@ class DynamicGraph:
         "_removed",
         "_delta_degree",
         "_num_edges",
-        "_journal_ops",
-        "_journal_u",
-        "_journal_v",
         "_version",
         "_snapshot_cache",
         "_snapshot_version",
@@ -107,6 +108,7 @@ class DynamicGraph:
         "min_compaction_journal",
         "num_compactions",
         "total_updates",
+        "journal_length",
         "journal_replay_ops",
         "snapshot_hits",
         "snapshot_builds",
@@ -119,20 +121,31 @@ class DynamicGraph:
         min_compaction_journal: int = 64,
         snapshot_caching: bool = True,
     ) -> None:
-        if compaction_fraction <= 0:
-            raise GraphError("compaction_fraction must be positive")
-        if min_compaction_journal < 1:
-            raise GraphError("min_compaction_journal must be at least 1")
+        if (
+            not isinstance(compaction_fraction, (int, float))
+            or isinstance(compaction_fraction, bool)
+            or not 0 < compaction_fraction < math.inf
+        ):
+            raise GraphError(
+                f"compaction_fraction must be a finite positive number, "
+                f"got {compaction_fraction!r}"
+            )
+        if (
+            not isinstance(min_compaction_journal, int)
+            or isinstance(min_compaction_journal, bool)
+            or min_compaction_journal < 1
+        ):
+            raise GraphError(
+                f"min_compaction_journal must be an integer >= 1, "
+                f"got {min_compaction_journal!r}"
+            )
         self._base = base
         self._n = base.num_vertices
-        self._added: dict[Edge, None] = {}
+        self._added: set[Edge] = set()
         self._added_adj: dict[int, set[int]] = {}
         self._removed: set[Edge] = set()
         self._delta_degree: dict[int, int] = {}
         self._num_edges = base.num_edges
-        self._journal_ops = array("l")
-        self._journal_u = array("l")
-        self._journal_v = array("l")
         self._version = 0
         self._snapshot_cache: Graph | None = None
         self._snapshot_version = -1
@@ -147,6 +160,9 @@ class DynamicGraph:
         self.min_compaction_journal = min_compaction_journal
         self.num_compactions = 0
         self.total_updates = 0
+        # The op-journal length the overlay stands for (see the module
+        # docstring): what a snapshot build adds to journal_replay_ops.
+        self.journal_length = 0
         self.journal_replay_ops = 0
         self.snapshot_hits = 0
         self.snapshot_builds = 0
@@ -191,15 +207,10 @@ class DynamicGraph:
         """Number of overlay entries (added edges + tombstones).
 
         This is the *net* delta the overlay holds — the quantity compaction
-        thresholds and batch reports use — not the op-log length (see
-        :attr:`journal_length`).
+        thresholds and batch reports use — not the running op-journal
+        length (:attr:`journal_length`).
         """
         return len(self._added) + len(self._removed)
-
-    @property
-    def journal_length(self) -> int:
-        """Length of the columnar op log (ops recorded since compaction)."""
-        return len(self._journal_ops)
 
     def _base_has(self, e: Edge) -> bool:
         """Base-edge membership via bisect on the cached key column.
@@ -291,39 +302,6 @@ class DynamicGraph:
         if not (0 <= u < self._n and 0 <= v < self._n):
             raise GraphError(f"edge ({u}, {v}) references a vertex outside 0..{self._n - 1}")
 
-    def _bump_degree(self, u: int, v: int, delta: int) -> None:
-        for x in (u, v):
-            updated = self._delta_degree.get(x, 0) + delta
-            if updated:
-                self._delta_degree[x] = updated
-            else:
-                self._delta_degree.pop(x, None)
-
-    def _compress_journal(self) -> None:
-        """Rewrite the op log in canonical form (one op per overlay entry).
-
-        The log's only consumer is last-op-wins journal merging, so the
-        overlay indexes — which hold exactly each touched edge's final state
-        — are a complete, minimal description of it.  Compression keeps the
-        log (and with it every snapshot build) O(journal_size) even when a
-        trace inserts and deletes the same edges below the compaction
-        threshold forever.
-        """
-        ops = array("l")
-        edge_u = array("l")
-        edge_v = array("l")
-        for u, v in self._added:  # insertion order (a dict), deterministic
-            ops.append(1)
-            edge_u.append(u)
-            edge_v.append(v)
-        for u, v in sorted(self._removed):
-            ops.append(0)
-            edge_u.append(u)
-            edge_v.append(v)
-        self._journal_ops[:] = ops
-        self._journal_u[:] = edge_u
-        self._journal_v[:] = edge_v
-
     def add_edge(self, u: int, v: int) -> None:
         """Insert the edge ``{u, v}``; raises :class:`GraphError` if already live."""
         self.apply_ops((1,), (u,), (v,))
@@ -339,7 +317,7 @@ class DynamicGraph:
         one-op batches.  Each op is checked (vertex range, self loop, insert
         of a live edge, delete of a dead one; an offending op raises
         :class:`GraphError` with the ops before it applied), updates the
-        overlay indexes and sorted key columns, is appended to the journal,
+        overlay sets and sorted key columns, advances :attr:`journal_length`,
         and is followed by the compaction-threshold check, which the
         deterministic round accounting pins per op.  The service feeds
         pre-validated batch columns through here.
@@ -352,11 +330,6 @@ class DynamicGraph:
         added_keys = self._added_keys
         removed_keys = self._removed_keys
         delta_degree = self._delta_degree
-        # The journal columns keep their identity: compression and
-        # compaction rewrite them in place.
-        journal_ops = self._journal_ops
-        journal_u = self._journal_u
-        journal_v = self._journal_v
         min_journal = self.min_compaction_journal
         fraction = self.compaction_fraction
         for op, u, v in zip(ops, us, vs):
@@ -366,14 +339,14 @@ class DynamicGraph:
             a, b = e
             key = a * stride + b
             if op:
-                op = step = 1
+                step = 1
                 if e in removed:
                     removed.discard(e)
                     _drop_key(removed_keys, key)
                 elif e in added or _has_key(self.base_edge_keys(), key):
                     raise GraphError(f"edge {e} is already present")
                 else:
-                    added[e] = None
+                    added.add(e)
                     for x, y in ((a, b), (b, a)):
                         adjacent = added_adj.get(x)
                         if adjacent is None:
@@ -382,10 +355,9 @@ class DynamicGraph:
                             adjacent.add(y)
                     insort(added_keys, key)
             else:
-                op = 0
                 step = -1
                 if e in added:
-                    del added[e]
+                    added.discard(e)
                     added_adj[a].discard(b)
                     added_adj[b].discard(a)
                     _drop_key(added_keys, key)
@@ -401,20 +373,22 @@ class DynamicGraph:
                 else:
                     del delta_degree[x]
             self._num_edges += step
-            journal_ops.append(op)
-            journal_u.append(a)
-            journal_v.append(b)
             self._version += 1
             self.total_updates += 1
             overlay = len(added) + len(removed)
+            length = self.journal_length + 1
             if overlay == 0:
-                # The overlay cancelled out: the state *is* the base again,
-                # so the log carries no information.
-                del journal_ops[:], journal_u[:], journal_v[:]
-            elif len(journal_ops) > 2 * overlay + min_journal:
-                self._compress_journal()
-            # Compact once the overlay exceeds max(min_journal, fraction · m).
-            if overlay > min_journal and overlay > int(fraction * max(self._num_edges, 1)):
+                # The overlay cancelled out: the state *is* the base again.
+                length = 0
+            elif length > 2 * overlay + min_journal:
+                # Cut back to one entry per overlay key, so cancelling churn
+                # below the compaction threshold cannot grow it unboundedly.
+                length = overlay
+            self.journal_length = length
+            # Compact once the overlay exceeds max(min_journal, fraction · m),
+            # a float compare: a huge fraction means "never", not an
+            # overflow after the op landed.
+            if overlay > min_journal and overlay > fraction * max(self._num_edges, 1):
                 self.compact()
 
     # ------------------------------------------------------------------ #
@@ -427,7 +401,7 @@ class DynamicGraph:
         When the overlay is empty this is the base graph itself (O(1)).
         Otherwise the cached snapshot is returned while the graph hasn't
         moved since it was built; a stale (or disabled) cache rebuilds via
-        the ``compact_journal`` kernel — one vectorized merge of the journal
+        the ``compact_journal`` kernel — one merge of the sorted overlay key
         columns over the base edge columns.
         """
         if not self._added and not self._removed:
@@ -446,28 +420,27 @@ class DynamicGraph:
         return graph
 
     def _build_snapshot(self) -> Graph:
-        """Replay the journal columns over the base (the cache-miss path)."""
+        """Merge the overlay key columns into the base (the cache-miss path)."""
         with self._tracer.span(
             "overlay-read",
             cat="stream",
-            journal=len(self._journal_ops),
+            journal=self.journal_length,
             delta=self.journal_size,
         ):
             base_u, base_v = self._base.edge_endpoints
             edge_u, edge_v = kernels.compact_journal(
-                self._n, base_u, base_v,
-                self._journal_ops, self._journal_u, self._journal_v,
+                self._n, base_u, base_v, self._added_keys, self._removed_keys
             )
-        self.journal_replay_ops += len(self._journal_ops)
+        self.journal_replay_ops += self.journal_length
         self.snapshot_builds += 1
         metrics = self._tracer.metrics
         if metrics.enabled:
-            metrics.inc("stream.journal_replay_ops", len(self._journal_ops))
+            metrics.inc("stream.journal_replay_ops", self.journal_length)
             metrics.inc("stream.snapshot_builds")
         return Graph._from_columns(self._n, edge_u, edge_v)
 
     def compact(self) -> Graph:
-        """Fold the overlay into a fresh CSR base graph and reset the journal.
+        """Fold the overlay into a fresh CSR base graph and reset it.
 
         A fresh cached snapshot is promoted to base as-is (no second replay);
         with no overlay the call is a no-op, so back-to-back compactions
@@ -477,7 +450,7 @@ class DynamicGraph:
             with self._tracer.span(
                 "compaction",
                 cat="stream",
-                journal=len(self._journal_ops),
+                journal=self.journal_length,
                 delta=self.journal_size,
             ):
                 self._base = self.snapshot()
@@ -485,7 +458,7 @@ class DynamicGraph:
             self._added_adj.clear()
             self._removed.clear()
             self._delta_degree.clear()
-            del self._journal_ops[:], self._journal_u[:], self._journal_v[:]
+            self.journal_length = 0
             self._snapshot_cache = None
             self._snapshot_version = -1
             self._base_keys = None
@@ -503,18 +476,19 @@ class DynamicGraph:
     def state_columns(self) -> dict:
         """The complete mutable state as JSON-serializable columns.
 
-        Base edge columns + the journal columns are sufficient to rebuild
-        the overlay indexes exactly (see :meth:`from_state`); the counters
-        ride along so restored telemetry continues where it left off.
+        Base edge columns + the two sorted overlay key columns are sufficient
+        to rebuild the overlay indexes exactly (see :meth:`from_state`); the
+        journal length and the counters ride along so restored telemetry
+        continues where it left off.
         """
         base_u, base_v = self._base.edge_endpoints
         return {
             "num_vertices": self._n,
             "base_u": list(base_u),
             "base_v": list(base_v),
-            "journal_ops": list(self._journal_ops),
-            "journal_u": list(self._journal_u),
-            "journal_v": list(self._journal_v),
+            "added_keys": list(self._added_keys),
+            "removed_keys": list(self._removed_keys),
+            "journal_length": self.journal_length,
             "compaction_fraction": self.compaction_fraction,
             "min_compaction_journal": self.min_compaction_journal,
             "snapshot_caching": bool(self.snapshot_caching),
@@ -529,12 +503,11 @@ class DynamicGraph:
     def from_state(cls, state: dict) -> "DynamicGraph":
         """Rebuild a graph from :meth:`state_columns` output, byte-identically.
 
-        The overlay indexes are reconstructed by replaying the journal
-        columns with the :meth:`add_edge`/:meth:`remove_edge` index mutations
-        *only* — no re-journaling, no compaction checks — so the restored
-        ``_added`` dict reproduces the original's insertion order (journal
-        order, which :meth:`_compress_journal` preserves) and the journal
-        columns land verbatim.
+        The overlay sets, delta adjacency and delta degrees are rebuilt from
+        the two key columns, which must be strictly ascending keys of
+        canonical in-range edges — additions absent from the base,
+        tombstones present in it; anything else raises :class:`GraphError`
+        (a checkpoint fingerprint cannot catch an unsorted column).
         """
         base = Graph._from_columns(
             state["num_vertices"],
@@ -547,36 +520,40 @@ class DynamicGraph:
             min_compaction_journal=state["min_compaction_journal"],
             snapshot_caching=state["snapshot_caching"],
         )
-        ops = array("l", state["journal_ops"])
-        edge_u = array("l", state["journal_u"])
-        edge_v = array("l", state["journal_v"])
-        for op, u, v in zip(ops, edge_u, edge_v):
-            e = (u, v)
-            if op:
-                if e in graph._removed:
-                    graph._removed.discard(e)
-                else:
-                    graph._added[e] = None
-                    graph._added_adj.setdefault(u, set()).add(v)
-                    graph._added_adj.setdefault(v, set()).add(u)
-                graph._bump_degree(u, v, 1)
-                graph._num_edges += 1
-            else:
-                if e in graph._added:
-                    del graph._added[e]
-                    graph._added_adj[u].discard(v)
-                    graph._added_adj[v].discard(u)
-                else:
-                    graph._removed.add(e)
-                graph._bump_degree(u, v, -1)
-                graph._num_edges -= 1
-        stride = max(graph._n, 1)
-        graph._added_keys = array("l", sorted(u * stride + v for u, v in graph._added))
-        graph._removed_keys = array("l", sorted(u * stride + v for u, v in graph._removed))
-        graph._journal_ops = ops
-        graph._journal_u = edge_u
-        graph._journal_v = edge_v
-        graph._version = len(ops)
+        n = graph._n
+        stride = max(n, 1)
+        # Bisect the base columns directly (tail run, then head within it):
+        # the cached key column would cost a kernel call that the restored
+        # graph may never need.
+        base_u, base_v = base.edge_endpoints
+        for name, in_base, overlay in (
+            ("added_keys", False, graph._added),
+            ("removed_keys", True, graph._removed),
+        ):
+            previous = -1
+            for key in state[name]:
+                u, v = divmod(key, stride)
+                lo = bisect_left(base_u, u)
+                hi = bisect_right(base_u, u, lo)
+                i = bisect_left(base_v, v, lo, hi)
+                is_base = i < hi and base_v[i] == v
+                if key <= previous or not 0 <= u < v < n or is_base != in_base:
+                    raise GraphError(
+                        f"overlay column {name} is not strictly ascending keys "
+                        f"of {'base' if in_base else 'non-base'} edges: {key!r}"
+                    )
+                previous = key
+                overlay.add((u, v))
+        degree = Counter(chain.from_iterable(graph._added))
+        degree.subtract(Counter(chain.from_iterable(graph._removed)))
+        graph._delta_degree = {x: d for x, d in degree.items() if d}
+        for u, v in graph._added:
+            graph._added_adj.setdefault(u, set()).add(v)
+            graph._added_adj.setdefault(v, set()).add(u)
+        graph._num_edges += len(graph._added) - len(graph._removed)
+        graph._added_keys = array("l", state["added_keys"])
+        graph._removed_keys = array("l", state["removed_keys"])
+        graph.journal_length = state["journal_length"]
         graph.num_compactions = state["num_compactions"]
         graph.total_updates = state["total_updates"]
         graph.journal_replay_ops = state["journal_replay_ops"]

@@ -535,8 +535,11 @@ class StreamEngine:
                 )
             if tenant.quarantine is None:
                 raise GraphError(f"tenant {name!r} is not quarantined")
-            if new_quota is not None and new_quota < 1:
-                raise GraphError("new_quota must be at least 1 word (or None to keep)")
+            if new_quota is not None and not _is_count(new_quota):
+                raise GraphError(
+                    f"new_quota must be an integer of at least 1 word "
+                    f"(or None to keep), got {new_quota!r}"
+                )
             cluster = tenant.service.cluster
             effective = new_quota if new_quota is not None else cluster.memory_quota
             peak = cluster.stats.peak_global_memory_words
@@ -896,10 +899,21 @@ class StreamEngine:
         the tenant.  Any other exception (a planner bug, say) is recorded
         the same way, and then the ticker exits: :meth:`wait_until_drained`
         raises a :class:`GraphError` naming it.  :meth:`stop` (or
-        :meth:`close`) joins the thread.
+        :meth:`close`) joins the thread.  ``tick_interval`` must be a finite
+        number of seconds in ``(0, threading.TIMEOUT_MAX]``; anything else
+        raises :class:`GraphError` before a thread starts.
         """
-        if tick_interval <= 0:
-            raise GraphError("tick_interval must be positive")
+        if (
+            not isinstance(tick_interval, (int, float))
+            or isinstance(tick_interval, bool)
+            or not 0 < tick_interval <= threading.TIMEOUT_MAX
+        ):
+            # NaN would hot-spin the idle ticker, and an interval past
+            # TIMEOUT_MAX kills it inside Event.wait, outside its error net.
+            raise GraphError(
+                f"tick_interval must be positive seconds, at most "
+                f"threading.TIMEOUT_MAX ({threading.TIMEOUT_MAX}), got {tick_interval!r}"
+            )
         with self._lock:
             if self._closed:
                 raise GraphError("engine is closed")

@@ -1,6 +1,7 @@
 """Pure ≡ numpy byte-identity for the streaming data-plane kernels (ISSUE 9).
 
-Covers the columnar journal merge (``compact_journal``), batch
+Covers the overlay merge (``compact_journal``, checked against the
+last-op-wins journal merge it replaced), batch
 pre-validation (``validate_batch``, including the exact exception type,
 message and first-offender order), the recolor scan (``first_monochrome``),
 CSR assembly (``build_csr``) and the small column reducers the tick stats
@@ -160,40 +161,111 @@ class TestFirstMonochrome:
         ]
 
 
+def _last_op_wins_reference(num_vertices, base_u, base_v, ops, journal_u, journal_v):
+    """The op-log merge ``compact_journal`` ran before the sorted overlay key
+    columns became the one record of the delta: each touched edge's *last*
+    journal op decides whether it is added, tombstoned, or collapses back
+    onto the base.  Kept here as the reference the overlay merge must equal.
+    """
+    last: dict[tuple, int] = {}
+    for op, u, v in zip(ops, journal_u, journal_v):
+        last[(u, v)] = op
+    changed = sorted(last)
+    out_u = array("l")
+    out_v = array("l")
+    i = 0
+    num_changed = len(changed)
+    for e in zip(base_u, base_v):
+        while i < num_changed and changed[i] < e:
+            added = changed[i]
+            if last[added] == 1:
+                out_u.append(added[0])
+                out_v.append(added[1])
+            i += 1
+        if i < num_changed and changed[i] == e:
+            if last[e] == 1:  # deleted then re-inserted: still live
+                out_u.append(e[0])
+                out_v.append(e[1])
+            i += 1  # final op 0 on a base edge: tombstoned, skip
+        else:
+            out_u.append(e[0])
+            out_v.append(e[1])
+    while i < num_changed:
+        added = changed[i]
+        if last[added] == 1:
+            out_u.append(added[0])
+            out_v.append(added[1])
+        i += 1
+    return out_u, out_v
+
+
+def _overlay_keys(n, base_edges, live):
+    """The sorted ``(added_keys, removed_keys)`` a journal leaves behind."""
+    stride = max(n, 1)
+    base = set(base_edges)
+    return (
+        array("l", sorted(u * stride + v for u, v in set(live) - base)),
+        array("l", sorted(u * stride + v for u, v in base - set(live))),
+    )
+
+
+def _check_merge(n, base, ops, us, vs, live):
+    """Both backends on the journal's overlay equal the reference, byte for
+    byte; returns the merged edge list."""
+    base_u, base_v = base.edge_endpoints
+    expected = _last_op_wins_reference(n, base_u, base_v, ops, us, vs)
+    pure, numpy = both("compact_journal", n, base_u, base_v, *_overlay_keys(n, base.edges, live))
+    for got in (pure, numpy):
+        for column, reference in zip(got, expected):
+            assert type(column) is array and column.typecode == "l"
+            assert column.tobytes() == reference.tobytes()
+    return list(zip(*pure))
+
+
 class TestCompactJournal:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_random_traces_byte_identical(self, seed):
         n = 90
         base = union_of_random_forests(n, arboricity=2, seed=seed)
-        base_u, base_v = base.edge_endpoints
         journal, live = _random_journal(n, base.edges, 300, seed)
-        pure, numpy = both("compact_journal", n, base_u, base_v, *journal)
-        for p, q in zip(pure, numpy):
-            assert type(q) is array and q.typecode == "l"
-            assert p == q and p.tobytes() == q.tobytes()
-        assert Graph._from_columns(n, *numpy) == Graph(n, sorted(live))
+        merged = _check_merge(n, base, *journal, live)
+        assert Graph._from_columns(n, *_columns(merged)) == Graph(n, sorted(live))
 
     def test_tombstone_only_journal(self):
         base = union_of_random_forests(40, arboricity=2, seed=7)
         doomed = list(base.edges)[::2]
         ops = array("l", [0] * len(doomed))
-        us, vs = _columns(doomed)
-        pure, numpy = both(
-            "compact_journal", 40, *base.edge_endpoints, ops, us, vs
-        )
-        assert pure == numpy
         survivors = [e for e in base.edges if e not in set(doomed)]
-        assert list(zip(*pure)) == survivors
+        merged = _check_merge(40, base, ops, *_columns(doomed), survivors)
+        assert merged == survivors
+
+    def test_additions_only_journal(self):
+        base = union_of_random_forests(40, arboricity=1, seed=9)
+        rng = random.Random(9)
+        fresh = sorted(
+            {(u, v) for u, v in (sorted(rng.sample(range(40), 2)) for _ in range(30))}
+            - set(base.edges)
+        )
+        ops = array("l", [1] * len(fresh))
+        live = sorted(set(base.edges) | set(fresh))
+        assert _check_merge(40, base, ops, *_columns(fresh), live) == live
+
+    def test_additions_before_the_first_and_after_the_last_base_edge(self):
+        base = Graph(10, [(3, 4), (4, 6), (5, 7)])
+        fresh = [(0, 1), (1, 9), (2, 3), (8, 9), (5, 8)]
+        ops = array("l", [1, 1, 1, 1, 1, 0])
+        us, vs = _columns(fresh + [(4, 6)])
+        live = sorted(set(base.edges) - {(4, 6)} | set(fresh))
+        assert _check_merge(10, base, ops, us, vs, live) == live
 
     def test_empty_journal_returns_base_columns(self):
         base = union_of_random_forests(30, arboricity=1, seed=8)
         empty = array("l")
-        pure, numpy = both(
-            "compact_journal", 30, *base.edge_endpoints, empty, empty, empty
-        )
+        pure, numpy = both("compact_journal", 30, *base.edge_endpoints, empty, empty)
         assert pure == numpy
         assert pure[0] == base.edge_endpoints[0]
         assert pure[1] == base.edge_endpoints[1]
+        assert _check_merge(30, base, empty, empty, empty, base.edges) == list(base.edges)
 
 
 class TestValidateBatch:

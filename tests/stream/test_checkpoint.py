@@ -343,13 +343,13 @@ class TestCorruption:
     def test_version_1_and_2_containers_are_refused(self, snapshot, old_version):
         """Versions 1 and 2 held the payload inline in one JSON object (and
         version 1 stored per-machine ledger records), so neither restores."""
-        assert checkpoint.CHECKPOINT_VERSION == 4
+        assert checkpoint.CHECKPOINT_VERSION == 5
         container = _read_container(snapshot)
         container["version"] = old_version
         snapshot.write_text(json.dumps(container))  # the old one-object layout
         with pytest.raises(
             CheckpointError,
-            match=f"has version {old_version}; this build restores version 4",
+            match=f"has version {old_version}; this build restores version 5",
         ):
             StreamEngine.restore(snapshot)
 
@@ -364,7 +364,27 @@ class TestCorruption:
         container["version"] = 3
         self._reseal(snapshot, container)
         with pytest.raises(
-            CheckpointError, match="has version 3; this build restores version 4"
+            CheckpointError, match="has version 3; this build restores version 5"
+        ):
+            StreamEngine.restore(snapshot)
+
+    def test_version_4_container_is_refused(self, snapshot):
+        """Version 4 stored each graph's op-log journal columns in place of
+        the sorted overlay key columns; such a file is refused by version."""
+        container = _read_container(snapshot)
+        for tenant in container["payload"]["tenants"]:
+            dynamic = tenant["service"]["dynamic"]
+            stride = dynamic["num_vertices"]
+            ops = [(1, key) for key in dynamic.pop("added_keys")]
+            ops += [(0, key) for key in dynamic.pop("removed_keys")]
+            del dynamic["journal_length"]
+            dynamic["journal_ops"] = [op for op, _ in ops]
+            dynamic["journal_u"] = [key // stride for _, key in ops]
+            dynamic["journal_v"] = [key % stride for _, key in ops]
+        container["version"] = 4
+        self._reseal(snapshot, container)
+        with pytest.raises(
+            CheckpointError, match="has version 4; this build restores version 5"
         ):
             StreamEngine.restore(snapshot)
 
@@ -414,10 +434,50 @@ class TestCorruption:
     def test_structurally_broken_payload_is_a_checkpoint_error(self, snapshot):
         container = _read_container(snapshot)
         service = container["payload"]["tenants"][0]["service"]
-        del service["dynamic"]["journal_ops"]
+        del service["dynamic"]["removed_keys"]
         self._reseal(snapshot, container)
         with pytest.raises(CheckpointError, match="malformed"):
             StreamEngine.restore(snapshot)
+
+    @staticmethod
+    def _break_overlay(dynamic, how):
+        added, removed = dynamic["added_keys"], dynamic["removed_keys"]
+        n = dynamic["num_vertices"]
+        base = {u * n + v for u, v in zip(dynamic["base_u"], dynamic["base_v"])}
+        if how == "unsorted":
+            added[0], added[1] = added[1], added[0]
+        elif how == "duplicate":
+            removed.append(removed[-1])
+        elif how == "negative":
+            removed.insert(0, -1)
+        elif how == "out-of-range":
+            added.append(n * n)  # u = n
+        elif how == "not-canonical":
+            added.append((n - 1) * n)  # (n - 1, 0)
+        elif how == "added-in-base":
+            added[:] = sorted({*added, min(base)})
+        elif how == "removed-not-in-base":
+            off_base = min(u * n + v for u in range(n) for v in range(u + 1, n)
+                           if u * n + v not in base)
+            removed[:] = sorted({*removed, off_base})
+
+    @pytest.mark.parametrize(
+        "how",
+        ["unsorted", "duplicate", "negative", "out-of-range", "not-canonical",
+         "added-in-base", "removed-not-in-base"],
+    )
+    def test_malformed_overlay_columns_are_refused(self, snapshot, how):
+        """The fingerprint cannot see an unsorted or duplicated key column
+        (the restored sets would match), so the restore itself refuses any
+        overlay column that is not strictly ascending keys of in-range
+        canonical edges — additions off the base, tombstones on it."""
+        container = _read_container(snapshot)
+        self._break_overlay(container["payload"]["tenants"][0]["service"]["dynamic"], how)
+        self._reseal(snapshot, container)
+        before = threading.active_count()
+        with pytest.raises(CheckpointError, match="malformed: overlay column"):
+            StreamEngine.restore(snapshot)
+        assert threading.active_count() == before
 
     def test_failed_restores_leak_no_threads(self, snapshot):
         container = _read_container(snapshot)
@@ -504,14 +564,14 @@ class TestContainer:
         assert header["checksum"] == checkpoint.fingerprint_digest(payload)
 
     def test_orientation_state_carries_no_behaviour_switch(self, tmp_path):
-        """Version 4 stores the orientation's heads, λ̂, cap, counters and
+        """Version 5 stores the orientation's heads, λ̂, cap, counters and
         maintenance parameters, and no ``proactive_flips`` switch."""
         path = tmp_path / "ck.json"
         with _loaded_engine(_fleet()) as engine:
             engine.tick()
             engine.checkpoint(path)
         container = _read_container(path)
-        assert container["version"] == checkpoint.CHECKPOINT_VERSION == 4
+        assert container["version"] == checkpoint.CHECKPOINT_VERSION == 5
         states = [
             tenant["service"]["orientation"]
             for tenant in container["payload"]["tenants"]

@@ -264,3 +264,143 @@ class TestSnapshotProperty:
         assert dg.num_edges == len(mirror)
         assert dg.compact() == Graph(n, sorted(mirror))
         assert dg.num_compactions > 0
+
+
+class _OpLogReference:
+    """The op-log journal ``DynamicGraph`` kept before its sorted overlay key
+    columns became the one record of the delta, as a test-only model.
+
+    Every op is appended; the log is cleared when the overlay cancels out and
+    rewritten to one op per overlay entry once it exceeds
+    ``2 · overlay + min_compaction_journal``; compaction (same threshold as
+    the graph) clears it; a snapshot build replays the whole log.
+    """
+
+    def __init__(self, base_edges, min_journal, fraction=0.25):
+        self.base = set(base_edges)
+        self.live = set(base_edges)
+        self.added: dict = {}  # insertion order, as the log compression kept it
+        self.removed: set = set()
+        self.log: list = []
+        self.min_journal = min_journal
+        self.fraction = fraction
+        self.replay_ops = 0
+        self.stale = False  # an op since the last snapshot build
+
+    def apply(self, op, e):
+        if op:
+            if e in self.removed:
+                self.removed.discard(e)
+            else:
+                self.added[e] = None
+            self.live.add(e)
+        else:
+            if e in self.added:
+                del self.added[e]
+            else:
+                self.removed.add(e)
+            self.live.discard(e)
+        self.log.append((op, *e))
+        self.stale = True
+        overlay = len(self.added) + len(self.removed)
+        if overlay == 0:
+            self.log.clear()
+        elif len(self.log) > 2 * overlay + self.min_journal:
+            self.log = [(1, *e) for e in self.added] + [(0, *e) for e in sorted(self.removed)]
+        if overlay > self.min_journal and overlay > int(self.fraction * max(len(self.live), 1)):
+            self.snapshot()
+            self.base = set(self.live)
+            self.added.clear()
+            self.removed.clear()
+            self.log.clear()
+
+    def snapshot(self):
+        if (self.added or self.removed) and self.stale:
+            self.replay_ops += len(self.log)
+            self.stale = False
+
+
+class TestJournalLength:
+    @pytest.mark.parametrize("min_journal", [1, 4, 64])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_running_length_matches_the_op_log(self, seed, min_journal):
+        """``journal_length`` and ``journal_replay_ops`` keep the values the
+        op log gave, after every op and every snapshot, through cancelling
+        churn, log compression and compactions."""
+        n = 40
+        rng = random.Random(seed)
+        base = union_of_random_forests(n, arboricity=2, seed=seed)
+        dg = DynamicGraph(base, min_compaction_journal=min_journal)
+        ref = _OpLogReference(base.edges, min_journal)
+        hot: list = []  # recently touched edges, toggled again and again
+        for _ in range(1500):
+            roll = rng.random()
+            if roll < 0.1:
+                dg.snapshot()
+                ref.snapshot()
+                assert dg.journal_replay_ops == ref.replay_ops
+                continue
+            if roll < 0.7 and hot:
+                e = rng.choice(hot)
+            else:
+                u, v = rng.sample(range(n), 2)
+                e = (min(u, v), max(u, v))
+                hot = [*hot[-5:], e]
+            op = int(e not in ref.live)
+            dg.apply_ops((op,), e[:1], e[1:])
+            ref.apply(op, e)
+            assert dg.journal_length == len(ref.log)
+            assert dg.journal_replay_ops == ref.replay_ops
+        assert set(dg.edges()) == ref.live
+        assert dg.num_compactions > 0
+
+
+class TestConstructorArguments:
+    @pytest.mark.parametrize(
+        "fraction", [float("nan"), float("inf"), float("-inf"), True, 0, -0.5, "0.25", None]
+    )
+    def test_bad_compaction_fraction_is_refused(self, fraction):
+        with pytest.raises(GraphError, match="compaction_fraction"):
+            DynamicGraph(Graph(10, [(0, 1), (1, 2)]), compaction_fraction=fraction)
+
+    @pytest.mark.parametrize("minimum", [2.5, True, False, 0, -3, "64", None])
+    def test_bad_min_compaction_journal_is_refused(self, minimum):
+        with pytest.raises(GraphError, match="min_compaction_journal"):
+            DynamicGraph(Graph(10, [(0, 1), (1, 2)]), min_compaction_journal=minimum)
+
+    @pytest.mark.parametrize("fraction", [1, 0.25, 3.0, 1e308])
+    def test_finite_positive_numbers_are_accepted(self, fraction):
+        """Even a fraction whose product with m overflows a float only means
+        "never compact"; no update may raise after it was applied."""
+        dg = DynamicGraph(
+            Graph(10, [(0, 1), (1, 2)]),
+            compaction_fraction=fraction,
+            min_compaction_journal=1,
+        )
+        for v in range(3, 10):
+            dg.add_edge(0, v)
+        assert dg.num_edges == 9
+        assert set(dg.edges()) == {(0, 1), (1, 2)} | {(0, v) for v in range(3, 10)}
+
+
+class TestFromState:
+    def test_round_trip_rebuilds_the_overlay_without_a_replay(self):
+        base = union_of_random_forests(30, arboricity=2, seed=5)
+        dg = DynamicGraph(base, min_compaction_journal=2**60)
+        doomed = list(base.edges)[::4]
+        for e in doomed:
+            dg.remove_edge(*e)
+        for u, v in [(0, 29), (3, 17), (5, 6), (11, 28)]:
+            if not dg.has_edge(u, v):
+                dg.add_edge(u, v)
+        dg.add_edge(*doomed[0])  # a re-insert cancels its tombstone
+        restored = DynamicGraph.from_state(dg.state_columns())
+        assert restored.state_columns() == dg.state_columns()
+        assert restored._added == dg._added and restored._removed == dg._removed
+        assert restored._added_adj == dg._added_adj
+        assert restored._delta_degree == dg._delta_degree
+        assert restored.num_edges == dg.num_edges
+        assert restored.snapshot() == dg.snapshot()
+        assert [restored.neighbors(v) for v in range(30)] == [
+            dg.neighbors(v) for v in range(30)
+        ]

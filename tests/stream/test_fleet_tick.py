@@ -110,9 +110,11 @@ def _running_state(service: StreamingService):
     dynamic = service.dynamic
     outdeg = list(orientation._outdeg)
     stride = max(dynamic.num_vertices, 1)
+    live = set(dynamic.edges())
+    base = set(dynamic.base.edges)
     resorted = (
-        array("l", sorted(u * stride + v for u, v in dynamic._added)),
-        array("l", sorted(u * stride + v for u, v in dynamic._removed)),
+        array("l", sorted(u * stride + v for u, v in live - base)),
+        array("l", sorted(u * stride + v for u, v in base - live)),
     )
     histogram = {d: c for d, c in enumerate(orientation._outdeg_hist) if c}
     return {

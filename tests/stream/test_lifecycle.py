@@ -326,6 +326,21 @@ class TestResidentTicker:
         with pytest.raises(GraphError, match="closed"):
             engine.start()
 
+    @pytest.mark.parametrize(
+        "interval",
+        [float("nan"), float("inf"), 1e12, threading.TIMEOUT_MAX * 2, True, -0.5, "0.05", None],
+    )
+    def test_start_refuses_an_interval_the_ticker_cannot_wait(self, interval):
+        """NaN would hot-spin the idle ticker and ``inf`` or ``1e12`` would kill
+        it inside ``Event.wait``, outside its error net; every such value is
+        refused before a thread starts."""
+        before = threading.active_count()
+        with StreamEngine(seed=5) as engine:
+            with pytest.raises(GraphError, match="tick_interval must be positive"):
+                engine.start(tick_interval=interval)
+            assert not engine.running
+            assert threading.active_count() == before
+
 
 class TestCloseIdempotency:
     def test_double_close_with_live_ticker_leaks_nothing(self):

@@ -423,6 +423,24 @@ class TestMemoryQuotas:
                 engine.lift_quarantine("t", new_quota=0)
             assert set(engine.quarantined()) == {"t"}  # failed lifts change nothing
 
+    @pytest.mark.parametrize("new_quota", [True, 2.5, "5", 1e9, -1])
+    def test_lift_refuses_a_quota_that_is_not_a_word_count(self, new_quota):
+        """``new_quota`` takes the check ``add_tenant`` gives ``memory_quota``:
+        a bool, a float or a string is refused up front, never installed or
+        reported as a quota breach."""
+        initial = union_of_random_forests(48, arboricity=1, seed=3)
+        build_peak, in_use = self._standalone_peaks(initial, derive_seed(5, 0))
+        quota = max(build_peak, in_use) + 20
+        with StreamEngine(seed=5) as engine:
+            engine.add_tenant("t", initial, memory_quota=quota)
+            engine.submit("t", _absent_edge_inserts(initial, 30))
+            with pytest.raises(QuotaExceededError):
+                engine.tick()
+            with pytest.raises(GraphError, match="new_quota must be an integer"):
+                engine.lift_quarantine("t", new_quota=new_quota)
+            assert set(engine.quarantined()) == {"t"}
+            assert engine.tenant_service("t").cluster.memory_quota == quota
+
     def test_lift_rejects_a_quota_the_frozen_peak_already_breaches(self):
         """The fold-time path applies the batch before the breach is seen, so
         a lift whose quota the recorded peak still exceeds must refuse —
